@@ -3,7 +3,7 @@
 Modules
 -------
 geometry          vectors, balls, V-polytopes, simplex weights
-solvers           Frank-Wolfe / Polyak / joint descent / golden section / QP
+solvers           Frank-Wolfe / Polyak / active-set QP
 convex_sets       projection, Caratheodory, Radon, separation, Minkowski sums
 helly             family intersection checks, common points, Jung's bound
 convex_functions  convex expression trees: conjugates, convolutions, averages
@@ -19,8 +19,6 @@ from .geometry import Ball, Polytope, SimplexWeights, convex_combination, dot, n
 from .solvers import (
     SolverConfig,
     SolveReport,
-    golden_section,
-    joint_descent,
     minimize_quadratic_over_simplex,
     polyak_subgradient,
 )

@@ -7,11 +7,13 @@ any query point:
   "find y with ||y - b_i|| <= L ||x - a_i|| for all i" through its concave
   dual over the simplex (maximize sum l_i (||b_i||^2 - L^2 ||x - a_i||^2)
   - ||sum l_i b_i||^2, recover y = sum l_i b_i), which is guaranteed
-  feasible for consistent data.
+  feasible for consistent data.  Each value is feasible on its own; the map
+  x -> y carries no Lipschitz guarantee.
 * extend_proxavg runs the firmly-non-expansive pipeline: zero-pad to a square
   dimension, rescale to a non-expansive map, pass to g = (id + f)/2, read off
   the monotone graph T = g^{-1} - id, and evaluate the resolvent of the
   maximal monotone extension of T per query; y = L (2 G(x) - x), un-padded.
+  The resolvent is firmly non-expansive, so this map is L-Lipschitz.
 
 Scalar data additionally supports McShane-Whitney envelopes with a general
 modulus of continuity, the Riesz/Tietze continuous extension, and the
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import as_vector
+from .geometry import as_vector, pairwise
 from .errors import (
     DataConsistencyError,
     DimensionMismatchError,
@@ -38,17 +40,29 @@ DUPLICATE_TOL = 1e-9
 LIPSCHITZ_SLACK = 1e-9
 
 
-def _pairwise_lipschitz(points, values, L):
-    """Worst violating pair of ||db|| <= L ||da|| + slack, or None."""
-    k = points.shape[0]
-    for i in range(k):
-        da = np.linalg.norm(points[i] - points[i + 1 :], axis=1)
-        db = np.linalg.norm(values[i] - values[i + 1 :], axis=1)
-        bad = db > L * da + LIPSCHITZ_SLACK
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            return (i, i + 1 + j, float(da[j]), float(db[j]))
-    return None
+def _scan_data(points, values, L):
+    """Worst pair score of FiniteMapData and its witness: the ratio
+    ||db|| / ||da|| (L None; 0 for duplicate points) or the excess
+    ||db|| - (L ||da|| + slack).  Raises on duplicate points carrying
+    different values."""
+
+    def kernel(dp, dv):
+        da = np.linalg.norm(dp, axis=1)
+        db = np.linalg.norm(dv, axis=1)
+        dup = da <= 1e-12
+        if L is None:
+            score = db / np.where(dup, np.inf, da)
+        else:
+            score = db - (L * da + LIPSCHITZ_SLACK)
+        return np.where(dup & (db > DUPLICATE_TOL), np.inf, score)
+
+    worst, pair = pairwise(points, values, kernel)
+    if worst == np.inf:
+        i, j = pair
+        raise DataConsistencyError(
+            f"duplicate points {i} and {j} carry different values", witness=pair
+        )
+    return worst, pair
 
 
 @dataclass(frozen=True)
@@ -76,32 +90,22 @@ class FiniteMapData:
         vals.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
-        k = pts.shape[0]
-        for i in range(k):
-            dup = np.linalg.norm(pts[i] - pts[i + 1 :], axis=1) <= 1e-12
-            if np.any(dup):
-                diffs = np.linalg.norm(vals[i] - vals[i + 1 :], axis=1)
-                bad = dup & (diffs > DUPLICATE_TOL)
-                if np.any(bad):
-                    j = i + 1 + int(np.argmax(bad))
-                    raise DataConsistencyError(
-                        f"duplicate points {i} and {j} carry different values",
-                        witness=(i, j),
-                    )
-        if self.L is None:
-            object.__setattr__(self, "L", _constant(pts, vals))
-        else:
-            object.__setattr__(self, "L", float(self.L))
-            if self.L < 0:
-                raise ValueError("L must be >= 0")
-            witness = _pairwise_lipschitz(pts, vals, self.L)
-            if witness is not None:
-                i, j, da, db = witness
-                raise DataConsistencyError(
-                    f"data is not {self.L}-Lipschitz: pair ({i}, {j}) has "
-                    f"||db|| = {db:.6g} > L ||da|| = {self.L * da:.6g}",
-                    witness=(i, j),
-                )
+        L = None if self.L is None else float(self.L)
+        if L is not None and L < 0:
+            raise ValueError("L must be >= 0")
+        worst, pair = _scan_data(pts, vals, L)
+        if L is None:
+            L = max(0.0, worst)
+        elif worst > 0.0:
+            i, j = pair
+            da = float(np.linalg.norm(pts[i] - pts[j]))
+            db = float(np.linalg.norm(vals[i] - vals[j]))
+            raise DataConsistencyError(
+                f"data is not {L}-Lipschitz: pair ({i}, {j}) has "
+                f"||db|| = {db:.6g} > L ||da|| = {L * da:.6g}",
+                witness=pair,
+            )
+        object.__setattr__(self, "L", L)
 
     @property
     def m(self) -> int:
@@ -116,28 +120,9 @@ class FiniteMapData:
         return self.points.shape[0]
 
 
-def _constant(points, values) -> float:
-    k = points.shape[0]
-    best = 0.0
-    for i in range(k):
-        da = np.linalg.norm(points[i] - points[i + 1 :], axis=1)
-        db = np.linalg.norm(values[i] - values[i + 1 :], axis=1)
-        dup = da <= 1e-12
-        if np.any(dup & (db > DUPLICATE_TOL)):
-            j = i + 1 + int(np.argmax(dup & (db > DUPLICATE_TOL)))
-            raise DataConsistencyError(
-                f"duplicate points {i} and {j} carry different values",
-                witness=(i, j),
-            )
-        live = ~dup
-        if np.any(live):
-            best = max(best, float(np.max(db[live] / da[live])))
-    return best
-
-
 def lipschitz_constant(data: FiniteMapData) -> float:
     """Empirical constant max ||b_i - b_j|| / ||a_i - a_j|| (0 for one point)."""
-    return _constant(data.points, data.values)
+    return max(0.0, _scan_data(data.points, data.values, None)[0])
 
 
 def extend_minimax(data: FiniteMapData, x, cfg=None):
@@ -145,10 +130,11 @@ def extend_minimax(data: FiniteMapData, x, cfg=None):
 
     The value is the minimizer of max_i (||y - b_i|| - L ||x - a_i||), i.e.
     the center of the deepest point of the intersection of the balls
-    B(b_i, L ||x - a_i||).  This selection interpolates the data, always has
-    residual <= 0 up to solver error (the intersection is non-empty for
-    consistent data), and -- unlike the argmin of the squared violations --
-    is a non-expansive function of the query.
+    B(b_i, L ||x - a_i||).  This selection interpolates the data and each
+    value meets every ball constraint: residual <= 0 up to solver error (the
+    intersection is non-empty for consistent data).  It is a pointwise
+    Kirszbraun value only; x -> y is not L-Lipschitz in general (on tight
+    random data ||y1 - y2|| / (L ||x1 - x2||) reached 1.35-1.60).
 
     Computed by safeguarded Newton root-finding on the concave value function
     phi(t) = min_y max_i (||y - b_i||^2 - (r_i + t)^2), each evaluation being
@@ -303,7 +289,9 @@ class Modulus:
         s = probes[:, None] + probes[None, :]
         lhs = self(s.ravel()).reshape(s.shape)
         rhs = self(probes)[:, None] + self(probes)[None, :]
-        return bool(np.all(lhs <= rhs + 1e-12))
+        # Relative tolerance: values scale with the modulus (L * t for a
+        # Lipschitz one), so an absolute 1e-12 rejects valid moduli at large L.
+        return bool(np.all(lhs <= rhs + 1e-12 * (1.0 + np.abs(rhs))))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -328,20 +316,21 @@ def linear_modulus(L: float, scale: float = 1.0) -> Modulus:
 
 
 def _check_modulus_for_data(data: FiniteMapData, omega: Modulus):
-    pts, vals = data.points, data.values
-    k = pts.shape[0]
-    for i in range(k):
-        da = np.linalg.norm(pts[i] - pts[i + 1 :], axis=1)
-        db = np.abs(vals[i, 0] - vals[i + 1 :, 0])
-        bad = db > omega(da) + 1e-9
-        if np.any(bad):
-            j = i + 1 + int(np.argmax(bad))
-            raise ModulusViolationError(
-                f"modulus fails on pair ({i}, {j}): |db| = "
-                f"{float(np.abs(vals[i, 0] - vals[j, 0])):.6g} > "
-                f"w(||da||) = {float(omega(np.linalg.norm(pts[i] - pts[j]))):.6g}",
-                witness=(i, j),
-            )
+    """Raise on the pair whose |db| exceeds w(||da||) + 1e-9 by the most."""
+    worst, pair = pairwise(
+        data.points,
+        data.values,
+        lambda dp, dv: np.abs(dv[:, 0]) - (omega(np.linalg.norm(dp, axis=1)) + 1e-9),
+    )
+    if worst > 0.0:
+        i, j = pair
+        pts, vals = data.points, data.values
+        raise ModulusViolationError(
+            f"modulus fails on pair ({i}, {j}): |db| = "
+            f"{float(np.abs(vals[i, 0] - vals[j, 0])):.6g} > "
+            f"w(||da||) = {float(omega(np.linalg.norm(pts[i] - pts[j]))):.6g}",
+            witness=pair,
+        )
 
 
 def extend_mcshane(data: FiniteMapData, omega: Modulus, x, side: str) -> float:
@@ -371,21 +360,27 @@ def extend_mcshane(data: FiniteMapData, omega: Modulus, x, side: str) -> float:
 def extend_coordinatewise(data: FiniteMapData, x, cfg=None) -> np.ndarray:
     """Apply the scalar lower envelope with w(t) = L t to each coordinate.
 
-    The result interpolates the data and is sqrt(n) L-Lipschitz.
+    Every coordinate of L-Lipschitz data is itself L-Lipschitz, so the
+    envelope max_i (b_i - w(||x - a_i||)) is taken for all coordinates at once
+    without re-validating them.  The result interpolates the data and is
+    sqrt(n) L-Lipschitz.
     """
     x = as_vector(x)
+    if x.shape[0] != data.m:
+        raise DimensionMismatchError("query dimension does not match the data")
     scale = 1.0 + float(np.max(np.abs(data.points))) + float(np.max(np.abs(x)))
     omega = linear_modulus(data.L, scale)
-    out = np.empty(data.n)
-    for j in range(data.n):
-        coord = FiniteMapData(data.points, data.values[:, j : j + 1], data.L)
-        out[j] = extend_mcshane(coord, omega, x, "lower")
-    return out
+    d = np.linalg.norm(data.points - x, axis=1)
+    return np.max(data.values - omega(d)[:, None], axis=0)
 
 
 def extend_project_domain(data: FiniteMapData, domain, x, cfg=None) -> np.ndarray:
     """Extend beyond a convex domain containing the data by projecting the
-    query onto the domain first; preserves the modulus of continuity."""
+    query onto the domain first, then taking the minimax value there.
+
+    Like extend_minimax, each value meets every ball constraint at the
+    projected query; there is no Lipschitz guarantee for the map x -> y.
+    """
     cfg = cfg or SolverConfig()
     for i, a in enumerate(data.points):
         d = distance(a, domain, cfg)

@@ -49,6 +49,24 @@ def norm(x) -> float:
     return float(np.sqrt(dot(x, x)))
 
 
+def pairwise(points, values, kernel):
+    """Largest kernel score over the pairs i < j of a finite map, with witness.
+
+    kernel(dp, dv) receives one row of differences, dp = points[i] -
+    points[i+1:] and dv = values[i] - values[i+1:], and returns one score per
+    pair; rows are scanned one at a time, so memory stays O(k * dim).
+    Returns (score, (i, j)) for the first largest score in row-major order,
+    or (-inf, None) when there are fewer than two points.
+    """
+    best, pair = -np.inf, None
+    for i in range(points.shape[0] - 1):
+        scores = kernel(points[i] - points[i + 1 :], values[i] - values[i + 1 :])
+        j = int(np.argmax(scores))
+        if pair is None or scores[j] > best:
+            best, pair = float(scores[j]), (i, i + 1 + j)
+    return best, pair
+
+
 @dataclass(frozen=True)
 class Ball:
     """Closed ball with given center and radius >= 0."""

@@ -18,7 +18,7 @@ import numpy as np
 from .geometry import Ball
 from .errors import EnumerationGuardError
 from .rng import SplitMix64
-from .solvers import SolverConfig, minimize_quadratic_over_simplex
+from .solvers import SolverConfig, minimize_quadratic_over_simplex, polyak_subgradient
 from .convex_sets import dimension_of, distance, project
 
 INTERSECT_TOL = 1e-6
@@ -82,22 +82,11 @@ def common_point(family: BodyFamily, cfg=None) -> IntersectionReport:
     cfg = cfg or SolverConfig()
     bodies = family.bodies
     oracle = _max_distance_oracle(bodies, cfg)
-    x = np.mean([_body_anchor(b) for b in bodies], axis=0)
-    f, g = oracle(x)
-    best_x, best_f = x.copy(), f
-    stop = min(cfg.tol, 1e-7)
-    iters = 0
-    cap1 = min(cfg.max_iters, 4000)
+    x0 = np.mean([_body_anchor(b) for b in bodies], axis=0)
     # Phase 1: Polyak steps with target 0 (exact when the family intersects).
-    while best_f > stop and iters < cap1:
-        ng2 = float(g @ g)
-        if ng2 < 1e-28:
-            break
-        x = x - (f / ng2) * g
-        f, g = oracle(x)
-        if f < best_f:
-            best_f, best_x = f, x.copy()
-        iters += 1
+    phase1 = SolverConfig(tol=min(cfg.tol, 1e-7), max_iters=min(cfg.max_iters, 4000))
+    rep = polyak_subgradient(oracle, 0.0, x0, phase1)
+    best_x, best_f, iters = rep.argmin, rep.value, rep.iters
     # Phase 2: halving target estimates to localize a positive minimum.
     if best_f > INTERSECT_TOL:
         delta = best_f / 2.0

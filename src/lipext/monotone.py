@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_vector, dot
+from .geometry import as_vector, dot, pairwise
 from .errors import DimensionMismatchError
 from .solvers import SolverConfig, solve_qp
 from .convex_functions import MaxAffineConjugate, _polyhedral_conjugate_value
@@ -56,16 +56,13 @@ class OperatorGraph:
         object.__setattr__(self, "points", xs)
         object.__setattr__(self, "values", vs)
         if not self.multi_valued:
-            k = xs.shape[0]
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if np.max(np.abs(xs[i] - xs[j])) <= 1e-12 and np.max(
-                        np.abs(vs[i] - vs[j])
-                    ) > 1e-12:
-                        raise ValueError(
-                            f"points {i} and {j} coincide with conflicting values; "
-                            "pass multi_valued=True for set-valued graphs"
-                        )
+            pair = _first_conflict(xs, vs, 1e-12)
+            if pair is not None:
+                i, j = pair
+                raise ValueError(
+                    f"points {i} and {j} coincide with conflicting values; "
+                    "pass multi_valued=True for set-valued graphs"
+                )
 
     @classmethod
     def from_pairs(cls, pairs, multi_valued=False):
@@ -85,6 +82,18 @@ class OperatorGraph:
         return list(zip(self.points, self.values))
 
 
+def _first_conflict(points, values, tol):
+    """First pair of points within tol whose values differ beyond tol (both
+    in the max-abs norm), or None."""
+
+    def kernel(dp, dv):
+        same = np.max(np.abs(dp), axis=1) <= tol
+        return same & (np.max(np.abs(dv), axis=1) > tol)
+
+    worst, pair = pairwise(points, values, kernel)
+    return pair if worst > 0.0 else None
+
+
 @dataclass(frozen=True)
 class PairwiseCheck:
     passed: bool
@@ -92,51 +101,35 @@ class PairwiseCheck:
     worst_pair: object
 
 
+def _min_check(G: OperatorGraph, neg_kernel) -> PairwiseCheck:
+    """First minimum over the pairs of -neg_kernel; passes when >= -1e-10."""
+    best, pair = pairwise(G.points, G.values, neg_kernel)
+    return PairwiseCheck(-best >= -1e-10, -best, pair)
+
+
 def is_monotone(T: OperatorGraph) -> PairwiseCheck:
     """Exhaustive pair check of <x_i - x_j, x_i* - x_j*> >= -1e-10."""
-    xs, vs = T.points, T.values
-    k = xs.shape[0]
-    if k < 2:
-        return PairwiseCheck(True, np.inf, None)
-    worst, pair = np.inf, None
-    for i in range(k - 1):
-        dx = xs[i] - xs[i + 1 :]
-        dv = vs[i] - vs[i + 1 :]
-        prods = np.sum(dx * dv, axis=1)
-        j = int(np.argmin(prods))
-        if prods[j] < worst:
-            worst, pair = float(prods[j]), (i, i + 1 + j)
-    return PairwiseCheck(worst >= -1e-10, worst, pair)
+    return _min_check(T, lambda dx, dv: -np.sum(dx * dv, axis=1))
 
 
 def firmly_nonexpansive_check(F: OperatorGraph) -> PairwiseCheck:
     """Min over pairs of <df, dx> - ||df||^2; passes when >= -1e-10."""
-    xs, vs = F.points, F.values
-    k = xs.shape[0]
-    if k < 2:
-        return PairwiseCheck(True, np.inf, None)
-    worst, pair = np.inf, None
-    for i in range(k - 1):
-        dx = xs[i] - xs[i + 1 :]
-        df = vs[i] - vs[i + 1 :]
-        slack = np.sum(df * dx, axis=1) - np.sum(df * df, axis=1)
-        j = int(np.argmin(slack))
-        if slack[j] < worst:
-            worst, pair = float(slack[j]), (i, i + 1 + j)
-    return PairwiseCheck(worst >= -1e-10, worst, pair)
+    return _min_check(
+        F, lambda dx, df: -(np.sum(df * dx, axis=1) - np.sum(df * df, axis=1))
+    )
 
 
 def _nonexpansive_check(F: OperatorGraph):
-    xs, vs = F.points, F.values
-    for i in range(xs.shape[0]):
-        dx = np.linalg.norm(xs[i] - xs[i + 1 :], axis=1)
-        df = np.linalg.norm(vs[i] - vs[i + 1 :], axis=1)
-        bad = df > dx * (1.0 + 1e-10) + 1e-10
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise ValueError(
-                f"map is not non-expansive on pair ({i}, {i + 1 + j})"
-            )
+    """Raise on the pair where ||df|| exceeds ||dx|| (1 + 1e-10) + 1e-10 most."""
+
+    def kernel(dx, df):
+        return np.linalg.norm(df, axis=1) - (
+            np.linalg.norm(dx, axis=1) * (1.0 + 1e-10) + 1e-10
+        )
+
+    worst, pair = pairwise(F.points, F.values, kernel)
+    if worst > 0.0:
+        raise ValueError(f"map is not non-expansive on pair {pair}")
 
 
 def resolvent_of_graph(T: OperatorGraph) -> OperatorGraph:
@@ -146,16 +139,12 @@ def resolvent_of_graph(T: OperatorGraph) -> OperatorGraph:
     signals non-monotone input and is raised.
     """
     ys = T.points + T.values
-    k = ys.shape[0]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if np.max(np.abs(ys[i] - ys[j])) <= 1e-10 and np.max(
-                np.abs(T.points[i] - T.points[j])
-            ) > 1e-10:
-                raise ValueError(
-                    f"resolvent image is multi-valued on pairs ({i}, {j}); "
-                    "the input graph is not monotone"
-                )
+    pair = _first_conflict(ys, T.points, 1e-10)
+    if pair is not None:
+        raise ValueError(
+            f"resolvent image is multi-valued on pairs {pair}; "
+            "the input graph is not monotone"
+        )
     return OperatorGraph(ys, T.points.copy())
 
 

@@ -1,18 +1,14 @@
 """Deterministic convex solvers shared by the algorithmic modules.
 
-Four public entry points:
+Two public entry points:
 
 * minimize_quadratic_over_simplex -- Frank-Wolfe with away steps and exact
   line search for 1/2 l'Ql + c'l over the probability simplex, certified by
   the Frank-Wolfe duality gap.  A KKT polish on the final support pushes the
   gap to machine precision.
 * polyak_subgradient -- subgradient descent with Polyak steps for problems
-  whose optimal value is known in advance (the Kirszbraun machinery supplies
-  target 0).
-* joint_descent -- descent over a product domain R^n x simplex for smooth
-  jointly convex oracles: gradient steps with Armijo backtracking on the free
-  block, Frank-Wolfe steps on the simplex block.
-* golden_section -- 1-D unimodal minimization.
+  whose optimal value is known in advance (helly.common_point drives
+  max_i d(x, C_i) to target 0).
 
 Internal helpers used by other modules:
 
@@ -34,10 +30,6 @@ import numpy as np
 from .geometry import SimplexWeights
 from .errors import SolverCapError
 
-_ARMIJO_C1 = 1e-4
-_ARMIJO_FACTOR = 0.5
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-9
@@ -55,8 +47,8 @@ class SolverConfig:
 class SolveReport:
     """Outcome of a solve.
 
-    residual is the problem-specific optimality certificate (Frank-Wolfe gap,
-    value above target, bracket width).  converged means the residual met the
+    residual is the problem-specific optimality certificate (Frank-Wolfe gap
+    or value above target).  converged means the residual met the
     tolerance declared in the config, in the sense of each solver's contract.
     """
 
@@ -269,123 +261,6 @@ def polyak_subgradient(oracle, target, x0, cfg=None):
         residual=residual,
         iters=iters,
         converged=residual <= cfg.tol,
-    )
-
-
-def joint_descent(oracle, y0, k, cfg=None, target=None):
-    """Minimize a smooth jointly convex oracle over R^n x simplex.
-
-    oracle(y, lam) returns (value, grad_y, grad_lam).  The free block takes
-    Armijo-backtracked gradient steps (initial step 1, factor 0.5, c1=1e-4);
-    the simplex block takes Frank-Wolfe steps.  The residual sums a scaled
-    gradient norm and the simplex Frank-Wolfe gap; when target is given the
-    solve also stops once the value is within tol of it.
-    """
-    cfg = cfg or SolverConfig()
-    y = np.asarray(y0, dtype=float).copy()
-    lam = np.full(int(k), 1.0 / int(k))
-    f, gy, gl = oracle(y, lam)
-    iters = 0
-    step = 1.0
-    while iters < cfg.max_iters:
-        gap_l = float(gl @ lam - np.min(gl))
-        residual = float(np.linalg.norm(gy)) * (1.0 + float(np.linalg.norm(y))) + gap_l
-        if residual <= cfg.tol * (1.0 + abs(f)):
-            break
-        if target is not None and f <= target + cfg.tol:
-            break
-        moved = False
-        ng2 = float(gy @ gy)
-        if ng2 > 1e-28:
-            s = min(step * 2.0, 1.0)
-            while s > 1e-18:
-                y_new = y - s * gy
-                f_new = oracle(y_new, lam)[0]
-                if f_new <= f - _ARMIJO_C1 * s * ng2:
-                    y = y_new
-                    step = s
-                    moved = True
-                    break
-                s *= _ARMIJO_FACTOR
-            if moved:
-                f, gy, gl = oracle(y, lam)
-        if gap_l > 1e-16:
-            # Away-step Frank-Wolfe direction (linear convergence on the
-            # simplex block instead of the plain 1/k rate).
-            i = int(np.argmin(gl))
-            d_fw = -lam.copy()
-            d_fw[i] += 1.0
-            gap_fw = -float(gl @ d_fw)
-            d, eta_max = d_fw, 1.0
-            active = np.flatnonzero(lam > 1e-14)
-            if active.size > 1:
-                j = active[int(np.argmax(gl[active]))]
-                gap_away = float(gl[j] - gl @ lam)
-                if gap_away > gap_fw and lam[j] < 1.0:
-                    d = lam.copy()
-                    d[j] -= 1.0
-                    eta_max = lam[j] / (1.0 - lam[j])
-            slope = float(gl @ d)
-            eta = eta_max
-            while eta > 1e-18:
-                lam_new = np.clip(lam + eta * d, 0.0, None)
-                lam_new /= lam_new.sum()
-                f_new = oracle(y, lam_new)[0]
-                if f_new <= f + _ARMIJO_C1 * eta * slope:
-                    lam = lam_new
-                    f, gy, gl = oracle(y, lam)
-                    moved = True
-                    break
-                eta *= _ARMIJO_FACTOR
-        iters += 1
-        if not moved:
-            break
-    gap_l = float(gl @ lam - np.min(gl))
-    residual = float(np.linalg.norm(gy)) * (1.0 + float(np.linalg.norm(y))) + gap_l
-    converged = residual <= cfg.tol * (1.0 + abs(f)) or (
-        target is not None and f <= target + cfg.tol
-    )
-    return SolveReport(
-        argmin=np.concatenate([y, lam]),
-        value=f,
-        residual=residual,
-        iters=iters,
-        converged=converged,
-    )
-
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section(f, a, b, cfg=None):
-    """Golden-section search for a unimodal f on [a, b]."""
-    cfg = cfg or SolverConfig()
-    a = float(a)
-    b = float(b)
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    width0 = b - a
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    iters = 0
-    while (b - a) > cfg.tol * width0 and iters < cfg.max_iters:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        iters += 1
-    t = c if fc <= fd else d
-    return SolveReport(
-        argmin=t,
-        value=f(t),
-        residual=b - a,
-        iters=iters,
-        converged=(b - a) <= cfg.tol * width0,
     )
 
 

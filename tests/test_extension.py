@@ -34,6 +34,10 @@ FORCED = FiniteMapData(np.array([[-1.0], [1.0]]), np.array([[0.0], [2.0]]), 1.0)
 ROTATION = FiniteMapData(
     np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [-1.0, 0.0]]), 1.0
 )
+# With L = 1, pairs (0, 3), (1, 3) and (2, 3) violate by 0.5, 1.5 and 2.5:
+# the worst violating pair is not the first one in row-major order.
+LINE = np.array([[0.0], [1.0], [2.0], [3.0]])
+STEP = np.array([[0.0], [0.0], [0.0], [3.5]])
 
 
 class TestData:
@@ -61,6 +65,19 @@ class TestData:
     def test_duplicate_points_conflicting_values(self):
         with pytest.raises(DataConsistencyError):
             FiniteMapData(np.array([[0.0], [0.0]]), np.array([[0.0], [1.0]]))
+
+    def test_lipschitz_witness_is_worst_pair(self):
+        with pytest.raises(DataConsistencyError) as exc:
+            FiniteMapData(LINE, STEP, 1.0)
+        assert exc.value.witness == (2, 3)
+
+    def test_duplicate_witness_is_first_pair(self):
+        pts = np.array([[0.0], [0.0], [1.0], [1.0]])
+        vals = np.array([[0.0], [0.5], [2.0], [9.0]])
+        for L in (None, 100.0):
+            with pytest.raises(DataConsistencyError) as exc:
+                FiniteMapData(pts, vals, L)
+            assert exc.value.witness == (0, 1)
 
 
 def minimax_primal_value(data, x, cfg):
@@ -228,6 +245,26 @@ class TestMcShane:
             extend_mcshane(data, omega, np.array([0.5]), "lower")
         assert exc.value.witness == (0, 1)
 
+    def test_modulus_witness_is_worst_pair(self):
+        data = FiniteMapData(LINE, STEP)
+        with pytest.raises(ModulusViolationError) as exc:
+            extend_mcshane(data, linear_modulus(1.0, 4.0), np.array([0.5]), "lower")
+        assert exc.value.witness == (2, 3)
+
+    def test_steep_random_data(self):
+        # Empirical L ~ 442: moduli of this size once failed an absolute
+        # subadditivity tolerance, so every query raised.
+        rng = SplitMix64(10)
+        A = np.array([[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(400)])
+        B = np.array([[rng.uniform(-1, 1)] for _ in range(400)])
+        data = FiniteMapData(A, B)
+        assert data.L == pytest.approx(441.7, abs=0.1)
+        x = np.array([0.3, 0.9])
+        v, _ = ExtensionModel(data, "mcshane").query(x)
+        hi = extend_mcshane(data, linear_modulus(data.L, 20.0), x, "upper")
+        assert np.isfinite(v[0]) and v[0] <= hi + 1e-9
+        assert extend_coordinatewise(data, x)[0] == pytest.approx(v[0], abs=1e-9)
+
 
 class TestCoordinatewise:
     def test_scalar_case_matches_mcshane(self):
@@ -312,6 +349,9 @@ class TestTietze:
 
 
 class TestModulusMachinery:
+    def test_large_lipschitz_modulus_is_subadditive(self):
+        assert linear_modulus(441.7, 12.0).is_subadditive
+
     def test_affine_majorant_linear(self):
         omega = Modulus(np.linspace(0.0, 0.999, 12), np.linspace(0.0, 0.999, 12))
         slope, intercept = affine_majorant(omega)
@@ -415,3 +455,34 @@ class TestExtensionModelSurface:
             for i in range(data.size):
                 y, _ = model.query(data.points[i])
                 assert np.max(np.abs(y - data.values[i])) <= 1e-5
+
+
+class TestTightDataLipschitz:
+    def test_lipschitz_methods_on_tight_data(self):
+        # Empirical L and query pairs 0.05 apart: data without slack, where a
+        # method that is not Lipschitz shows a ratio above 1.
+        rng = SplitMix64(11)
+        worst = {"proxavg": 0.0, "mcshane": 0.0, "coordinatewise": 0.0}
+        for _ in range(60):
+            k = 3 + rng.integer(5)
+            A = np.array([[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(k)])
+            B = np.array([[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(k)])
+            data = FiniteMapData(A, B)
+            scalar = FiniteMapData(A, B[:, :1])
+            models = {
+                "proxavg": (ExtensionModel(data, "proxavg"), data.L),
+                "mcshane": (ExtensionModel(scalar, "mcshane"), scalar.L),
+                "coordinatewise": (
+                    ExtensionModel(data, "coordinatewise"),
+                    math.sqrt(2.0) * data.L,
+                ),
+            }
+            for _ in range(10):
+                x1 = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)])
+                theta = rng.uniform(0.0, 2.0 * math.pi)
+                x2 = x1 + 0.05 * np.array([math.cos(theta), math.sin(theta)])
+                for name, (model, bound) in models.items():
+                    dy = np.linalg.norm(model.query(x1)[0] - model.query(x2)[0])
+                    ratio = float(dy) / (bound * float(np.linalg.norm(x1 - x2)))
+                    worst[name] = max(worst[name], ratio)
+        assert all(r <= 1.0 + 1e-9 for r in worst.values()), worst

@@ -12,7 +12,9 @@ from lipext.geometry import (
     convex_combination,
     dot,
     norm,
+    pairwise,
 )
+from lipext.rng import SplitMix64
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 vectors = st.integers(min_value=1, max_value=5).flatmap(
@@ -105,3 +107,47 @@ def test_weight_length_mismatch():
     tri = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         convex_combination(tri, SimplexWeights([0.5, 0.5]))
+
+
+def brute_force_pairwise(points, values, kernel):
+    """Reference scan: each pair i < j scored on its own, first largest kept."""
+    best, pair = -math.inf, None
+    k = points.shape[0]
+    for i in range(k):
+        for j in range(i + 1, k):
+            score = float(
+                kernel(points[i : i + 1] - points[j : j + 1],
+                       values[i : i + 1] - values[j : j + 1])[0]
+            )
+            if pair is None or score > best:
+                best, pair = score, (i, j)
+    return best, pair
+
+
+PAIR_KERNELS = {
+    "inner": lambda dp, dv: np.sum(dp * dv, axis=1),
+    "excess": lambda dp, dv: np.linalg.norm(dv, axis=1)
+    - 2.0 * np.linalg.norm(dp, axis=1),
+    "clash": lambda dp, dv: (np.max(np.abs(dp), axis=1) == 0.0)
+    & (np.max(np.abs(dv), axis=1) > 0.0),
+    "flat": lambda dp, dv: np.full(dp.shape[0], -np.inf),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 40])
+@pytest.mark.parametrize("name", sorted(PAIR_KERNELS))
+def test_pairwise_matches_brute_force(k, name):
+    # Coordinates on a coarse grid plant exact ties; copied rows plant
+    # duplicate points, with and without conflicting values.
+    rng = SplitMix64(100 + k)
+    grid = lambda: 0.5 * rng.integer(5) - 1.0
+    points = np.array([[grid(), grid()] for _ in range(k)])
+    values = np.array([[grid(), grid()] for _ in range(k)])
+    if k >= 7:
+        points[5], values[5] = points[1], values[1]
+        points[6] = points[2]
+    got = pairwise(points, values, PAIR_KERNELS[name])
+    ref = brute_force_pairwise(points, values, PAIR_KERNELS[name])
+    assert got == ref and repr(got[0]) == repr(ref[0])
+    if k < 2:
+        assert got == (-math.inf, None)

@@ -53,6 +53,16 @@ class TestMonotonicity:
         T = graph_1d([(0.0, 1.0), (0.0, 2.0)], multi_valued=True)
         assert T.size == 2
 
+    def test_duplicate_witness_is_first_pair(self):
+        with pytest.raises(ValueError, match=r"points 0 and 1 coincide"):
+            graph_1d([(0.0, 1.0), (0.0, 2.0), (1.0, 0.0), (1.0, 9.0)])
+
+    def test_tied_minimum_reports_first_pair(self):
+        # (0, 1) and (2, 3) both reach the minimum -1
+        T = graph_1d([(0.0, 1.0), (1.0, 0.0), (10.0, 11.0), (11.0, 10.0)])
+        rep = is_monotone(T)
+        assert rep.worst_value == -1.0 and rep.worst_pair == (0, 1)
+
 
 class TestResolventBijection:
     def test_identity_map_halves(self):
@@ -79,6 +89,12 @@ class TestResolventBijection:
         # x + x* collides while x differs: the resolvent would be multi-valued
         T = graph_1d([(0.0, 1.0), (1.0, 0.0)], multi_valued=True)
         with pytest.raises(ValueError):
+            resolvent_of_graph(T)
+
+    def test_multi_valued_witness_is_first_pair(self):
+        pairs = [(0.0, 1.0), (1.0, 0.0), (2.0, 5.0), (5.0, 2.0)]
+        T = graph_1d(pairs, multi_valued=True)
+        with pytest.raises(ValueError, match=r"pairs \(0, 1\)"):
             resolvent_of_graph(T)
 
 
@@ -136,6 +152,12 @@ class TestProp44Bijection:
     def test_expansive_input_rejected(self):
         F = graph_1d([(0.0, 0.0), (1.0, 3.0)])
         with pytest.raises(ValueError):
+            nonexpansive_to_firm(F)
+
+    def test_expansive_witness_is_worst_pair(self):
+        # (0, 3), (1, 3) and (2, 3) expand by 0.5, 1.5 and 2.5
+        F = graph_1d([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 3.5)])
+        with pytest.raises(ValueError, match=r"pair \(2, 3\)"):
             nonexpansive_to_firm(F)
 
 

@@ -7,8 +7,6 @@ import pytest
 from lipext.rng import SplitMix64
 from lipext.solvers import (
     SolverConfig,
-    golden_section,
-    joint_descent,
     minimize_quadratic_over_simplex,
     polyak_subgradient,
     solve_qp,
@@ -115,62 +113,6 @@ class TestPolyak:
         rep = polyak_subgradient(f, 0.0, np.array([2.0]), cfg)
         assert not rep.converged
         assert rep.value > 0.0
-
-
-class TestJointDescent:
-    def test_separable(self):
-        def oracle(y, lam):
-            gl = 2.0 * (lam - 1.0)
-            return float(y @ y) + float((lam - 1.0) @ (lam - 1.0)), 2.0 * y, gl
-
-        rep = joint_descent(oracle, np.array([1.0, -2.0]), 1, CFG)
-        y = rep.argmin[:2]
-        assert np.linalg.norm(y) <= 1e-6
-        assert rep.argmin[2] == pytest.approx(1.0)
-
-    def test_cross_solver_agreement(self):
-        V = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        x = np.array([0.25, 0.5])
-        Q, c, c0 = projection_instance(V, x)
-        fw = minimize_quadratic_over_simplex(Q, c, 3, CFG, constant=c0)
-
-        def oracle(y, lam):
-            # y tracks the combination point; minimum matches the projection QP
-            p = lam @ V
-            val = float((y - p) @ (y - p)) + float((p - x) @ (p - x))
-            gy = 2.0 * (y - p)
-            gl = V @ (2.0 * (p - x) - 2.0 * (y - p))
-            return val, gy, gl
-
-        rep = joint_descent(oracle, x.copy(), 3, SolverConfig(tol=1e-9, max_iters=20_000))
-        assert rep.value == pytest.approx(fw.value, abs=1e-7)
-
-    def test_constant_objective(self):
-        def oracle(y, lam):
-            return 3.5, np.zeros_like(y), np.zeros_like(lam)
-
-        rep = joint_descent(oracle, np.array([0.3]), 2, CFG)
-        assert rep.converged and rep.iters == 0
-        assert rep.residual == 0.0
-
-
-class TestGoldenSection:
-    def test_parabola(self):
-        rep = golden_section(lambda t: (t - 2.0) ** 2, 0.0, 5.0, CFG)
-        assert rep.argmin == pytest.approx(2.0, abs=1e-7)
-        assert rep.converged
-
-    def test_kink(self):
-        rep = golden_section(abs, -1.0, 3.0, CFG)
-        assert rep.argmin == pytest.approx(0.0, abs=1e-7)
-
-    def test_boundary_monotone(self):
-        rep = golden_section(lambda t: -t, 0.0, 1.0, CFG)
-        assert rep.argmin == pytest.approx(1.0, abs=1e-6)
-
-    def test_rejects_bad_bracket(self):
-        with pytest.raises(ValueError):
-            golden_section(lambda t: t, 1.0, 1.0, CFG)
 
 
 class TestActiveSetQP:
