@@ -27,6 +27,7 @@ from .errors import (
     EnumerationGuardError,
     ImproperFunctionError,
     ModulusViolationError,
+    SolverCapError,
 )
 from .solvers import SolverConfig
 from .helly import check_k_intersection, common_point, helly_verify
@@ -350,6 +351,9 @@ def main(argv=None) -> int:
     except (BoxExhaustionError, ImproperFunctionError) as exc:
         _err(f"box exhaustion: {exc}")
         return 6
+    except SolverCapError as exc:
+        _err(f"solver non-convergence: {exc}")
+        return 4
     except EnumerationGuardError as exc:
         _err(str(exc))
         return 5

@@ -14,7 +14,7 @@ Values are plain floats with math.inf standing for +infinity.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as _iterproduct
 
 import numpy as np
@@ -25,6 +25,7 @@ from .errors import (
     BoxExhaustionError,
     DimensionMismatchError,
     ImproperFunctionError,
+    SolverCapError,
 )
 from .solvers import SolverConfig, minimize_quadratic_over_simplex, solve_qp
 
@@ -230,11 +231,13 @@ class MaxAffineConjugate:
     """Exact polyhedral conjugate of a max-affine function.
 
     Value at y is min { sum_i l_i o_i : sum_i l_i s_i = y, l in simplex },
-    +inf when y is outside conv(slopes).
+    +inf when y is outside conv(slopes).  Values are memoised on the node,
+    keyed by (y, cfg), so the memo is freed with the node.
     """
 
     slopes: np.ndarray
     offsets: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         s = np.asarray(self.slopes, dtype=float)
@@ -400,65 +403,35 @@ def _inner_minimize(fun, box, node_name, extra_points=()):
     return min(candidates)
 
 
-_MACONJ_CACHE: dict = {}
-_MACONJ_PINNED: dict = {}
-
-
 def _polyhedral_conjugate_value(node: MaxAffineConjugate, y, cfg) -> float:
-    """min { o'l : S'l = y, l in simplex } via quadratic penalty escalation
-    (3 rounds, weight x100) solved exactly per round, plus a support polish.
+    """min { o'l : S'l = y, l in simplex } as one exact LP.
 
-    Returns +inf when the equality system is infeasible beyond 1e-6.
+    A Frank-Wolfe screen returns +inf when y is farther than 1e-6 from
+    conv(slopes); otherwise its weights l1 start solve_qp (P = 0) on the LP
+    with target S'l1, the nearest hull point, so the start is feasible.
     """
-    key = (id(node), y.tobytes())
-    cached = _MACONJ_CACHE.get(key)
-    if cached is not None:
-        return cached
-    S = node.slopes
-    o = node.offsets
+    key = (y.tobytes(), cfg)
+    if key in node._memo:
+        return node._memo[key]
+    S, o = node.slopes, node.offsets
     k = S.shape[0]
-    SST = S @ S.T
-    Sy = S @ y
-    # Feasibility screen: distance from y to conv(slopes).
     feas = minimize_quadratic_over_simplex(
-        2.0 * SST, -2.0 * Sy, k, cfg, constant=float(y @ y)
+        2.0 * (S @ S.T), -2.0 * (S @ y), k, cfg, constant=float(y @ y)
     )
-    dist2 = max(feas.value, 0.0)
-    if math.sqrt(dist2) > POLYHEDRAL_INFEASIBLE_TOL:
+    if math.sqrt(max(feas.value, 0.0)) > POLYHEDRAL_INFEASIBLE_TOL:
         value = INF
     else:
-        lam = feas.argmin.weights.copy()
-        A_eq = np.ones((1, k))
-        G = -np.eye(k)
-        h = np.zeros(k)
-        rho = 1e8
-        y_scale = 1.0 + float(np.max(np.abs(y)))
-        for _ in range(3):
-            P = 2.0 * rho * SST
-            q = o - 2.0 * rho * Sy
-            lam, _ = solve_qp(P, q, A_eq, [1.0], G, h, lam)
-            np.clip(lam, 0.0, None, out=lam)
-            lam /= lam.sum()
-            if float(np.linalg.norm(S.T @ lam - y)) <= 1e-10 * y_scale:
-                break  # already feasible to polish accuracy
-            rho *= 100.0
-        value = float(o @ lam)
-        support = np.flatnonzero(lam > 1e-7)
-        if support.size:
-            # Exactly-feasible representative on the penalty support: on the
-            # optimal face every feasible point shares the minimal value, so
-            # this replaces the penalty's slightly infeasible estimate.
-            A = np.vstack([S[support].T, np.ones((1, support.size))])
-            rhs = np.concatenate([y, [1.0]])
-            sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-            res = float(np.max(np.abs(A @ sol - rhs), initial=0.0))
-            if res <= 1e-9 * (1.0 + float(np.max(np.abs(y)))) and np.min(sol) >= -1e-10:
-                value = float(o[support] @ sol)
-    if len(_MACONJ_CACHE) > 1 << 20:
-        _MACONJ_CACHE.clear()
-        _MACONJ_PINNED.clear()
-    _MACONJ_CACHE[key] = value
-    _MACONJ_PINNED[id(node)] = node
+        lam1 = feas.argmin.weights
+        A_eq = np.vstack([S.T, np.ones((1, k))])
+        b_eq = np.append(S.T @ lam1, 1.0)
+        lam, info = solve_qp(
+            np.zeros((k, k)), o, A_eq, b_eq, -np.eye(k), np.zeros(k), lam1
+        )
+        if not info["converged"]:
+            raise SolverCapError(f"conjugate LP capped at {info['iters']} iterations")
+        np.clip(lam, 0.0, None, out=lam)
+        value = float(o @ (lam / lam.sum()))
+    node._memo[key] = value
     return value
 
 
@@ -511,16 +484,12 @@ def _eval(expr, x, cfg) -> float:
             return float(body.center @ x) + body.radius * float(np.linalg.norm(x))
         return float(np.max(body.vertices @ x))
     if isinstance(expr, Conjugate):
-        if isinstance(expr.child, MaxAffine):
-            exact = MaxAffineConjugate(expr.child.slopes, expr.child.offsets)
-            return _polyhedral_conjugate_value(exact, x, cfg)
-        if isinstance(expr.child, Indicator):
-            return _eval(SupportFunction(expr.child.body), x, cfg)
         child = expr.child
-        y = x
+        if isinstance(child, (MaxAffine, Indicator)):
+            return _eval(conjugate(child), x, cfg)
 
         def neg_slope(z):
-            return _eval(child, z, cfg) - float(z @ y)
+            return _eval(child, z, cfg) - float(z @ x)
 
         # Polyhedral children attain the supremum at a vertex of their
         # domain; probe the generating slopes so the grid cannot miss it.

@@ -17,7 +17,7 @@ Internal helpers used by other modules:
 * solve_qp -- dense primal active-set solver for small convex QPs with
   equality constraints and linear inequalities.  It terminates on an exact
   KKT point, which is what lets epigraph reformulations of max-affine
-  objectives reach 1e-12 accuracy.
+  objectives reach 1e-12 accuracy.  With P = 0 it solves the conjugate LP.
 
 All routines are pure and deterministic: identical inputs and config produce
 bit-identical reports.

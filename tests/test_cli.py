@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lipext.cli import main
+from lipext import convex_functions as cf
 from lipext import io_formats as io
 
 
@@ -145,6 +146,19 @@ class TestFunctionCommand:
         rc = main(["function", "--function", fn, "--conjugate-check",
                    "--box", "2.0", "--out", str(tmp_path / "o.json")])
         assert rc == 2
+
+    def test_solver_cap_exit_4(self, tmp_path, capsys, monkeypatch):
+        def unconverged_qp(P, q, A_eq, b_eq, G, h, z0, **kwargs):
+            return np.array(z0, dtype=float), {"converged": False, "iters": 321}
+
+        monkeypatch.setattr(cf, "solve_qp", unconverged_qp)
+        tree = {"node": "max_affine", "slopes": [[1.0], [-1.0]], "offsets": [0.5, 0.0]}
+        fn = write(tmp_path / "f.json", json.dumps(tree))
+        rc = main(["function", "--function", fn, "--conjugate-check",
+                   "--box", "2.0", "--out", str(tmp_path / "o.json")])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "321 iterations" in err[0]
 
     def test_duality_report(self, tmp_path):
         f = write(tmp_path / "f.json", json.dumps({"node": "quadratic", "n": 1}))

@@ -1,7 +1,10 @@
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 
-from lipext.errors import BoxExhaustionError, DimensionMismatchError
+from lipext.errors import BoxExhaustionError, DimensionMismatchError, SolverCapError
 from lipext.geometry import Ball, Polytope
 from lipext.rng import SplitMix64
 from lipext.solvers import SolverConfig
@@ -121,6 +124,75 @@ class TestBiconjugation:
         f = cf.Indicator(Polytope([pt]))
         gap = cf.biconjugate_check(f, [pt], CFG, dual_box=cf.cube(3.0, 2))
         assert gap <= 1e-9
+
+
+def brute_polyhedral_conjugate(S, o, y):
+    """min o'l over affinely independent slope sets of size <= n+1 whose
+    simplex holds y (a vertex of the LP's feasible set has such a support);
+    +inf when none does."""
+    k, n = S.shape
+    rhs = np.append(y, 1.0)
+    best = INF
+    for m in range(1, min(k, n + 1) + 1):
+        for T in itertools.combinations(range(k), m):
+            M = np.vstack([S[list(T)].T, np.ones((1, m))])
+            if np.linalg.svd(M, compute_uv=False)[-1] <= 1e-10:
+                continue  # affinely dependent
+            lam, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+            if np.max(np.abs(M @ lam - rhs)) <= 1e-9 and lam.min() >= -1e-9:
+                best = min(best, float(o[list(T)] @ lam))
+    return best
+
+
+def _unconverged_qp(P, q, A_eq, b_eq, G, h, z0, **kwargs):
+    return np.array(z0, dtype=float), {"converged": False, "iters": 321}
+
+
+class TestPolyhedralConjugate:
+    def test_matches_brute_force_reference(self):
+        rng = SplitMix64(44)
+        infeasible = 0
+        for n in (1, 2, 3):
+            for k in range(2, 11):
+                f = rand_maxaffine(rng, n, k)
+                S, o = f.slopes, f.offsets
+                node = cf.conjugate(f)
+                points = []
+                for _ in range(4):
+                    points.append(S[rng.integer(k)])
+                    w = np.array([rng.uniform(0.01, 1.0) for _ in range(k)])
+                    points.append((w / w.sum()) @ S)
+                    points.append(np.array([rng.uniform(-2.5, 2.5) for _ in range(n)]))
+                for y in points:
+                    v = cf.eval(node, y, CFG)
+                    ref = brute_polyhedral_conjugate(S, o, y)
+                    assert (v == INF) == (ref == INF), (S, o, y, v, ref)
+                    if ref != INF:
+                        assert abs(v - ref) <= 1e-10 * (1.0 + abs(ref)), (S, o, y)
+                    infeasible += ref == INF
+        assert 0 < infeasible < 324  # both kinds of point occur
+
+    def test_lp_at_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(cf, "solve_qp", _unconverged_qp)
+        f = cf.MaxAffine(np.array([[1.0], [-1.0]]), np.array([0.5, 0.0]))
+        with pytest.raises(SolverCapError, match="capped at 321 iterations"):
+            cf.eval(cf.conjugate(f), [0.5], CFG)
+
+    def test_memo_is_freed_with_the_node(self):
+        # f = max(x - 1/2, -x), so f*(y) = (1 + y) / 4 on [-1, 1].
+        node = cf.MaxAffineConjugate(np.array([[1.0], [-1.0]]), np.array([0.5, 0.0]))
+        assert cf.eval(node, [0.5], CFG) == pytest.approx(0.375, abs=1e-12)
+        ref = weakref.ref(node)
+        del node
+        assert ref() is None
+
+    def test_module_holds_no_dict(self):
+        held = [
+            name
+            for name, value in vars(cf).items()
+            if isinstance(value, dict) and not name.startswith("__")
+        ]
+        assert held == []
 
 
 class TestDeltaIdentity:
