@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import as_vector, dot, pairwise
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, SolverCapError
 from .solvers import SolverConfig, solve_qp
 from .convex_functions import MaxAffineConjugate, _polyhedral_conjugate_value
 
@@ -207,8 +207,13 @@ def fitzpatrick_conj_eval(T: OperatorGraph, y, ystar, cfg=None) -> float:
     return _polyhedral_conjugate_value(node, np.concatenate([y, ystar]), cfg)
 
 
+def _epigraph_rows(Brows, BA, o, xt, lam):
+    """p = 2 B x~ - BA l - o, the affine pieces the epigraph variable t bounds."""
+    return 2.0 * (Brows @ xt) - BA @ lam - o
+
+
 def _psi_value_at(Arows, Brows, o, BA, xt, lam):
-    p = 2.0 * (Brows @ xt) - BA @ lam - o
+    p = _epigraph_rows(Brows, BA, o, xt, lam)
     r = xt - Arows.T @ lam
     return 0.5 * float(np.max(p)) + 0.5 * float(o @ lam) + 0.5 * float(r @ r)
 
@@ -219,6 +224,45 @@ def _clean_simplex(lam):
     return lam / s if s > 0 else np.full_like(lam, 1.0 / lam.size)
 
 
+def _vertex_start(Brows, BA, o, xt):
+    """Start (l0, t0, working set) of an epigraph QP whose prefix sits at x~.
+
+    j is the largest epigraph row at uniform weights; l0 = e_j and t0 is the
+    largest row at l0.  The working set is that row plus the k - 1 bounds
+    l_i >= 0 with i != j, so the start is a vertex in (l, t): optimal
+    supports hold few atoms, and the solve only has to add them.
+    """
+    k = BA.shape[0]
+    j = int(np.argmax(_epigraph_rows(Brows, BA, o, xt, np.full(k, 1.0 / k))))
+    lam0 = np.zeros(k)
+    lam0[j] = 1.0
+    p0 = _epigraph_rows(Brows, BA, o, xt, lam0)
+    active = [int(np.argmax(p0))] + [k + i for i in range(k) if i != j]
+    return lam0, float(np.max(p0)), active
+
+
+def _solve_epigraph_qp(P, q, G_prefix, h_rows, prefix0, xt0, Brows, BA, o, what):
+    """Solve min 1/2 z'Pz + q'z over z = (u, l, t), l in the simplex, with
+    G_prefix u - BA l - t <= h_rows, from the vertex start at u = prefix0,
+    whose x~ is xt0.  Returns (u, l); raises SolverCapError at the cap."""
+    d, k = prefix0.shape[0], BA.shape[0]
+    nz = d + k + 1
+    G = np.zeros((2 * k, nz))
+    G[:k, :d] = G_prefix
+    G[:k, d : d + k] = -BA
+    G[:k, d + k] = -1.0
+    G[k:, d : d + k] = -np.eye(k)
+    h = np.concatenate([h_rows, np.zeros(k)])
+    A_eq = np.zeros((1, nz))
+    A_eq[0, d : d + k] = 1.0
+    lam0, t0, active = _vertex_start(Brows, BA, o, xt0)
+    z0 = np.concatenate([prefix0, lam0, [t0]])
+    z, info = solve_qp(P, q, A_eq, [1.0], G, h, z0, initial_active=active)
+    if not info["converged"]:
+        raise SolverCapError(f"{what} QP capped at {info['iters']} iterations")
+    return z[:d], _clean_simplex(z[d : d + k])
+
+
 def _psi_qp(T: OperatorGraph, xt, cfg):
     """Minimize the epigraph form of Psi's inner problem at the point x~."""
     Arows, Brows, o = _atoms(T)
@@ -227,18 +271,10 @@ def _psi_qp(T: OperatorGraph, xt, cfg):
     P = np.zeros((k + 1, k + 1))
     P[:k, :k] = Arows @ Arows.T
     q = np.concatenate([-(Arows @ xt) + 0.5 * o, [0.5]])
-    G = np.zeros((2 * k, k + 1))
-    G[:k, :k] = -BA
-    G[:k, k] = -1.0
-    G[k:, :k] = -np.eye(k)
-    h = np.concatenate([o - 2.0 * (Brows @ xt), np.zeros(k)])
-    A_eq = np.zeros((1, k + 1))
-    A_eq[0, :k] = 1.0
-    lam0 = np.full(k, 1.0 / k)
-    p0 = 2.0 * (Brows @ xt) - BA @ lam0 - o
-    z0 = np.concatenate([lam0, [float(np.max(p0))]])
-    z, _ = solve_qp(P, q, A_eq, [1.0], G, h, z0, initial_active=[int(np.argmax(p0))])
-    lam = _clean_simplex(z[:k])
+    _, lam = _solve_epigraph_qp(
+        P, q, np.zeros((k, 0)), o - 2.0 * (Brows @ xt), np.zeros(0), xt,
+        Brows, BA, o, "Psi",
+    )
     return _psi_value_at(Arows, Brows, o, BA, xt, lam), lam
 
 
@@ -267,22 +303,11 @@ def _psi_conj_qp(T: OperatorGraph, wt, cfg):
     P[d : d + k, :d] = -Arows
     P[d : d + k, d : d + k] = Arows @ Arows.T
     q = np.concatenate([-wt, 0.5 * o, [0.5]])
-    G = np.zeros((2 * k, nz))
-    G[:k, :d] = 2.0 * Brows
-    G[:k, d : d + k] = -BA
-    G[:k, d + k] = -1.0
-    G[k:, d : d + k] = -np.eye(k)
-    h = np.concatenate([o, np.zeros(k)])
-    A_eq = np.zeros((1, nz))
-    A_eq[0, d : d + k] = 1.0
     half = d // 2
     xt0 = np.concatenate([wt[half:], wt[:half]])
-    lam0 = np.full(k, 1.0 / k)
-    p0 = 2.0 * (Brows @ xt0) - BA @ lam0 - o
-    z0 = np.concatenate([xt0, lam0, [float(np.max(p0))]])
-    z, _ = solve_qp(P, q, A_eq, [1.0], G, h, z0, initial_active=[int(np.argmax(p0))])
-    xt = z[:d]
-    lam = _clean_simplex(z[d : d + k])
+    xt, lam = _solve_epigraph_qp(
+        P, q, 2.0 * Brows, o, xt0, xt0, Brows, BA, o, "Psi conjugate"
+    )
     value = float(wt @ xt) - _psi_value_at(Arows, Brows, o, BA, xt, lam)
     return value, xt, lam
 
@@ -316,7 +341,8 @@ def resolvent_eval(T: OperatorGraph, x, cfg=None):
     simplex parametrization of the conjugate block; the optimum value is 0,
     so the returned residual doubles as the convergence certificate
     (converged iff residual <= 1e-6; the active-set solve normally lands at
-    ~1e-14).  Returns (y, residual).
+    ~1e-14).  Returns (y, residual); a QP stopped at its iteration cap raises
+    SolverCapError.
     """
     cfg = cfg or SolverConfig()
     x = as_vector(x)
@@ -335,28 +361,12 @@ def resolvent_eval(T: OperatorGraph, x, cfg=None):
     P[n : n + k, :n] = -MtA.T
     P[n : n + k, n : n + k] = Arows @ Arows.T
     q = np.concatenate([-2.0 * x, -(T.values @ x) + 0.5 * o, [0.5]])
-    G = np.zeros((2 * k, nz))
-    G[:k, :n] = 2.0 * (T.values - T.points)
-    G[:k, n : n + k] = -BA
-    G[:k, n + k] = -1.0
-    G[k:, n : n + k] = -np.eye(k)
-    h = np.concatenate([o - 2.0 * (T.points @ x), np.zeros(k)])
-    A_eq = np.zeros((1, nz))
-    A_eq[0, n : n + k] = 1.0
-
-    def pvec(y, lam):
-        xt = np.concatenate([y, x - y])
-        return 2.0 * (Brows @ xt) - BA @ lam - o, xt
-
     y0 = x / 2.0
-    lam0 = np.full(k, 1.0 / k)
-    p0, _ = pvec(y0, lam0)
-    z0 = np.concatenate([y0, lam0, [float(np.max(p0))]])
-    z, _ = solve_qp(P, q, A_eq, [1.0], G, h, z0, initial_active=[int(np.argmax(p0))])
-    y = z[:n]
-    lam = _clean_simplex(z[n : n + k])
-    p, xt = pvec(y, lam)
-    r = xt - Arows.T @ lam
-    psi_upper = 0.5 * float(np.max(p)) + 0.5 * float(o @ lam) + 0.5 * float(r @ r)
+    y, lam = _solve_epigraph_qp(
+        P, q, 2.0 * (T.values - T.points), o - 2.0 * (T.points @ x), y0,
+        np.concatenate([y0, x - y0]), Brows, BA, o, "resolvent",
+    )
+    xt = np.concatenate([y, x - y])
+    psi_upper = _psi_value_at(Arows, Brows, o, BA, xt, lam)
     residual = max(psi_upper - float(y @ (x - y)), 0.0)
     return y, residual

@@ -17,7 +17,11 @@ Internal helpers used by other modules:
 * solve_qp -- dense primal active-set solver for small convex QPs with
   equality constraints and linear inequalities.  It terminates on an exact
   KKT point, which is what lets epigraph reformulations of max-affine
-  objectives reach 1e-12 accuracy.  With P = 0 it solves the conjugate LP.
+  objectives reach 1e-12 accuracy.  An active bound (a row of G with one
+  nonzero) pins its coordinate, so each iteration's SVD covers only the
+  equalities and the active general rows over the free coordinates.  With
+  P = 0 it solves the conjugate LP and skips the reduced-Hessian
+  eigendecomposition: every step is a ray.
 
 All routines are pure and deterministic: identical inputs and config produce
 bit-identical reports.
@@ -264,25 +268,43 @@ def polyak_subgradient(oracle, target, x0, cfg=None):
     )
 
 
-def _nullspace(C, K):
-    """Orthonormal basis of the null space of C (identity when C is empty)."""
-    if C.shape[0] == 0:
-        return np.eye(K)
-    u, s, vt = np.linalg.svd(C, full_matrices=True)
-    rank_tol = max(C.shape) * (s[0] if s.size else 0.0) * 1e-13
-    rank = int(np.sum(s > rank_tol))
-    return vt[rank:].T
+def _nullspace(C, K, fixed):
+    """Orthonormal K x r basis of {d : C d = 0, d[fixed] = 0}.
+
+    fixed is a boolean mask of pinned columns.  The SVD runs only on the free
+    columns of C, and the basis is zero on the pinned ones.
+    """
+    free = np.flatnonzero(~fixed)
+    Cf = C[:, free]
+    if Cf.shape[0] == 0:
+        basis = np.eye(free.size)
+    else:
+        _, s, vt = np.linalg.svd(Cf, full_matrices=True)
+        rank_tol = max(Cf.shape) * (s[0] if s.size else 0.0) * 1e-13
+        rank = int(np.sum(s > rank_tol))
+        basis = vt[rank:].T
+    Z = np.zeros((K, basis.shape[1]))
+    Z[free] = basis
+    return Z
 
 
 def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), tol=1e-10, max_iters=None):
     """Dense primal active-set method for a small convex QP.
 
     Minimizes 1/2 z'Pz + q'z subject to A_eq z = b_eq and G z <= h, starting
-    from a feasible z0.  P must be PSD (possibly singular: each equality-
-    constrained subproblem is solved in the null space of the working set,
-    splitting the reduced gradient into curvature and ray components, so
-    linear descent directions are followed to their blocking constraints).
-    Returns (z, info) with info carrying converged / iters.
+    from a feasible z0 with the rows initial_active in the working set.  P
+    must be PSD (possibly singular: each equality-constrained subproblem is
+    solved in the null space of the working set, splitting the reduced
+    gradient into curvature and ray components, so linear descent directions
+    are followed to their blocking constraints).
+
+    Rows of G with a single nonzero are bounds: while one is active its
+    coordinate is pinned, and the null space is found by an SVD of A_eq and
+    the active general rows restricted to the unpinned coordinates.  The
+    whole working set enters only the least-squares multipliers at a
+    stationary point.  When P is zero the reduced Hessian is zero, so the
+    step is the ray -Z Z'grad, or none when that ray is below 1e-11 of the
+    gradient scale.  Returns (z, info) with info carrying converged / iters.
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -299,6 +321,10 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), tol=1e-10, max_iters
     active = np.zeros(mi, dtype=bool)
     for i in initial_active:
         active[i] = True
+    # A row with one nonzero (a bound) pins its column while it is active.
+    single = np.count_nonzero(G, axis=1) == 1
+    pin_col = np.argmax(G != 0, axis=1)
+    linear = not np.any(P)
     if max_iters is None:
         max_iters = 200 + 80 * (mi + 1)
     converged = False
@@ -307,15 +333,17 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), tol=1e-10, max_iters
         iters += 1
         grad = P @ z + q
         local = 1.0 + float(np.max(np.abs(grad), initial=0.0))
-        act_idx = np.flatnonzero(active)
-        rows = [A_eq] if me else []
-        if act_idx.size:
-            rows.append(G[act_idx])
-        C = np.vstack(rows) if rows else np.zeros((0, K))
-        Z = _nullspace(C, K)
+        fixed = np.zeros(K, dtype=bool)
+        fixed[pin_col[active & single]] = True
+        Z = _nullspace(np.vstack([A_eq, G[active & ~single]]), K, fixed)
         ray = False
         if Z.shape[1] == 0:
             d = np.zeros(K)
+        elif linear:
+            # Zero reduced Hessian: the step is the ray -Z Z'grad, or none.
+            gr = Z.T @ grad
+            ray = float(np.max(np.abs(gr))) > 1e-11 * local
+            d = Z @ -gr if ray else np.zeros(K)
         else:
             # Reduced Hessian by eigendecomposition: small positive curvature
             # is genuine (take the long Newton step along it); only the true
@@ -336,6 +364,8 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), tol=1e-10, max_iters
         if not ray and float(np.max(np.abs(d))) <= 1e-11 * (
             1.0 + float(np.max(np.abs(z), initial=0.0))
         ):
+            act_idx = np.flatnonzero(active)
+            C = np.vstack([A_eq, G[act_idx]])
             mult = None
             if C.shape[0]:
                 mu, *_ = np.linalg.lstsq(C.T, -grad, rcond=None)

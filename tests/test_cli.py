@@ -5,6 +5,7 @@ import pytest
 
 from lipext.cli import main
 from lipext import convex_functions as cf
+from lipext import monotone
 from lipext import io_formats as io
 
 
@@ -87,6 +88,18 @@ class TestExtendCommand:
         # replay through the manifest reproduces the bytes too
         assert main(["replay", str(out) + ".manifest.json"]) == 0
         assert out.read_bytes() == first
+
+    def test_solver_cap_exit_4(self, tmp_path, capsys, monkeypatch, forced_data):
+        def unconverged_qp(P, q, A_eq, b_eq, G, h, z0, **kwargs):
+            return np.array(z0, dtype=float), {"converged": False, "iters": 321}
+
+        monkeypatch.setattr(monotone, "solve_qp", unconverged_qp)
+        queries = write(tmp_path / "q.csv", "0.25\n")
+        rc = main(["extend", "--data", forced_data, "--queries", queries,
+                   "--method", "proxavg", "--out", str(tmp_path / "o.csv")])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "resolvent QP capped at 321 iterations" in err[0]
 
 
 class TestHellyCommand:

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lipext import monotone
+from lipext.errors import SolverCapError
+from lipext.extension import ExtensionModel, FiniteMapData, _ProxAvgModel
 from lipext.rng import SplitMix64
-from lipext.solvers import SolverConfig
-from lipext.gen import generate_monotone_graph
+from lipext.solvers import SolverConfig, solve_qp
+from lipext.gen import generate_lipschitz_data, generate_monotone_graph
 from lipext.monotone import (
     OperatorGraph,
     autoconjugacy_check,
@@ -362,3 +365,99 @@ class TestResolvent:
                 dx = queries[i] - queries[j]
                 dy = images[i] - images[j]
                 assert float(dy @ dx) - float(dy @ dy) >= -1e-5
+
+
+def _unconverged_qp(P, q, A_eq, b_eq, G, h, z0, **kwargs):
+    return np.array(z0, dtype=float), {"converged": False, "iters": 321}
+
+
+class TestSolverCap:
+    @pytest.mark.parametrize(
+        "what, call",
+        [
+            ("resolvent", lambda T: resolvent_eval(T, [0.5], CFG)),
+            ("Psi", lambda T: psi_eval(T, [0.5], [0.25], CFG)),
+            ("Psi conjugate", lambda T: psi_conj_eval(T, [0.5], [0.25], CFG)),
+        ],
+    )
+    def test_unconverged_qp_raises(self, monkeypatch, what, call):
+        monkeypatch.setattr(monotone, "solve_qp", _unconverged_qp)
+        T = graph_1d([(0.0, 0.0), (1.0, 1.0)])
+        with pytest.raises(SolverCapError, match=f"^{what} QP capped at 321 iterations$"):
+            call(T)
+
+
+def uniform_start(Brows, BA, o, xt):
+    """The start the vertex start replaced: uniform weights, one active row."""
+    k = BA.shape[0]
+    lam0 = np.full(k, 1.0 / k)
+    p0 = monotone._epigraph_rows(Brows, BA, o, xt, lam0)
+    return lam0, float(np.max(p0)), [int(np.argmax(p0))]
+
+
+def random_map_data(rng, k):
+    A = np.array([[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(k)])
+    B = np.array([[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(k)])
+    return FiniteMapData(A, B)
+
+
+class TestVertexStart:
+    def compare_starts(self, T, queries, monkeypatch):
+        vertex = [resolvent_eval(T, x, CFG) for x in queries]
+        with monkeypatch.context() as mp:
+            mp.setattr(monotone, "_vertex_start", uniform_start)
+            uniform = [resolvent_eval(T, x, CFG) for x in queries]
+        for (y1, r1), (y2, r2) in zip(vertex, uniform):
+            assert r1 <= 1e-12 and r2 <= 1e-12
+            assert np.max(np.abs(y1 - y2)) <= 1e-12 * (1.0 + np.max(np.abs(y2)))
+
+    def test_same_resolvent_as_uniform_start_on_tight_data(self, monkeypatch):
+        rng = SplitMix64(11)
+        for _ in range(20):
+            T = _ProxAvgModel(random_map_data(rng, 3 + rng.integer(5)), CFG).T
+            queries = [np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)]) for _ in range(5)]
+            self.compare_starts(T, queries, monkeypatch)
+
+    def test_same_resolvent_when_every_epigraph_row_is_active(self, monkeypatch):
+        # Generated data with its empirical L is an isometry, so at queries
+        # inside the data all k epigraph rows are tight at the optimum.
+        tight = []
+
+        def recording_qp(P, q, A_eq, b_eq, G, h, z0, **kwargs):
+            z, info = solve_qp(P, q, A_eq, b_eq, G, h, z0, **kwargs)
+            k = G.shape[0] // 2
+            tight.append(int(np.sum(h[:k] - G[:k] @ z <= 1e-9)))
+            return z, info
+
+        monkeypatch.setattr(monotone, "solve_qp", recording_qp)
+        data = generate_lipschitz_data(2, 2, 48, 3)
+        T = _ProxAvgModel(FiniteMapData(data.points, data.values), CFG).T
+        rng = SplitMix64(9)
+        queries = [np.array([rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)]) for _ in range(4)]
+        self.compare_starts(T, queries, monkeypatch)
+        assert tight.count(48) >= 2  # on both starts
+
+    def test_proxavg_iterations_per_query(self, monkeypatch):
+        # Counts iterations, not seconds.  On this data the uniform start took
+        # about 71 iterations per query and the vertex start about 21.
+        iters = []
+
+        def counting_qp(*args, **kwargs):
+            z, info = solve_qp(*args, **kwargs)
+            iters.append(info["iters"])
+            return z, info
+
+        monkeypatch.setattr(monotone, "solve_qp", counting_qp)
+
+        def run():
+            rng = SplitMix64(48)
+            model = ExtensionModel(random_map_data(rng, 48), "proxavg")
+            return [
+                model.query([rng.uniform(-1.25, 1.25), rng.uniform(-1.25, 1.25)])[0]
+                for _ in range(40)
+            ]
+
+        first = run()
+        assert len(iters) == 40 and np.mean(iters) <= 35
+        second = run()
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))

@@ -7,6 +7,7 @@ import pytest
 from lipext.rng import SplitMix64
 from lipext.solvers import (
     SolverConfig,
+    _nullspace,
     minimize_quadratic_over_simplex,
     polyak_subgradient,
     solve_qp,
@@ -141,3 +142,56 @@ class TestActiveSetQP:
         z, info = solve_qp(P, q, np.zeros((0, 2)), [], G, h, np.array([0.3, 1.0]))
         assert info["converged"]
         assert abs(z[0]) <= 1e-9 and abs(z[1]) <= 1e-9
+
+
+def full_svd_nullspace(C, K):
+    """Reference: null space of the whole working set by one full SVD."""
+    if C.shape[0] == 0:
+        return np.eye(K)
+    _, s, vt = np.linalg.svd(C, full_matrices=True)
+    rank = int(np.sum(s > max(C.shape) * s[0] * 1e-13))
+    return vt[rank:].T
+
+
+class TestNullspace:
+    COEFFS = (1.0, -1.0, 2.5, -0.3)  # singleton rows: unit, negative, non-unit
+
+    def check(self, general, singles, K):
+        """_nullspace of the general rows with the singletons' columns pinned
+        against the full SVD of [general; singleton rows]."""
+        fixed = np.zeros(K, dtype=bool)
+        rows = []
+        for col, coeff in singles:
+            fixed[col] = True
+            row = np.zeros(K)
+            row[col] = coeff
+            rows.append(row)
+        Z = _nullspace(general, K, fixed)
+        ref = full_svd_nullspace(np.vstack([general, *rows]).reshape(-1, K), K)
+        assert Z.shape == ref.shape
+        assert np.allclose(Z.T @ Z, np.eye(Z.shape[1]), rtol=0.0, atol=1e-12)
+        assert np.all(Z[fixed] == 0.0)
+        assert np.max(np.abs(Z @ Z.T - ref @ ref.T), initial=0.0) <= 1e-12
+
+    def test_matches_full_svd_with_planted_singletons(self):
+        rng = SplitMix64(31)
+        for _ in range(60):
+            K = 2 + rng.integer(9)
+            general = np.array(
+                [[rng.uniform(-1, 1) for _ in range(K)] for _ in range(rng.integer(K))]
+            ).reshape(-1, K)
+            singles = [
+                (col, self.COEFFS[rng.integer(4)])
+                for col in range(K)
+                if rng.uniform(0, 1) < 0.4
+            ]
+            self.check(general, singles, K)
+
+    def test_edge_cases(self):
+        K = 5
+        dense = np.array([[0.3, -1.0, 0.7, 2.0, -0.4]])
+        every = [(col, self.COEFFS[col % 4]) for col in range(K)]
+        self.check(np.zeros((0, K)), [], K)  # no rows: the identity
+        self.check(np.zeros((0, K)), every, K)  # every column pinned
+        self.check(dense, every, K)
+        self.check(dense, [(1, -2.5), (1, 1.0)], K)  # one column pinned twice
