@@ -13,7 +13,6 @@ import numpy as np
 from lipext import (
     FiniteMapData,
     Modulus,
-    SolverConfig,
     affine_majorant,
     concave_majorant,
     empirical_modulus,
@@ -22,8 +21,6 @@ from lipext import (
     tietze_extend,
     uniform_extend,
 )
-
-cfg = SolverConfig()
 
 print("=== McShane-Whitney envelopes ===")
 data = FiniteMapData(np.array([[0.0], [2.0]]), np.array([[0.0], [2.0]]), 1.0)
@@ -50,7 +47,7 @@ data = FiniteMapData(grid, np.sqrt(grid))
 emp = empirical_modulus(data)
 print(f"  empirical modulus breakpoints: {np.round(emp.breakpoints, 3)}")
 for x in (0.0, 0.04, 0.5, 1.5):
-    print(f"  F({x:.2f}) = {uniform_extend(data, np.array([x]), cfg):.6f}")
+    print(f"  F({x:.2f}) = {uniform_extend(data, np.array([x])):.6f}")
 
 print("\n=== Riesz/Tietze continuous extension (no Lipschitz claim) ===")
 data = FiniteMapData(np.array([[0.0], [1.0]]), np.array([[0.0], [10.0]]))

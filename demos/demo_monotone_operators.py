@@ -46,12 +46,12 @@ print("\n=== Fitzpatrick function: equals <x, x*> exactly on the graph ===")
 for a, astar in T.pairs():
     phi = fitzpatrick_eval(T, a, astar)
     phi_star = fitzpatrick_conj_eval(T, astar, a, cfg)
-    psi = psi_eval(T, a, astar, cfg)
+    psi = psi_eval(T, a, astar)
     print(f"  at ({a[0]:+.0f}, {astar[0]:+.0f}): Phi = {phi:.6f}, "
           f"Phi* = {phi_star:.6f}, Psi = {psi:.6f}, <x,x*> = {a[0]*astar[0]:.6f}")
 
 print("\n=== resolvent of the selected maximal monotone extension ===")
 print("  (interpolates x = a + a* -> a, firmly non-expansive in between)")
 for x in (0.0, 1.5, 3.0, 7.0, -2.0):
-    y, residual = resolvent_eval(T, np.array([x]), cfg)
+    y, residual = resolvent_eval(T, np.array([x]))
     print(f"  G({x:+.1f}) = {y[0]:+.6f}   certificate residual {residual:.1e}")

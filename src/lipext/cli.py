@@ -107,7 +107,11 @@ def cmd_extend(args):
 
 def cmd_helly(args):
     started = time.perf_counter()
-    family = io.family_from_dict(_load_json_checked(args.family))
+    raw = _load_json_checked(args.family)
+    try:
+        family = io.family_from_dict(raw)
+    except (KeyError, TypeError) as exc:
+        raise _ParseFailure(f"{args.family}: {exc}") from exc
     cfg = _config(args)
     if args.mode == "common-point":
         report = common_point(family, cfg)
@@ -140,7 +144,11 @@ def cmd_function(args):
         _write_manifest(args, [args.out], started)
         return 0
     if args.duality is not None:
-        neg_g = io.function_from_dict(_load_json_checked(args.duality), args.box)
+        raw = _load_json_checked(args.duality)
+        try:
+            neg_g = io.function_from_dict(raw, args.box)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _ParseFailure(f"{args.duality}: {exc}") from exc
         if args.box is None:
             raise _ParseFailure("--duality requires --box")
         box = cf.cube(args.box, fn.dim)
@@ -180,7 +188,7 @@ def cmd_monotone(args):
         T = io.graph_from_dict(raw)
     except (KeyError, TypeError, IndexError) as exc:
         raise _ParseFailure(f"{args.graph}: {exc}") from exc
-    cfg = _config(args)
+    _config(args)  # rejects a bad --tol or --max-iters (exit 3)
     if args.check:
         rep = is_monotone(T)
         io.write_text(
@@ -210,7 +218,7 @@ def cmd_monotone(args):
         rows = []
         worst = 0.0
         for q in queries:
-            y, residual = resolvent_eval(T, q, cfg)
+            y, residual = resolvent_eval(T, q)
             worst = max(worst, residual)
             rows.append(list(q) + list(y) + [residual])
         io.write_csv(args.out, header, rows)
@@ -223,7 +231,7 @@ def cmd_monotone(args):
         samples = io.load_queries_csv(args.autoconjugacy, 2 * T.dim)
     except (OSError, ValueError) as exc:
         raise _ParseFailure(f"{args.autoconjugacy}: {exc}") from exc
-    gap = autoconjugacy_check(T, samples, cfg)
+    gap = autoconjugacy_check(T, samples)
     io.write_text(
         args.out, io.canonical_json({"max_gap": gap, "samples": len(samples)})
     )

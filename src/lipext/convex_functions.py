@@ -314,12 +314,12 @@ def _compass_directions(d):
     return axes + diags
 
 
-def _compass(fun, x0, f0, box, min_rel_step=1e-9):
+def _compass(fun, x0, f0, box):
     span = box.hi - box.lo
     dirs = _compass_directions(box.dim)
     x, fx = x0.copy(), f0
     s = 0.125
-    while s > min_rel_step:
+    while s > 1e-9:
         moves = 0
         while moves < 200:
             improved = False

@@ -1,9 +1,10 @@
 """Metric projection, Caratheodory/Radon certificates, separation, Minkowski sums.
 
-A convex body is either a Ball or a Polytope (V-representation).  Every
-polytope computation reduces to a simplex-constrained QP solved by the
-Frank-Wolfe routine in solvers, so the weights produced there double as
-barycentric certificates.
+A convex body is either a Ball or a Polytope (V-representation).  Polytope
+computations reduce to QPs over simplices of vertex weights, so the weights
+double as barycentric certificates: projection solves one simplex by
+Frank-Wolfe, and the closest pair of two polytopes solves two simplices (two
+equality rows) with the active-set solve_qp.
 """
 
 from dataclasses import dataclass
@@ -12,12 +13,8 @@ from itertools import product as _iterproduct
 import numpy as np
 
 from .geometry import Ball, Polytope, SimplexWeights, as_vector
-from .errors import DimensionMismatchError, InfeasiblePointError
-from .solvers import (
-    SolverConfig,
-    minimize_quadratic_over_simplex,
-    _minimize_quadratic_over_blocks,
-)
+from .errors import DimensionMismatchError, InfeasiblePointError, SolverCapError
+from .solvers import SolverConfig, minimize_quadratic_over_simplex, solve_qp
 
 HULL_TOL = 1e-8
 DISJOINT_TOL = 1e-7
@@ -199,7 +196,10 @@ def radon_partition(points, dim=None):
 
 
 def _closest_pair(A, B, cfg):
-    """Closest points (p in A, q in B) and their distance."""
+    """Closest points (p in A, q in B) and their distance.
+
+    Raises SolverCapError when the polytope-polytope QP stops at its cap.
+    """
     if isinstance(A, Ball) and isinstance(B, Ball):
         delta = B.center - A.center
         dist = float(np.linalg.norm(delta))
@@ -220,17 +220,28 @@ def _closest_pair(A, B, cfg):
     if isinstance(A, Polytope) and isinstance(B, Ball):
         q, p, d = _closest_pair(B, A, cfg)
         return p, q, d
-    # polytope-polytope: min ||V'l - W'm||^2 over the product of simplices
+    # polytope-polytope: min ||V'l - W'm||^2 with l and m in two simplices
+    # (one equality row each), from the closest vertex pair
     V, W = A.vertices, B.vertices
     kA, kB = V.shape[0], W.shape[0]
+    K = kA + kB
     M = np.vstack([V, -W])
-    Q = 2.0 * (M @ M.T)
-    c = np.zeros(kA + kB)
-    z, value, gap, _, _ = _minimize_quadratic_over_blocks(
-        Q, c, [kA, kB], cfg, constant=0.0
+    A_eq = np.zeros((2, K))
+    A_eq[0, :kA] = 1.0
+    A_eq[1, kA:] = 1.0
+    diff = V[:, None, :] - W[None, :, :]
+    i, j = divmod(int(np.argmin(np.sum(diff * diff, axis=2))), kB)
+    z0 = np.zeros(K)
+    z0[[i, kA + j]] = 1.0
+    active = [r for r in range(K) if r not in (i, kA + j)]
+    z, info = solve_qp(
+        2.0 * (M @ M.T), np.zeros(K), A_eq, [1.0, 1.0], -np.eye(K), np.zeros(K),
+        z0, initial_active=active,
     )
-    p = z[:kA] @ V
-    q = z[kA:] @ W
+    if not info["converged"]:
+        raise SolverCapError(f"closest-pair QP capped at {info['iters']} iterations")
+    p = SimplexWeights(z[:kA]).weights @ V
+    q = SimplexWeights(z[kA:]).weights @ W
     return p, q, float(np.linalg.norm(p - q))
 
 

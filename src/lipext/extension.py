@@ -198,9 +198,8 @@ def extend_minimax(data: FiniteMapData, x, cfg=None):
 class _ProxAvgModel:
     """Precomputed monotone graph for the proximal-average pipeline."""
 
-    def __init__(self, data: FiniteMapData, cfg):
+    def __init__(self, data: FiniteMapData):
         self.data = data
-        self.cfg = cfg
         self.k_dim = max(data.m, data.n)
         self.constant = data.L <= 1e-14 or data.size == 1
         if self.constant:
@@ -226,20 +225,19 @@ class _ProxAvgModel:
             return self.value.copy(), 0.0
         xhat = np.zeros(self.k_dim)
         xhat[: self.data.m] = x
-        g, residual = resolvent_eval(self.T, xhat, self.cfg)
+        g, residual = resolvent_eval(self.T, xhat)
         fhat = 2.0 * g - xhat
         return self.data.L * fhat[: self.data.n], residual
 
 
-def extend_proxavg(data: FiniteMapData, x, cfg=None):
+def extend_proxavg(data: FiniteMapData, x):
     """One-point extension through the firmly-non-expansive pipeline.
 
     Returns (y, residual); the residual is the resolvent certificate (the
     value of a convex program whose optimum is exactly 0).  For batch queries
     build an ExtensionModel once instead.
     """
-    cfg = cfg or SolverConfig()
-    return _ProxAvgModel(data, cfg).query(x)
+    return _ProxAvgModel(data).query(x)
 
 
 @dataclass(frozen=True)
@@ -357,7 +355,7 @@ def extend_mcshane(data: FiniteMapData, omega: Modulus, x, side: str) -> float:
     raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
 
 
-def extend_coordinatewise(data: FiniteMapData, x, cfg=None) -> np.ndarray:
+def extend_coordinatewise(data: FiniteMapData, x) -> np.ndarray:
     """Apply the scalar lower envelope with w(t) = L t to each coordinate.
 
     Every coordinate of L-Lipschitz data is itself L-Lipschitz, so the
@@ -495,7 +493,7 @@ def empirical_modulus(data: FiniteMapData) -> Modulus:
     return Modulus(np.array(ts), np.array(vs))
 
 
-def uniform_extend(data: FiniteMapData, x, cfg=None) -> float:
+def uniform_extend(data: FiniteMapData, x) -> float:
     """Extend scalar uniformly continuous data: empirical modulus, concave
     majorant, then the lower McShane-Whitney envelope.
 
@@ -540,7 +538,7 @@ class ExtensionModel:
         self.cfg = cfg or SolverConfig()
         self.domain = domain
         if method == "proxavg":
-            self._prox = _ProxAvgModel(data, self.cfg)
+            self._prox = _ProxAvgModel(data)
         if method in ("mcshane", "tietze") and data.n != 1:
             raise ValueError(f"{method} requires scalar values (n = 1)")
         if method == "mcshane":
@@ -564,5 +562,5 @@ class ExtensionModel:
             return extend_project_domain(self.data, self.domain, x, self.cfg), 0.0
         if self.method == "tietze":
             return np.array([tietze_extend(self.data, x)]), 0.0
-        v = extend_coordinatewise(self.data, x, self.cfg)
+        v = extend_coordinatewise(self.data, x)
         return v, 0.0

@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 
-SIMPLEX_CLAMP = 1e-12
 SIMPLEX_REJECT = 1e-9
 
 
@@ -115,9 +114,9 @@ class Polytope:
 class SimplexWeights:
     """Barycentric weights: entries >= 0 summing to 1.
 
-    Construction clamps round-off negatives above -1e-12 to zero and
-    renormalizes; violations beyond 1e-9 are rejected because they indicate a
-    solver bug rather than round-off.
+    Construction clamps round-off negatives to zero and renormalizes;
+    violations beyond 1e-9 are rejected because they indicate a solver bug
+    rather than round-off.
     """
 
     weights: np.ndarray

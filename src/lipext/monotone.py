@@ -28,8 +28,6 @@ from .errors import DimensionMismatchError, SolverCapError
 from .solvers import SolverConfig, solve_qp
 from .convex_functions import MaxAffineConjugate, _polyhedral_conjugate_value
 
-RESOLVENT_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class OperatorGraph:
@@ -263,7 +261,7 @@ def _solve_epigraph_qp(P, q, G_prefix, h_rows, prefix0, xt0, Brows, BA, o, what)
     return z[:d], _clean_simplex(z[d : d + k])
 
 
-def _psi_qp(T: OperatorGraph, xt, cfg):
+def _psi_qp(T: OperatorGraph, xt):
     """Minimize the epigraph form of Psi's inner problem at the point x~."""
     Arows, Brows, o = _atoms(T)
     k = Arows.shape[0]
@@ -278,14 +276,13 @@ def _psi_qp(T: OperatorGraph, xt, cfg):
     return _psi_value_at(Arows, Brows, o, BA, xt, lam), lam
 
 
-def psi_eval(T: OperatorGraph, x, xstar, cfg=None) -> float:
+def psi_eval(T: OperatorGraph, x, xstar) -> float:
     """Proximal average of Phi and Phi*t evaluated at (x, x*)."""
-    cfg = cfg or SolverConfig()
     xt = np.concatenate([as_vector(x), as_vector(xstar)])
-    return _psi_qp(T, xt, cfg)[0]
+    return _psi_qp(T, xt)[0]
 
 
-def _psi_conj_qp(T: OperatorGraph, wt, cfg):
+def _psi_conj_qp(T: OperatorGraph, wt):
     """Exact Psi*(w~) = sup over x~ of <w~, x~> - Psi(x~).
 
     The inner minimization over the simplex commutes with the outer supremum
@@ -312,16 +309,14 @@ def _psi_conj_qp(T: OperatorGraph, wt, cfg):
     return value, xt, lam
 
 
-def psi_conj_eval(T: OperatorGraph, y, ystar, cfg=None) -> float:
+def psi_conj_eval(T: OperatorGraph, y, ystar) -> float:
     """Conjugate of Psi, evaluated exactly (no search box needed)."""
-    cfg = cfg or SolverConfig()
     wt = np.concatenate([as_vector(y), as_vector(ystar)])
-    return _psi_conj_qp(T, wt, cfg)[0]
+    return _psi_conj_qp(T, wt)[0]
 
 
-def autoconjugacy_check(T: OperatorGraph, samples, cfg=None) -> float:
+def autoconjugacy_check(T: OperatorGraph, samples) -> float:
     """max over samples x~ of |Psi*(x~^t) - Psi(x~)|; ~0 for monotone T."""
-    cfg = cfg or SolverConfig()
     n = T.dim
     worst = 0.0
     for s in samples:
@@ -329,12 +324,12 @@ def autoconjugacy_check(T: OperatorGraph, samples, cfg=None) -> float:
         if s.shape[0] != 2 * n:
             raise DimensionMismatchError("samples must live in R^(2n)")
         st = np.concatenate([s[n:], s[:n]])
-        gap = abs(psi_conj_eval(T, st[:n], st[n:], cfg) - _psi_qp(T, s, cfg)[0])
+        gap = abs(psi_conj_eval(T, st[:n], st[n:]) - _psi_qp(T, s)[0])
         worst = max(worst, gap)
     return worst
 
 
-def resolvent_eval(T: OperatorGraph, x, cfg=None):
+def resolvent_eval(T: OperatorGraph, x):
     """Evaluate the resolvent of the maximal monotone extension of T at x.
 
     Minimizes h(y, l) = Psi(y, x - y) - <y, x - y> jointly over y and the
@@ -344,7 +339,6 @@ def resolvent_eval(T: OperatorGraph, x, cfg=None):
     ~1e-14).  Returns (y, residual); a QP stopped at its iteration cap raises
     SolverCapError.
     """
-    cfg = cfg or SolverConfig()
     x = as_vector(x)
     if x.shape[0] != T.dim:
         raise DimensionMismatchError("query dimension does not match the graph")

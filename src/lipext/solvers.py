@@ -3,25 +3,30 @@
 Two public entry points:
 
 * minimize_quadratic_over_simplex -- Frank-Wolfe with away steps and exact
-  line search for 1/2 l'Ql + c'l over the probability simplex, certified by
+  line search for 1/2 l'Ql + c'l over one probability simplex, certified by
   the Frank-Wolfe duality gap.  A KKT polish on the final support pushes the
-  gap to machine precision.
+  gap to machine precision.  Its callers are the minimax duals, polytope
+  projection, the minimum-enclosing-ball dual and the polyhedral-conjugate
+  screen.
 * polyak_subgradient -- subgradient descent with Polyak steps for problems
   whose optimal value is known in advance (helly.common_point drives
   max_i d(x, C_i) to target 0).
 
-Internal helpers used by other modules:
+SolverConfig's tol and max_iters bound these two (and helly's target
+halving); seed feeds Welzl's shuffle in helly.jung_ball.
 
-* _minimize_quadratic_over_blocks -- Frank-Wolfe over a product of simplices
-  (the closest-pair parametrization between two polytopes).
+Internal helper used by other modules:
+
 * solve_qp -- dense primal active-set solver for small convex QPs with
-  equality constraints and linear inequalities.  It terminates on an exact
-  KKT point, which is what lets epigraph reformulations of max-affine
-  objectives reach 1e-12 accuracy.  An active bound (a row of G with one
-  nonzero) pins its coordinate, so each iteration's SVD covers only the
-  equalities and the active general rows over the free coordinates.  With
-  P = 0 it solves the conjugate LP and skips the reduced-Hessian
-  eigendecomposition: every step is a ray.
+  equality constraints and linear inequalities (the monotone QPs, the
+  polyhedral-conjugate LP and the closest pair of two polytopes).  It
+  terminates on an exact KKT point, which is what lets epigraph
+  reformulations of max-affine objectives reach 1e-12 accuracy.  Its
+  iteration cap follows from the number of inequalities.  An active bound
+  (a row of G with one nonzero) pins its coordinate, so each iteration's SVD
+  covers only the equalities and the active general rows over the free
+  coordinates.  With P = 0 it solves the conjugate LP and skips the
+  reduced-Hessian eigendecomposition: every step is a ray.
 
 All routines are pure and deterministic: identical inputs and config produce
 bit-identical reports.
@@ -63,121 +68,70 @@ class SolveReport:
     converged: bool
 
 
-def _as_quad_apply(quad):
-    if callable(quad):
-        return quad
-    mat = np.asarray(quad, dtype=float)
-    return lambda v: mat @ v
-
-
-def _block_slices(blocks):
-    out = []
-    start = 0
-    for size in blocks:
-        out.append(slice(start, start + size))
-        start += size
-    return out
-
-
-def _fw_gap(g, z, slices):
-    gap = 0.0
-    for sl in slices:
-        gap += float(g[sl] @ z[sl] - np.min(g[sl]))
-    return gap
-
-
-def _polish_blocks(quad_apply, c, z, blocks, slices):
+def _polish_simplex(Q, c, z):
     """Solve the equality-KKT system on the support of z and return the
     polished point, or None if the solve leaves the simplex."""
     K = z.shape[0]
     support = z > 1e-10
-    for sl in slices:
-        if not np.any(support[sl]):
-            support[sl.start + int(np.argmax(z[sl]))] = True
+    if not np.any(support):
+        support[int(np.argmax(z))] = True
     for _ in range(K + 1):
         idx = np.flatnonzero(support)
         s = idx.size
-        Q = np.empty((s, s))
-        for j, col in enumerate(idx):
-            e = np.zeros(K)
-            e[col] = 1.0
-            Q[:, j] = quad_apply(e)[idx]
-        rows = []
-        rhs_rows = []
-        for sl in slices:
-            row = np.zeros(s)
-            row[(idx >= sl.start) & (idx < sl.stop)] = 1.0
-            rows.append(row)
-            rhs_rows.append(1.0)
-        E = np.array(rows)
-        kkt = np.block([[Q, E.T], [E, np.zeros((E.shape[0], E.shape[0]))]])
-        rhs = np.concatenate([-c[idx], np.array(rhs_rows)])
+        kkt = np.zeros((s + 1, s + 1))
+        kkt[:s, :s] = Q[np.ix_(idx, idx)]
+        kkt[:s, s] = 1.0
+        kkt[s, :s] = 1.0
+        rhs = np.append(-c[idx], 1.0)
         sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
         zs = sol[:s]
         if np.min(zs) >= -1e-12:
             out = np.zeros(K)
             out[idx] = np.clip(zs, 0.0, None)
-            for sl in slices:
-                tot = out[sl].sum()
-                if tot <= 0:
-                    return None
-                out[sl] /= tot
-            return out
-        drop = idx[int(np.argmin(zs))]
-        support[drop] = False
-        for sl in slices:
-            if not np.any(support[sl]):
-                return None
+            tot = out.sum()
+            return out / tot if tot > 0 else None
+        support[idx[int(np.argmin(zs))]] = False
+        if not np.any(support):
+            return None
     return None
 
 
-def _minimize_quadratic_over_blocks(quad, c, blocks, cfg, constant=0.0, polish=True):
-    """Away-step Frank-Wolfe for 1/2 z'Qz + c'z + constant over a product of
-    probability simplices with the given block sizes."""
-    quad_apply = _as_quad_apply(quad)
+def minimize_quadratic_over_simplex(quad, c, k, cfg=None, constant=0.0):
+    """Minimize 1/2 l'Ql + c'l (+ constant) over the probability simplex.
+
+    Away-step Frank-Wolfe with exact line search from the vertex e_0, then a
+    KKT polish on the final support.  quad is a dense PSD matrix.  The
+    returned residual is the Frank-Wolfe duality gap g'l - min g at the final
+    iterate, a valid upper bound on the suboptimality for any PSD instance.
+    """
+    cfg = cfg or SolverConfig()
+    Q = np.asarray(quad, dtype=float)
     c = np.asarray(c, dtype=float)
-    K = int(sum(blocks))
+    K = int(k)
     if c.shape[0] != K:
-        raise ValueError("linear term length does not match block sizes")
-    slices = _block_slices(blocks)
+        raise ValueError("linear term length does not match k")
 
     z = np.zeros(K)
-    for sl in slices:
-        z[sl.start] = 1.0
-    Qz = quad_apply(z)
+    z[0] = 1.0
+    Qz = Q @ z
 
     def value_at(zz, Qzz):
         return 0.5 * float(zz @ Qzz) + float(c @ zz) + constant
 
-    gap = np.inf
     iters = 0
-    if K == len(blocks):  # every block is a single forced vertex
-        gap = 0.0
     while iters < cfg.max_iters:
         g = Qz + c
-        gap = _fw_gap(g, z, slices)
+        gap = float(g @ z - np.min(g))
         if gap <= cfg.tol * (1.0 + abs(value_at(z, Qz))):
             break
-        # Frank-Wolfe direction over the product polytope.
         d_fw = -z.copy()
-        for sl in slices:
-            d_fw[sl.start + int(np.argmin(g[sl]))] += 1.0
+        d_fw[int(np.argmin(g))] += 1.0
         gap_fw = -float(g @ d_fw)
-        # Blockwise away direction: worst active coordinate of one block.
-        best_away = None
-        for sl in slices:
-            active = np.flatnonzero(z[sl] > 1e-14)
-            if active.size <= 1:
-                continue
-            j = sl.start + active[int(np.argmax(g[sl][active]))]
-            score = float(g[j] - g[sl] @ z[sl])
-            if best_away is None or score > best_away[0]:
-                best_away = (score, j, sl)
-        use_away = best_away is not None and best_away[0] > gap_fw
-        if use_away:
-            _, j, sl = best_away
-            d = np.zeros(K)
-            d[sl] = z[sl]
+        # Away direction: the worst active coordinate.
+        active = np.flatnonzero(z > 1e-14)
+        j = active[int(np.argmax(g[active]))] if active.size > 1 else None
+        if j is not None and float(g[j] - g @ z) > gap_fw:
+            d = z.copy()
             d[j] -= 1.0
             zj = z[j]
             gamma_max = zj / (1.0 - zj) if zj < 1.0 else 0.0
@@ -188,7 +142,7 @@ def _minimize_quadratic_over_blocks(quad, c, blocks, cfg, constant=0.0, polish=T
         if slope >= 0.0 or gamma_max <= 0.0:
             iters += 1
             continue
-        Qd = quad_apply(d)
+        Qd = Q @ d
         curv = float(d @ Qd)
         if curv <= 1e-18:
             gamma = gamma_max
@@ -198,41 +152,25 @@ def _minimize_quadratic_over_blocks(quad, c, blocks, cfg, constant=0.0, polish=T
         Qz = Qz + gamma * Qd
         np.clip(z, 0.0, None, out=z)
         iters += 1
-        if iters % 256 == 0:  # guard against slow drift of the block sums
-            for sl in slices:
-                z[sl] /= z[sl].sum()
-            Qz = quad_apply(z)
+        if iters % 256 == 0:  # guard against slow drift of the sum
+            z /= z.sum()
+            Qz = Q @ z
 
-    if polish:
-        polished = _polish_blocks(quad_apply, c, z, blocks, slices)
-        if polished is not None:
-            Qp = quad_apply(polished)
-            gap_p = _fw_gap(Qp + c, polished, slices)
-            if value_at(polished, Qp) <= value_at(z, Qz) + 1e-15 or gap_p < gap:
-                z, Qz, gap = polished, Qp, gap_p
+    polished = _polish_simplex(Q, c, z)
+    if polished is not None:
+        Qp = Q @ polished
+        gp = Qp + c
+        gap_p = float(gp @ polished - np.min(gp))
+        if value_at(polished, Qp) <= value_at(z, Qz) + 1e-15 or gap_p < gap:
+            z, Qz, gap = polished, Qp, gap_p
 
     value = value_at(z, Qz)
-    converged = gap <= cfg.tol * (1.0 + abs(value))
-    return z, value, gap, iters, converged
-
-
-def minimize_quadratic_over_simplex(quad, c, k, cfg=None, constant=0.0, polish=True):
-    """Minimize 1/2 l'Ql + c'l (+ constant) over the probability simplex.
-
-    quad is a dense PSD matrix or a linear-operator callable.  The returned
-    residual is the Frank-Wolfe duality gap at the final iterate, a valid
-    upper bound on the suboptimality for any PSD instance.
-    """
-    cfg = cfg or SolverConfig()
-    z, value, gap, iters, converged = _minimize_quadratic_over_blocks(
-        quad, c, [int(k)], cfg, constant=constant, polish=polish
-    )
     return SolveReport(
         argmin=SimplexWeights(z),
         value=value,
         residual=gap,
         iters=iters,
-        converged=converged,
+        converged=gap <= cfg.tol * (1.0 + abs(value)),
     )
 
 
@@ -288,7 +226,7 @@ def _nullspace(C, K, fixed):
     return Z
 
 
-def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), tol=1e-10, max_iters=None):
+def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
     """Dense primal active-set method for a small convex QP.
 
     Minimizes 1/2 z'Pz + q'z subject to A_eq z = b_eq and G z <= h, starting
@@ -304,7 +242,10 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), tol=1e-10, max_iters
     whole working set enters only the least-squares multipliers at a
     stationary point.  When P is zero the reduced Hessian is zero, so the
     step is the ray -Z Z'grad, or none when that ray is below 1e-11 of the
-    gradient scale.  Returns (z, info) with info carrying converged / iters.
+    gradient scale.  A point is stationary when the step or the reduced
+    gradient Z'grad is below 1e-11 of its scale.  The cap is
+    200 + 80 (rows of G + 1) iterations.  Returns (z, info) with info
+    carrying converged / iters.
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -325,8 +266,7 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), tol=1e-10, max_iters
     single = np.count_nonzero(G, axis=1) == 1
     pin_col = np.argmax(G != 0, axis=1)
     linear = not np.any(P)
-    if max_iters is None:
-        max_iters = 200 + 80 * (mi + 1)
+    max_iters = 200 + 80 * (mi + 1)
     converged = False
     iters = 0
     while iters < max_iters:
@@ -336,20 +276,22 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), tol=1e-10, max_iters
         fixed = np.zeros(K, dtype=bool)
         fixed[pin_col[active & single]] = True
         Z = _nullspace(np.vstack([A_eq, G[active & ~single]]), K, fixed)
+        gr = Z.T @ grad
         ray = False
-        if Z.shape[1] == 0:
+        if float(np.max(np.abs(gr), initial=0.0)) <= 1e-11 * local:
+            # Stationary on the working set.  Testing Z'grad, not only the
+            # step, matters: a Newton step along a tiny positive curvature
+            # magnifies rounding in Z'grad and would cycle to the cap.
             d = np.zeros(K)
         elif linear:
-            # Zero reduced Hessian: the step is the ray -Z Z'grad, or none.
-            gr = Z.T @ grad
-            ray = float(np.max(np.abs(gr))) > 1e-11 * local
-            d = Z @ -gr if ray else np.zeros(K)
+            # Zero reduced Hessian: the step is the ray -Z Z'grad.
+            d = Z @ -gr
+            ray = True
         else:
             # Reduced Hessian by eigendecomposition: small positive curvature
             # is genuine (take the long Newton step along it); only the true
             # null space turns the subproblem linear (follow the ray).
             H = Z.T @ P @ Z
-            gr = Z.T @ grad
             w, V = np.linalg.eigh(0.5 * (H + H.T))
             w_tol = max(1e-13, float(w.max(initial=0.0)) * 1e-12)
             pos = w > w_tol
@@ -380,7 +322,8 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), tol=1e-10, max_iters
             continue
         gd = G @ d
         slack = np.clip(h - G @ z, 0.0, None)
-        blocking = np.flatnonzero(~active & (gd > 1e-13 * (1.0 + np.abs(gd).max())))
+        gd_tol = 1e-13 * (1.0 + float(np.max(np.abs(gd), initial=0.0)))
+        blocking = np.flatnonzero(~active & (gd > gd_tol))
         alpha_max = np.inf
         block_idx = -1
         if blocking.size:

@@ -249,12 +249,12 @@ def test_criterion_05_monotone_operator_identities():
                 abs(fitzpatrick_conj_eval(T, astar, a, CFG) - float(a @ astar)),
             )
             worst_psi = max(
-                worst_psi, abs(psi_eval(T, a, astar, CFG) - float(a @ astar))
+                worst_psi, abs(psi_eval(T, a, astar) - float(a @ astar))
             )
         samples = [
             np.array([rng.uniform(-2, 2) for _ in range(2 * n)]) for _ in range(10)
         ]
-        worst_auto = max(worst_auto, autoconjugacy_check(T, samples, CFG))
+        worst_auto = max(worst_auto, autoconjugacy_check(T, samples))
     assert worst_phi == 0.0  # float-exact max at graph points
     assert worst_phi_conj <= 1e-8
     assert worst_psi <= 1e-5

@@ -132,6 +132,16 @@ class TestHellyCommand:
         assert rc == 5
 
 
+    def test_ball_without_center_exit_2(self, tmp_path, capsys):
+        bodies = [{"kind": "ball", "radius": 1.0}]
+        fam = write(tmp_path / "fam.json", json.dumps({"n": 2, "bodies": bodies}))
+        rc = main(["helly", "--family", fam, "--out", str(tmp_path / "rep.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "parse error" in err
+        assert "center" in err and "Traceback" not in err
+
+
 class TestFunctionCommand:
     def test_quadratic_self_conjugacy_report(self, tmp_path):
         fn = write(tmp_path / "f.json", json.dumps({"node": "quadratic", "n": 1}))
@@ -182,6 +192,17 @@ class TestFunctionCommand:
         assert rc == 0
         payload = json.loads(open(out).read())
         assert abs(payload["gap"]) <= 1e-5
+
+
+    def test_duality_without_offsets_exit_2(self, tmp_path, capsys):
+        f = write(tmp_path / "q.json", json.dumps({"node": "quadratic", "n": 1}))
+        g = write(tmp_path / "g.json", json.dumps({"node": "max_affine", "slopes": [[1.0]]}))
+        rc = main(["function", "--function", f, "--duality", g, "--box", "2",
+                   "--out", str(tmp_path / "dual.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "parse error" in err
+        assert "offsets" in err and "Traceback" not in err
 
 
 class TestMonotoneCommand:

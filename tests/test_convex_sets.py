@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from lipext.errors import InfeasiblePointError
+from lipext import convex_sets
+from lipext.errors import InfeasiblePointError, SolverCapError
 from lipext.geometry import Ball, Polytope
 from lipext.rng import SplitMix64
-from lipext.solvers import SolverConfig
+from lipext.solvers import SolverConfig, minimize_quadratic_over_simplex
 from lipext.convex_sets import (
+    _closest_pair,
     caratheodory,
     distance,
     minkowski_sum,
@@ -196,6 +198,75 @@ class TestSeparation:
             h = separate(A, B, CFG)
             assert np.max(A.vertices @ h.normal) <= h.offset + 1e-9
             assert np.min(B.vertices @ h.normal) >= h.offset - 1e-9
+
+
+def minkowski_difference_distance(V, W):
+    """Reference: project the origin onto conv{v_i - w_j} over one simplex."""
+    D = (V[:, None, :] - W[None, :, :]).reshape(-1, V.shape[1])
+    rep = minimize_quadratic_over_simplex(2.0 * (D @ D.T), np.zeros(len(D)), len(D))
+    return float(np.linalg.norm(rep.argmin.weights @ D))
+
+
+def polytope_pair(rng, n, mode):
+    """Vertex arrays (V, W) whose hulls are disjoint, touch at one vertex, or
+    overlap (W holds the centroid of V); disjoint and overlapping pairs may
+    repeat a vertex."""
+    def point():
+        return np.array([rng.uniform(-1, 1) for _ in range(n)])
+
+    V = np.array([point() for _ in range(1 + rng.integer(6))])
+    d = point()
+    d /= np.linalg.norm(d)
+    kB = 1 + rng.integer(6)
+    if mode == "touching":
+        # W's lowest vertex along d is V's highest, and W lies above it.
+        top = V[int(np.argmax(V @ d))]
+        W = [top]
+        for _ in range(kB - 1):
+            off = point()
+            W.append(top + (0.2 + abs(rng.uniform(-1, 1))) * d + off - (off @ d) * d)
+        return V, np.array(W)
+    W = np.array([point() for _ in range(kB)])
+    if mode == "disjoint":
+        W += 3.0 * d
+    else:
+        W[0] = V.mean(axis=0)
+    if rng.integer(2):
+        V = np.vstack([V, V[:1]])
+        W = np.vstack([W[:1], W])
+    return V, W
+
+
+class TestClosestPair:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_minkowski_difference_reference(self, n):
+        rng = SplitMix64(60 + n)
+        for mode in ("disjoint", "touching", "overlapping"):
+            for _ in range(12):
+                V, W = polytope_pair(rng, n, mode)
+                A, B = Polytope(V), Polytope(W)
+                p, q, dist = _closest_pair(A, B, CFG)
+                assert abs(dist - minkowski_difference_distance(V, W)) <= 1e-12
+                assert dist == pytest.approx(float(np.linalg.norm(p - q)), abs=1e-15)
+                assert distance(p, A, CFG) <= 1e-9 and distance(q, B, CFG) <= 1e-9
+                if mode == "disjoint":
+                    h = separate(A, B, CFG)
+                    assert np.max(V @ h.normal) <= h.offset - 0.5 * dist + 1e-9
+                    assert np.min(W @ h.normal) >= h.offset + 0.5 * dist - 1e-9
+                else:
+                    assert dist <= 1e-12
+                    with pytest.raises(ValueError):
+                        separate(A, B, CFG)
+
+    def test_capped_qp_raises(self, monkeypatch):
+        def capped(*args, **kwargs):
+            return np.asarray(args[6], dtype=float), {"converged": False, "iters": 7}
+
+        monkeypatch.setattr(convex_sets, "solve_qp", capped)
+        A = Polytope([[0.0, 0.0], [0.0, 1.0]])
+        B = Polytope([[2.0, 0.0], [2.0, 1.0]])
+        with pytest.raises(SolverCapError, match="capped at 7 iterations"):
+            separate(A, B, CFG)
 
 
 class TestMinkowski:

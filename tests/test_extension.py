@@ -151,12 +151,12 @@ def dense_grid_resolvent_oracle(data, x, lo=-2.5, hi=2.5, steps=81):
 class TestProxAvg:
     def test_interpolation(self):
         for i in range(2):
-            y, r = extend_proxavg(ROTATION, ROTATION.points[i], CFG)
+            y, r = extend_proxavg(ROTATION, ROTATION.points[i])
             assert np.max(np.abs(y - ROTATION.values[i])) <= 1e-5
             assert r <= 1e-6
 
     def test_forced_point_agrees_with_minimax(self):
-        y, r = extend_proxavg(FORCED, np.array([0.0]), CFG)
+        y, r = extend_proxavg(FORCED, np.array([0.0]))
         assert y[0] == pytest.approx(1.0, abs=1e-5)
         assert r <= 1e-6
 
@@ -178,7 +178,7 @@ class TestProxAvg:
         data = generate_lipschitz_data(2, 2, 5, 901)
         rng = SplitMix64(7)
         x = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)])
-        y, r = extend_proxavg(data, x, CFG)
+        y, r = extend_proxavg(data, x)
         assert r <= 1e-6
         _, oracle_violation = dense_grid_resolvent_oracle(data, x)
         radii = data.L * np.linalg.norm(data.points - x, axis=1)
@@ -187,12 +187,12 @@ class TestProxAvg:
 
     def test_padding_both_directions(self):
         up = FiniteMapData(np.array([[0.0], [1.0]]), np.array([[0.0, 0.0], [0.6, 0.6]]), 1.0)
-        y, r = extend_proxavg(up, np.array([0.5]), CFG)
+        y, r = extend_proxavg(up, np.array([0.5]))
         assert r <= 1e-6 and y.shape == (2,)
         down = FiniteMapData(
             np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([[0.0], [1.0]]), 1.0
         )
-        y, r = extend_proxavg(down, np.array([0.3, 0.3]), CFG)
+        y, r = extend_proxavg(down, np.array([0.3, 0.3]))
         assert r <= 1e-6 and y.shape == (1,)
 
     def test_lipschitz_between_queries(self):
@@ -269,7 +269,7 @@ class TestMcShane:
 class TestCoordinatewise:
     def test_scalar_case_matches_mcshane(self):
         data = FiniteMapData(np.array([[0.0], [2.0]]), np.array([[0.0], [2.0]]), 1.0)
-        v = extend_coordinatewise(data, np.array([1.0]), CFG)
+        v = extend_coordinatewise(data, np.array([1.0]))
         omega = linear_modulus(1.0, 12.0)
         assert v[0] == pytest.approx(
             extend_mcshane(data, omega, np.array([1.0]), "lower")
@@ -278,14 +278,14 @@ class TestCoordinatewise:
     def test_interpolation(self):
         data = generate_lipschitz_data(2, 2, 6, 904)
         for i in range(data.size):
-            v = extend_coordinatewise(data, data.points[i], CFG)
+            v = extend_coordinatewise(data, data.points[i])
             assert np.max(np.abs(v - data.values[i])) <= 1e-9
 
     def test_sqrt_n_lipschitz_ratio(self):
         data = ROTATION
         rng = SplitMix64(17)
         pts = [np.array([rng.uniform(-3, 3), rng.uniform(-3, 3)]) for _ in range(40)]
-        vals = [extend_coordinatewise(data, x, CFG) for x in pts]
+        vals = [extend_coordinatewise(data, x) for x in pts]
         bound = math.sqrt(2.0) * data.L * (1.0 + 1e-4)
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
@@ -406,7 +406,7 @@ class TestUniformExtend:
     def test_lipschitz_data_interpolates(self):
         data = generate_lipschitz_data(1, 1, 6, 905)
         for i in range(data.size):
-            v = uniform_extend(data, data.points[i], CFG)
+            v = uniform_extend(data, data.points[i])
             assert v == pytest.approx(float(data.values[i, 0]), abs=1e-9)
 
     def test_sqrt_holder_data(self):
@@ -419,7 +419,7 @@ class TestUniformExtend:
         )
         rng = SplitMix64(31)
         queries = [np.array([rng.uniform(0, 1.5)]) for _ in range(20)]
-        vals = [uniform_extend(data, q, CFG) for q in queries]
+        vals = [uniform_extend(data, q) for q in queries]
         for i in range(len(queries)):
             for j in range(i + 1, len(queries)):
                 gap = abs(vals[i] - vals[j])
@@ -428,14 +428,14 @@ class TestUniformExtend:
 
     def test_single_point_constant(self):
         data = FiniteMapData(np.array([[3.0]]), np.array([[7.0]]))
-        assert uniform_extend(data, np.array([100.0]), CFG) == 7.0
+        assert uniform_extend(data, np.array([100.0])) == 7.0
 
     def test_steep_data_normalized(self):
         # values far above 1 must still pass through the majorant gate
         data = FiniteMapData(np.array([[0.0], [1.0]]), np.array([[0.0], [50.0]]))
-        v = uniform_extend(data, np.array([0.5]), CFG)
+        v = uniform_extend(data, np.array([0.5]))
         assert np.isfinite(v)
-        assert uniform_extend(data, np.array([1.0]), CFG) == pytest.approx(50.0, abs=1e-9)
+        assert uniform_extend(data, np.array([1.0])) == pytest.approx(50.0, abs=1e-9)
 
 
 class TestExtensionModelSurface:
@@ -445,7 +445,7 @@ class TestExtensionModelSurface:
         mm = ExtensionModel(data, "minimax", CFG)
         assert np.allclose(mm.query(x)[0], extend_minimax(data, x, CFG)[0])
         cw = ExtensionModel(data, "coordinatewise", CFG)
-        assert np.allclose(cw.query(x)[0], extend_coordinatewise(data, x, CFG))
+        assert np.allclose(cw.query(x)[0], extend_coordinatewise(data, x))
 
     def test_every_method_interpolates(self):
         data = generate_lipschitz_data(2, 1, 5, 907)

@@ -232,7 +232,7 @@ class TestPsi:
             pts, vals = generate_monotone_graph(1, 4, 400 + seed)
             T = OperatorGraph(pts, vals)
             for a, astar in T.pairs():
-                v = psi_eval(T, a, astar, CFG)
+                v = psi_eval(T, a, astar)
                 assert v == pytest.approx(float(a @ astar), abs=1e-5)
 
     def test_dominates_pairing_everywhere(self):
@@ -242,14 +242,14 @@ class TestPsi:
         for _ in range(10):
             x = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2)])
             xs = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2)])
-            assert psi_eval(T, x, xs, CFG) >= float(x @ xs) - 1e-5
+            assert psi_eval(T, x, xs) >= float(x @ xs) - 1e-5
 
     def test_singleton_closed_form(self):
         T = graph_1d([(0.0, 0.0)])
         rng = SplitMix64(19)
         for _ in range(5):
             xt = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2)])
-            assert psi_eval(T, xt[:1], xt[1:], CFG) == pytest.approx(
+            assert psi_eval(T, xt[:1], xt[1:]) == pytest.approx(
                 0.5 * float(xt @ xt), abs=1e-10
             )
 
@@ -258,7 +258,7 @@ class TestPsi:
         rng = SplitMix64(23)
         for _ in range(6):
             xt = np.array([rng.uniform(-1, 2), rng.uniform(-1, 2)])
-            mine = psi_eval(T, xt[:1], xt[1:], CFG)
+            mine = psi_eval(T, xt[:1], xt[1:])
             oracle = brute_force_psi(T, xt)
             assert mine <= oracle + 1e-9  # grid value is an upper bound
             assert mine >= oracle - 1e-6
@@ -281,21 +281,21 @@ class TestAutoconjugacy:
         T = graph_1d([(0.0, 0.0)])
         rng = SplitMix64(31)
         samples = [np.array([rng.uniform(-2, 2), rng.uniform(-2, 2)]) for _ in range(5)]
-        assert autoconjugacy_check(T, samples, CFG) <= 1e-4
+        assert autoconjugacy_check(T, samples) <= 1e-4
 
     def test_identity_data(self):
         T = graph_1d([(0.0, 0.0), (1.0, 1.0)])
         rng = SplitMix64(37)
         samples = [np.array([rng.uniform(-1, 2), rng.uniform(-1, 2)]) for _ in range(8)]
-        assert autoconjugacy_check(T, samples, CFG) <= 1e-4
+        assert autoconjugacy_check(T, samples) <= 1e-4
 
     def test_graph_points_equal_pairing_both_sides(self):
         pts, vals = generate_monotone_graph(2, 5, 500)
         T = OperatorGraph(pts, vals)
         for a, astar in T.pairs():
             xt = np.concatenate([a, astar])
-            lhs = psi_conj_eval(T, astar, a, CFG)
-            rhs = psi_eval(T, a, astar, CFG)
+            lhs = psi_conj_eval(T, astar, a)
+            rhs = psi_eval(T, a, astar)
             pairing = float(a @ astar)
             assert lhs == pytest.approx(pairing, abs=1e-4)
             assert rhs == pytest.approx(pairing, abs=1e-4)
@@ -331,19 +331,19 @@ class TestResolvent:
             pts, vals = generate_monotone_graph(2, 5, 600 + seed)
             T = OperatorGraph(pts, vals)
             for a, astar in T.pairs():
-                y, residual = resolvent_eval(T, a + astar, CFG)
+                y, residual = resolvent_eval(T, a + astar)
                 assert residual <= 1e-6
                 assert np.max(np.abs(y - a)) <= 1e-5
 
     def test_singleton_zero_fixed_point(self):
         T = graph_1d([(0.0, 0.0)])
-        y, residual = resolvent_eval(T, np.array([0.0]), CFG)
+        y, residual = resolvent_eval(T, np.array([0.0]))
         assert residual <= 1e-12
         assert abs(y[0]) <= 1e-9
 
     def test_identity_data_midpoint_vs_oracle(self):
         T = graph_1d([(0.0, 0.0), (1.0, 1.0)])
-        y, residual = resolvent_eval(T, np.array([1.0]), CFG)
+        y, residual = resolvent_eval(T, np.array([1.0]))
         assert residual <= 1e-6
         arg, _ = brute_force_resolvent(T, 1.0)
         assert y[0] == pytest.approx(arg, abs=1e-2)
@@ -356,7 +356,7 @@ class TestResolvent:
         queries, images = [], []
         for _ in range(8):
             x = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2)])
-            y, residual = resolvent_eval(T, x, CFG)
+            y, residual = resolvent_eval(T, x)
             assert residual <= 1e-6
             queries.append(x)
             images.append(y)
@@ -375,9 +375,9 @@ class TestSolverCap:
     @pytest.mark.parametrize(
         "what, call",
         [
-            ("resolvent", lambda T: resolvent_eval(T, [0.5], CFG)),
-            ("Psi", lambda T: psi_eval(T, [0.5], [0.25], CFG)),
-            ("Psi conjugate", lambda T: psi_conj_eval(T, [0.5], [0.25], CFG)),
+            ("resolvent", lambda T: resolvent_eval(T, [0.5])),
+            ("Psi", lambda T: psi_eval(T, [0.5], [0.25])),
+            ("Psi conjugate", lambda T: psi_conj_eval(T, [0.5], [0.25])),
         ],
     )
     def test_unconverged_qp_raises(self, monkeypatch, what, call):
@@ -403,10 +403,10 @@ def random_map_data(rng, k):
 
 class TestVertexStart:
     def compare_starts(self, T, queries, monkeypatch):
-        vertex = [resolvent_eval(T, x, CFG) for x in queries]
+        vertex = [resolvent_eval(T, x) for x in queries]
         with monkeypatch.context() as mp:
             mp.setattr(monotone, "_vertex_start", uniform_start)
-            uniform = [resolvent_eval(T, x, CFG) for x in queries]
+            uniform = [resolvent_eval(T, x) for x in queries]
         for (y1, r1), (y2, r2) in zip(vertex, uniform):
             assert r1 <= 1e-12 and r2 <= 1e-12
             assert np.max(np.abs(y1 - y2)) <= 1e-12 * (1.0 + np.max(np.abs(y2)))
@@ -414,7 +414,7 @@ class TestVertexStart:
     def test_same_resolvent_as_uniform_start_on_tight_data(self, monkeypatch):
         rng = SplitMix64(11)
         for _ in range(20):
-            T = _ProxAvgModel(random_map_data(rng, 3 + rng.integer(5)), CFG).T
+            T = _ProxAvgModel(random_map_data(rng, 3 + rng.integer(5))).T
             queries = [np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)]) for _ in range(5)]
             self.compare_starts(T, queries, monkeypatch)
 
@@ -431,7 +431,7 @@ class TestVertexStart:
 
         monkeypatch.setattr(monotone, "solve_qp", recording_qp)
         data = generate_lipschitz_data(2, 2, 48, 3)
-        T = _ProxAvgModel(FiniteMapData(data.points, data.values), CFG).T
+        T = _ProxAvgModel(FiniteMapData(data.points, data.values)).T
         rng = SplitMix64(9)
         queries = [np.array([rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)]) for _ in range(4)]
         self.compare_starts(T, queries, monkeypatch)

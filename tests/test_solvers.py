@@ -143,6 +143,31 @@ class TestActiveSetQP:
         assert info["converged"]
         assert abs(z[0]) <= 1e-9 and abs(z[1]) <= 1e-9
 
+    def test_tiny_reduced_curvature_is_stationary(self):
+        # A conjugate-screen projection whose reduced Hessian has a tiny
+        # positive eigenvalue: the Newton step -g/w magnifies rounding in the
+        # reduced gradient, so a step-size test alone cycles to the cap.
+        S = np.array([[0.5549663593824301], [-0.7033066551201903],
+                      [0.5560908057516791], [0.3723782414091803],
+                      [0.683234723614399]])
+        y = np.array([0.5560843464366104])
+        Q, c = 2.0 * (S @ S.T), -2.0 * (S @ y)
+        z, info = solve_qp(
+            Q, c, np.ones((1, 5)), [1.0], -np.eye(5), np.zeros(5), np.eye(5)[2],
+            initial_active=[0, 1, 3, 4],
+        )
+        assert info["converged"] and info["iters"] <= 10
+        assert abs(float(z @ S[:, 0]) - y[0]) <= 1e-12
+        assert np.min(z) >= -1e-15 and abs(z.sum() - 1.0) <= 1e-15
+
+    def test_no_inequalities(self):
+        z, info = solve_qp(
+            np.eye(2), [1.0, -1.0], np.zeros((0, 2)), [], np.zeros((0, 2)), [],
+            np.zeros(2),
+        )
+        assert info["converged"]
+        assert np.allclose(z, [-1.0, 1.0], rtol=0.0, atol=1e-15)
+
 
 def full_svd_nullspace(C, K):
     """Reference: null space of the whole working set by one full SVD."""
