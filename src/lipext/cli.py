@@ -25,6 +25,7 @@ from .errors import (
     DataConsistencyError,
     DimensionMismatchError,
     EnumerationGuardError,
+    FormatError,
     ImproperFunctionError,
     ModulusViolationError,
     SolverCapError,
@@ -110,7 +111,7 @@ def cmd_helly(args):
     raw = _load_json_checked(args.family)
     try:
         family = io.family_from_dict(raw)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, FormatError) as exc:
         raise _ParseFailure(f"{args.family}: {exc}") from exc
     cfg = _config(args)
     if args.mode == "common-point":

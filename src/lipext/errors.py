@@ -5,6 +5,10 @@ class DimensionMismatchError(ValueError):
     """Operands live in different ambient dimensions."""
 
 
+class FormatError(ValueError):
+    """An input document names a kind or node its file format does not know."""
+
+
 class InfeasiblePointError(ValueError):
     """A point required to lie in a convex set does not; carries the distance."""
 

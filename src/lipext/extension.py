@@ -22,7 +22,8 @@ continuous data.  extend_coordinatewise applies the scalar envelope per
 output coordinate, giving the classical sqrt(n) L baseline.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -195,41 +196,6 @@ def extend_minimax(data: FiniteMapData, x, cfg=None):
     return y, residual
 
 
-class _ProxAvgModel:
-    """Precomputed monotone graph for the proximal-average pipeline."""
-
-    def __init__(self, data: FiniteMapData):
-        self.data = data
-        self.k_dim = max(data.m, data.n)
-        self.constant = data.L <= 1e-14 or data.size == 1
-        if self.constant:
-            self.value = data.values[0].copy()
-            return
-        pads = self._pad(data.points, data.m)
-        vals = self._pad(data.values, data.n) / data.L
-        g = OperatorGraph(pads, (pads + vals) / 2.0, multi_valued=True)
-        self.T = graph_of_resolvent(g)
-
-    def _pad(self, arr, width):
-        if width == self.k_dim:
-            return np.asarray(arr, dtype=float)
-        out = np.zeros((arr.shape[0], self.k_dim))
-        out[:, :width] = arr
-        return out
-
-    def query(self, x):
-        x = as_vector(x)
-        if x.shape[0] != self.data.m:
-            raise DimensionMismatchError("query dimension does not match the data")
-        if self.constant:
-            return self.value.copy(), 0.0
-        xhat = np.zeros(self.k_dim)
-        xhat[: self.data.m] = x
-        g, residual = resolvent_eval(self.T, xhat)
-        fhat = 2.0 * g - xhat
-        return self.data.L * fhat[: self.data.n], residual
-
-
 def extend_proxavg(data: FiniteMapData, x):
     """One-point extension through the firmly-non-expansive pipeline.
 
@@ -237,7 +203,7 @@ def extend_proxavg(data: FiniteMapData, x):
     value of a convex program whose optimum is exactly 0).  For batch queries
     build an ExtensionModel once instead.
     """
-    return _ProxAvgModel(data).query(x)
+    return ExtensionModel(data, "proxavg").query(x)
 
 
 @dataclass(frozen=True)
@@ -245,14 +211,13 @@ class Modulus:
     """Piecewise-linear modulus of continuity on a breakpoint grid.
 
     Starts at (0, 0), interpolates linearly, extrapolates with the last
-    slope.  is_concave / is_subadditive are computed on construction (the
-    subadditivity check is a grid check over breakpoint sums).
+    slope.  is_concave and is_subadditive are computed on first read; a
+    concave modulus is subadditive, any other is checked on the (K+3)^2
+    grid of breakpoint sums.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
-    is_concave: bool = field(init=False, default=False)
-    is_subadditive: bool = field(init=False, default=False)
 
     def __post_init__(self):
         t = as_vector(self.breakpoints)
@@ -269,19 +234,24 @@ class Modulus:
         v.setflags(write=False)
         object.__setattr__(self, "breakpoints", t)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "is_concave", self._concave())
-        object.__setattr__(self, "is_subadditive", self._subadditive())
 
-    def _slopes(self):
-        if self.breakpoints.size < 2:
-            return np.zeros(0)
-        return np.diff(self.values) / np.diff(self.breakpoints)
+    @cached_property
+    def is_concave(self) -> bool:
+        # Slopes may also rise by what a few ulps of the values explain: a
+        # concave majorant on breakpoints 1e-7 apart shows rises of 5e-10.
+        t, v = self.breakpoints, self.values
+        if t.size < 3:
+            return True
+        h = np.diff(t)
+        rise = np.diff(np.diff(v) / h)
+        ulps = 8.0 * np.finfo(float).eps * v[2:] * (1.0 / h[:-1] + 1.0 / h[1:])
+        return bool(np.all(rise <= 1e-12 + ulps))
 
-    def _concave(self) -> bool:
-        s = self._slopes()
-        return bool(s.size < 2 or np.all(np.diff(s) <= 1e-12))
-
-    def _subadditive(self) -> bool:
+    @cached_property
+    def is_subadditive(self) -> bool:
+        # A concave w with w(0) = 0 has w(s + t) <= w(s) + w(t).
+        if self.is_concave:
+            return True
         t = self.breakpoints
         probes = np.concatenate([t, t[-1] * np.array([1.5, 2.0, 3.0])])
         s = probes[:, None] + probes[None, :]
@@ -331,13 +301,23 @@ def _check_modulus_for_data(data: FiniteMapData, omega: Modulus):
         )
 
 
+def _envelope(data: FiniteMapData, omega: Modulus, x, side: str) -> np.ndarray:
+    """Envelope of every value coordinate at x: max_i (b_i - w(||x - a_i||))
+    for side 'lower', min_i (b_i + w(||x - a_i||)) otherwise."""
+    w = omega(np.linalg.norm(data.points - x, axis=1))[:, None]
+    if side == "lower":
+        return np.max(data.values - w, axis=0)
+    return np.min(data.values + w, axis=0)
+
+
 def extend_mcshane(data: FiniteMapData, omega: Modulus, x, side: str) -> float:
     """McShane-Whitney envelope for scalar data under a general modulus.
 
     side='lower' is the smallest extension sup_i (b_i - w(||x - a_i||)),
     side='upper' the largest inf_i (b_i + w(||x - a_i||)); lower <= upper
     pointwise.  The modulus must be increasing and subadditive and must
-    dominate the data (checked, witness reported).
+    dominate the data (both checked on every call, witness reported); an
+    ExtensionModel, whose modulus is fixed by the data, skips both.
     """
     if data.n != 1:
         raise ValueError("McShane-Whitney extension needs scalar values (n = 1)")
@@ -347,12 +327,9 @@ def extend_mcshane(data: FiniteMapData, omega: Modulus, x, side: str) -> float:
     x = as_vector(x)
     if x.shape[0] != data.m:
         raise DimensionMismatchError("query dimension does not match the data")
-    d = np.linalg.norm(data.points - x, axis=1)
-    if side == "lower":
-        return float(np.max(data.values[:, 0] - omega(d)))
-    if side == "upper":
-        return float(np.min(data.values[:, 0] + omega(d)))
-    raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+    if side not in ("lower", "upper"):
+        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+    return float(_envelope(data, omega, x, side)[0])
 
 
 def extend_coordinatewise(data: FiniteMapData, x) -> np.ndarray:
@@ -367,9 +344,7 @@ def extend_coordinatewise(data: FiniteMapData, x) -> np.ndarray:
     if x.shape[0] != data.m:
         raise DimensionMismatchError("query dimension does not match the data")
     scale = 1.0 + float(np.max(np.abs(data.points))) + float(np.max(np.abs(x)))
-    omega = linear_modulus(data.L, scale)
-    d = np.linalg.norm(data.points - x, axis=1)
-    return np.max(data.values - omega(d)[:, None], axis=0)
+    return _envelope(data, linear_modulus(data.L, scale), x, "lower")
 
 
 def extend_project_domain(data: FiniteMapData, domain, x, cfg=None) -> np.ndarray:
@@ -379,14 +354,7 @@ def extend_project_domain(data: FiniteMapData, domain, x, cfg=None) -> np.ndarra
     Like extend_minimax, each value meets every ball constraint at the
     projected query; there is no Lipschitz guarantee for the map x -> y.
     """
-    cfg = cfg or SolverConfig()
-    for i, a in enumerate(data.points):
-        d = distance(a, domain, cfg)
-        if d > 1e-9:
-            raise ValueError(f"data point {i} lies outside the domain by {d:.3e}")
-    p = project(as_vector(x), domain, cfg)
-    y, _ = extend_minimax(data, p, cfg)
-    return y
+    return ExtensionModel(data, "project_domain", cfg, domain=domain).query(x)[0]
 
 
 def _tau(t):
@@ -515,9 +483,11 @@ def uniform_extend(data: FiniteMapData, x) -> float:
 class ExtensionModel:
     """A reusable evaluator for one extension method over fixed data.
 
-    project_domain additionally needs the convex domain; mcshane accepts an
-    optional modulus (defaulting to the Lipschitz one); tietze and mcshane
-    require scalar values.
+    The work that depends only on the data is done once, here: the proxavg
+    graph, the mcshane modulus w(t) = L t (FiniteMapData's pair check
+    ||db|| <= L ||da|| + 1e-9 already shows that it dominates the data) and
+    project_domain's check that the domain holds every data point.  A query
+    only evaluates.  mcshane and tietze require scalar values.
     """
 
     METHODS = (
@@ -529,38 +499,59 @@ class ExtensionModel:
         "tietze",
     )
 
-    def __init__(self, data: FiniteMapData, method: str, cfg=None, omega=None,
-                 domain=None):
+    def __init__(self, data: FiniteMapData, method: str, cfg=None, domain=None):
         if method not in self.METHODS:
             raise ValueError(f"unknown method {method!r}")
+        if method in ("mcshane", "tietze") and data.n != 1:
+            raise ValueError(f"{method} requires scalar values (n = 1)")
+        if method == "project_domain" and domain is None:
+            raise ValueError("project_domain requires a convex domain")
         self.data = data
         self.method = method
         self.cfg = cfg or SolverConfig()
         self.domain = domain
         if method == "proxavg":
-            self._prox = _ProxAvgModel(data)
-        if method in ("mcshane", "tietze") and data.n != 1:
-            raise ValueError(f"{method} requires scalar values (n = 1)")
+            # T = g^{-1} - id for g = (id + f / L) / 2, f zero-padded to a
+            # square dimension; None when the data is constant.
+            self.graph = None
+            if data.L > 1e-14 and data.size > 1:
+                dim = max(data.m, data.n)
+                pads, vals = np.zeros((data.size, dim)), np.zeros((data.size, dim))
+                pads[:, : data.m] = data.points
+                vals[:, : data.n] = data.values / data.L
+                g = OperatorGraph(pads, (pads + vals) / 2.0, multi_valued=True)
+                self.graph = graph_of_resolvent(g)
         if method == "mcshane":
             scale = 1.0 + float(np.max(np.abs(data.points))) + float(
                 np.max(np.abs(data.values))
             )
-            self.omega = omega or linear_modulus(data.L, 4.0 * scale)
-        if method == "project_domain" and domain is None:
-            raise ValueError("project_domain requires a convex domain")
+            self.omega = linear_modulus(data.L, 4.0 * scale)
+        if method == "project_domain":
+            for i, a in enumerate(data.points):
+                d = distance(a, domain, self.cfg)
+                if d > 1e-9:
+                    raise ValueError(f"data point {i} lies outside the domain by {d:.3e}")
 
     def query(self, x):
         """Return (value vector in R^n, residual)."""
+        x = as_vector(x)
+        data = self.data
+        if x.shape[0] != data.m:
+            raise DimensionMismatchError("query dimension does not match the data")
         if self.method == "minimax":
-            return extend_minimax(self.data, x, self.cfg)
+            return extend_minimax(data, x, self.cfg)
         if self.method == "proxavg":
-            return self._prox.query(x)
+            if self.graph is None:
+                return data.values[0].copy(), 0.0
+            xhat = np.zeros(self.graph.dim)
+            xhat[: data.m] = x
+            g, residual = resolvent_eval(self.graph, xhat)
+            return data.L * (2.0 * g - xhat)[: data.n], residual
         if self.method == "mcshane":
-            v = extend_mcshane(self.data, self.omega, x, "lower")
-            return np.array([v]), 0.0
+            return _envelope(data, self.omega, x, "lower"), 0.0
         if self.method == "project_domain":
-            return extend_project_domain(self.data, self.domain, x, self.cfg), 0.0
+            y, _ = extend_minimax(data, project(x, self.domain, self.cfg), self.cfg)
+            return y, 0.0
         if self.method == "tietze":
-            return np.array([tietze_extend(self.data, x)]), 0.0
-        v = extend_coordinatewise(self.data, x)
-        return v, 0.0
+            return np.array([tietze_extend(data, x)]), 0.0
+        return extend_coordinatewise(data, x), 0.0

@@ -28,6 +28,7 @@ import json
 
 import numpy as np
 
+from .errors import FormatError
 from .geometry import Ball, Polytope
 from .helly import BodyFamily, IntersectionReport
 from .monotone import OperatorGraph
@@ -136,7 +137,7 @@ def body_from_dict(d):
         return Ball(np.asarray(d["center"], dtype=float), float(d["radius"]))
     if d["kind"] == "polytope":
         return Polytope(np.asarray(d["vertices"], dtype=float))
-    raise ValueError(f"unknown body kind {d['kind']!r}")
+    raise FormatError(f"unknown body kind {d['kind']!r}")
 
 
 def family_to_dict(family: BodyFamily) -> dict:
@@ -203,7 +204,7 @@ def function_from_dict(d, default_box=None):
         left = function_from_dict(d["left"], default_box)
         right = function_from_dict(d["right"], default_box)
         return cf.ProxAvg(left, right, _require_box(d, left.dim, default_box))
-    raise ValueError(f"unknown function node {node!r}")
+    raise FormatError(f"unknown function node {node!r}")
 
 
 def _resolve_box(d, dim, default_box):

@@ -141,6 +141,24 @@ class TestHellyCommand:
         assert len(err.splitlines()) == 1 and "parse error" in err
         assert "center" in err and "Traceback" not in err
 
+    def test_unknown_body_kind_exit_2(self, tmp_path, capsys):
+        bodies = [{"kind": "blob", "center": [0.0, 0.0], "radius": 1.0}]
+        fam = write(tmp_path / "fam.json", json.dumps({"n": 2, "bodies": bodies}))
+        rc = main(["helly", "--family", fam, "--out", str(tmp_path / "rep.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "parse error" in err
+        assert "blob" in err and "Traceback" not in err
+
+    def test_negative_radius_exit_3(self, tmp_path, capsys):
+        bodies = [{"kind": "ball", "center": [0.0, 0.0], "radius": -1.0}]
+        fam = write(tmp_path / "fam.json", json.dumps({"n": 2, "bodies": bodies}))
+        rc = main(["helly", "--family", fam, "--out", str(tmp_path / "rep.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "invalid data" in err
+        assert "radius" in err and "Traceback" not in err
+
 
 class TestFunctionCommand:
     def test_quadratic_self_conjugacy_report(self, tmp_path):

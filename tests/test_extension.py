@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lipext import extension
 from lipext.errors import DataConsistencyError, ModulusViolationError
 from lipext.geometry import Ball
 from lipext.rng import SplitMix64
@@ -24,6 +26,7 @@ from lipext.extension import (
     lipschitz_constant,
     tietze_extend,
     uniform_extend,
+    _check_modulus_for_data,
     _tau,
     _tau_inv,
 )
@@ -402,6 +405,79 @@ class TestModulusMachinery:
             assert hull.is_subadditive
 
 
+def _grid_subadditive(omega):
+    """Brute force: w(s + t) <= w(s) + w(t) over every pair of breakpoints
+    and of three points past the last one, relative tolerance 1e-12."""
+    t = omega.breakpoints
+    probes = np.concatenate([t, t[-1] * np.array([1.5, 2.0, 3.0])])
+    total = probes[:, None] + probes[None, :]
+    lhs = omega(total.ravel()).reshape(total.shape)
+    rhs = omega(probes)[:, None] + omega(probes)[None, :]
+    return bool(np.all(lhs <= rhs + 1e-12 * (1.0 + np.abs(rhs))))
+
+
+def _scalar_datasets(rng, k):
+    """Seeded scalar data of three kinds: `gen` samples with L = 1, the same
+    samples with their (tight) empirical L, and uniform random values."""
+    m = 1 + rng.integer(3)
+    gen = generate_lipschitz_data(m, 1, k, rng.integer(10**6))
+    A = np.array([[rng.uniform(-1, 1) for _ in range(m)] for _ in range(k)])
+    B = np.array([[rng.uniform(-1, 1)] for _ in range(k)])
+    return [gen, FiniteMapData(gen.points, gen.values), FiniteMapData(A, B)]
+
+
+class TestLazyModulus:
+    def test_uniform_extend_builds_no_grid(self):
+        # One (K+3)^2 float64 grid over 1,771 breakpoints takes 25 MB.
+        gen = generate_lipschitz_data(2, 1, 60, 100)
+        data = FiniteMapData(gen.points, gen.values)
+        assert empirical_modulus(data).breakpoints.size == 1771
+        tracemalloc.start()
+        try:
+            v = uniform_extend(data, np.array([0.3, -0.2]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(v)
+        assert peak < 10e6
+
+    def test_concave_moduli_pass_the_grid(self):
+        # Empirical moduli, their concave majorants and rescalings of both,
+        # and Lipschitz moduli with L from 1e-3 to 1e5.
+        rng = SplitMix64(37)
+        moduli, majorants = [], []
+        for _ in range(12):
+            for data in _scalar_datasets(rng, 2 + rng.integer(30)):
+                raw = empirical_modulus(data)
+                s = max(1.0, 2.0 * float(np.max(raw.values)))
+                hull = concave_majorant(Modulus(raw.breakpoints, raw.values / s))
+                for c in (1e-3, 1.0, 1e3, 1e5):
+                    moduli.append(Modulus(raw.breakpoints, c * raw.values))
+                    majorants.append(Modulus(hull.breakpoints, c * hull.values))
+        for e in range(-3, 6):
+            moduli.append(linear_modulus(10.0 ** e * rng.uniform(1, 9), rng.uniform(1, 20)))
+        assert all(omega.is_concave for omega in majorants)
+        for omega in moduli + majorants:
+            grid = _grid_subadditive(omega)
+            assert omega.is_subadditive == (omega.is_concave or grid)
+            assert grid or not omega.is_concave
+
+    def test_model_modulus_dominates_its_data(self):
+        # ExtensionModel's mcshane query checks no pair; FiniteMapData's own
+        # check ||db|| <= L ||da|| + 1e-9 must already imply the modulus one.
+        rng = SplitMix64(41)
+        datasets = []
+        for k in (2, 2, 40, 40, 400, 400):
+            datasets += _scalar_datasets(rng, k)
+        steep = datasets[-1]
+        A = np.vstack([steep.points, steep.points[:1] + 1e-4])
+        B = np.vstack([steep.values, steep.values[:1] + 1.0])
+        datasets.append(FiniteMapData(A, B))
+        assert max(d.L for d in datasets) > 5e3
+        for data in datasets:
+            _check_modulus_for_data(data, ExtensionModel(data, "mcshane").omega)
+
+
 class TestUniformExtend:
     def test_lipschitz_data_interpolates(self):
         data = generate_lipschitz_data(1, 1, 6, 905)
@@ -441,11 +517,50 @@ class TestUniformExtend:
 class TestExtensionModelSurface:
     def test_models_agree_with_functions(self):
         data = generate_lipschitz_data(2, 2, 6, 906)
-        x = np.array([0.3, -0.8])
-        mm = ExtensionModel(data, "minimax", CFG)
-        assert np.allclose(mm.query(x)[0], extend_minimax(data, x, CFG)[0])
-        cw = ExtensionModel(data, "coordinatewise", CFG)
-        assert np.allclose(cw.query(x)[0], extend_coordinatewise(data, x))
+        scalar = FiniteMapData(data.points, data.values[:, :1])
+        domain = Ball(np.zeros(2), 3.0)
+        mcshane = ExtensionModel(scalar, "mcshane")
+        functions = {
+            "minimax": lambda x: extend_minimax(data, x, CFG),
+            "proxavg": lambda x: extend_proxavg(data, x),
+            "mcshane": lambda x: (
+                [extend_mcshane(scalar, mcshane.omega, x, "lower")], 0.0
+            ),
+            "coordinatewise": lambda x: (extend_coordinatewise(data, x), 0.0),
+            "project_domain": lambda x: (
+                extend_project_domain(data, domain, x, CFG), 0.0
+            ),
+            "tietze": lambda x: ([tietze_extend(scalar, x)], 0.0),
+        }
+        assert set(functions) == set(ExtensionModel.METHODS)
+        queries = [np.array([0.3, -0.8]), np.array([4.0, 1.5]), data.points[2]]
+        for method, function in functions.items():
+            model = ExtensionModel(
+                scalar if method in ("mcshane", "tietze") else data,
+                method, CFG, domain=domain,
+            )
+            for x in queries:
+                y, residual = model.query(x)
+                y_ref, residual_ref = function(x)
+                assert np.array_equal(y, np.asarray(y_ref)), (method, x)
+                assert residual == residual_ref, (method, x)
+
+    def test_queries_run_no_per_data_work(self, monkeypatch):
+        data = generate_lipschitz_data(2, 1, 8, 908)
+        domain = Ball(np.zeros(2), 10.0)
+        models = [
+            ExtensionModel(data, method, CFG, domain=domain)
+            for method in ExtensionModel.METHODS
+        ]
+
+        def per_data_work(*args, **kwargs):
+            raise AssertionError("per-data work ran at query time")
+
+        for name in ("pairwise", "_check_modulus_for_data", "distance"):
+            monkeypatch.setattr(extension, name, per_data_work)
+        for model in models:
+            y, residual = model.query(np.array([0.3, -0.8]))
+            assert np.all(np.isfinite(y)) and np.isfinite(residual), model.method
 
     def test_every_method_interpolates(self):
         data = generate_lipschitz_data(2, 1, 5, 907)

@@ -67,3 +67,41 @@ def test_scan_flags_a_defaulted_but_unread_cfg():
         "    return f(x)\n"
     )
     assert unread_cfg_parameters(source) == ["dropped"]
+
+
+def unused_imports(source):
+    """Names that source imports and never mentions again."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    # __init__.py imports only to re-export, so its names are the package API.
+    unused = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py" and (names := unused_imports(path.read_text()))
+    }
+    assert unused == {}
+
+
+def test_scan_flags_an_unused_import():
+    source = (
+        "import os\n"
+        "import numpy as np\n"
+        "import xml.dom\n"
+        "from dataclasses import dataclass, field\n"
+        "from functools import cached_property as cp\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int = np.int64(0)\n"
+        "    y = cp(lambda self: xml.dom)\n"
+    )
+    assert unused_imports(source) == ["field", "os"]

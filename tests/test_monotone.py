@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from lipext import monotone
 from lipext.errors import SolverCapError
-from lipext.extension import ExtensionModel, FiniteMapData, _ProxAvgModel
+from lipext.extension import ExtensionModel, FiniteMapData
 from lipext.rng import SplitMix64
 from lipext.solvers import SolverConfig, solve_qp
 from lipext.gen import generate_lipschitz_data, generate_monotone_graph
@@ -414,7 +414,7 @@ class TestVertexStart:
     def test_same_resolvent_as_uniform_start_on_tight_data(self, monkeypatch):
         rng = SplitMix64(11)
         for _ in range(20):
-            T = _ProxAvgModel(random_map_data(rng, 3 + rng.integer(5))).T
+            T = ExtensionModel(random_map_data(rng, 3 + rng.integer(5)), "proxavg").graph
             queries = [np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)]) for _ in range(5)]
             self.compare_starts(T, queries, monkeypatch)
 
@@ -431,7 +431,7 @@ class TestVertexStart:
 
         monkeypatch.setattr(monotone, "solve_qp", recording_qp)
         data = generate_lipschitz_data(2, 2, 48, 3)
-        T = _ProxAvgModel(FiniteMapData(data.points, data.values)).T
+        T = ExtensionModel(FiniteMapData(data.points, data.values), "proxavg").graph
         rng = SplitMix64(9)
         queries = [np.array([rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)]) for _ in range(4)]
         self.compare_starts(T, queries, monkeypatch)
