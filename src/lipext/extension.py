@@ -376,6 +376,8 @@ def tietze_extend(data: FiniteMapData, x) -> float:
     if data.n != 1:
         raise ValueError("Tietze extension needs scalar values (n = 1)")
     x = as_vector(x)
+    if x.shape[0] != data.m:
+        raise DimensionMismatchError("query dimension does not match the data")
     d = np.linalg.norm(data.points - x, axis=1)
     dmin = float(np.min(d))
     if dmin <= 1e-12:
@@ -393,12 +395,8 @@ def affine_majorant(omega: Modulus):
     was not subadditive).
     """
     t, v = omega.breakpoints, omega.values
-    prefix_end = 0
-    for idx in range(1, t.size):
-        if v[idx] < 1.0:
-            prefix_end = idx
-        else:
-            break
+    above = np.flatnonzero(v[1:] >= 1.0)
+    prefix_end = int(above[0]) if above.size else t.size - 1
     if prefix_end == 0:
         raise ValueError("no admissible delta: modulus does not drop below 1 at 0+")
     delta = float(t[prefix_end])
@@ -415,7 +413,7 @@ def concave_majorant(omega: Modulus) -> Modulus:
     affine_majorant(omega)  # gate: extendability requires an affine majorant
     t, v = omega.breakpoints, omega.values
     hull = []
-    for p in zip(t, v):
+    for p in zip(t.tolist(), v.tolist()):
         while len(hull) >= 2:
             (t1, v1), (t2, v2) = hull[-2], hull[-1]
             cross = (t2 - t1) * (p[1] - v1) - (p[0] - t1) * (v2 - v1)
@@ -434,27 +432,25 @@ def empirical_modulus(data: FiniteMapData) -> Modulus:
     if data.n != 1:
         raise ValueError("empirical modulus needs scalar values (n = 1)")
     pts, vals = data.points, data.values[:, 0]
-    k = pts.shape[0]
-    pairs = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            pairs.append(
-                (float(np.linalg.norm(pts[i] - pts[j])), abs(float(vals[i] - vals[j])))
-            )
-    if not pairs:
+    if pts.shape[0] < 2:
         return Modulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    pairs.sort()
+    # vecdot matches the per-pair np.linalg.norm bit for bit; norm(axis=1)
+    # and einsum change the last bit of some distances.
+    I, J = np.triu_indices(pts.shape[0], 1)
+    D = pts.take(I, axis=0) - pts.take(J, axis=0)
+    dist = np.sqrt(np.vecdot(D, D))
+    dv = np.abs(vals[I] - vals[J])
+    order = np.lexsort((dv, dist))
+    running = np.maximum.accumulate(dv[order])
     ts, vs = [0.0], [0.0]
-    running = 0.0
-    for t, dv in pairs:
-        running = max(running, dv)
+    for t, v in zip(dist[order].tolist(), running.tolist()):
         if t <= 1e-15:
             continue
-        if ts and abs(t - ts[-1]) <= 1e-15:
-            vs[-1] = max(vs[-1], running)
+        if abs(t - ts[-1]) <= 1e-15:
+            vs[-1] = max(vs[-1], v)
         else:
             ts.append(t)
-            vs.append(running)
+            vs.append(v)
     if len(ts) == 1:
         ts.append(1.0)
         vs.append(0.0)
@@ -466,18 +462,10 @@ def uniform_extend(data: FiniteMapData, x) -> float:
     majorant, then the lower McShane-Whitney envelope.
 
     Values are normalized so the empirical modulus passes the affine-majorant
-    gate regardless of the data's scale; the result is scaled back.
+    gate regardless of the data's scale; the result is scaled back.  For
+    batch queries build an ExtensionModel once instead.
     """
-    if data.n != 1:
-        raise ValueError("uniform extension needs scalar values (n = 1)")
-    if data.size == 1:
-        return float(data.values[0, 0])
-    omega_raw = empirical_modulus(data)
-    s = max(1.0, 2.0 * float(np.max(omega_raw.values)))
-    omega = Modulus(omega_raw.breakpoints, omega_raw.values / s)
-    majorant = concave_majorant(omega)
-    scaled = FiniteMapData(data.points, data.values / s)
-    return s * extend_mcshane(scaled, majorant, x, "lower")
+    return float(ExtensionModel(data, "uniform").query(x)[0][0])
 
 
 class ExtensionModel:
@@ -485,9 +473,10 @@ class ExtensionModel:
 
     The work that depends only on the data is done once, here: the proxavg
     graph, the mcshane modulus w(t) = L t (FiniteMapData's pair check
-    ||db|| <= L ||da|| + 1e-9 already shows that it dominates the data) and
+    ||db|| <= L ||da|| + 1e-9 already shows that it dominates the data),
+    uniform's rescaled data, concave majorant and their checks, and
     project_domain's check that the domain holds every data point.  A query
-    only evaluates.  mcshane and tietze require scalar values.
+    only evaluates.  mcshane, tietze and uniform require scalar values.
     """
 
     METHODS = (
@@ -497,12 +486,13 @@ class ExtensionModel:
         "coordinatewise",
         "project_domain",
         "tietze",
+        "uniform",
     )
 
     def __init__(self, data: FiniteMapData, method: str, cfg=None, domain=None):
         if method not in self.METHODS:
             raise ValueError(f"unknown method {method!r}")
-        if method in ("mcshane", "tietze") and data.n != 1:
+        if method in ("mcshane", "tietze", "uniform") and data.n != 1:
             raise ValueError(f"{method} requires scalar values (n = 1)")
         if method == "project_domain" and domain is None:
             raise ValueError("project_domain requires a convex domain")
@@ -526,6 +516,16 @@ class ExtensionModel:
                 np.max(np.abs(data.values))
             )
             self.omega = linear_modulus(data.L, 4.0 * scale)
+        if method == "uniform":
+            # Values are divided by s so that the empirical modulus passes
+            # the affine-majorant gate whatever the data's scale.
+            raw = empirical_modulus(data)
+            s = self.scale = max(1.0, 2.0 * float(np.max(raw.values)))
+            self.omega = concave_majorant(Modulus(raw.breakpoints, raw.values / s))
+            self.scaled = FiniteMapData(data.points, data.values / s)
+            if not self.omega.is_subadditive:
+                raise ValueError("modulus must be subadditive")
+            _check_modulus_for_data(self.scaled, self.omega)
         if method == "project_domain":
             for i, a in enumerate(data.points):
                 d = distance(a, domain, self.cfg)
@@ -554,4 +554,6 @@ class ExtensionModel:
             return y, 0.0
         if self.method == "tietze":
             return np.array([tietze_extend(data, x)]), 0.0
+        if self.method == "uniform":
+            return self.scale * _envelope(self.scaled, self.omega, x, "lower"), 0.0
         return extend_coordinatewise(data, x), 0.0

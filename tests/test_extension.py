@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from lipext import extension
-from lipext.errors import DataConsistencyError, ModulusViolationError
+from lipext.errors import (
+    DataConsistencyError,
+    DimensionMismatchError,
+    ModulusViolationError,
+)
 from lipext.geometry import Ball
 from lipext.rng import SplitMix64
 from lipext.solvers import SolverConfig, polyak_subgradient
@@ -343,6 +347,11 @@ class TestTietze:
         for eps in (1e-3, 1e-5, 1e-7):
             assert abs(tietze_extend(data, np.array([eps])) - 0.0) <= 0.2
 
+    def test_query_dimension_checked(self):
+        data = generate_lipschitz_data(2, 1, 5, 909)
+        with pytest.raises(DimensionMismatchError):
+            tietze_extend(data, np.array([0.3]))
+
     def test_tau_inverse_identity(self):
         rng = SplitMix64(23)
         for _ in range(50):
@@ -424,6 +433,81 @@ def _scalar_datasets(rng, k):
     A = np.array([[rng.uniform(-1, 1) for _ in range(m)] for _ in range(k)])
     B = np.array([[rng.uniform(-1, 1)] for _ in range(k)])
     return [gen, FiniteMapData(gen.points, gen.values), FiniteMapData(A, B)]
+
+
+def per_pair_empirical_modulus(data):
+    """The loop empirical_modulus replaced: one np.linalg.norm per pair, a
+    sort of (distance, gap) tuples and a running maximum."""
+    pts, vals = data.points, data.values[:, 0]
+    k = pts.shape[0]
+    pairs = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            pairs.append(
+                (float(np.linalg.norm(pts[i] - pts[j])), abs(float(vals[i] - vals[j])))
+            )
+    if not pairs:
+        return Modulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+    pairs.sort()
+    ts, vs = [0.0], [0.0]
+    running = 0.0
+    for t, dv in pairs:
+        running = max(running, dv)
+        if t <= 1e-15:
+            continue
+        if ts and abs(t - ts[-1]) <= 1e-15:
+            vs[-1] = max(vs[-1], running)
+        else:
+            ts.append(t)
+            vs.append(running)
+    if len(ts) == 1:
+        ts.append(1.0)
+        vs.append(0.0)
+    return Modulus(np.array(ts), np.array(vs))
+
+
+def _modulus_datasets():
+    """Seeded scalar data with m in {1, 2, 3, 5} and k up to 60: smooth
+    random data, and grid data with repeated points (equal values) and many
+    equal distances."""
+    rng = SplitMix64(53)
+    out = []
+    for m in (1, 2, 3, 5):
+        for k in (1, 2, 3, 17, 60):
+            A = np.array([[rng.uniform(-1, 1) for _ in range(m)] for _ in range(k)])
+            B = np.array([[rng.uniform(-1, 1)] for _ in range(k)])
+            out.append(FiniteMapData(A, B))
+            G = np.array([[0.5 * rng.integer(4) for _ in range(m)] for _ in range(k)])
+            cells = {}
+            V = np.array([[cells.setdefault(tuple(g), 0.25 * rng.integer(5))] for g in G])
+            out.append(FiniteMapData(G, V))
+    return out
+
+
+class TestEmpiricalModulus:
+    def test_bit_identical_to_per_pair_loop(self):
+        datasets = _modulus_datasets()
+        assert any(
+            np.unique(d.points, axis=0).shape[0] < d.size for d in datasets
+        )  # repeated points are covered
+        for data in datasets:
+            got, ref = empirical_modulus(data), per_pair_empirical_modulus(data)
+            assert got.breakpoints.tobytes() == ref.breakpoints.tobytes()
+            assert got.values.tobytes() == ref.values.tobytes()
+
+    def test_uniform_model_matches_function(self):
+        rng = SplitMix64(59)
+        for data in _modulus_datasets():
+            model = ExtensionModel(data, "uniform")
+            for _ in range(3):
+                x = np.array([rng.uniform(-1.5, 1.5) for _ in range(data.m)])
+                y, residual = model.query(x)
+                assert y[0] == uniform_extend(data, x) and residual == 0.0
+
+    def test_uniform_model_rejects_vector_values(self):
+        data = generate_lipschitz_data(2, 2, 5, 910)
+        with pytest.raises(ValueError, match="scalar"):
+            ExtensionModel(data, "uniform")
 
 
 class TestLazyModulus:
@@ -531,12 +615,13 @@ class TestExtensionModelSurface:
                 extend_project_domain(data, domain, x, CFG), 0.0
             ),
             "tietze": lambda x: ([tietze_extend(scalar, x)], 0.0),
+            "uniform": lambda x: ([uniform_extend(scalar, x)], 0.0),
         }
         assert set(functions) == set(ExtensionModel.METHODS)
         queries = [np.array([0.3, -0.8]), np.array([4.0, 1.5]), data.points[2]]
         for method, function in functions.items():
             model = ExtensionModel(
-                scalar if method in ("mcshane", "tietze") else data,
+                scalar if method in ("mcshane", "tietze", "uniform") else data,
                 method, CFG, domain=domain,
             )
             for x in queries:
@@ -556,7 +641,8 @@ class TestExtensionModelSurface:
         def per_data_work(*args, **kwargs):
             raise AssertionError("per-data work ran at query time")
 
-        for name in ("pairwise", "_check_modulus_for_data", "distance"):
+        for name in ("pairwise", "_check_modulus_for_data", "distance",
+                     "empirical_modulus", "concave_majorant"):
             monkeypatch.setattr(extension, name, per_data_work)
         for model in models:
             y, residual = model.query(np.array([0.3, -0.8]))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from lipext.geometry import (
     dot,
     norm,
     pairwise,
+    _BLOCK_PAIRS,
 )
 from lipext.rng import SplitMix64
 
@@ -151,3 +153,91 @@ def test_pairwise_matches_brute_force(k, name):
     assert got == ref and repr(got[0]) == repr(ref[0])
     if k < 2:
         assert got == (-math.inf, None)
+
+
+def per_row_pairwise(points, values, kernel):
+    """The scan before blocks: one kernel call per row i over the pairs
+    (i, j > i), a later row replacing the witness only when strictly larger."""
+    best, pair = -math.inf, None
+    for i in range(points.shape[0] - 1):
+        scores = kernel(points[i] - points[i + 1 :], values[i] - values[i + 1 :])
+        j = int(np.argmax(scores))
+        if pair is None or scores[j] > best:
+            best, pair = float(scores[j]), (i, i + 1 + j)
+    return best, pair
+
+
+def block_rows(k):
+    """First row of every block the scan forms, mirroring its rule."""
+    starts, i = [], 0
+    while i < k - 1:
+        starts.append(i)
+        r, size = i + 1, k - 1 - i
+        while r < k - 1 and size + (k - 1 - r) <= _BLOCK_PAIRS:
+            size += k - 1 - r
+            r += 1
+        i = r
+    return starts
+
+
+# One block one pair under the cap and two blocks just over it; the first
+# row alone at the cap, and one pair over it.  No block of two or more rows
+# fills the cap exactly: 4096 is no sum of consecutive integers.
+EDGE_KS = [1, 2, 3, 91, 92, 4097, 4098]
+
+
+def grid_map(k, seed):
+    """Points and values on a coarse grid: exact ties and duplicate rows."""
+    rng = SplitMix64(seed)
+    grid = lambda: 0.5 * rng.integer(5) - 1.0
+    points = np.array([[grid(), grid()] for _ in range(k)])
+    values = np.array([[grid(), grid()] for _ in range(k)])
+    return points, values
+
+
+def test_block_edges_are_exercised():
+    assert sum(range(1, 91)) == _BLOCK_PAIRS - 1
+    assert block_rows(91) == [0] and len(block_rows(92)) == 2
+    assert len(block_rows(4097)) > 1 and block_rows(4098)[:3] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("k", EDGE_KS)
+@pytest.mark.parametrize("name", sorted(PAIR_KERNELS))
+def test_blocked_pairwise_matches_per_row_scan(k, name):
+    points, values = grid_map(k, 200 + k)
+    got = pairwise(points, values, PAIR_KERNELS[name])
+    ref = per_row_pairwise(points, values, PAIR_KERNELS[name])
+    assert got == ref and repr(got[0]) == repr(ref[0])
+
+
+@pytest.mark.parametrize("across", [False, True])
+def test_blocked_pairwise_keeps_first_of_tied_maxima(across):
+    # Score v_i - v_j: rows a and b score 1 against every other point, so
+    # (a, a + 1) and (b, b + 1) tie for the maximum.  b lies in the same
+    # block as a, or in the next block.
+    k = 92
+    starts = block_rows(k)
+    a = 3
+    b = starts[1] + 2 if across else a + 5
+    assert (b >= starts[1]) == across
+    points = np.zeros((k, 1))
+    values = np.zeros((k, 1))
+    values[[a, b]] = 1.0
+    kernel = lambda dp, dv: dv[:, 0]
+    got = pairwise(points, values, kernel)
+    assert got == per_row_pairwise(points, values, kernel) == (1.0, (a, a + 1))
+
+
+def test_blocked_pairwise_memory_is_not_quadratic():
+    # All 1,999,000 pairs at once would take 32 MB per difference array.
+    rng = SplitMix64(7)
+    points = np.array([[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(2000)])
+    values = points[:, :1] * 0.5
+    tracemalloc.start()
+    try:
+        best, pair = pairwise(points, values, PAIR_KERNELS["excess"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert best < 0.0 and pair is not None
+    assert peak < 3e6
