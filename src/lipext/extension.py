@@ -434,8 +434,8 @@ def empirical_modulus(data: FiniteMapData) -> Modulus:
     pts, vals = data.points, data.values[:, 0]
     if pts.shape[0] < 2:
         return Modulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    # vecdot matches the per-pair np.linalg.norm bit for bit; norm(axis=1)
-    # and einsum change the last bit of some distances.
+    # vecdot (NumPy >= 2.0) matches the per-pair np.linalg.norm bit for bit;
+    # norm(axis=1) and einsum change the last bit of some distances.
     I, J = np.triu_indices(pts.shape[0], 1)
     D = pts.take(I, axis=0) - pts.take(J, axis=0)
     dist = np.sqrt(np.vecdot(D, D))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_vector, pairwise
+from .geometry import as_vector, dot, pairwise
 from .errors import DimensionMismatchError, SolverCapError
 from .solvers import SolverConfig, solve_qp
 from .convex_functions import MaxAffineConjugate, _polyhedral_conjugate_value
@@ -54,7 +54,7 @@ class OperatorGraph:
         object.__setattr__(self, "points", xs)
         object.__setattr__(self, "values", vs)
         if not self.multi_valued:
-            pair = _first_conflict(xs, vs, (1e-12,))
+            pair = _first_conflict(xs, vs, 1e-12)
             if pair is not None:
                 i, j = pair
                 raise ValueError(
@@ -80,13 +80,13 @@ class OperatorGraph:
         return list(zip(self.points, self.values))
 
 
-def _first_conflict(points, values, tols):
-    """First pair of points within some tol in tols whose values differ
-    beyond that tol (both in the max-abs norm), or None."""
+def _first_conflict(points, values, tol):
+    """First pair of points within tol whose values differ beyond tol (both
+    in the max-abs norm), or None."""
 
     def kernel(dp, dv):
-        near, apart = np.max(np.abs(dp), axis=1), np.max(np.abs(dv), axis=1)
-        return np.logical_or.reduce([(near <= tol) & (apart > tol) for tol in tols])
+        same = np.max(np.abs(dp), axis=1) <= tol
+        return same & (np.max(np.abs(dv), axis=1) > tol)
 
     worst, pair = pairwise(points, values, kernel)
     return pair if worst > 0.0 else None
@@ -134,17 +134,16 @@ def resolvent_of_graph(T: OperatorGraph) -> OperatorGraph:
     """Push graph(T) through (x, x*) -> (x + x*, x), the graph of (T + id)^-1.
 
     Monotone input makes the image single-valued; a conflict therefore
-    signals non-monotone input and is raised.  One scan flags conflicts at
-    1e-10 and at OperatorGraph's own 1e-12, since neither implies the other.
+    signals non-monotone input and is raised.
     """
     ys = T.points + T.values
-    pair = _first_conflict(ys, T.points, (1e-10, 1e-12))
+    pair = _first_conflict(ys, T.points, 1e-10)
     if pair is not None:
         raise ValueError(
             f"resolvent image is multi-valued on pairs {pair}; "
             "the input graph is not monotone"
         )
-    return OperatorGraph(ys, T.points.copy(), multi_valued=True)
+    return OperatorGraph(ys, T.points.copy())
 
 
 def graph_of_resolvent(F: OperatorGraph) -> OperatorGraph:
@@ -177,23 +176,18 @@ def _atoms(T: OperatorGraph):
     return Arows, Brows, o
 
 
-def _dots(A, B):
-    """Row-wise <a_i, b> (or <a_i, b_i> for a matrix B), each summed left to
-    right as geometry.dot sums."""
-    s = np.zeros(A.shape[0])
-    for c in range(A.shape[1]):
-        s += A[:, c] * B[..., c]
-    return s
-
-
 def fitzpatrick_eval(T: OperatorGraph, x, xstar) -> float:
     """Exact max over the graph of <x, a*> + <a, x*> - <a, a*>."""
     x = as_vector(x)
     xstar = as_vector(xstar)
     if x.shape[0] != T.dim or xstar.shape[0] != T.dim:
         raise DimensionMismatchError("argument dimension does not match the graph")
-    terms = _dots(T.values, x) + _dots(T.points, xstar) - _dots(T.points, T.values)
-    return float(np.max(terms))
+    best = -np.inf
+    for a, astar in zip(T.points, T.values):
+        term = dot(x, astar) + dot(a, xstar) - dot(a, astar)
+        if term > best:
+            best = term
+    return best
 
 
 def fitzpatrick_conj_eval(T: OperatorGraph, y, ystar, cfg=None) -> float:

