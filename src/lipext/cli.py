@@ -2,9 +2,11 @@
 
 Subcommands: extend, helly, function, monotone, gen, replay.  Reports are
 written to --out (JSON or CSV); stdout stays data-free and diagnostics go to
-stderr.  Every run also writes <out>.manifest.json recording the exact
-argument vector and config, so `lipext replay <manifest>` reproduces the
-output files byte for byte.
+stderr.  A run that writes its report (exit 0, 1, or 4 for a tolerance) also
+writes <out>.manifest.json recording the exact argument vector and config, so
+`lipext replay <manifest>` reproduces the output files byte for byte.  No
+manifest is written on exits 2, 3, 5, 6 or a solver-cap 4, and replay writes
+none of its own.
 
 Exit codes: 0 success (intersecting / residuals within --tol), 1 negative
 result (family does not intersect, monotonicity check fails), 2 parse error,
@@ -13,6 +15,7 @@ result (family does not intersect, monotonicity check fails), 2 parse error,
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -47,72 +50,85 @@ def _config(args) -> SolverConfig:
     return SolverConfig(tol=min(args.tol, 1e-9), max_iters=args.max_iters, seed=args.seed)
 
 
-def _write_manifest(args, outputs, started):
+def _write_manifest(args, started):
     manifest = {
         "subcommand": args.subcommand,
         "argv": args._argv,
         "inputs": {k: getattr(args, k) for k in args._input_fields},
         "config": {"tol": args.tol, "seed": args.seed, "max_iters": args.max_iters},
-        "outputs": outputs,
+        "outputs": [args.out],
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
-    io.write_text(args.out + ".manifest.json", io.canonical_json(manifest))
-
-
-def _load_json_checked(path):
-    try:
-        return io.load_json(path)
-    except json.JSONDecodeError as exc:
-        raise _ParseFailure(
-            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    except OSError as exc:
-        raise _ParseFailure(str(exc)) from exc
+    io.write_json(args.out + ".manifest.json", manifest)
 
 
 class _ParseFailure(Exception):
     pass
 
 
-def cmd_extend(args):
-    started = time.perf_counter()
-    raw = _load_json_checked(args.data)
+def _parse(path, build, errors):
+    """build(JSON document at path); a bad file or one of `errors` is exit 2."""
     try:
-        data = io.data_from_dict(raw)
-    except (KeyError, TypeError) as exc:
-        raise _ParseFailure(f"{args.data}: {exc}") from exc
+        raw = io.load_json(path)
+    except json.JSONDecodeError as exc:
+        raise _ParseFailure(
+            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except OSError as exc:
+        raise _ParseFailure(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise _ParseFailure(f"{path}: {exc}") from exc
     try:
-        queries = io.load_queries_csv(args.queries, data.m)
+        return build(raw)
+    except errors as exc:
+        raise _ParseFailure(f"{path}: {exc}") from exc
+
+
+def _points(path, dim):
+    try:
+        return io.load_queries_csv(path, dim)
     except (OSError, ValueError) as exc:
-        raise _ParseFailure(f"{args.queries}: {exc}") from exc
-    model = ExtensionModel(data, args.method, _config(args))
-    header = (
-        [f"q_{i + 1}" for i in range(data.m)]
-        + [f"F_{i + 1}" for i in range(data.n)]
-        + ["residual"]
-    )
-    rows = []
-    worst = 0.0
-    for q in queries:
-        y, residual = model.query(q)
-        worst = max(worst, residual)
-        rows.append(list(q) + list(np.atleast_1d(y)) + [residual])
-    io.write_csv(args.out, header, rows)
-    _write_manifest(args, [args.out], started)
-    if worst > args.tol:
-        _err(f"worst residual {worst:.3e} exceeds tol {args.tol:.3e}")
+        raise _ParseFailure(f"{path}: {exc}") from exc
+
+
+def _within(value, tol, message):
+    """Exit code 0, or 4 with message on stderr when value exceeds tol."""
+    if value > tol:
+        _err(message)
         return 4
     return 0
 
 
+def _residual_rows(out, header, queries, solve):
+    """Write one row per query (q, solve(q)'s point, residual); worst residual."""
+    rows = []
+    worst = 0.0
+    for q in queries:
+        y, residual = solve(q)
+        worst = max(worst, residual)
+        rows.append(list(q) + list(np.atleast_1d(y)) + [residual])
+    io.write_csv(out, header + ["residual"], rows)
+    return worst
+
+
+def cmd_extend(args):
+    data = _parse(args.data, io.data_from_dict, (KeyError, TypeError))
+    queries = _points(args.queries, data.m)
+    model = ExtensionModel(data, args.method, _config(args))
+    header = [f"q_{i + 1}" for i in range(data.m)] + [
+        f"F_{i + 1}" for i in range(data.n)
+    ]
+    worst = _residual_rows(args.out, header, queries, model.query)
+    return _within(
+        worst, args.tol, f"worst residual {worst:.3e} exceeds tol {args.tol:.3e}"
+    )
+
+
 def cmd_helly(args):
-    started = time.perf_counter()
-    raw = _load_json_checked(args.family)
-    try:
-        family = io.family_from_dict(raw)
-    except (KeyError, TypeError, FormatError) as exc:
-        raise _ParseFailure(f"{args.family}: {exc}") from exc
+    family = _parse(
+        args.family, io.family_from_dict, (KeyError, TypeError, FormatError)
+    )
     cfg = _config(args)
     if args.mode == "common-point":
         report = common_point(family, cfg)
@@ -121,48 +137,31 @@ def cmd_helly(args):
         report = check_k_intersection(family, k, cfg)
     else:
         report = helly_verify(family, cfg)
-    io.write_text(args.out, io.canonical_json(io.report_to_dict(report)))
-    _write_manifest(args, [args.out], started)
+    io.write_json(args.out, io.report_to_dict(report))
     return 0 if report.intersects else 1
 
 
 def cmd_function(args):
-    started = time.perf_counter()
-    raw = _load_json_checked(args.function)
-    try:
-        fn = io.function_from_dict(raw, default_box=args.box)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _ParseFailure(f"{args.function}: {exc}") from exc
+    build = functools.partial(io.function_from_dict, default_box=args.box)
+    errors = (KeyError, TypeError, ValueError)
+    fn = _parse(args.function, build, errors)
     cfg = _config(args)
     if args.eval is not None:
-        try:
-            pts = io.load_queries_csv(args.eval, fn.dim)
-        except (OSError, ValueError) as exc:
-            raise _ParseFailure(f"{args.eval}: {exc}") from exc
+        pts = _points(args.eval, fn.dim)
         header = [f"x_{i + 1}" for i in range(fn.dim)] + ["value"]
         rows = [list(p) + [cf.eval(fn, p, cfg)] for p in pts]
         io.write_csv(args.out, header, rows)
-        _write_manifest(args, [args.out], started)
         return 0
     if args.duality is not None:
-        raw = _load_json_checked(args.duality)
-        try:
-            neg_g = io.function_from_dict(raw, args.box)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _ParseFailure(f"{args.duality}: {exc}") from exc
+        neg_g = _parse(args.duality, build, errors)
         if args.box is None:
             raise _ParseFailure("--duality requires --box")
         box = cf.cube(args.box, fn.dim)
         primal, dual, gap = cf.fenchel_duality_solve(fn, neg_g, box, cfg)
-        io.write_text(
-            args.out,
-            io.canonical_json({"primal": primal, "dual": dual, "gap": gap}),
+        io.write_json(args.out, {"primal": primal, "dual": dual, "gap": gap})
+        return _within(
+            abs(gap), max(args.tol, 1e-5), f"duality gap {gap:.3e} exceeds tolerance"
         )
-        _write_manifest(args, [args.out], started)
-        if abs(gap) > max(args.tol, 1e-5):
-            _err(f"duality gap {gap:.3e} exceeds tolerance")
-            return 4
-        return 0
     # --conjugate-check: biconjugation gap on an interior sample grid
     if args.box is None:
         raise _ParseFailure("--conjugate-check requires --box")
@@ -172,95 +171,68 @@ def cmd_function(args):
     gap = cf.biconjugate_check(
         fn, samples, cfg, primal_box=primal_box, dual_box=primal_box
     )
-    io.write_text(
-        args.out, io.canonical_json({"max_gap": gap, "samples": len(samples)})
+    io.write_json(args.out, {"max_gap": gap, "samples": len(samples)})
+    return _within(
+        gap, max(args.tol, 1e-5), f"biconjugation gap {gap:.3e} exceeds tolerance"
     )
-    _write_manifest(args, [args.out], started)
-    if gap > max(args.tol, 1e-5):
-        _err(f"biconjugation gap {gap:.3e} exceeds tolerance")
-        return 4
-    return 0
 
 
 def cmd_monotone(args):
-    started = time.perf_counter()
-    raw = _load_json_checked(args.graph)
-    try:
-        T = io.graph_from_dict(raw)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise _ParseFailure(f"{args.graph}: {exc}") from exc
+    T = _parse(args.graph, io.graph_from_dict, (KeyError, TypeError, IndexError))
     _config(args)  # rejects a bad --tol or --max-iters (exit 3)
     if args.check:
         rep = is_monotone(T)
-        io.write_text(
+        io.write_json(
             args.out,
-            io.canonical_json(
-                {
-                    "monotone": rep.passed,
-                    "worst_value": None if rep.worst_pair is None else rep.worst_value,
-                    "worst_pair": None
-                    if rep.worst_pair is None
-                    else list(rep.worst_pair),
-                }
-            ),
+            {
+                "monotone": rep.passed,
+                "worst_value": None if rep.worst_pair is None else rep.worst_value,
+                "worst_pair": None if rep.worst_pair is None else list(rep.worst_pair),
+            },
         )
-        _write_manifest(args, [args.out], started)
         return 0 if rep.passed else 1
     if args.resolvent is not None:
-        try:
-            queries = io.load_queries_csv(args.resolvent, T.dim)
-        except (OSError, ValueError) as exc:
-            raise _ParseFailure(f"{args.resolvent}: {exc}") from exc
-        header = (
-            [f"x_{i + 1}" for i in range(T.dim)]
-            + [f"y_{i + 1}" for i in range(T.dim)]
-            + ["residual"]
+        queries = _points(args.resolvent, T.dim)
+        header = [f"x_{i + 1}" for i in range(T.dim)] + [
+            f"y_{i + 1}" for i in range(T.dim)
+        ]
+        worst = _residual_rows(
+            args.out, header, queries, lambda q: resolvent_eval(T, q)
         )
-        rows = []
-        worst = 0.0
-        for q in queries:
-            y, residual = resolvent_eval(T, q)
-            worst = max(worst, residual)
-            rows.append(list(q) + list(y) + [residual])
-        io.write_csv(args.out, header, rows)
-        _write_manifest(args, [args.out], started)
-        if worst > args.tol:
-            _err(f"worst resolvent residual {worst:.3e} exceeds tol")
-            return 4
-        return 0
-    try:
-        samples = io.load_queries_csv(args.autoconjugacy, 2 * T.dim)
-    except (OSError, ValueError) as exc:
-        raise _ParseFailure(f"{args.autoconjugacy}: {exc}") from exc
+        return _within(
+            worst, args.tol, f"worst resolvent residual {worst:.3e} exceeds tol"
+        )
+    samples = _points(args.autoconjugacy, 2 * T.dim)
     gap = autoconjugacy_check(T, samples)
-    io.write_text(
-        args.out, io.canonical_json({"max_gap": gap, "samples": len(samples)})
+    io.write_json(args.out, {"max_gap": gap, "samples": len(samples)})
+    return _within(
+        gap, max(args.tol, 1e-4), f"autoconjugacy gap {gap:.3e} exceeds tolerance"
     )
-    _write_manifest(args, [args.out], started)
-    if gap > max(args.tol, 1e-4):
-        _err(f"autoconjugacy gap {gap:.3e} exceeds tolerance")
-        return 4
-    return 0
 
 
 def cmd_gen(args):
-    started = time.perf_counter()
     if args.kind == "lipschitz-data":
         data = generate_lipschitz_data(args.m, args.n, args.count, args.seed)
-        io.write_text(args.out, io.canonical_json(io.data_to_dict(data)))
+        io.write_json(args.out, io.data_to_dict(data))
     else:
         family = generate_ball_family(args.n, args.count, args.seed, args.mode)
-        io.write_text(args.out, io.canonical_json(io.family_to_dict(family)))
-    _write_manifest(args, [args.out], started)
+        io.write_json(args.out, io.family_to_dict(family))
     return 0
 
 
-def cmd_replay(args):
-    manifest = _load_json_checked(args.manifest)
-    argv = manifest.get("argv")
+def _replay_argv(manifest):
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
     if not isinstance(argv, list):
-        raise _ParseFailure(f"{args.manifest}: manifest carries no argv")
-    return main(argv)
+        raise TypeError("manifest carries no argv")
+    if not all(isinstance(a, str) for a in argv):
+        raise TypeError("manifest argv holds a non-string")
+    if build_parser().parse_args(argv).subcommand == "replay":
+        raise TypeError("manifest replays a manifest")
+    return argv
+
+
+def cmd_replay(args):
+    return main(_parse(args.manifest, _replay_argv, (TypeError,)))
 
 
 def _add_common(p, out_required=True):
@@ -344,13 +316,16 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._argv = list(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if args.subcommand != "replay":  # the replayed run wrote its own
+            _write_manifest(args, started)
+        return code
     except _ParseFailure as exc:
         _err(f"parse error: {exc}")
         return 2

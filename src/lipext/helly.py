@@ -114,7 +114,7 @@ def common_point(family: BodyFamily, cfg=None) -> IntersectionReport:
                 f, g = oracle(x)
     return IntersectionReport(
         intersects=best_f <= INTERSECT_TOL,
-        witness=best_x if best_f <= INTERSECT_TOL else best_x,
+        witness=best_x,
         residual=best_f,
     )
 

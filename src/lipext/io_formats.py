@@ -36,8 +36,8 @@ from .extension import FiniteMapData
 from . import convex_functions as cf
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n"
+def write_json(path, obj):
+    write_text(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n")
 
 
 def write_text(path, text):
@@ -48,19 +48,8 @@ def write_text(path, text):
 def write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(repr(float(v)) for v in row))
     write_text(path, "\n".join(lines) + "\n")
-
-
-def _fmt(v):
-    if isinstance(v, str):
-        return v
-    v = float(v)
-    if v == float("inf"):
-        return "inf"
-    if v == float("-inf"):
-        return "-inf"
-    return repr(v)
 
 
 def load_json(path):
@@ -109,13 +98,6 @@ def data_from_dict(d) -> FiniteMapData:
     if values.ndim != 2 or values.shape[1] != int(d["n"]):
         raise ValueError("values do not match the declared n")
     return FiniteMapData(points, values, d.get("L"))
-
-
-def graph_to_dict(T: OperatorGraph) -> dict:
-    return {
-        "n": T.dim,
-        "pairs": [[x.tolist(), v.tolist()] for x, v in T.pairs()],
-    }
 
 
 def graph_from_dict(d) -> OperatorGraph:

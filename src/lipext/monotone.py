@@ -62,12 +62,6 @@ class OperatorGraph:
                     "pass multi_valued=True for set-valued graphs"
                 )
 
-    @classmethod
-    def from_pairs(cls, pairs, multi_valued=False):
-        xs = [as_vector(p) for p, _ in pairs]
-        vs = [as_vector(v) for _, v in pairs]
-        return cls(np.asarray(xs), np.asarray(vs), multi_valued)
-
     @property
     def dim(self) -> int:
         return self.points.shape[1]

@@ -1,9 +1,12 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from lipext import __version__
 from lipext.cli import main
+from lipext.errors import BoxExhaustionError
 from lipext import convex_functions as cf
 from lipext import monotone
 from lipext import io_formats as io
@@ -292,3 +295,372 @@ class TestGenCommand:
         b0, b1 = fam.bodies[0], fam.bodies[1]
         gap = float(np.linalg.norm(b0.center - b1.center)) - b0.radius - b1.radius
         assert gap >= 0.29
+
+
+# Every exit path of every subcommand, pinned: exit code, report bytes, the
+# one stderr line, and the manifest (all of it but wall_time_s), or its absence.
+# Placeholders in braces name the input files written by the `inputs` fixture.
+
+INPUTS = {
+    "data": {"m": 1, "n": 1, "L": 1.0,
+             "points": [[-1.0], [1.0]], "values": [[0.0], [2.0]]},
+    "steep": {"m": 1, "n": 1, "L": 1.0,
+              "points": [[0.0], [1.0]], "values": [[0.0], [5.0]]},
+    "wide": {"m": 1, "n": 2, "L": 1.0,
+             "points": [[0.0], [1.0]], "values": [[0.0], [1.0]]},
+    "nopoints": {"m": 1, "n": 1, "values": [[0.0]]},
+    "fam": {"n": 2, "bodies": [
+        {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        {"kind": "ball", "center": [1.0, 0.0], "radius": 1.0}]},
+    "apart": {"n": 1, "bodies": [
+        {"kind": "ball", "center": [0.0], "radius": 1.0},
+        {"kind": "ball", "center": [3.0], "radius": 1.0}]},
+    "crowd": {"n": 2, "bodies": [
+        {"kind": "ball", "center": [float(i), 0.0], "radius": 50.0}
+        for i in range(45)]},
+    "blob": {"n": 2, "bodies": [{"kind": "blob", "radius": 1.0}]},
+    "nocenter": {"n": 2, "bodies": [{"kind": "ball", "radius": 1.0}]},
+    "negative": {"n": 2, "bodies": [
+        {"kind": "ball", "center": [0.0, 0.0], "radius": -1.0}]},
+    "quad": {"node": "quadratic", "n": 1},
+    "linear": {"node": "max_affine", "slopes": [[1.0]], "offsets": [0.0]},
+    "zero": {"node": "max_affine", "slopes": [[0.0]], "offsets": [0.0]},
+    "nooffsets": {"node": "max_affine", "slopes": [[1.0]]},
+    "mystery": {"node": "mystery"},
+    "boxless": {"node": "inf_conv", "left": {"node": "quadratic", "n": 1},
+                "right": {"node": "quadratic", "n": 1}},
+    "graph": {"n": 1, "pairs": [[[0.0], [0.0]], [[1.0], [1.0]]]},
+    "antigraph": {"n": 1, "pairs": [[[0.0], [1.0]], [[1.0], [0.0]]]},
+    "nopairs": {"n": 1},
+    "halfpair": {"n": 1, "pairs": [[[0.0]]]},
+    "emptygraph": {"n": 1, "pairs": []},
+    "conflict": {"n": 1, "pairs": [[[0.0], [0.0]], [[0.0], [1.0]]]},
+}
+CSVS = {
+    "q": "0.0\n0.5\n",
+    "q2": "0.5,0.5\n-1.0,0.25\n",
+    "qbad": "0.0\nzero\n",
+}
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    paths = {name: write(tmp_path / f"{name}.json", json.dumps(doc))
+             for name, doc in INPUTS.items()}
+    paths.update({name: write(tmp_path / f"{name}.csv", text)
+                  for name, text in CSVS.items()})
+    paths["notjson"] = write(tmp_path / "notjson.json", "{ not json")
+    paths["missing"] = str(tmp_path / "missing.json")
+    paths["out"] = str(tmp_path / "report")
+    return paths
+
+
+def _fill(template, paths):
+    if isinstance(template, str):
+        return template.format(**paths)
+    if isinstance(template, list):
+        return [_fill(t, paths) for t in template]
+    if isinstance(template, dict):
+        return {k: _fill(v, paths) for k, v in template.items()}
+    return template
+
+
+def _returning(value):
+    return lambda *args, **kwargs: value
+
+
+def _raising(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def _unconverged_qp(P, q, A_eq, b_eq, G, h, z0, **kwargs):
+    return np.array(z0, dtype=float), {"converged": False, "iters": 321}
+
+
+def path_case(argv, rc, report=None, err="", inputs=None, patch=None):
+    """One exit path; inputs=None means no manifest may be written."""
+    files = [a.strip("{}") for a in argv if a.startswith("{") and a != "{out}"]
+    return pytest.param(argv, rc, report, err, inputs, patch,
+                        id="-".join([argv[0], str(rc)] + files))
+
+
+EXTEND = ["extend", "--data", "{data}", "--queries", "{q}", "--method", "mcshane",
+          "--out", "{out}"]
+EXTEND_IN = {"data": "{data}", "queries": "{q}", "method": "mcshane"}
+GRAPH_OUT = '{\n  "monotone": true,\n  "worst_pair": [\n    0,\n    1\n  ],\n  "worst_value": 1.0\n}\n'
+COMMON_POINT = ('{\n  "intersects": true,\n  "residual": 0.0,\n  "violating_subset": null,'
+                '\n  "witness": [\n    0.5,\n    0.0\n  ]\n}\n')
+
+EXIT_PATHS = [
+    # extend
+    path_case(EXTEND, 0, "q_1,F_1,residual\n0.0,1.0,0.0\n0.5,1.5,0.0\n",
+              inputs=EXTEND_IN),
+    path_case(EXTEND, 4, "q_1,F_1,residual\n0.0,7.0,0.25\n0.5,7.0,0.25\n",
+              "lipext: worst residual 2.500e-01 exceeds tol 1.000e-06\n", EXTEND_IN,
+              ("lipext.extension.ExtensionModel.query",
+               _returning((np.array([7.0]), 0.25)))),
+    path_case(["extend", "--data", "{data}", "--queries", "{q}", "--method", "proxavg",
+               "--out", "{out}"], 4,
+              err="lipext: solver non-convergence: resolvent QP capped at 321 iterations\n",
+              patch=("lipext.monotone.solve_qp", _unconverged_qp)),
+    path_case(["extend", "--data", "{notjson}", "--queries", "{q}", "--method", "mcshane",
+               "--out", "{out}"], 2,
+              err="lipext: parse error: {notjson}: line 1 column 3: "
+                  "Expecting property name enclosed in double quotes\n"),
+    path_case(["extend", "--data", "{missing}", "--queries", "{q}", "--method", "mcshane",
+               "--out", "{out}"], 2,
+              err="lipext: parse error: [Errno 2] No such file or directory: '{missing}'\n"),
+    path_case(["extend", "--data", "{nopoints}", "--queries", "{q}", "--method",
+               "mcshane", "--out", "{out}"], 2,
+              err="lipext: parse error: {nopoints}: 'points'\n"),
+    path_case(["extend", "--data", "{data}", "--queries", "{qbad}", "--method", "mcshane",
+               "--out", "{out}"], 2,
+              err="lipext: parse error: {qbad}: line 2: could not convert string to "
+                  "float: 'zero'\n"),
+    path_case(["extend", "--data", "{data}", "--queries", "{q2}", "--method", "mcshane",
+               "--out", "{out}"], 2,
+              err="lipext: parse error: {q2}: expected 1 columns, found 2\n"),
+    path_case(["extend", "--data", "{steep}", "--queries", "{q}", "--method", "mcshane",
+               "--out", "{out}"], 3,
+              err="lipext: invalid data: data is not 1.0-Lipschitz: pair (0, 1) has "
+                  "||db|| = 5 > L ||da|| = 1\n"),
+    path_case(["extend", "--data", "{wide}", "--queries", "{q}", "--method", "mcshane",
+               "--out", "{out}"], 3,
+              err="lipext: invalid data: values do not match the declared n\n"),
+    # helly
+    path_case(["helly", "--family", "{fam}", "--out", "{out}"], 0, COMMON_POINT,
+              inputs={"family": "{fam}", "mode": "verify", "k": None}),
+    path_case(["helly", "--family", "{fam}", "--mode", "common-point", "--out", "{out}"],
+              0, COMMON_POINT,
+              inputs={"family": "{fam}", "mode": "common-point", "k": None}),
+    path_case(["helly", "--family", "{apart}", "--mode", "k-check", "--k", "2",
+               "--out", "{out}"], 1,
+              '{\n  "intersects": false,\n  "residual": 0.5,\n  "violating_subset": [\n'
+              '    0,\n    1\n  ],\n  "witness": null\n}\n',
+              inputs={"family": "{apart}", "mode": "k-check", "k": 2}),
+    path_case(["helly", "--family", "{blob}", "--out", "{out}"], 2,
+              err="lipext: parse error: {blob}: unknown body kind 'blob'\n"),
+    path_case(["helly", "--family", "{nocenter}", "--out", "{out}"], 2,
+              err="lipext: parse error: {nocenter}: 'center'\n"),
+    path_case(["helly", "--family", "{negative}", "--out", "{out}"], 3,
+              err="lipext: invalid data: radius must be >= 0, got -1.0\n"),
+    path_case(["helly", "--family", "{crowd}", "--mode", "k-check", "--k", "20",
+               "--out", "{out}"], 5,
+              err="lipext: C(45, 20) = 3169870830126 exceeds the 10^6 subset budget\n"),
+    # function
+    path_case(["function", "--function", "{quad}", "--eval", "{q}", "--out", "{out}"], 0,
+              "x_1,value\n0.0,0.0\n0.5,0.125\n",
+              inputs={"function": "{quad}", "eval": "{q}", "duality": None, "box": None}),
+    path_case(["function", "--function", "{quad}", "--eval", "{qbad}", "--out", "{out}"],
+              2, err="lipext: parse error: {qbad}: line 2: could not convert string to "
+                     "float: 'zero'\n"),
+    path_case(["function", "--function", "{quad}", "--eval", "{q}", "--tol", "-1",
+               "--out", "{out}"], 3, err="lipext: invalid data: tol must be positive\n"),
+    path_case(["function", "--function", "{quad}", "--eval", "{q}", "--out", "{out}"], 6,
+              err="lipext: box exhaustion: search box exhausted in node 'quadratic'\n",
+              patch=("lipext.convex_functions.eval",
+                     _raising(BoxExhaustionError("quadratic")))),
+    path_case(["function", "--function", "{quad}", "--duality", "{quad}", "--box", "2.0",
+               "--seed", "3", "--tol", "1e-05", "--out", "{out}"], 0,
+              '{\n  "dual": 0.0,\n  "gap": 0.0,\n  "primal": 0.0\n}\n',
+              inputs={"function": "{quad}", "eval": None, "duality": "{quad}",
+                      "box": 2.0}),
+    path_case(["function", "--function", "{quad}", "--duality", "{quad}", "--box", "2.0",
+               "--out", "{out}"], 4,
+              '{\n  "dual": 0.5,\n  "gap": -0.5,\n  "primal": 1.0\n}\n',
+              "lipext: duality gap -5.000e-01 exceeds tolerance\n",
+              {"function": "{quad}", "eval": None, "duality": "{quad}", "box": 2.0},
+              ("lipext.convex_functions.fenchel_duality_solve",
+               _returning((1.0, 0.5, -0.5)))),
+    path_case(["function", "--function", "{quad}", "--duality", "{nooffsets}",
+               "--box", "2.0", "--out", "{out}"], 2,
+              err="lipext: parse error: {nooffsets}: 'offsets'\n"),
+    path_case(["function", "--function", "{quad}", "--duality", "{quad}",
+               "--out", "{out}"], 2, err="lipext: parse error: --duality requires --box\n"),
+    path_case(["function", "--function", "{linear}", "--duality", "{zero}",
+               "--box", "2.0", "--out", "{out}"], 6,
+              err="lipext: box exhaustion: search box exhausted in node 'FenchelPrimal'\n"),
+    path_case(["function", "--function", "{quad}", "--conjugate-check", "--box", "2.0",
+               "--out", "{out}"], 0, '{\n  "max_gap": 0.0,\n  "samples": 3\n}\n',
+              inputs={"function": "{quad}", "eval": None, "duality": None, "box": 2.0}),
+    path_case(["function", "--function", "{quad}", "--conjugate-check", "--box", "2.0",
+               "--out", "{out}"], 4, '{\n  "max_gap": 0.125,\n  "samples": 3\n}\n',
+              "lipext: biconjugation gap 1.250e-01 exceeds tolerance\n",
+              {"function": "{quad}", "eval": None, "duality": None, "box": 2.0},
+              ("lipext.convex_functions.biconjugate_check", _returning(0.125))),
+    path_case(["function", "--function", "{quad}", "--conjugate-check",
+               "--out", "{out}"], 2,
+              err="lipext: parse error: --conjugate-check requires --box\n"),
+    path_case(["function", "--function", "{mystery}", "--conjugate-check",
+               "--box", "2.0", "--out", "{out}"], 2,
+              err="lipext: parse error: {mystery}: unknown function node 'mystery'\n"),
+    path_case(["function", "--function", "{boxless}", "--conjugate-check",
+               "--out", "{out}"], 2,
+              err="lipext: parse error: {boxless}: node 'inf_conv' requires a search box "
+                  "(or --box)\n"),
+    # monotone
+    path_case(["monotone", "--graph", "{graph}", "--check", "--out", "{out}"], 0,
+              GRAPH_OUT,
+              inputs={"graph": "{graph}", "resolvent": None, "autoconjugacy": None}),
+    path_case(["monotone", "--graph", "{antigraph}", "--check", "--out", "{out}"], 1,
+              GRAPH_OUT.replace("true", "false").replace("1.0", "-1.0"),
+              inputs={"graph": "{antigraph}", "resolvent": None, "autoconjugacy": None}),
+    path_case(["monotone", "--graph", "{graph}", "--resolvent", "{q}", "--out", "{out}"],
+              0, "x_1,y_1,residual\n0.0,0.0,0.0\n0.5,0.25,0.0\n",
+              inputs={"graph": "{graph}", "resolvent": "{q}", "autoconjugacy": None}),
+    path_case(["monotone", "--graph", "{graph}", "--resolvent", "{q}", "--out", "{out}"],
+              4, "x_1,y_1,residual\n0.0,3.0,0.5\n0.5,3.0,0.5\n",
+              "lipext: worst resolvent residual 5.000e-01 exceeds tol\n",
+              {"graph": "{graph}", "resolvent": "{q}", "autoconjugacy": None},
+              ("lipext.cli.resolvent_eval", _returning((np.array([3.0]), 0.5)))),
+    path_case(["monotone", "--graph", "{graph}", "--resolvent", "{q2}", "--out", "{out}"],
+              2, err="lipext: parse error: {q2}: expected 1 columns, found 2\n"),
+    path_case(["monotone", "--graph", "{graph}", "--autoconjugacy", "{q2}",
+               "--out", "{out}"], 0,
+              '{\n  "max_gap": 5e-05,\n  "samples": 2\n}\n',
+              inputs={"graph": "{graph}", "resolvent": None, "autoconjugacy": "{q2}"},
+              patch=("lipext.cli.autoconjugacy_check", _returning(5e-05))),
+    path_case(["monotone", "--graph", "{graph}", "--autoconjugacy", "{q2}",
+               "--out", "{out}"], 4,
+              '{\n  "max_gap": 0.5,\n  "samples": 2\n}\n',
+              "lipext: autoconjugacy gap 5.000e-01 exceeds tolerance\n",
+              {"graph": "{graph}", "resolvent": None, "autoconjugacy": "{q2}"},
+              ("lipext.cli.autoconjugacy_check", _returning(0.5))),
+    path_case(["monotone", "--graph", "{graph}", "--autoconjugacy", "{q}",
+               "--out", "{out}"], 2,
+              err="lipext: parse error: {q}: expected 2 columns, found 1\n"),
+    path_case(["monotone", "--graph", "{nopairs}", "--check", "--out", "{out}"], 2,
+              err="lipext: parse error: {nopairs}: 'pairs'\n"),
+    path_case(["monotone", "--graph", "{halfpair}", "--check", "--out", "{out}"], 2,
+              err="lipext: parse error: {halfpair}: list index out of range\n"),
+    path_case(["monotone", "--graph", "{emptygraph}", "--check", "--out", "{out}"], 3,
+              err="lipext: invalid data: need matching non-empty (k, n) point and value "
+                  "arrays\n"),
+    path_case(["monotone", "--graph", "{conflict}", "--check", "--out", "{out}"], 3,
+              err="lipext: invalid data: points 0 and 1 coincide with conflicting values; "
+                  "pass multi_valued=True for set-valued graphs\n"),
+    # gen
+    path_case(["gen", "--kind", "lipschitz-data", "--m", "1", "--n", "1", "--count", "2",
+               "--out", "{out}"], 0,
+              '{\n  "L": 1.0,\n  "m": 1,\n  "n": 1,\n  "points": [\n    [\n'
+              '      -1.5746132337311503\n    ],\n    [\n      -0.690696943127497\n'
+              '    ]\n  ],\n  "values": [\n    [\n      1.4432840030239937\n    ],\n'
+              '    [\n      1.1617534469099424\n    ]\n  ]\n}\n',
+              inputs={"kind": "lipschitz-data", "m": 1, "n": 1, "count": 2,
+                      "mode": "common-core"}),
+    path_case(["gen", "--kind", "ball-family", "--n", "1", "--count", "2",
+               "--out", "{out}"], 0,
+              '{\n  "bodies": [\n    {\n      "center": [\n        0.5953252472503232\n'
+              '      ],\n      "kind": "ball",\n      "radius": 0.44116297114987424\n'
+              '    },\n    {\n      "center": [\n        1.016500753114932\n      ],\n'
+              '      "kind": "ball",\n      "radius": 0.5885970655169593\n    }\n  ],\n'
+              '  "n": 1\n}\n',
+              inputs={"kind": "ball-family", "m": 2, "n": 1, "count": 2,
+                      "mode": "common-core"}),
+    path_case(["gen", "--kind", "ball-family", "--n", "1", "--count", "0",
+               "--out", "{out}"], 3,
+              err="lipext: invalid data: dimension and count must be >= 1\n"),
+]
+
+
+def _run(argv, capsys):
+    rc = main(argv)
+    return rc, capsys.readouterr().err
+
+
+def _manifest(out):
+    with open(out + ".manifest.json") as fh:
+        manifest = json.load(fh)
+    assert isinstance(manifest.pop("wall_time_s"), float)
+    return manifest
+
+
+@pytest.mark.parametrize("argv, rc, report, err, expected_inputs, patch", EXIT_PATHS)
+def test_exit_path(inputs, capsys, monkeypatch, argv, rc, report, err,
+                   expected_inputs, patch):
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    argv = _fill(argv, inputs)
+    out = inputs["out"]
+    assert _run(argv, capsys) == (rc, _fill(err, inputs))
+    if report is None:
+        assert not os.path.exists(out)
+    else:
+        assert open(out, "rb").read() == report.encode()
+    if expected_inputs is None:
+        assert not os.path.exists(out + ".manifest.json")
+        return
+    config = {"tol": 1e-6, "seed": 0, "max_iters": 200_000}
+    for flag, key, cast in (("--tol", "tol", float), ("--seed", "seed", int)):
+        if flag in argv:
+            config[key] = cast(argv[argv.index(flag) + 1])
+    assert _manifest(out) == {
+        "subcommand": argv[0],
+        "argv": argv,
+        "inputs": _fill(expected_inputs, inputs),
+        "config": config,
+        "outputs": [out],
+        "version": __version__,
+    }
+
+
+class TestReplayExitPaths:
+    def test_replay_reproduces_report_code_and_manifest(self, inputs, capsys):
+        argv = _fill(["helly", "--family", "{apart}", "--mode", "k-check", "--k", "2",
+                     "--out", "{out}"], inputs)
+        out = inputs["out"]
+        assert _run(argv, capsys) == (1, "")
+        report, manifest = open(out, "rb").read(), _manifest(out)
+        saved = out + ".json"
+        os.replace(out + ".manifest.json", saved)
+        os.remove(out)
+        assert _run(["replay", saved], capsys) == (1, "")
+        assert open(out, "rb").read() == report
+        assert _manifest(out) == manifest
+        assert not os.path.exists(saved + ".manifest.json")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"subcommand": "gen"}', "{path}: manifest carries no argv"),
+        ('{"argv": "gen"}', "{path}: manifest carries no argv"),
+        ("{ not json", "{path}: line 1 column 3: "
+                       "Expecting property name enclosed in double quotes"),
+    ])
+    def test_malformed_manifest_exit_2(self, tmp_path, capsys, text, message):
+        path = write(tmp_path / "m.json", text)
+        assert _run(["replay", path], capsys) == (
+            2, f"lipext: parse error: {message.format(path=path)}\n")
+        assert os.listdir(tmp_path) == ["m.json"]
+
+    def test_missing_manifest_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "m.json")
+        assert _run(["replay", path], capsys) == (
+            2, f"lipext: parse error: [Errno 2] No such file or directory: '{path}'\n")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "manifest carries no argv"),
+        ('{"argv": ["extend", 3]}', "manifest argv holds a non-string"),
+        ('{"argv": ["replay", "SELF"]}', "manifest replays a manifest"),
+    ])
+    def test_malformed_argv_exit_2(self, tmp_path, capsys, text, message):
+        path = str(tmp_path / "self.json")
+        write(tmp_path / "self.json", text.replace("SELF", path))
+        assert _run(["replay", path], capsys) == (
+            2, f"lipext: parse error: {path}: {message}\n")
+        assert os.listdir(tmp_path) == ["self.json"]
+
+
+def test_json_input_not_utf8_exit_2(tmp_path, capsys):
+    data = tmp_path / "data.json"
+    data.write_bytes(b"\xff\xfe{}")
+    queries = write(tmp_path / "q.csv", "0.0\n")
+    out = str(tmp_path / "o.csv")
+    rc, err = _run(["extend", "--data", str(data), "--queries", queries,
+                    "--method", "mcshane", "--out", out], capsys)
+    assert rc == 2
+    assert err.startswith(f"lipext: parse error: {data}: 'utf-8' codec can't decode")
+    assert len(err.splitlines()) == 1
+    assert not os.path.exists(out) and not os.path.exists(out + ".manifest.json")

@@ -105,3 +105,66 @@ def test_scan_flags_an_unused_import():
         "    y = cp(lambda self: xml.dom)\n"
     )
     assert unused_imports(source) == ["field", "os"]
+
+
+def defined_names(source):
+    """Functions, classes and methods that source defines, dunders excluded."""
+    return {
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def referenced_names(source):
+    """Every name, attribute and whole string constant in source."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def dead_definitions(defining, referencing):
+    """Names defined in the defining sources that no referencing source uses."""
+    defined = set().union(*map(defined_names, defining))
+    used = set().union(*map(referenced_names, referencing))
+    return sorted(defined - used)
+
+
+def test_every_definition_is_referenced():
+    root = SRC.parents[1]
+    everywhere = [
+        path.read_text()
+        for folder in ("src", "tests", "demos", "bench")
+        for path in sorted((root / folder).rglob("*.py"))
+    ]
+    library = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert dead_definitions(library, everywhere) == []
+
+
+def test_scan_flags_an_unreferenced_definition():
+    source = (
+        "class Used:\n"
+        "    def method(self):\n"
+        "        return helper()\n"
+        "    def orphan(self):\n"
+        "        return 0\n"
+        "    def __repr__(self):\n"
+        "        return 'the orphan'\n"
+        "def helper():\n"
+        "    return getattr(Used, 'by_string')\n"
+        "def by_string():\n"
+        "    pass\n"
+        "def unused():\n"
+        "    pass\n"
+    )
+    assert dead_definitions([source], [source, "Used().method()\n"]) == [
+        "orphan",
+        "unused",
+    ]
