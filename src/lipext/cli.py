@@ -311,7 +311,7 @@ def build_parser():
 
     p = sub.add_parser("replay", help="re-run a recorded manifest")
     p.add_argument("manifest")
-    p.set_defaults(func=cmd_replay, _input_fields=())
+    p.set_defaults(func=cmd_replay)
     return parser
 
 
