@@ -3,7 +3,7 @@
 Modules
 -------
 geometry          vectors, balls, V-polytopes, simplex weights
-solvers           Frank-Wolfe / Polyak / active-set QP
+solvers           active-set QP (simplex QPs included) / Polyak
 convex_sets       projection, Caratheodory, Radon, separation, Minkowski sums
 helly             family intersection checks, common points, Jung's bound
 convex_functions  convex expression trees: conjugates, convolutions, averages

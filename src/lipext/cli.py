@@ -77,7 +77,7 @@ def _parse(path, build, errors):
         ) from exc
     except OSError as exc:
         raise _ParseFailure(str(exc)) from exc
-    except UnicodeDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or an integer literal too long
         raise _ParseFailure(f"{path}: {exc}") from exc
     try:
         return build(raw)
@@ -220,13 +220,21 @@ def cmd_gen(args):
     return 0
 
 
+class _ArgvParser(argparse.ArgumentParser):
+    """A parser whose rejection of an argv is a TypeError, not usage text
+    and an exit."""
+
+    def error(self, message):
+        raise TypeError(message)
+
+
 def _replay_argv(manifest):
     argv = manifest.get("argv") if isinstance(manifest, dict) else None
     if not isinstance(argv, list):
         raise TypeError("manifest carries no argv")
     if not all(isinstance(a, str) for a in argv):
         raise TypeError("manifest argv holds a non-string")
-    if build_parser().parse_args(argv).subcommand == "replay":
+    if build_parser(_ArgvParser).parse_args(argv).subcommand == "replay":
         raise TypeError("manifest replays a manifest")
     return argv
 
@@ -242,8 +250,8 @@ def _add_common(p, out_required=True):
     p.add_argument("--out", required=out_required, help="output report path")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
+def build_parser(parser_class=argparse.ArgumentParser):
+    parser = parser_class(
         prog="lipext",
         description="Lipschitz extension and convex-analysis toolbox",
     )

@@ -406,26 +406,30 @@ def _inner_minimize(fun, box, node_name, extra_points=()):
 def _polyhedral_conjugate_value(node: MaxAffineConjugate, y, cfg) -> float:
     """min { o'l : S'l = y, l in simplex } as one exact LP.
 
-    A Frank-Wolfe screen returns +inf when y is farther than 1e-6 from
-    conv(slopes); otherwise its weights l1 start solve_qp (P = 0) on the LP
-    with target S'l1, the nearest hull point, so the start is feasible.
+    A screen, the exact projection of y onto conv(slopes), returns +inf when
+    y is farther than 1e-6 from the hull; otherwise its weights l1 start
+    solve_qp (P = 0) on the LP with target S'l1, the nearest hull point, so
+    the start is feasible, and l1's zero weights start in the working set.
     """
     key = (y.tobytes(), cfg)
     if key in node._memo:
         return node._memo[key]
     S, o = node.slopes, node.offsets
     k = S.shape[0]
-    feas = minimize_quadratic_over_simplex(
-        2.0 * (S @ S.T), -2.0 * (S @ y), k, cfg, constant=float(y @ y)
-    )
-    if math.sqrt(max(feas.value, 0.0)) > POLYHEDRAL_INFEASIBLE_TOL:
+    lam1 = minimize_quadratic_over_simplex(
+        2.0 * (S @ S.T), -2.0 * (S @ y), k, cfg
+    ).argmin.weights
+    nearest = S.T @ lam1
+    # The distance itself, not the expanded quadratic's value, which loses
+    # its last digits to cancellation near the 1e-6 threshold.
+    if float(np.linalg.norm(nearest - y)) > POLYHEDRAL_INFEASIBLE_TOL:
         value = INF
     else:
-        lam1 = feas.argmin.weights
         A_eq = np.vstack([S.T, np.ones((1, k))])
-        b_eq = np.append(S.T @ lam1, 1.0)
+        b_eq = np.append(nearest, 1.0)
         lam, info = solve_qp(
-            np.zeros((k, k)), o, A_eq, b_eq, -np.eye(k), np.zeros(k), lam1
+            np.zeros((k, k)), o, A_eq, b_eq, -np.eye(k), np.zeros(k), lam1,
+            initial_active=np.flatnonzero(lam1 == 0.0),
         )
         if not info["converged"]:
             raise SolverCapError(f"conjugate LP capped at {info['iters']} iterations")

@@ -2,9 +2,9 @@
 
 A convex body is either a Ball or a Polytope (V-representation).  Polytope
 computations reduce to QPs over simplices of vertex weights, so the weights
-double as barycentric certificates: projection solves one simplex by
-Frank-Wolfe, and the closest pair of two polytopes solves two simplices (two
-equality rows) with the active-set solve_qp.
+double as barycentric certificates: projection solves one simplex and the
+closest pair of two polytopes two simplices (two equality rows), both with
+the active-set solve_qp.
 """
 
 from dataclasses import dataclass
@@ -55,7 +55,7 @@ class CaratheodoryCertificate:
 def _project_polytope(x, poly, cfg):
     """Projection onto conv(vertices) with the solver's simplex weights.
 
-    Returns (point, weights, fw_gap).  Minimizes ||V'l - x||^2 written as
+    Returns (point, weights, duality gap).  Minimizes ||V'l - x||^2 written as
     l'(VV')l - 2(Vx)'l + ||x||^2.
     """
     V = poly.vertices

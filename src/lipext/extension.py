@@ -142,7 +142,8 @@ def extend_minimax(data: FiniteMapData, x, cfg=None):
     one concave dual over the simplex (maximize sum l_i (||b_i||^2 -
     (r_i+t)^2) - ||sum l_i b_i||^2, recover y = sum l_i b_i); phi(t*) = 0 at
     the Chebyshev value t*, with phi'(t) = -2 sum l_i (r_i + t) read off the
-    dual weights.
+    dual weights.  A final Gauss-Newton step over the balls tight at y is
+    kept when it lowers the residual.
 
     Returns (y, residual) with residual = max_i (||y - b_i|| - L ||x - a_i||).
     """
@@ -160,13 +161,11 @@ def extend_minimax(data: FiniteMapData, x, cfg=None):
     Q = 2.0 * (B @ B.T)
     sq_norms = np.sum(B * B, axis=1)
     scale = 1.0 + float(np.max(radii) ** 2) + float(np.max(np.abs(sq_norms)))
-    inner_cfg = SolverConfig(tol=min(cfg.tol, 1e-11), max_iters=cfg.max_iters,
-                             seed=cfg.seed)
 
     def dual_solve(t):
         infl = radii + t
         gains = sq_norms - infl ** 2
-        report = minimize_quadratic_over_simplex(Q, -gains, data.size, inner_cfg)
+        report = minimize_quadratic_over_simplex(Q, -gains, data.size, cfg)
         lam = report.argmin.weights
         phi = -report.value
         slope = -2.0 * float(lam @ infl)
@@ -192,7 +191,20 @@ def extend_minimax(data: FiniteMapData, x, cfg=None):
             t_new = 0.5 * (t_lo + t_hi)
         t = t_new
     y = lam @ B
-    residual = float(np.max(np.linalg.norm(y - B, axis=1) - radii))
+    dist = np.linalg.norm(y - B, axis=1)
+    gaps = dist - radii
+    residual = float(np.max(gaps))
+    # On a degenerate dual (every ball through one point, as on tight data)
+    # the QP's support can be a thin simplex that magnifies rounding in y.
+    # One Gauss-Newton step on the linearised ||y - b_i|| - r_i = tau over
+    # every ball tight at y pins y by all of them; keep it if it helps.
+    tight = (gaps >= residual - 1e-12 * (1.0 + np.max(radii))) & (dist > 0.0)
+    rows = np.hstack([(y - B[tight]) / dist[tight, None], -np.ones((tight.sum(), 1))])
+    step, *_ = np.linalg.lstsq(rows, -gaps[tight], rcond=None)
+    y_step = y + step[:-1]
+    residual_step = float(np.max(np.linalg.norm(y_step - B, axis=1) - radii))
+    if residual_step < residual:
+        return y_step, residual_step
     return y, residual
 
 

@@ -2,30 +2,31 @@
 
 Two public entry points:
 
-* minimize_quadratic_over_simplex -- Frank-Wolfe with away steps and exact
-  line search for 1/2 l'Ql + c'l over one probability simplex, certified by
-  the Frank-Wolfe duality gap.  A KKT polish on the final support pushes the
-  gap to machine precision.  Its callers are the minimax duals, polytope
+* minimize_quadratic_over_simplex -- 1/2 l'Ql + c'l over one probability
+  simplex, solved exactly by solve_qp from the best vertex and certified by
+  the duality gap g'l - min g.  Its callers are the minimax duals, polytope
   projection, the minimum-enclosing-ball dual and the polyhedral-conjugate
   screen.
 * polyak_subgradient -- subgradient descent with Polyak steps for problems
   whose optimal value is known in advance (helly.common_point drives
   max_i d(x, C_i) to target 0).
 
-SolverConfig's tol and max_iters bound these two (and helly's target
-halving); seed feeds Welzl's shuffle in helly.jung_ball.
+SolverConfig's tol and max_iters bound Polyak (and helly's target halving),
+tol also decides the simplex solve's converged flag, and seed feeds Welzl's
+shuffle in helly.jung_ball.
 
 Internal helper used by other modules:
 
 * solve_qp -- dense primal active-set solver for small convex QPs with
-  equality constraints and linear inequalities (the monotone QPs, the
-  polyhedral-conjugate LP and the closest pair of two polytopes).  It
-  terminates on an exact KKT point, which is what lets epigraph
-  reformulations of max-affine objectives reach 1e-12 accuracy.  Its
-  iteration cap follows from the number of inequalities.  An active bound
-  (a row of G with one nonzero) pins its coordinate, so each iteration's SVD
-  covers only the equalities and the active general rows over the free
-  coordinates.  With P = 0 it solves the conjugate LP and skips the
+  equality constraints and linear inequalities (the simplex QPs above, the
+  monotone QPs, the polyhedral-conjugate LP and the closest pair of two
+  polytopes).  It terminates on an exact KKT point, which is what lets
+  epigraph reformulations of max-affine objectives reach 1e-12 accuracy.
+  Its iteration cap follows from the number of inequalities.  An active
+  bound (a row of G with one nonzero) pins its coordinate, so each
+  iteration's SVD covers only the equalities and the active general rows
+  over the free coordinates, and the bound's multiplier is read off its
+  column.  With P = 0 it solves the conjugate LP and skips the
   reduced-Hessian eigendecomposition: every step is a ray.
 
 All routines are pure and deterministic: identical inputs and config produce
@@ -56,8 +57,8 @@ class SolverConfig:
 class SolveReport:
     """Outcome of a solve.
 
-    residual is the problem-specific optimality certificate (Frank-Wolfe gap
-    or value above target).  converged means the residual met the
+    residual is the problem-specific optimality certificate (simplex duality
+    gap or value above target).  converged means the residual met the
     tolerance declared in the config, in the sense of each solver's contract.
     """
 
@@ -68,41 +69,15 @@ class SolveReport:
     converged: bool
 
 
-def _polish_simplex(Q, c, z):
-    """Solve the equality-KKT system on the support of z and return the
-    polished point, or None if the solve leaves the simplex."""
-    K = z.shape[0]
-    support = z > 1e-10
-    if not np.any(support):
-        support[int(np.argmax(z))] = True
-    for _ in range(K + 1):
-        idx = np.flatnonzero(support)
-        s = idx.size
-        kkt = np.zeros((s + 1, s + 1))
-        kkt[:s, :s] = Q[np.ix_(idx, idx)]
-        kkt[:s, s] = 1.0
-        kkt[s, :s] = 1.0
-        rhs = np.append(-c[idx], 1.0)
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        zs = sol[:s]
-        if np.min(zs) >= -1e-12:
-            out = np.zeros(K)
-            out[idx] = np.clip(zs, 0.0, None)
-            tot = out.sum()
-            return out / tot if tot > 0 else None
-        support[idx[int(np.argmin(zs))]] = False
-        if not np.any(support):
-            return None
-    return None
-
-
 def minimize_quadratic_over_simplex(quad, c, k, cfg=None, constant=0.0):
     """Minimize 1/2 l'Ql + c'l (+ constant) over the probability simplex.
 
-    Away-step Frank-Wolfe with exact line search from the vertex e_0, then a
-    KKT polish on the final support.  quad is a dense PSD matrix.  The
-    returned residual is the Frank-Wolfe duality gap g'l - min g at the final
-    iterate, a valid upper bound on the suboptimality for any PSD instance.
+    One solve_qp from the best vertex e_j, j = argmin_j (Q_jj / 2 + c_j), with
+    every other bound l_i >= 0 in the working set.  quad is a dense PSD
+    matrix.  The returned residual is the duality gap g'l - min g at the
+    solution, a valid upper bound on the suboptimality for any PSD instance;
+    converged means it is within cfg.tol (1 + |value|).  Raises
+    SolverCapError when the QP stops at its cap.
     """
     cfg = cfg or SolverConfig()
     Q = np.asarray(quad, dtype=float)
@@ -110,66 +85,26 @@ def minimize_quadratic_over_simplex(quad, c, k, cfg=None, constant=0.0):
     K = int(k)
     if c.shape[0] != K:
         raise ValueError("linear term length does not match k")
-
-    z = np.zeros(K)
-    z[0] = 1.0
+    j = int(np.argmin(0.5 * np.diag(Q) + c))
+    z0 = np.zeros(K)
+    z0[j] = 1.0
+    z, info = solve_qp(
+        Q, c, np.ones((1, K)), [1.0], -np.eye(K), np.zeros(K), z0,
+        initial_active=[i for i in range(K) if i != j],
+    )
+    if not info["converged"]:
+        raise SolverCapError(f"simplex QP capped at {info['iters']} iterations")
+    weights = SimplexWeights(z)
+    z = weights.weights
     Qz = Q @ z
-
-    def value_at(zz, Qzz):
-        return 0.5 * float(zz @ Qzz) + float(c @ zz) + constant
-
-    iters = 0
-    while iters < cfg.max_iters:
-        g = Qz + c
-        gap = float(g @ z - np.min(g))
-        if gap <= cfg.tol * (1.0 + abs(value_at(z, Qz))):
-            break
-        d_fw = -z.copy()
-        d_fw[int(np.argmin(g))] += 1.0
-        gap_fw = -float(g @ d_fw)
-        # Away direction: the worst active coordinate.
-        active = np.flatnonzero(z > 1e-14)
-        j = active[int(np.argmax(g[active]))] if active.size > 1 else None
-        if j is not None and float(g[j] - g @ z) > gap_fw:
-            d = z.copy()
-            d[j] -= 1.0
-            zj = z[j]
-            gamma_max = zj / (1.0 - zj) if zj < 1.0 else 0.0
-        else:
-            d = d_fw
-            gamma_max = 1.0
-        slope = float(g @ d)
-        if slope >= 0.0 or gamma_max <= 0.0:
-            iters += 1
-            continue
-        Qd = Q @ d
-        curv = float(d @ Qd)
-        if curv <= 1e-18:
-            gamma = gamma_max
-        else:
-            gamma = min(gamma_max, -slope / curv)
-        z = z + gamma * d
-        Qz = Qz + gamma * Qd
-        np.clip(z, 0.0, None, out=z)
-        iters += 1
-        if iters % 256 == 0:  # guard against slow drift of the sum
-            z /= z.sum()
-            Qz = Q @ z
-
-    polished = _polish_simplex(Q, c, z)
-    if polished is not None:
-        Qp = Q @ polished
-        gp = Qp + c
-        gap_p = float(gp @ polished - np.min(gp))
-        if value_at(polished, Qp) <= value_at(z, Qz) + 1e-15 or gap_p < gap:
-            z, Qz, gap = polished, Qp, gap_p
-
-    value = value_at(z, Qz)
+    g = Qz + c
+    gap = float(g @ z - np.min(g))
+    value = 0.5 * float(z @ Qz) + float(c @ z) + constant
     return SolveReport(
-        argmin=SimplexWeights(z),
+        argmin=weights,
         value=value,
         residual=gap,
-        iters=iters,
+        iters=info["iters"],
         converged=gap <= cfg.tol * (1.0 + abs(value)),
     )
 
@@ -226,6 +161,16 @@ def _nullspace(C, K, fixed):
     return Z
 
 
+def _restore_equalities(A_eq, b_eq, z):
+    """z moved by the least-squares correction onto A_eq z = b_eq; z itself
+    when the residual is exactly zero (or there are no equalities)."""
+    resid = b_eq - A_eq @ z
+    if np.any(resid):
+        corr, *_ = np.linalg.lstsq(A_eq, resid, rcond=None)
+        z += corr
+    return z
+
+
 def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
     """Dense primal active-set method for a small convex QP.
 
@@ -238,9 +183,11 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
 
     Rows of G with a single nonzero are bounds: while one is active its
     coordinate is pinned, and the null space is found by an SVD of A_eq and
-    the active general rows restricted to the unpinned coordinates.  The
-    whole working set enters only the least-squares multipliers at a
-    stationary point.  When P is zero the reduced Hessian is zero, so the
+    the active general rows restricted to the unpinned coordinates.  At a
+    stationary point the same rows get their multipliers by least squares
+    over the unpinned coordinates, and each active bound's multiplier is read
+    off its pinned column; Bland's rule then drops the lowest-index active
+    row with a negative multiplier.  When P is zero the reduced Hessian is zero, so the
     step is the ray -Z Z'grad, or none when that ray is below 1e-11 of the
     gradient scale.  A point is stationary when the step or the reduced
     gradient Z'grad is below 1e-11 of its scale.  The cap is
@@ -255,10 +202,7 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
     G = np.asarray(G, dtype=float).reshape(-1, K)
     h = np.asarray(h, dtype=float).reshape(-1)
     me, mi = A_eq.shape[0], G.shape[0]
-    z = np.asarray(z0, dtype=float).copy()
-    if me:
-        corr, *_ = np.linalg.lstsq(A_eq, b_eq - A_eq @ z, rcond=None)
-        z += corr
+    z = _restore_equalities(A_eq, b_eq, np.asarray(z0, dtype=float).copy())
     active = np.zeros(mi, dtype=bool)
     for i in initial_active:
         active[i] = True
@@ -306,13 +250,22 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
         if not ray and float(np.max(np.abs(d))) <= 1e-11 * (
             1.0 + float(np.max(np.abs(z), initial=0.0))
         ):
+            # Multipliers: the equalities' and active general rows' by least
+            # squares over the free columns, then each active bound's read off
+            # its pinned column, where nothing else balances the gradient.
             act_idx = np.flatnonzero(active)
-            C = np.vstack([A_eq, G[act_idx]])
-            mult = None
+            is_bound = single[act_idx]
+            C = np.vstack([A_eq, G[act_idx[~is_bound]]])
+            resid = grad
+            mult = np.empty(act_idx.size)
             if C.shape[0]:
-                mu, *_ = np.linalg.lstsq(C.T, -grad, rcond=None)
-                mult = mu[me:]
-            if mult is None or mult.size == 0 or np.min(mult) >= -1e-11 * local:
+                nu, *_ = np.linalg.lstsq(C[:, ~fixed].T, -grad[~fixed], rcond=None)
+                resid = grad + C.T @ nu
+                mult[~is_bound] = nu[me:]
+            bounds = act_idx[is_bound]
+            cols = pin_col[bounds]
+            mult[is_bound] = -resid[cols] / G[bounds, cols]
+            if mult.size == 0 or np.min(mult) >= -1e-11 * local:
                 converged = True
                 break
             # Bland's rule: drop the lowest-index violating constraint.
@@ -350,10 +303,6 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
             z = z + alpha * d
         if block_idx >= 0 and alpha_max <= alpha + 1e-15:
             active[block_idx] = True
-        if me and iters % 16 == 0:
-            corr, *_ = np.linalg.lstsq(A_eq, b_eq - A_eq @ z, rcond=None)
-            z += corr
-    if me:
-        corr, *_ = np.linalg.lstsq(A_eq, b_eq - A_eq @ z, rcond=None)
-        z += corr
-    return z, {"converged": converged, "iters": iters}
+        if iters % 16 == 0:
+            z = _restore_equalities(A_eq, b_eq, z)
+    return _restore_equalities(A_eq, b_eq, z), {"converged": converged, "iters": iters}

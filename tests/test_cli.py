@@ -644,6 +644,7 @@ class TestReplayExitPaths:
         ("[]", "manifest carries no argv"),
         ('{"argv": ["extend", 3]}', "manifest argv holds a non-string"),
         ('{"argv": ["replay", "SELF"]}', "manifest replays a manifest"),
+        ('{"argv": ["extend", "--data"]}', "argument --data: expected one argument"),
     ])
     def test_malformed_argv_exit_2(self, tmp_path, capsys, text, message):
         path = str(tmp_path / "self.json")
@@ -662,5 +663,17 @@ def test_json_input_not_utf8_exit_2(tmp_path, capsys):
                     "--method", "mcshane", "--out", out], capsys)
     assert rc == 2
     assert err.startswith(f"lipext: parse error: {data}: 'utf-8' codec can't decode")
+    assert len(err.splitlines()) == 1
+    assert not os.path.exists(out) and not os.path.exists(out + ".manifest.json")
+
+
+def test_json_integer_too_long_exit_2(tmp_path, capsys):
+    # json.load raises ValueError past Python's 4,300-digit integer limit.
+    function = write(tmp_path / "f.json", '{"node": "quadratic", "n": %s}' % ("1" * 5000))
+    out = str(tmp_path / "o.json")
+    rc, err = _run(["function", "--function", function, "--conjugate-check",
+                    "--out", out], capsys)
+    assert rc == 2
+    assert err.startswith(f"lipext: parse error: {function}: Exceeds the limit (4300 digits)")
     assert len(err.splitlines()) == 1
     assert not os.path.exists(out) and not os.path.exists(out + ".manifest.json")

@@ -178,6 +178,22 @@ class TestPolyhedralConjugate:
         with pytest.raises(SolverCapError, match="capped at 321 iterations"):
             cf.eval(cf.conjugate(f), [0.5], CFG)
 
+    @pytest.mark.parametrize("slopes, offsets, hull_point, outward, value", [
+        ([[1.0], [-1.0]], [0.5, 0.0], [1.0], [1.0], 0.5),
+        ([[1.0], [-1.0]], [0.5, 0.0], [-1.0], [-1.0], 0.0),
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.1, -0.2, 0.3], [0.5, 0.5], [1.0, 1.0], 0.05),
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.1, -0.2, 0.3], [1.0, 0.0], [1.0, -0.2], -0.2),
+    ])
+    def test_infeasibility_collar(self, slopes, offsets, hull_point, outward, value):
+        # y planted beyond conv(slopes) along a direction whose nearest hull
+        # point is hull_point: 0.5e-6 out is inside the 1e-6 collar and takes
+        # the value there, 2e-6 out is +inf.
+        node = cf.MaxAffineConjugate(np.array(slopes), np.array(offsets))
+        u = np.array(outward) / np.linalg.norm(outward)
+        inside = cf.eval(node, np.array(hull_point) + 0.5e-6 * u, CFG)
+        assert inside == pytest.approx(value, abs=1e-9)
+        assert cf.eval(node, np.array(hull_point) + 2e-6 * u, CFG) == INF
+
     def test_memo_is_freed_with_the_node(self):
         # f = max(x - 1/2, -x), so f*(y) = (1 + y) / 4 on [-1, 1].
         node = cf.MaxAffineConjugate(np.array([[1.0], [-1.0]]), np.array([0.5, 0.0]))

@@ -220,6 +220,49 @@ class TestProxAvg:
                 assert dy <= data.L * dx * (1.0 + 1e-4) + 1e-6
 
 
+class TestProxAvgGolden:
+    # repr of (y, residual) at seeded queries, recorded before the bound
+    # multipliers of solve_qp were read off pinned columns: a change of the
+    # active-set path that moves any bit of a proxavg output shows here.
+    GOLDEN = {
+        "gen-2-2-8": [
+            "([1.3061021933182873, 0.5511104806564823], 2.220446049250313e-16)",
+            "([1.693309050964915, 0.7524869254114988], 4.440892098500626e-16)",
+            "([0.09957948147380691, -0.6113949386715731], 4.440892098500626e-16)",
+        ],
+        "gen-3-2-12": [
+            "([-0.9736860480476415, 0.7812079194233978], 1.1102230246251565e-16)",
+            "([1.4431911462607925, 1.5514248152751344], 0.0)",
+            "([-1.086447575572181, 1.5148609516812561], 4.440892098500626e-16)",
+        ],
+        "tight-2-2-7": [
+            "([-0.3819090508739219, -0.41195236631921855], 2.7755575615628914e-17)",
+            "([0.4728415384614378, 0.08205164613524822], 0.0)",
+            "([-0.38653247108660005, 0.8118152592315048], 0.0)",
+        ],
+    }
+
+    @staticmethod
+    def datasets():
+        rng = SplitMix64(1010)
+        A = np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(7)])
+        B = np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(7)])
+        return {
+            "gen-2-2-8": generate_lipschitz_data(2, 2, 8, 1001),
+            "gen-3-2-12": generate_lipschitz_data(3, 2, 12, 1002),
+            "tight-2-2-7": FiniteMapData(A, B),
+        }
+
+    def test_outputs_match_recorded_reprs(self):
+        for name, data in self.datasets().items():
+            model = ExtensionModel(data, "proxavg")
+            rng = SplitMix64(1003)
+            for expected in self.GOLDEN[name]:
+                x = np.array([rng.uniform(-2.5, 2.5) for _ in range(data.m)])
+                y, residual = model.query(x)
+                assert repr((y.tolist(), residual)) == expected, (name, x)
+
+
 class TestMcShane:
     def test_hand_case_both_sides(self):
         data = FiniteMapData(np.array([[0.0], [2.0]]), np.array([[0.0], [2.0]]), 1.0)

@@ -117,21 +117,29 @@ class TestPolyak:
 
 
 class TestActiveSetQP:
-    def test_matches_frank_wolfe_on_simplex(self):
+    def test_matches_enumeration_on_simplex(self):
+        # From the barycenter, with no bound in the working set: the value is
+        # at most the grid's best, and the duality gap certifies optimality.
         rng = SplitMix64(7)
-        for k in (2, 3, 5):
+        for k, steps in ((2, 40), (3, 40), (5, 16)):
             for _ in range(6):
                 M = np.array([[rng.uniform(-1, 1) for _ in range(k)] for _ in range(k)])
                 Q = M @ M.T + 0.1 * np.eye(k)
                 c = np.array([rng.uniform(-1, 1) for _ in range(k)])
-                fw = minimize_quadratic_over_simplex(Q, c, k, CFG)
                 z, info = solve_qp(
                     Q, c, np.ones((1, k)), [1.0], -np.eye(k), np.zeros(k),
                     np.full(k, 1.0 / k),
                 )
                 assert info["converged"]
+                assert np.min(z) >= -1e-15 and abs(z.sum() - 1.0) <= 1e-15
                 vqp = 0.5 * float(z @ (Q @ z)) + float(c @ z)
-                assert vqp == pytest.approx(fw.value, abs=1e-9)
+                grid = min(
+                    0.5 * float(l @ (Q @ l)) + float(c @ l)
+                    for l in simplex_grid(k, steps)
+                )
+                assert vqp <= grid + 1e-12
+                g = Q @ z + c
+                assert float(g @ z - np.min(g)) <= 1e-12
 
     def test_linear_piece_with_epigraph(self):
         # min t subject to t >= x, t >= -x, x free: optimum (0, 0)
