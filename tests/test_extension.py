@@ -123,6 +123,18 @@ class TestMinimax:
             y, r = extend_minimax(ROTATION, ROTATION.points[i], CFG)
             assert np.max(np.abs(y - ROTATION.values[i])) <= 1e-8
 
+    def test_tight_data_residual_at_rounding_level(self):
+        # Samples of a similarity with their empirical L: every ball passes
+        # through the answer, so the dual is degenerate and its support can
+        # be a thin simplex; the final Gauss-Newton step keeps y within
+        # rounding of every ball.
+        g = generate_lipschitz_data(2, 2, 120, 101)
+        data = FiniteMapData(g.points, g.values)
+        rng = SplitMix64(202)
+        queries = [np.array([rng.uniform(-2.5, 2.5) for _ in range(2)]) for _ in range(20)]
+        worst = max(extend_minimax(data, x, CFG)[1] for x in queries)
+        assert worst <= 5e-15
+
     def test_dual_matches_primal_polyak(self):
         # the dual simplex reduction must agree with the direct minimax
         rng = SplitMix64(3)
