@@ -47,7 +47,7 @@ def _err(msg):
 
 
 def _config(args) -> SolverConfig:
-    return SolverConfig(tol=min(args.tol, 1e-9), max_iters=args.max_iters, seed=args.seed)
+    return SolverConfig(tol=min(args.tol, 1e-9), max_iters=args.max_iters)
 
 
 def _write_manifest(args, started):

@@ -4,11 +4,10 @@ Two independent routes extend L-Lipschitz data {(a_i, b_i)} in R^m -> R^n to
 any query point:
 
 * extend_minimax solves, per query x, the ball-intersection problem
-  "find y with ||y - b_i|| <= L ||x - a_i|| for all i" through its concave
-  dual over the simplex (maximize sum l_i (||b_i||^2 - L^2 ||x - a_i||^2)
-  - ||sum l_i b_i||^2, recover y = sum l_i b_i), which is guaranteed
-  feasible for consistent data.  Each value is feasible on its own; the map
-  x -> y carries no Lipschitz guarantee.
+  "find y with ||y - b_i|| <= L ||x - a_i|| for all i" by taking the
+  Chebyshev center of those balls (solvers.chebyshev_center), which is
+  guaranteed feasible for consistent data.  Each value is feasible on its
+  own; the map x -> y carries no Lipschitz guarantee.
 * extend_proxavg runs the firmly-non-expansive pipeline: zero-pad to a square
   dimension, rescale to a non-expansive map, pass to g = (id + f)/2, read off
   the monotone graph T = g^{-1} - id, and evaluate the resolvent of the
@@ -33,7 +32,7 @@ from .errors import (
     DimensionMismatchError,
     ModulusViolationError,
 )
-from .solvers import SolverConfig, minimize_quadratic_over_simplex
+from .solvers import SolverConfig, chebyshev_center
 from .convex_sets import distance, project
 from .monotone import OperatorGraph, graph_of_resolvent, resolvent_eval
 
@@ -129,21 +128,12 @@ def lipschitz_constant(data: FiniteMapData) -> float:
 def extend_minimax(data: FiniteMapData, x, cfg=None):
     """One-point extension to the Chebyshev center of the constraint balls.
 
-    The value is the minimizer of max_i (||y - b_i|| - L ||x - a_i||), i.e.
-    the center of the deepest point of the intersection of the balls
-    B(b_i, L ||x - a_i||).  This selection interpolates the data and each
-    value meets every ball constraint: residual <= 0 up to solver error (the
-    intersection is non-empty for consistent data).  It is a pointwise
-    Kirszbraun value only; x -> y is not L-Lipschitz in general (on tight
-    random data ||y1 - y2|| / (L ||x1 - x2||) reached 1.35-1.60).
-
-    Computed by safeguarded Newton root-finding on the concave value function
-    phi(t) = min_y max_i (||y - b_i||^2 - (r_i + t)^2), each evaluation being
-    one concave dual over the simplex (maximize sum l_i (||b_i||^2 -
-    (r_i+t)^2) - ||sum l_i b_i||^2, recover y = sum l_i b_i); phi(t*) = 0 at
-    the Chebyshev value t*, with phi'(t) = -2 sum l_i (r_i + t) read off the
-    dual weights.  A final Gauss-Newton step over the balls tight at y is
-    kept when it lowers the residual.
+    The value is solvers.chebyshev_center of the balls B(b_i, L ||x - a_i||):
+    the deepest point of their intersection, which is non-empty for
+    consistent data.  It interpolates the data and each value meets every
+    ball constraint up to solver error.  It is a pointwise Kirszbraun value
+    only; x -> y is not L-Lipschitz in general (on tight random data
+    ||y1 - y2|| / (L ||x1 - x2||) reached 1.35-1.60).
 
     Returns (y, residual) with residual = max_i (||y - b_i|| - L ||x - a_i||).
     """
@@ -152,60 +142,13 @@ def extend_minimax(data: FiniteMapData, x, cfg=None):
     if x.shape[0] != data.m:
         raise DimensionMismatchError("query dimension does not match the data")
     A, B, L = data.points, data.values, data.L
-    exact = np.flatnonzero(np.linalg.norm(A - x, axis=1) == 0.0)
+    dist = np.linalg.norm(A - x, axis=1)
+    exact = np.flatnonzero(dist == 0.0)
     if exact.size:
         return B[exact[0]].copy(), 0.0
-    radii = L * np.linalg.norm(A - x, axis=1)
     if data.size == 1:
         return B[0].copy(), 0.0
-    Q = 2.0 * (B @ B.T)
-    sq_norms = np.sum(B * B, axis=1)
-    scale = 1.0 + float(np.max(radii) ** 2) + float(np.max(np.abs(sq_norms)))
-
-    def dual_solve(t):
-        infl = radii + t
-        gains = sq_norms - infl ** 2
-        report = minimize_quadratic_over_simplex(Q, -gains, data.size, cfg)
-        lam = report.argmin.weights
-        phi = -report.value
-        slope = -2.0 * float(lam @ infl)
-        return phi, slope, lam
-
-    t_lo = -float(np.min(radii))
-    t_hi = 0.0
-    t = 0.0
-    lam = None
-    for _ in range(80):
-        phi, slope, lam = dual_solve(t)
-        if phi > 0.0:
-            t_lo = max(t_lo, t)
-        else:
-            t_hi = min(t_hi, t)
-        if abs(phi) <= 1e-13 * scale or (t_hi - t_lo) <= 1e-13:
-            break
-        if slope < -1e-18:
-            t_new = t - phi / slope
-        else:
-            t_new = 0.5 * (t_lo + t_hi)
-        if not (t_lo < t_new < t_hi):
-            t_new = 0.5 * (t_lo + t_hi)
-        t = t_new
-    y = lam @ B
-    dist = np.linalg.norm(y - B, axis=1)
-    gaps = dist - radii
-    residual = float(np.max(gaps))
-    # On a degenerate dual (every ball through one point, as on tight data)
-    # the QP's support can be a thin simplex that magnifies rounding in y.
-    # One Gauss-Newton step on the linearised ||y - b_i|| - r_i = tau over
-    # every ball tight at y pins y by all of them; keep it if it helps.
-    tight = (gaps >= residual - 1e-12 * (1.0 + np.max(radii))) & (dist > 0.0)
-    rows = np.hstack([(y - B[tight]) / dist[tight, None], -np.ones((tight.sum(), 1))])
-    step, *_ = np.linalg.lstsq(rows, -gaps[tight], rcond=None)
-    y_step = y + step[:-1]
-    residual_step = float(np.max(np.linalg.norm(y_step - B, axis=1) - radii))
-    if residual_step < residual:
-        return y_step, residual_step
-    return y, residual
+    return chebyshev_center(B, L * dist, cfg)
 
 
 def extend_proxavg(data: FiniteMapData, x):

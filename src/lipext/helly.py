@@ -1,12 +1,15 @@
 """Intersection checking for finite families of convex bodies and Jung's bound.
 
-common_point minimizes d(x) = max_i distance(x, C_i) -- a convex,
-non-expansive function -- by subgradient descent with Polyak steps (target 0
-first, then a halving estimate of the optimal value when the family turns out
-not to intersect).  For families of balls in dimension <= 2 the k-subset
-checks instead use an exact candidate-point certificate: any non-empty
-intersection of discs contains a disc center or an intersection point of two
-boundary circles.
+Balls B(c_i, r_i) share a point iff their Chebyshev value
+t = min_y max_i (||y - c_i|| - r_i) is <= 0, so one solvers.chebyshev_center
+call decides a ball family and its center y is the witness.  When t > 0, 0
+lies in the hull of the unit normals (y - c_i) / ||y - c_i|| of the balls
+tight at y (KKT); Caratheodory keeps n + 1 of them, a violating subset with
+the same value t, found without enumerating subsets.  A family that holds a
+polytope minimizes max_i distance(x, C_i) by Polyak subgradient steps.  The
+k-subset checks for discs use an exact candidate-point certificate (any
+non-empty intersection of discs contains a disc center or an intersection
+point of two boundary circles), and for intervals the interval formula.
 """
 
 import math
@@ -15,11 +18,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import Ball
+from .geometry import Ball, Polytope
 from .errors import EnumerationGuardError
-from .rng import SplitMix64
-from .solvers import SolverConfig, minimize_quadratic_over_simplex, polyak_subgradient
-from .convex_sets import dimension_of, distance, project
+from .solvers import SolverConfig, chebyshev_center, polyak_subgradient
+from .solvers import minimize_quadratic_over_simplex
+from .convex_sets import caratheodory, dimension_of, distance, project
 
 INTERSECT_TOL = 1e-6
 ENUMERATION_CAP = 10 ** 6
@@ -73,14 +76,29 @@ def _max_distance_oracle(bodies, cfg):
     return oracle
 
 
+def _all_balls(family):
+    return all(isinstance(b, Ball) for b in family.bodies)
+
+
+def _ball_arrays(balls):
+    return np.array([b.center for b in balls]), np.array([b.radius for b in balls])
+
+
 def common_point(family: BodyFamily, cfg=None) -> IntersectionReport:
     """Minimize d(x) = max_i distance(x, C_i); witness when the minimum is ~0.
 
-    Initialized at the centroid of the bodies' centers / vertex centroids.
-    intersects is declared when the final value is <= 1e-6.
+    A family of balls is one chebyshev_center call: the witness is the
+    center y, the residual max(t, 0).  Any other family runs Polyak steps
+    from the centroid of the bodies' centers / vertex centroids.  intersects
+    is declared when the final value is <= 1e-6.
     """
     cfg = cfg or SolverConfig()
     bodies = family.bodies
+    if _all_balls(family):
+        y, t = chebyshev_center(*_ball_arrays(bodies), cfg)
+        return IntersectionReport(
+            intersects=t <= INTERSECT_TOL, witness=y, residual=max(t, 0.0)
+        )
     oracle = _max_distance_oracle(bodies, cfg)
     x0 = np.mean([_body_anchor(b) for b in bodies], axis=0)
     # Phase 1: Polyak steps with target 0 (exact when the family intersects).
@@ -148,8 +166,7 @@ class _BallCandidates:
     def __init__(self, balls):
         self.balls = balls
         k = len(balls)
-        centers = np.array([b.center for b in balls])
-        radii = np.array([b.radius for b in balls])
+        centers, radii = _ball_arrays(balls)
         pts = [centers[i] for i in range(k)]
         self.center_cand = list(range(k))
         self.pair_cand = {}
@@ -208,7 +225,7 @@ def check_k_intersection(family: BodyFamily, k: int, cfg=None) -> IntersectionRe
         raise EnumerationGuardError(
             f"C({m}, {k}) = {math.comb(m, k)} exceeds the 10^6 subset budget"
         )
-    all_balls = all(isinstance(b, Ball) for b in family.bodies)
+    all_balls = _all_balls(family)
     n = family.dimension
     cand = None
     if all_balls and n == 2:
@@ -232,87 +249,55 @@ def check_k_intersection(family: BodyFamily, k: int, cfg=None) -> IntersectionRe
     return IntersectionReport(intersects=True, witness=None, residual=worst)
 
 
-def helly_verify(family: BodyFamily, cfg=None) -> IntersectionReport:
-    """If every (n+1)-subset intersects, produce a global witness.
+def _violating_subset(family, y, t, cfg):
+    """At most n + 1 balls with Chebyshev value t > 0, from the balls within
+    1e-9 (1 + t) of tight at the family's Chebyshev center y."""
+    centers, radii = _ball_arrays(family.bodies)
+    diff = y - centers
+    dist = np.linalg.norm(diff, axis=1)
+    tight = np.flatnonzero(dist - radii >= t - 1e-9 * (1.0 + t))
+    normals = Polytope(diff[tight] / dist[tight, None])
+    cert = caratheodory(np.zeros(family.dimension), normals, cfg)
+    return sorted(int(tight[i]) for i in cert.indices)
 
-    Runs check_k_intersection(n+1) and, on success, common_point for the whole
+
+def helly_verify(family: BodyFamily, cfg=None) -> IntersectionReport:
+    """A global witness, or a violating subset of at most n + 1 bodies.
+
+    A family of balls is decided by common_point, and its violating subset is
+    read off the Chebyshev center.  Any other family runs
+    check_k_intersection(n+1) and, on success, common_point for the whole
     family; by Helly's theorem for closed bounded convex sets the global
     search must succeed.
     """
     cfg = cfg or SolverConfig()
-    k = family.dimension + 1
-    sub = check_k_intersection(family, k, cfg)
+    if _all_balls(family):
+        rep = common_point(family, cfg)
+        if rep.intersects:
+            return rep
+        subset = _violating_subset(family, rep.witness, rep.residual, cfg)
+        return IntersectionReport(False, None, rep.residual, subset)
+    sub = check_k_intersection(family, family.dimension + 1, cfg)
     if not sub.intersects:
         return sub
     return common_point(family, cfg)
 
 
-def _ball_from_support(support, n):
-    if len(support) == 0:
-        return np.zeros(n), 0.0
-    S = np.array(support)
-    if S.shape[0] == 1:
-        return S[0].copy(), 0.0
-    D = S[1:] - S[0]
-    rhs = np.sum(D * D, axis=1)
-    beta, *_ = np.linalg.lstsq(2.0 * (D @ D.T), rhs, rcond=None)
-    center = S[0] + beta @ D
-    radius = float(np.max(np.linalg.norm(S - center, axis=1)))
-    return center, radius
-
-
-def _welzl(pts, n, rng):
-    order = rng.shuffle(list(range(len(pts))))
-
-    def inside(p, c, r):
-        return float(np.linalg.norm(p - c)) <= r + 1e-10 * (1.0 + r)
-
-    def rec(count, support):
-        if count == 0 or len(support) == n + 1:
-            return _ball_from_support(support, n)
-        p = pts[order[count - 1]]
-        c, r = rec(count - 1, support)
-        if inside(p, c, r):
-            return c, r
-        return rec(count - 1, support + [p])
-
-    return rec(len(pts), [])
-
-
-def _meb_dual(pts, cfg):
-    P = np.asarray(pts)
-    Q = 2.0 * (P @ P.T)
-    c = -np.sum(P * P, axis=1)
-    report = minimize_quadratic_over_simplex(Q, c, P.shape[0], cfg)
+def jung_ball(points, cfg=None) -> Ball:
+    """Minimal enclosing ball of the point set (duplicates dropped, sorted):
+    the concave dual over the simplex, maximize sum l_i ||p_i||^2 -
+    ||sum l_i p_i||^2 (chebyshev_center's dual at zero radii and t = 0), gives
+    the center sum l_i p_i; the radius is the farthest point's distance."""
+    cfg = cfg or SolverConfig()
+    P = np.asarray([np.asarray(p, dtype=float) for p in points])
+    if P.shape[0] == 0:
+        raise ValueError("need at least one point")
+    P = np.unique(P, axis=0)
+    report = minimize_quadratic_over_simplex(
+        2.0 * (P @ P.T), -np.sum(P * P, axis=1), P.shape[0], cfg
+    )
     center = report.argmin.weights @ P
     radius = float(np.max(np.linalg.norm(P - center, axis=1)))
-    return center, radius
-
-
-def jung_ball(points, cfg=None) -> Ball:
-    """Minimal enclosing ball: Welzl's algorithm (exact for n <= 3), with the
-    concave dual over the simplex as the fallback in higher dimensions."""
-    cfg = cfg or SolverConfig()
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if not pts:
-        raise ValueError("need at least one point")
-    n = pts[0].shape[0]
-    uniq = []
-    seen = set()
-    for p in pts:
-        key = p.tobytes()
-        if key not in seen:
-            seen.add(key)
-            uniq.append(p)
-    if len(uniq) == 1:
-        return Ball(uniq[0], 0.0)
-    if n > 3:
-        center, radius = _meb_dual(uniq, cfg)
-    else:
-        center, radius = _welzl(uniq, n, SplitMix64(cfg.seed))
-        cover = float(np.max(np.linalg.norm(np.array(uniq) - center, axis=1)))
-        if cover > radius + 1e-9:
-            center, radius = _meb_dual(uniq, cfg)  # degenerate support rescue
     return Ball(center, radius)
 
 

@@ -1,19 +1,22 @@
 """Deterministic convex solvers shared by the algorithmic modules.
 
-Two public entry points:
+Three public entry points:
 
 * minimize_quadratic_over_simplex -- 1/2 l'Ql + c'l over one probability
   simplex, solved exactly by solve_qp from the best vertex and certified by
-  the duality gap g'l - min g.  Its callers are the minimax duals, polytope
+  the duality gap g'l - min g.  Its callers are chebyshev_center, polytope
   projection, the minimum-enclosing-ball dual and the polyhedral-conjugate
   screen.
+* chebyshev_center -- the point minimizing max_i (||y - c_i|| - r_i) over a
+  finite family of balls, by Newton root-finding on the simplex dual.  It is
+  the one engine behind extend_minimax (balls B(b_i, L ||x - a_i||)) and
+  the Helly checks on ball families.
 * polyak_subgradient -- subgradient descent with Polyak steps for problems
   whose optimal value is known in advance (helly.common_point drives
-  max_i d(x, C_i) to target 0).
+  max_i d(x, C_i) to target 0 on families that hold a polytope).
 
 SolverConfig's tol and max_iters bound Polyak (and helly's target halving),
-tol also decides the simplex solve's converged flag, and seed feeds Welzl's
-shuffle in helly.jung_ball.
+and tol also decides the simplex solve's converged flag.
 
 Internal helper used by other modules:
 
@@ -44,7 +47,6 @@ from .errors import SolverCapError
 class SolverConfig:
     tol: float = 1e-9
     max_iters: int = 200_000
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.tol > 0):
@@ -107,6 +109,74 @@ def minimize_quadratic_over_simplex(quad, c, k, cfg=None, constant=0.0):
         iters=info["iters"],
         converged=gap <= cfg.tol * (1.0 + abs(value)),
     )
+
+
+def chebyshev_center(centers, radii, cfg=None):
+    """Chebyshev center of the balls B(c_i, r_i), r_i >= 0: (y, t) with y
+    minimizing max_i (||y - c_i|| - r_i) and t that value, so the balls share
+    a point iff t <= 0, and then y is the deepest point of the intersection.
+
+    Computed by safeguarded Newton root-finding on the concave value function
+    phi(t) = min_y max_i (||y - c_i||^2 - (r_i + t)^2), each evaluation being
+    one concave dual over the simplex (maximize sum l_i (||c_i||^2 -
+    (r_i+t)^2) - ||sum l_i c_i||^2, recover y = sum l_i c_i); phi(t*) = 0 at
+    the Chebyshev value t*, with phi'(t) = -2 sum l_i (r_i + t) read off the
+    dual weights.  t* is bracketed by -min r_i and the value at y = c_0.  A
+    final Gauss-Newton step over the balls tight at y is kept when it lowers
+    the residual.  Raises SolverCapError when 80 Newton steps meet neither
+    stop test.
+    """
+    C = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    Q = 2.0 * (C @ C.T)
+    sq_norms = np.sum(C * C, axis=1)
+    scale = 1.0 + float(np.max(radii) ** 2) + float(np.max(np.abs(sq_norms)))
+
+    def dual_solve(t):
+        infl = radii + t
+        gains = sq_norms - infl ** 2
+        report = minimize_quadratic_over_simplex(Q, -gains, C.shape[0], cfg)
+        lam = report.argmin.weights
+        phi = -report.value
+        slope = -2.0 * float(lam @ infl)
+        return phi, slope, lam
+
+    t_lo = -float(np.min(radii))
+    t_hi = max(0.0, float(np.max(np.linalg.norm(C[0] - C, axis=1) - radii)))
+    t = 0.0
+    for _ in range(80):
+        phi, slope, lam = dual_solve(t)
+        if phi > 0.0:
+            t_lo = max(t_lo, t)
+        else:
+            t_hi = min(t_hi, t)
+        if abs(phi) <= 1e-13 * scale or (t_hi - t_lo) <= 1e-13:
+            break
+        if slope < -1e-18:
+            t_new = t - phi / slope
+        else:
+            t_new = 0.5 * (t_lo + t_hi)
+        if not (t_lo < t_new < t_hi):
+            t_new = 0.5 * (t_lo + t_hi)
+        t = t_new
+    else:
+        raise SolverCapError("Chebyshev-center Newton loop capped at 80 steps")
+    y = lam @ C
+    dist = np.linalg.norm(y - C, axis=1)
+    gaps = dist - radii
+    residual = float(np.max(gaps))
+    # On a degenerate dual (every ball through one point, as on tight data)
+    # the QP's support can be a thin simplex that magnifies rounding in y.
+    # One Gauss-Newton step on the linearised ||y - c_i|| - r_i = tau over
+    # every ball tight at y pins y by all of them; keep it if it helps.
+    tight = (gaps >= residual - 1e-12 * (1.0 + np.max(radii))) & (dist > 0.0)
+    rows = np.hstack([(y - C[tight]) / dist[tight, None], -np.ones((tight.sum(), 1))])
+    step, *_ = np.linalg.lstsq(rows, -gaps[tight], rcond=None)
+    y_step = y + step[:-1]
+    residual_step = float(np.max(np.linalg.norm(y_step - C, axis=1) - radii))
+    if residual_step < residual:
+        return y_step, residual_step
+    return y, residual
 
 
 def polyak_subgradient(oracle, target, x0, cfg=None):

@@ -10,6 +10,7 @@ from lipext.errors import BoxExhaustionError
 from lipext import convex_functions as cf
 from lipext import monotone
 from lipext import io_formats as io
+from test_helly import touching_families
 
 
 def write(path, text):
@@ -125,6 +126,28 @@ class TestHellyCommand:
         assert rc == 1
         payload = json.loads(open(rep).read())
         assert payload["violating_subset"] == [0, 1]
+
+    def test_touching_family_verifies(self, tmp_path):
+        # Every sphere passes through one point, the family's only common
+        # point; every triple meets, so by Helly's theorem verify accepts.
+        family = touching_families(2)[19]
+        balls = [{"kind": "ball", "center": b.center.tolist(), "radius": b.radius}
+                 for b in family.bodies]
+        fam = write(tmp_path / "fam.json", json.dumps({"n": 2, "bodies": balls}))
+        rep = str(tmp_path / "rep.json")
+        assert main(["helly", "--family", fam, "--mode", "verify", "--out", rep]) == 0
+        payload = json.loads(open(rep).read())
+        assert payload["intersects"] is True and payload["residual"] <= 1e-12
+
+    def test_verify_ball_family_needs_no_enumeration(self, tmp_path):
+        # C(200, 3) triples exceed the 10^6 budget, but verify does not
+        # enumerate them: one Chebyshev center decides a ball family.
+        balls = [{"kind": "ball", "center": [0.25 * i, 0.0], "radius": 50.0}
+                 for i in range(200)]
+        fam = write(tmp_path / "fam.json", json.dumps({"n": 2, "bodies": balls}))
+        rc = main(["helly", "--family", fam, "--mode", "verify",
+                   "--out", str(tmp_path / "rep.json")])
+        assert rc == 0
 
     def test_enumeration_guard_exit_5(self, tmp_path):
         balls = [{"kind": "ball", "center": [float(i), 0.0], "radius": 50.0}

@@ -135,6 +135,29 @@ class TestMinimax:
         worst = max(extend_minimax(data, x, CFG)[1] for x in queries)
         assert worst <= 5e-15
 
+    def test_permuting_the_data_moves_values_by_rounding(self):
+        # A function of the data set (definability), up to rounding at the
+        # scale of the largest constraint radius.
+        for k in (20, 120):
+            g = generate_lipschitz_data(2, 2, k, k)
+            rng = SplitMix64(k)
+            rand = [[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2 * k)]
+            datasets = [
+                g,
+                FiniteMapData(g.points, g.values),
+                FiniteMapData(rand[:k], rand[k:]),
+            ]
+            order = np.array(SplitMix64(k + 1).shuffle(list(range(k))))
+            queries = [np.array([rng.uniform(-1.5, 1.5) for _ in range(2)]) for _ in range(10)]
+            for data in datasets:
+                moved = FiniteMapData(data.points[order], data.values[order], data.L)
+                for x in queries:
+                    y, r = extend_minimax(data, x, CFG)
+                    y2, r2 = extend_minimax(moved, x, CFG)
+                    scale = 1.0 + data.L * float(np.max(np.linalg.norm(data.points - x, axis=1)))
+                    assert np.max(np.abs(y2 - y)) <= 1e-13 * scale
+                    assert abs(r2 - r) <= 1e-13 * scale
+
     def test_dual_matches_primal_polyak(self):
         # the dual simplex reduction must agree with the direct minimax
         rng = SplitMix64(3)

@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from lipext import helly
 from lipext.errors import EnumerationGuardError
+from lipext.gen import generate_ball_family
 from lipext.geometry import Ball, Polytope
 from lipext.rng import SplitMix64
-from lipext.solvers import SolverConfig
+from lipext.solvers import SolverConfig, chebyshev_center
 from lipext.helly import (
     BodyFamily,
     check_k_intersection,
@@ -15,9 +18,31 @@ from lipext.helly import (
     jung_ball,
     jung_bound_check,
 )
-from lipext.helly import _meb_dual, _welzl
 
 CFG = SolverConfig()
+
+
+def touching_families(n, count=20):
+    """Families of n + 2 balls whose spheres all pass through one point.
+
+    From one SplitMix64(7) stream per n: the point p uniform in [-1, 1]^n,
+    then n + 2 centers uniform in [-2, 2]^n, each radius ||c_i - p||.  They
+    are tight (p is their only common point, up to rounding), not tuned.
+    """
+    rng = SplitMix64(7)
+    out = []
+    for _ in range(count):
+        p = np.array([rng.uniform(-1, 1) for _ in range(n)])
+        centers = [np.array([rng.uniform(-2, 2) for _ in range(n)]) for _ in range(n + 2)]
+        out.append(BodyFamily([Ball(c, float(np.linalg.norm(c - p))) for c in centers]))
+    return out
+
+
+def ball_arrays(family):
+    return (
+        np.array([b.center for b in family.bodies]),
+        np.array([b.radius for b in family.bodies]),
+    )
 
 
 def grid_min_max_distance(family, lo, hi, steps=200):
@@ -182,15 +207,30 @@ class TestJung:
             _, _, _, holds = jung_bound_check(pts, CFG)
             assert holds
 
-    def test_welzl_matches_dual(self):
+    def test_radius_matches_circumball_oracle(self):
+        # Brute force: the minimum enclosing ball is the smallest circumball
+        # of at most n + 1 affinely independent points that covers them all.
+        def oracle(P):
+            best = math.inf
+            for size in range(1, P.shape[1] + 2):
+                for S in itertools.combinations(range(len(P)), size):
+                    Q = P[list(S)]
+                    D = Q[1:] - Q[0]
+                    if np.linalg.matrix_rank(D) < size - 1:
+                        continue
+                    beta = np.linalg.solve(2.0 * (D @ D.T), np.sum(D * D, axis=1))
+                    center = Q[0] + beta @ D
+                    radius = float(np.max(np.linalg.norm(Q - center, axis=1)))
+                    if np.max(np.linalg.norm(P - center, axis=1)) <= radius + 1e-12:
+                        best = min(best, radius)
+            return best
+
         rng = SplitMix64(77)
-        for _ in range(15):
-            pts = [
-                np.array([rng.uniform(-1, 1) for _ in range(3)]) for _ in range(12)
-            ]
-            cw, rw = _welzl(pts, 3, SplitMix64(0))
-            cd, rd = _meb_dual(pts, CFG)
-            assert rw == pytest.approx(rd, abs=1e-7)
+        for trial in range(20):
+            n = 2 + trial % 2
+            k = 3 + int(rng.integer(8))
+            pts = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(k)])
+            assert jung_ball(pts, CFG).radius == pytest.approx(oracle(pts), abs=1e-12)
 
     def test_dimension_fallback(self):
         rng = SplitMix64(88)
@@ -198,6 +238,83 @@ class TestJung:
         ball = jung_ball(pts, CFG)
         dists = [float(np.linalg.norm(p - ball.center)) for p in pts]
         assert max(dists) <= ball.radius + 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_touching_families_intersect(n):
+    # Helly's theorem: a family whose every (n+1)-subset meets has a common
+    # point, so all three checks must accept, at rounding level.
+    worst = 0.0
+    for family in touching_families(n):
+        reports = [
+            common_point(family, CFG),
+            check_k_intersection(family, n + 1, CFG),
+            helly_verify(family, CFG),
+        ]
+        assert all(rep.intersects for rep in reports)
+        worst = max([worst] + [rep.residual for rep in reports])
+    assert worst <= 1e-12
+
+
+def test_chebyshev_center_ignores_ball_order():
+    # Definability: the center is a function of the family, not of its
+    # listing, on tight and on random families alike.
+    families = [ball_arrays(f) for n in (2, 3, 4) for f in touching_families(n)]
+    rng = SplitMix64(5)
+    for trial in range(30):
+        n, k = 2 + trial % 3, 3 + int(rng.integer(20))
+        C = np.array([[rng.uniform(-3, 3) for _ in range(n)] for _ in range(k)])
+        families.append((C, np.array([rng.uniform(0.0, 2.5) for _ in range(k)])))
+    for trial, (C, R) in enumerate(families):
+        y, t = chebyshev_center(C, R, CFG)
+        shuffled = np.array(SplitMix64(trial).shuffle(list(range(len(C)))))
+        for order in (shuffled, np.arange(len(C))[::-1]):
+            y2, t2 = chebyshev_center(C[order], R[order], CFG)
+            assert np.max(np.abs(y2 - y)) <= 1e-13 and abs(t2 - t) <= 1e-13
+
+
+def _no_intersection_families():
+    yield from (
+        generate_ball_family(n, count, seed, "disjoint-pair")
+        for n, count, seed in ((1, 5, 1), (2, 6, 2), (2, 9, 3), (3, 7, 4), (4, 8, 5))
+    )
+    yield BodyFamily(
+        [Ball([0.0, 0.0], 1.05), Ball([2.0, 0.0], 1.05), Ball([1.0, 1.732], 1.05)]
+    )
+    # 200 discs: C(200, 3) = 1,313,400 triples, past the enumeration budget.
+    rng = SplitMix64(11)
+    yield BodyFamily(
+        [Ball([rng.uniform(-3, 3), rng.uniform(-3, 3)], rng.uniform(0.5, 2.5))
+         for _ in range(200)]
+    )
+
+
+@pytest.mark.parametrize("family", list(_no_intersection_families()))
+def test_violating_subset_is_a_certificate(family):
+    n = family.dimension
+    rep = helly_verify(family, CFG)
+    assert not rep.intersects
+    subset = rep.violating_subset
+    assert 1 <= len(subset) <= n + 1 and subset == sorted(set(subset))
+    balls = BodyFamily([family.bodies[i] for i in subset])
+    assert not check_k_intersection(balls, n + 1, CFG).intersects
+    # Compared with the engine: the n = 2 candidate test reports the best
+    # candidate's distance, which is not the Chebyshev value.
+    _, t = chebyshev_center(*ball_arrays(balls), CFG)
+    assert t == pytest.approx(rep.residual, abs=1e-9)
+
+
+def test_ball_families_skip_enumeration_and_polyak(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ball families must not reach this")
+
+    monkeypatch.setattr(helly, "check_k_intersection", forbidden)
+    monkeypatch.setattr(helly, "polyak_subgradient", forbidden)
+    assert helly_verify(touching_families(3)[0], CFG).intersects
+    crowd = BodyFamily([Ball([float(i), 0.0], 50.0) for i in range(45)])
+    assert helly_verify(crowd, CFG).intersects
+    apart = BodyFamily([Ball([0.0, 0.0], 1.0), Ball([4.0, 0.0], 1.0)])
+    assert helly_verify(apart, CFG).violating_subset == [0, 1]
 
 
 def test_max_distance_is_nonexpansive():

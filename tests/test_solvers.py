@@ -4,10 +4,15 @@ import itertools
 import numpy as np
 import pytest
 
+from lipext import solvers
+from lipext.errors import SolverCapError
+from lipext.geometry import SimplexWeights
 from lipext.rng import SplitMix64
 from lipext.solvers import (
+    SolveReport,
     SolverConfig,
     _nullspace,
+    chebyshev_center,
     minimize_quadratic_over_simplex,
     polyak_subgradient,
     solve_qp,
@@ -74,6 +79,28 @@ class TestFrankWolfe:
         assert dataclasses.asdict(a)["value"] == dataclasses.asdict(b)["value"]
         assert np.array_equal(a.argmin.weights, b.argmin.weights)
         assert (a.residual, a.iters, a.converged) == (b.residual, b.iters, b.converged)
+
+
+class TestChebyshevCenter:
+    def test_two_disjoint_balls(self):
+        y, t = chebyshev_center([[0.0, 0.0], [4.0, 0.0]], [1.0, 1.0], CFG)
+        assert np.allclose(y, [2.0, 0.0], atol=1e-12)
+        assert t == pytest.approx(1.0, abs=1e-12)
+
+    def test_nested_balls(self):
+        # The deepest point of B(0, 1) inside B(0.5, 3) is 0, at depth -1.
+        y, t = chebyshev_center([[0.0], [0.5]], [1.0, 3.0], CFG)
+        assert abs(y[0]) <= 1e-12 and t == pytest.approx(-1.0, abs=1e-12)
+
+    def test_newton_cap_raises(self, monkeypatch):
+        # A dual that always reports phi = 1e-6 > 0 moves t by about 5e-7 a
+        # step, so 80 steps meet neither the phi nor the bracket test.
+        def stuck(quad, c, k, cfg=None, constant=0.0):
+            return SolveReport(SimplexWeights(np.full(k, 1.0 / k)), -1e-6, 0.0, 1, True)
+
+        monkeypatch.setattr(solvers, "minimize_quadratic_over_simplex", stuck)
+        with pytest.raises(SolverCapError, match="80 steps"):
+            chebyshev_center([[0.0, 0.0], [10.0, 0.0]], [1.0, 1.0], CFG)
 
 
 class TestPolyak:
