@@ -10,18 +10,17 @@ Run: python demos/demo_lipschitz_extension.py
 
 import numpy as np
 
-from lipext import ExtensionModel, SolverConfig
+from lipext import ExtensionModel
 from lipext.gen import generate_lipschitz_data
 
-cfg = SolverConfig()
 
 print("=== data: 8 samples of a contraction R^2 -> R^2 (L = 1) ===")
 data = generate_lipschitz_data(2, 2, 8, seed=7)
 for a, b in zip(data.points, data.values):
     print(f"  f({np.round(a, 3)}) = {np.round(b, 3)}")
 
-minimax = ExtensionModel(data, "minimax", cfg)
-proxavg = ExtensionModel(data, "proxavg", cfg)
+minimax = ExtensionModel(data, "minimax")
+proxavg = ExtensionModel(data, "proxavg")
 
 print("\n=== interpolation at the data points ===")
 for i in range(data.size):

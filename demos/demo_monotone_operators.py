@@ -13,7 +13,6 @@ import numpy as np
 
 from lipext import (
     OperatorGraph,
-    SolverConfig,
     firmly_nonexpansive_check,
     fitzpatrick_conj_eval,
     fitzpatrick_eval,
@@ -25,7 +24,6 @@ from lipext import (
     resolvent_of_graph,
 )
 
-cfg = SolverConfig()
 
 print("=== samples of the non-expansive map f = -id ===")
 pts = np.array([[0.0], [1.0], [-2.0]])
@@ -45,7 +43,7 @@ print(f"  round trip exact: {np.array_equal(back.points, T.points)}")
 print("\n=== Fitzpatrick function: equals <x, x*> exactly on the graph ===")
 for a, astar in T.pairs():
     phi = fitzpatrick_eval(T, a, astar)
-    phi_star = fitzpatrick_conj_eval(T, astar, a, cfg)
+    phi_star = fitzpatrick_conj_eval(T, astar, a)
     psi = psi_eval(T, a, astar)
     print(f"  at ({a[0]:+.0f}, {astar[0]:+.0f}): Phi = {phi:.6f}, "
           f"Phi* = {phi_star:.6f}, Psi = {psi:.6f}, <x,x*> = {a[0]*astar[0]:.6f}")

@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 from .geometry import Ball, Polytope, SimplexWeights, convex_combination, dot, norm
 from .solvers import (
-    SolverConfig,
     SolveReport,
     minimize_quadratic_over_simplex,
     polyak_subgradient,

@@ -33,7 +33,6 @@ from .errors import (
     ModulusViolationError,
     SolverCapError,
 )
-from .solvers import SolverConfig
 from .helly import check_k_intersection, common_point, helly_verify
 from .monotone import is_monotone, resolvent_eval, autoconjugacy_check
 from .extension import ExtensionModel
@@ -46,16 +45,12 @@ def _err(msg):
     print(f"lipext: {msg}", file=sys.stderr)
 
 
-def _config(args) -> SolverConfig:
-    return SolverConfig(tol=min(args.tol, 1e-9), max_iters=args.max_iters)
-
-
 def _write_manifest(args, started):
     manifest = {
         "subcommand": args.subcommand,
         "argv": args._argv,
         "inputs": {k: getattr(args, k) for k in args._input_fields},
-        "config": {"tol": args.tol, "seed": args.seed, "max_iters": args.max_iters},
+        "config": {"tol": args.tol, "seed": args.seed},
         "outputs": [args.out],
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - started, 6),
@@ -115,7 +110,7 @@ def _residual_rows(out, header, queries, solve):
 def cmd_extend(args):
     data = _parse(args.data, io.data_from_dict, (KeyError, TypeError))
     queries = _points(args.queries, data.m)
-    model = ExtensionModel(data, args.method, _config(args))
+    model = ExtensionModel(data, args.method)
     header = [f"q_{i + 1}" for i in range(data.m)] + [
         f"F_{i + 1}" for i in range(data.n)
     ]
@@ -129,14 +124,13 @@ def cmd_helly(args):
     family = _parse(
         args.family, io.family_from_dict, (KeyError, TypeError, FormatError)
     )
-    cfg = _config(args)
     if args.mode == "common-point":
-        report = common_point(family, cfg)
+        report = common_point(family)
     elif args.mode == "k-check":
         k = args.k if args.k is not None else family.dimension + 1
-        report = check_k_intersection(family, k, cfg)
+        report = check_k_intersection(family, k)
     else:
-        report = helly_verify(family, cfg)
+        report = helly_verify(family)
     io.write_json(args.out, io.report_to_dict(report))
     return 0 if report.intersects else 1
 
@@ -145,11 +139,10 @@ def cmd_function(args):
     build = functools.partial(io.function_from_dict, default_box=args.box)
     errors = (KeyError, TypeError, ValueError)
     fn = _parse(args.function, build, errors)
-    cfg = _config(args)
     if args.eval is not None:
         pts = _points(args.eval, fn.dim)
         header = [f"x_{i + 1}" for i in range(fn.dim)] + ["value"]
-        rows = [list(p) + [cf.eval(fn, p, cfg)] for p in pts]
+        rows = [list(p) + [cf.eval(fn, p)] for p in pts]
         io.write_csv(args.out, header, rows)
         return 0
     if args.duality is not None:
@@ -157,7 +150,7 @@ def cmd_function(args):
         if args.box is None:
             raise _ParseFailure("--duality requires --box")
         box = cf.cube(args.box, fn.dim)
-        primal, dual, gap = cf.fenchel_duality_solve(fn, neg_g, box, cfg)
+        primal, dual, gap = cf.fenchel_duality_solve(fn, neg_g, box)
         io.write_json(args.out, {"primal": primal, "dual": dual, "gap": gap})
         return _within(
             abs(gap), max(args.tol, 1e-5), f"duality gap {gap:.3e} exceeds tolerance"
@@ -167,10 +160,8 @@ def cmd_function(args):
         raise _ParseFailure("--conjugate-check requires --box")
     primal_box = cf.cube(args.box, fn.dim)
     inner = cf.cube(0.5 * args.box, fn.dim)
-    samples = [p for p in inner.grid(3) if cf.eval(fn, p, cfg) != cf.INF]
-    gap = cf.biconjugate_check(
-        fn, samples, cfg, primal_box=primal_box, dual_box=primal_box
-    )
+    samples = [p for p in inner.grid(3) if cf.eval(fn, p) != cf.INF]
+    gap = cf.biconjugate_check(fn, samples, primal_box=primal_box, dual_box=primal_box)
     io.write_json(args.out, {"max_gap": gap, "samples": len(samples)})
     return _within(
         gap, max(args.tol, 1e-5), f"biconjugation gap {gap:.3e} exceeds tolerance"
@@ -179,7 +170,6 @@ def cmd_function(args):
 
 def cmd_monotone(args):
     T = _parse(args.graph, io.graph_from_dict, (KeyError, TypeError, IndexError))
-    _config(args)  # rejects a bad --tol or --max-iters (exit 3)
     if args.check:
         rep = is_monotone(T)
         io.write_json(
@@ -246,7 +236,6 @@ def cmd_replay(args):
 def _add_common(p, out_required=True):
     p.add_argument("--tol", type=float, default=1e-6, help="residual acceptance tolerance")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed for any randomness")
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=200_000)
     p.add_argument("--out", required=out_required, help="output report path")
 
 
@@ -330,6 +319,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args._argv = list(argv)
     try:
+        if args.subcommand != "replay" and not args.tol > 0:
+            raise ValueError("tol must be positive")
         code = args.func(args)
         if args.subcommand != "replay":  # the replayed run wrote its own
             _write_manifest(args, started)

@@ -27,7 +27,7 @@ from .errors import (
     ImproperFunctionError,
     SolverCapError,
 )
-from .solvers import SolverConfig, minimize_quadratic_over_simplex, solve_qp
+from .solvers import minimize_quadratic_over_simplex, solve_qp
 
 INF = math.inf
 
@@ -232,7 +232,7 @@ class MaxAffineConjugate:
 
     Value at y is min { sum_i l_i o_i : sum_i l_i s_i = y, l in simplex },
     +inf when y is outside conv(slopes).  Values are memoised on the node,
-    keyed by (y, cfg), so the memo is freed with the node.
+    keyed by y's bytes, so the memo is freed with the node.
     """
 
     slopes: np.ndarray
@@ -403,7 +403,7 @@ def _inner_minimize(fun, box, node_name, extra_points=()):
     return min(candidates)
 
 
-def _polyhedral_conjugate_value(node: MaxAffineConjugate, y, cfg) -> float:
+def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
     """min { o'l : S'l = y, l in simplex } as one exact LP.
 
     A screen, the exact projection of y onto conv(slopes), returns +inf when
@@ -411,13 +411,13 @@ def _polyhedral_conjugate_value(node: MaxAffineConjugate, y, cfg) -> float:
     solve_qp (P = 0) on the LP with target S'l1, the nearest hull point, so
     the start is feasible, and l1's zero weights start in the working set.
     """
-    key = (y.tobytes(), cfg)
+    key = y.tobytes()
     if key in node._memo:
         return node._memo[key]
     S, o = node.slopes, node.offsets
     k = S.shape[0]
     lam1 = minimize_quadratic_over_simplex(
-        2.0 * (S @ S.T), -2.0 * (S @ y), k, cfg
+        2.0 * (S @ S.T), -2.0 * (S @ y), k
     ).argmin.weights
     nearest = S.T @ lam1
     # The distance itself, not the expanded quadratic's value, which loses
@@ -439,24 +439,23 @@ def _polyhedral_conjugate_value(node: MaxAffineConjugate, y, cfg) -> float:
     return value
 
 
-def eval(expr, x, cfg=None) -> float:  # noqa: A001 - module-level eval is the API
+def eval(expr, x) -> float:  # noqa: A001 - module-level eval is the API
     """Evaluate an expression tree at x; +inf is a value, -inf is an error."""
-    cfg = cfg or SolverConfig()
     x = as_vector(x)
     if x.shape[0] != expr.dim:
         raise DimensionMismatchError(
             f"point has dimension {x.shape[0]}, function expects {expr.dim}"
         )
-    return _eval(expr, x, cfg)
+    return _eval(expr, x)
 
 
-def _eval(expr, x, cfg) -> float:
+def _eval(expr, x) -> float:
     if isinstance(expr, Quadratic):
         return 0.5 * float(x @ x)
     if isinstance(expr, MaxAffine):
         return float(np.max(expr.slopes @ x - expr.offsets))
     if isinstance(expr, Indicator):
-        return 0.0 if distance(x, expr.body, cfg) <= MEMBERSHIP_TOL else INF
+        return 0.0 if distance(x, expr.body) <= MEMBERSHIP_TOL else INF
     if isinstance(expr, Kappa):
         h = expr.half_dim
         d = x[:h] - x[h:]
@@ -466,22 +465,22 @@ def _eval(expr, x, cfg) -> float:
         for coeff, child in zip(expr.coefficients, expr.children):
             if coeff == 0.0:
                 continue
-            v = _eval(child, x, cfg)
+            v = _eval(child, x)
             if v == INF:
                 return INF
             total += coeff * v
         return total
     if isinstance(expr, Scale):
-        return expr.factor * _eval(expr.child, x, cfg)
+        return expr.factor * _eval(expr.child, x)
     if isinstance(expr, EpiScale):
-        return expr.factor * _eval(expr.child, x / expr.factor, cfg)
+        return expr.factor * _eval(expr.child, x / expr.factor)
     if isinstance(expr, Translate):
-        v = _eval(expr.child, x - expr.shift, cfg)
+        v = _eval(expr.child, x - expr.shift)
         if v == INF:
             return INF
         return v + dot(x, expr.slope) + expr.offset
     if isinstance(expr, MaxAffineConjugate):
-        return _polyhedral_conjugate_value(expr, x, cfg)
+        return _polyhedral_conjugate_value(expr, x)
     if isinstance(expr, SupportFunction):
         body = expr.body
         if hasattr(body, "radius"):  # Ball
@@ -490,10 +489,10 @@ def _eval(expr, x, cfg) -> float:
     if isinstance(expr, Conjugate):
         child = expr.child
         if isinstance(child, (MaxAffine, Indicator)):
-            return _eval(conjugate(child), x, cfg)
+            return _eval(conjugate(child), x)
 
         def neg_slope(z):
-            return _eval(child, z, cfg) - float(z @ x)
+            return _eval(child, z) - float(z @ x)
 
         # Polyhedral children attain the supremum at a vertex of their
         # domain; probe the generating slopes so the grid cannot miss it.
@@ -517,13 +516,13 @@ def _eval(expr, x, cfg) -> float:
                 and isinstance(a.body, Polytope)
                 and a.body.n_vertices == 1
             ):
-                return _eval(b, x - a.body.vertices[0], cfg)
+                return _eval(b, x - a.body.vertices[0])
 
         def total(ylocal):
-            a = _eval(f, ylocal, cfg)
+            a = _eval(f, ylocal)
             if a == INF:
                 return INF
-            b = _eval(g, x - ylocal, cfg)
+            b = _eval(g, x - ylocal)
             if b == INF:
                 return INF
             return a + b
@@ -540,10 +539,10 @@ def _eval(expr, x, cfg) -> float:
         f, g = expr.left, expr.right
 
         def total(ylocal):
-            a = _eval(f, 2.0 * ylocal, cfg)
+            a = _eval(f, 2.0 * ylocal)
             if a == INF:
                 return INF
-            b = _eval(g, 2.0 * (x - ylocal), cfg)
+            b = _eval(g, 2.0 * (x - ylocal))
             if b == INF:
                 return INF
             d = 2.0 * ylocal - x
@@ -595,9 +594,8 @@ def _auto_dual_box(f_star, margin=1.0):
     return None
 
 
-def biconjugate_check(f, samples, cfg=None, primal_box=None, dual_box=None):
+def biconjugate_check(f, samples, *, primal_box=None, dual_box=None):
     """max |f**(x) - f(x)| over the samples; samples must be in dom f."""
-    cfg = cfg or SolverConfig()
     f_star = conjugate(f, primal_box)
     if dual_box is None:
         dual_box = _auto_dual_box(f_star)
@@ -607,10 +605,10 @@ def biconjugate_check(f, samples, cfg=None, primal_box=None, dual_box=None):
     worst = 0.0
     for s in samples:
         s = as_vector(s)
-        fv = eval(f, s, cfg)
+        fv = eval(f, s)
         if fv == INF:
             raise ValueError(f"sample {s} is outside dom f")
-        worst = max(worst, abs(eval(f_star_star, s, cfg) - fv))
+        worst = max(worst, abs(eval(f_star_star, s) - fv))
     return worst
 
 
@@ -627,9 +625,8 @@ def delta_expr(a, b):
     return Translate(shift, slope, float(a @ b), Quadratic(2 * n))
 
 
-def delta_conjugate_identity_check(a, b, samples, cfg=None, box=None):
+def delta_conjugate_identity_check(a, b, samples, *, box=None):
     """max gap of delta*(x*, y*) = delta(-y*, -x*) over sampled (x*, y*)."""
-    cfg = cfg or SolverConfig()
     a = as_vector(a)
     b = as_vector(b)
     n = a.shape[0]
@@ -647,27 +644,26 @@ def delta_conjugate_identity_check(a, b, samples, cfg=None, box=None):
     worst = 0.0
     for s in samples:
         xs, ys = s[:n], s[n:]
-        lhs = eval(d_star, s, cfg)
-        rhs = eval(d, np.concatenate([-ys, -xs]), cfg)
+        lhs = eval(d_star, s)
+        rhs = eval(d, np.concatenate([-ys, -xs]))
         worst = max(worst, abs(lhs - rhs))
     return worst
 
 
-def fenchel_duality_solve(f, neg_g, box, cfg=None):
+def fenchel_duality_solve(f, neg_g, box):
     """Fenchel duality for convex f and concave g supplied as neg_g = -g.
 
     primal = inf over the box of f - g; dual = max over the box of g* - f*
     with g*(y) = inf_x (<x, y> - g(x)).  Returns (primal, dual, gap).
     """
-    cfg = cfg or SolverConfig()
     if f.dim != neg_g.dim or box.dim != f.dim:
         raise DimensionMismatchError("operands disagree in dimension")
 
     def primal_obj(z):
-        a = _eval(f, z, cfg)
+        a = _eval(f, z)
         if a == INF:
             return INF
-        b = _eval(neg_g, z, cfg)
+        b = _eval(neg_g, z)
         return INF if b == INF else a + b
 
     try:
@@ -681,7 +677,7 @@ def fenchel_duality_solve(f, neg_g, box, cfg=None):
 
     def g_star(y):
         def h(z):
-            b = _eval(neg_g, z, cfg)
+            b = _eval(neg_g, z)
             return INF if b == INF else float(z @ y) + b
 
         try:
@@ -691,7 +687,7 @@ def fenchel_duality_solve(f, neg_g, box, cfg=None):
         return -INF if m is None else m
 
     def dual_neg(y):
-        fs = _eval(f_star, y, cfg)
+        fs = _eval(f_star, y)
         if fs == INF:
             return INF
         gs = g_star(y)
@@ -714,16 +710,15 @@ def fenchel_duality_solve(f, neg_g, box, cfg=None):
     return primal, dual, primal - dual
 
 
-def fenchel_young_check(f, pairs, cfg=None, box=None):
+def fenchel_young_check(f, pairs, *, box=None):
     """min over sampled (x, x*) of f(x) + f*(x*) - <x, x*>; must be >= -1e-6."""
-    cfg = cfg or SolverConfig()
     f_star = conjugate(f, box)
     worst = INF
     for x, xs in pairs:
         x = as_vector(x)
         xs = as_vector(xs)
-        fv = eval(f, x, cfg)
-        fsv = eval(f_star, xs, cfg)
+        fv = eval(f, x)
+        fsv = eval(f_star, xs)
         if fv == INF or fsv == INF:
             continue
         worst = min(worst, fv + fsv - dot(x, xs))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import Ball, Polytope, SimplexWeights, as_vector
 from .errors import DimensionMismatchError, InfeasiblePointError, SolverCapError
-from .solvers import SolverConfig, minimize_quadratic_over_simplex, solve_qp
+from .solvers import minimize_quadratic_over_simplex, solve_qp
 
 HULL_TOL = 1e-8
 DISJOINT_TOL = 1e-7
@@ -52,7 +52,7 @@ class CaratheodoryCertificate:
     weights: SimplexWeights
 
 
-def _project_polytope(x, poly, cfg):
+def _project_polytope(x, poly):
     """Projection onto conv(vertices) with the solver's simplex weights.
 
     Returns (point, weights, duality gap).  Minimizes ||V'l - x||^2 written as
@@ -61,14 +61,12 @@ def _project_polytope(x, poly, cfg):
     V = poly.vertices
     Q = 2.0 * (V @ V.T)
     c = -2.0 * (V @ x)
-    report = minimize_quadratic_over_simplex(
-        Q, c, V.shape[0], cfg, constant=float(x @ x)
-    )
+    report = minimize_quadratic_over_simplex(Q, c, V.shape[0], constant=float(x @ x))
     lam = report.argmin.weights
     return lam @ V, lam, report.residual
 
 
-def project(x, body, cfg=None) -> np.ndarray:
+def project(x, body) -> np.ndarray:
     """Nearest point of the body to x.
 
     Balls use the exact radial formula; polytopes solve the simplex QP.  The
@@ -76,7 +74,6 @@ def project(x, body, cfg=None) -> np.ndarray:
     every vertex z (respectively exactly, for balls).
     """
     x = as_vector(x)
-    cfg = cfg or SolverConfig()
     if x.shape[0] != dimension_of(body):
         raise DimensionMismatchError("point and body dimensions differ")
     if isinstance(body, Ball):
@@ -85,16 +82,16 @@ def project(x, body, cfg=None) -> np.ndarray:
         if dist <= body.radius:
             return x.copy()
         return body.center + (body.radius / dist) * delta
-    p, _, _ = _project_polytope(x, body, cfg)
+    p, _, _ = _project_polytope(x, body)
     return p
 
 
-def distance(x, body, cfg=None) -> float:
+def distance(x, body) -> float:
     """Distance from x to the body, ||x - project(x, body)||."""
     x = as_vector(x)
     if isinstance(body, Ball):
         return max(float(np.linalg.norm(x - body.center)) - body.radius, 0.0)
-    return float(np.linalg.norm(x - project(x, body, cfg)))
+    return float(np.linalg.norm(x - project(x, body)))
 
 
 def _affine_dependence(points):
@@ -122,7 +119,7 @@ def _affine_dependence(points):
     return mu
 
 
-def caratheodory(x, poly: Polytope, cfg=None) -> CaratheodoryCertificate:
+def caratheodory(x, poly: Polytope) -> CaratheodoryCertificate:
     """Represent x in conv(vertices) using at most n+1 affinely independent vertices.
 
     Starts from the projection solver's weights and repeatedly shifts along an
@@ -130,10 +127,9 @@ def caratheodory(x, poly: Polytope, cfg=None) -> CaratheodoryCertificate:
     InfeasiblePointError (carrying the distance) when x is outside the hull.
     """
     x = as_vector(x)
-    cfg = cfg or SolverConfig()
     if x.shape[0] != poly.dimension:
         raise DimensionMismatchError("point and polytope dimensions differ")
-    p, lam, _ = _project_polytope(x, poly, cfg)
+    p, lam, _ = _project_polytope(x, poly)
     dist = float(np.linalg.norm(x - p))
     if dist > HULL_TOL:
         raise InfeasiblePointError(
@@ -195,7 +191,7 @@ def radon_partition(points, dim=None):
     return side_a, side_b, witness
 
 
-def _closest_pair(A, B, cfg):
+def _closest_pair(A, B):
     """Closest points (p in A, q in B) and their distance.
 
     Raises SolverCapError when the polytope-polytope QP stops at its cap.
@@ -210,7 +206,7 @@ def _closest_pair(A, B, cfg):
         q = B.center - min(B.radius, dist) * u
         return p, q, max(dist - A.radius - B.radius, 0.0)
     if isinstance(A, Ball) and isinstance(B, Polytope):
-        q = project(A.center, B, cfg)
+        q = project(A.center, B)
         delta = q - A.center
         dist = float(np.linalg.norm(delta))
         if dist <= A.radius:
@@ -218,7 +214,7 @@ def _closest_pair(A, B, cfg):
         p = A.center + (A.radius / dist) * delta
         return p, q, dist - A.radius
     if isinstance(A, Polytope) and isinstance(B, Ball):
-        q, p, d = _closest_pair(B, A, cfg)
+        q, p, d = _closest_pair(B, A)
         return p, q, d
     # polytope-polytope: min ||V'l - W'm||^2 with l and m in two simplices
     # (one equality row each), from the closest vertex pair
@@ -245,17 +241,16 @@ def _closest_pair(A, B, cfg):
     return p, q, float(np.linalg.norm(p - q))
 
 
-def separate(A, B, cfg=None) -> Hyperplane:
+def separate(A, B) -> Hyperplane:
     """Separating hyperplane for two disjoint bodies.
 
     The normal points from A to B through the midpoint of the closest pair.
     Raises ValueError when the bodies are closer than 1e-7, below which the
     solvers cannot certify disjointness.
     """
-    cfg = cfg or SolverConfig()
     if dimension_of(A) != dimension_of(B):
         raise DimensionMismatchError("bodies live in different dimensions")
-    p, q, dist = _closest_pair(A, B, cfg)
+    p, q, dist = _closest_pair(A, B)
     if dist <= DISJOINT_TOL:
         raise ValueError(f"bodies are not separated (distance {dist:.3e})")
     u = (q - p) / float(np.linalg.norm(q - p))

@@ -32,7 +32,7 @@ from .errors import (
     DimensionMismatchError,
     ModulusViolationError,
 )
-from .solvers import SolverConfig, chebyshev_center
+from .solvers import chebyshev_center
 from .convex_sets import distance, project
 from .monotone import OperatorGraph, graph_of_resolvent, resolvent_eval
 
@@ -125,7 +125,7 @@ def lipschitz_constant(data: FiniteMapData) -> float:
     return max(0.0, _scan_data(data.points, data.values, None)[0])
 
 
-def extend_minimax(data: FiniteMapData, x, cfg=None):
+def extend_minimax(data: FiniteMapData, x):
     """One-point extension to the Chebyshev center of the constraint balls.
 
     The value is solvers.chebyshev_center of the balls B(b_i, L ||x - a_i||):
@@ -137,7 +137,6 @@ def extend_minimax(data: FiniteMapData, x, cfg=None):
 
     Returns (y, residual) with residual = max_i (||y - b_i|| - L ||x - a_i||).
     """
-    cfg = cfg or SolverConfig()
     x = as_vector(x)
     if x.shape[0] != data.m:
         raise DimensionMismatchError("query dimension does not match the data")
@@ -148,7 +147,7 @@ def extend_minimax(data: FiniteMapData, x, cfg=None):
         return B[exact[0]].copy(), 0.0
     if data.size == 1:
         return B[0].copy(), 0.0
-    return chebyshev_center(B, L * dist, cfg)
+    return chebyshev_center(B, L * dist)
 
 
 def extend_proxavg(data: FiniteMapData, x):
@@ -302,14 +301,14 @@ def extend_coordinatewise(data: FiniteMapData, x) -> np.ndarray:
     return _envelope(data, linear_modulus(data.L, scale), x, "lower")
 
 
-def extend_project_domain(data: FiniteMapData, domain, x, cfg=None) -> np.ndarray:
+def extend_project_domain(data: FiniteMapData, domain, x) -> np.ndarray:
     """Extend beyond a convex domain containing the data by projecting the
     query onto the domain first, then taking the minimax value there.
 
     Like extend_minimax, each value meets every ball constraint at the
     projected query; there is no Lipschitz guarantee for the map x -> y.
     """
-    return ExtensionModel(data, "project_domain", cfg, domain=domain).query(x)[0]
+    return ExtensionModel(data, "project_domain", domain=domain).query(x)[0]
 
 
 def _tau(t):
@@ -444,7 +443,7 @@ class ExtensionModel:
         "uniform",
     )
 
-    def __init__(self, data: FiniteMapData, method: str, cfg=None, domain=None):
+    def __init__(self, data: FiniteMapData, method: str, *, domain=None):
         if method not in self.METHODS:
             raise ValueError(f"unknown method {method!r}")
         if method in ("mcshane", "tietze", "uniform") and data.n != 1:
@@ -453,7 +452,6 @@ class ExtensionModel:
             raise ValueError("project_domain requires a convex domain")
         self.data = data
         self.method = method
-        self.cfg = cfg or SolverConfig()
         self.domain = domain
         if method == "proxavg":
             # T = g^{-1} - id for g = (id + f / L) / 2, f zero-padded to a
@@ -483,7 +481,7 @@ class ExtensionModel:
             _check_modulus_for_data(self.scaled, self.omega)
         if method == "project_domain":
             for i, a in enumerate(data.points):
-                d = distance(a, domain, self.cfg)
+                d = distance(a, domain)
                 if d > 1e-9:
                     raise ValueError(f"data point {i} lies outside the domain by {d:.3e}")
 
@@ -494,7 +492,7 @@ class ExtensionModel:
         if x.shape[0] != data.m:
             raise DimensionMismatchError("query dimension does not match the data")
         if self.method == "minimax":
-            return extend_minimax(data, x, self.cfg)
+            return extend_minimax(data, x)
         if self.method == "proxavg":
             if self.graph is None:
                 return data.values[0].copy(), 0.0
@@ -505,7 +503,7 @@ class ExtensionModel:
         if self.method == "mcshane":
             return _envelope(data, self.omega, x, "lower"), 0.0
         if self.method == "project_domain":
-            y, _ = extend_minimax(data, project(x, self.domain, self.cfg), self.cfg)
+            y, _ = extend_minimax(data, project(x, self.domain))
             return y, 0.0
         if self.method == "tietze":
             return np.array([tietze_extend(data, x)]), 0.0

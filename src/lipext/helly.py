@@ -20,12 +20,14 @@ import numpy as np
 
 from .geometry import Ball, Polytope
 from .errors import EnumerationGuardError
-from .solvers import SolverConfig, chebyshev_center, polyak_subgradient
+from .solvers import chebyshev_center, polyak_subgradient
 from .solvers import minimize_quadratic_over_simplex
 from .convex_sets import caratheodory, dimension_of, distance, project
 
 INTERSECT_TOL = 1e-6
 ENUMERATION_CAP = 10 ** 6
+POLYAK_PHASE1_ITERS = 4000
+POLYAK_MAX_ITERS = 200_000
 
 
 @dataclass(frozen=True)
@@ -63,14 +65,14 @@ def _body_anchor(body):
     return body.vertices.mean(axis=0)
 
 
-def _max_distance_oracle(bodies, cfg):
+def _max_distance_oracle(bodies):
     def oracle(x):
-        dists = [distance(x, b, cfg) for b in bodies]
+        dists = [distance(x, b) for b in bodies]
         i = int(np.argmax(dists))
         di = dists[i]
         if di <= 0.0:
             return 0.0, np.zeros_like(x)
-        g = (x - project(x, bodies[i], cfg)) / di
+        g = (x - project(x, bodies[i])) / di
         return di, g
 
     return oracle
@@ -84,33 +86,33 @@ def _ball_arrays(balls):
     return np.array([b.center for b in balls]), np.array([b.radius for b in balls])
 
 
-def common_point(family: BodyFamily, cfg=None) -> IntersectionReport:
+def common_point(family: BodyFamily) -> IntersectionReport:
     """Minimize d(x) = max_i distance(x, C_i); witness when the minimum is ~0.
 
     A family of balls is one chebyshev_center call: the witness is the
     center y, the residual max(t, 0).  Any other family runs Polyak steps
     from the centroid of the bodies' centers / vertex centroids.  intersects
-    is declared when the final value is <= 1e-6.
+    is declared when the final value is <= 1e-6.  Phase 1 takes at most
+    4,000 Polyak steps toward 0; phase 2 halves target estimates until the
+    run has taken 200,000 steps in all.
     """
-    cfg = cfg or SolverConfig()
     bodies = family.bodies
     if _all_balls(family):
-        y, t = chebyshev_center(*_ball_arrays(bodies), cfg)
+        y, t = chebyshev_center(*_ball_arrays(bodies))
         return IntersectionReport(
             intersects=t <= INTERSECT_TOL, witness=y, residual=max(t, 0.0)
         )
-    oracle = _max_distance_oracle(bodies, cfg)
+    oracle = _max_distance_oracle(bodies)
     x0 = np.mean([_body_anchor(b) for b in bodies], axis=0)
     # Phase 1: Polyak steps with target 0 (exact when the family intersects).
-    phase1 = SolverConfig(tol=min(cfg.tol, 1e-7), max_iters=min(cfg.max_iters, 4000))
-    rep = polyak_subgradient(oracle, 0.0, x0, phase1)
+    rep = polyak_subgradient(oracle, 0.0, x0, POLYAK_PHASE1_ITERS)
     best_x, best_f, iters = rep.argmin, rep.value, rep.iters
     # Phase 2: halving target estimates to localize a positive minimum.
     if best_f > INTERSECT_TOL:
         delta = best_f / 2.0
         x = best_x.copy()
         f, g = oracle(x)
-        while delta > 1e-9 and iters < cfg.max_iters:
+        while delta > 1e-9 and iters < POLYAK_MAX_ITERS:
             target = max(best_f - delta, 0.0)
             improved = False
             for _ in range(150):
@@ -209,14 +211,13 @@ def _interval_report(balls, subset):
     )
 
 
-def check_k_intersection(family: BodyFamily, k: int, cfg=None) -> IntersectionReport:
+def check_k_intersection(family: BodyFamily, k: int) -> IntersectionReport:
     """Check every k-subset (lexicographic order), stopping at the first violation.
 
     On success the report carries intersects=True, no witness (a passing
     k-check does not exhibit a global common point), and the worst subset
     residual.  Rejects instances with more than 10^6 subsets.
     """
-    cfg = cfg or SolverConfig()
     if k < 1:
         raise ValueError("k must be >= 1")
     m = len(family)
@@ -237,7 +238,7 @@ def check_k_intersection(family: BodyFamily, k: int, cfg=None) -> IntersectionRe
         elif all_balls and n == 1:
             rep = _interval_report(family.bodies, subset)
         else:
-            rep = common_point(BodyFamily([family.bodies[i] for i in subset]), cfg)
+            rep = common_point(BodyFamily([family.bodies[i] for i in subset]))
         if not rep.intersects:
             return IntersectionReport(
                 intersects=False,
@@ -249,7 +250,7 @@ def check_k_intersection(family: BodyFamily, k: int, cfg=None) -> IntersectionRe
     return IntersectionReport(intersects=True, witness=None, residual=worst)
 
 
-def _violating_subset(family, y, t, cfg):
+def _violating_subset(family, y, t):
     """At most n + 1 balls with Chebyshev value t > 0, from the balls within
     1e-9 (1 + t) of tight at the family's Chebyshev center y."""
     centers, radii = _ball_arrays(family.bodies)
@@ -257,11 +258,11 @@ def _violating_subset(family, y, t, cfg):
     dist = np.linalg.norm(diff, axis=1)
     tight = np.flatnonzero(dist - radii >= t - 1e-9 * (1.0 + t))
     normals = Polytope(diff[tight] / dist[tight, None])
-    cert = caratheodory(np.zeros(family.dimension), normals, cfg)
+    cert = caratheodory(np.zeros(family.dimension), normals)
     return sorted(int(tight[i]) for i in cert.indices)
 
 
-def helly_verify(family: BodyFamily, cfg=None) -> IntersectionReport:
+def helly_verify(family: BodyFamily) -> IntersectionReport:
     """A global witness, or a violating subset of at most n + 1 bodies.
 
     A family of balls is decided by common_point, and its violating subset is
@@ -270,38 +271,36 @@ def helly_verify(family: BodyFamily, cfg=None) -> IntersectionReport:
     family; by Helly's theorem for closed bounded convex sets the global
     search must succeed.
     """
-    cfg = cfg or SolverConfig()
     if _all_balls(family):
-        rep = common_point(family, cfg)
+        rep = common_point(family)
         if rep.intersects:
             return rep
-        subset = _violating_subset(family, rep.witness, rep.residual, cfg)
+        subset = _violating_subset(family, rep.witness, rep.residual)
         return IntersectionReport(False, None, rep.residual, subset)
-    sub = check_k_intersection(family, family.dimension + 1, cfg)
+    sub = check_k_intersection(family, family.dimension + 1)
     if not sub.intersects:
         return sub
-    return common_point(family, cfg)
+    return common_point(family)
 
 
-def jung_ball(points, cfg=None) -> Ball:
+def jung_ball(points) -> Ball:
     """Minimal enclosing ball of the point set (duplicates dropped, sorted):
     the concave dual over the simplex, maximize sum l_i ||p_i||^2 -
     ||sum l_i p_i||^2 (chebyshev_center's dual at zero radii and t = 0), gives
     the center sum l_i p_i; the radius is the farthest point's distance."""
-    cfg = cfg or SolverConfig()
     P = np.asarray([np.asarray(p, dtype=float) for p in points])
     if P.shape[0] == 0:
         raise ValueError("need at least one point")
     P = np.unique(P, axis=0)
     report = minimize_quadratic_over_simplex(
-        2.0 * (P @ P.T), -np.sum(P * P, axis=1), P.shape[0], cfg
+        2.0 * (P @ P.T), -np.sum(P * P, axis=1), P.shape[0]
     )
     center = report.argmin.weights @ P
     radius = float(np.max(np.linalg.norm(P - center, axis=1)))
     return Ball(center, radius)
 
 
-def jung_bound_check(points, cfg=None):
+def jung_bound_check(points):
     """Return (diameter, radius, bound, holds) for Jung's enclosing-ball bound
     radius <= diameter * sqrt(n / (2(n+1)))."""
     pts = np.asarray([np.asarray(p, dtype=float) for p in points])
@@ -310,6 +309,6 @@ def jung_bound_check(points, cfg=None):
     n = pts.shape[1]
     diff = pts[:, None, :] - pts[None, :, :]
     diameter = float(np.sqrt(np.max(np.sum(diff * diff, axis=2))))
-    radius = jung_ball(pts, cfg).radius
+    radius = jung_ball(pts).radius
     bound = diameter * math.sqrt(n / (2.0 * (n + 1)))
     return diameter, radius, bound, radius <= bound + 1e-9

@@ -25,7 +25,7 @@ import numpy as np
 
 from .geometry import as_vector, dot, pairwise
 from .errors import DimensionMismatchError, SolverCapError
-from .solvers import SolverConfig, solve_qp
+from .solvers import solve_qp
 from .convex_functions import MaxAffineConjugate, _polyhedral_conjugate_value
 
 
@@ -184,19 +184,18 @@ def fitzpatrick_eval(T: OperatorGraph, x, xstar) -> float:
     return best
 
 
-def fitzpatrick_conj_eval(T: OperatorGraph, y, ystar, cfg=None) -> float:
+def fitzpatrick_conj_eval(T: OperatorGraph, y, ystar) -> float:
     """Conjugate of the Fitzpatrick function by the exact polyhedral rule.
 
     Phi is max-affine with slopes (a_i*, a_i) and offsets <a_i, a_i*>, so
     Phi*(y, y*) = min { sum l_i <a_i, a_i*> : sum l_i (a_i*, a_i) = (y, y*) },
     +inf when (y, y*) is outside the hull of the transposed atoms.
     """
-    cfg = cfg or SolverConfig()
     y = as_vector(y)
     ystar = as_vector(ystar)
     _, Brows, o = _atoms(T)
     node = MaxAffineConjugate(Brows, o)
-    return _polyhedral_conjugate_value(node, np.concatenate([y, ystar]), cfg)
+    return _polyhedral_conjugate_value(node, np.concatenate([y, ystar]))
 
 
 def _epigraph_rows(Brows, BA, o, xt, lam):

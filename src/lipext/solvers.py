@@ -15,8 +15,8 @@ Three public entry points:
   whose optimal value is known in advance (helly.common_point drives
   max_i d(x, C_i) to target 0 on families that hold a polytope).
 
-SolverConfig's tol and max_iters bound Polyak (and helly's target halving),
-and tol also decides the simplex solve's converged flag.
+TOL = 1e-9 is Polyak's stop test and the simplex solve's converged bound;
+Polyak's iteration cap is its caller's.
 
 Internal helper used by other modules:
 
@@ -32,7 +32,7 @@ Internal helper used by other modules:
   column.  With P = 0 it solves the conjugate LP and skips the
   reduced-Hessian eigendecomposition: every step is a ray.
 
-All routines are pure and deterministic: identical inputs and config produce
+All routines are pure and deterministic: identical inputs produce
 bit-identical reports.
 """
 
@@ -43,16 +43,7 @@ import numpy as np
 from .geometry import SimplexWeights
 from .errors import SolverCapError
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-9
-    max_iters: int = 200_000
-
-    def __post_init__(self):
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,8 +51,8 @@ class SolveReport:
     """Outcome of a solve.
 
     residual is the problem-specific optimality certificate (simplex duality
-    gap or value above target).  converged means the residual met the
-    tolerance declared in the config, in the sense of each solver's contract.
+    gap or value above target).  converged means the residual met TOL, in
+    the sense of each solver's contract.
     """
 
     argmin: object
@@ -71,17 +62,16 @@ class SolveReport:
     converged: bool
 
 
-def minimize_quadratic_over_simplex(quad, c, k, cfg=None, constant=0.0):
+def minimize_quadratic_over_simplex(quad, c, k, *, constant=0.0):
     """Minimize 1/2 l'Ql + c'l (+ constant) over the probability simplex.
 
     One solve_qp from the best vertex e_j, j = argmin_j (Q_jj / 2 + c_j), with
     every other bound l_i >= 0 in the working set.  quad is a dense PSD
     matrix.  The returned residual is the duality gap g'l - min g at the
     solution, a valid upper bound on the suboptimality for any PSD instance;
-    converged means it is within cfg.tol (1 + |value|).  Raises
-    SolverCapError when the QP stops at its cap.
+    converged means it is within TOL (1 + |value|).  Raises SolverCapError
+    when the QP stops at its cap.
     """
-    cfg = cfg or SolverConfig()
     Q = np.asarray(quad, dtype=float)
     c = np.asarray(c, dtype=float)
     K = int(k)
@@ -107,11 +97,11 @@ def minimize_quadratic_over_simplex(quad, c, k, cfg=None, constant=0.0):
         value=value,
         residual=gap,
         iters=info["iters"],
-        converged=gap <= cfg.tol * (1.0 + abs(value)),
+        converged=gap <= TOL * (1.0 + abs(value)),
     )
 
 
-def chebyshev_center(centers, radii, cfg=None):
+def chebyshev_center(centers, radii):
     """Chebyshev center of the balls B(c_i, r_i), r_i >= 0: (y, t) with y
     minimizing max_i (||y - c_i|| - r_i) and t that value, so the balls share
     a point iff t <= 0, and then y is the deepest point of the intersection.
@@ -135,7 +125,7 @@ def chebyshev_center(centers, radii, cfg=None):
     def dual_solve(t):
         infl = radii + t
         gains = sq_norms - infl ** 2
-        report = minimize_quadratic_over_simplex(Q, -gains, C.shape[0], cfg)
+        report = minimize_quadratic_over_simplex(Q, -gains, C.shape[0])
         lam = report.argmin.weights
         phi = -report.value
         slope = -2.0 * float(lam @ infl)
@@ -179,20 +169,19 @@ def chebyshev_center(centers, radii, cfg=None):
     return y, residual
 
 
-def polyak_subgradient(oracle, target, x0, cfg=None):
+def polyak_subgradient(oracle, target, x0, max_iters):
     """Drive a convex function with known minimum <= target below target.
 
     oracle(x) returns (value, subgradient).  Steps are
     (f(x) - target) / ||g||^2 along -g; the iteration stops as soon as the
-    best value is within cfg.tol of the target.  Never reports converged=True
-    unless f(best) <= target + tol.
+    best value is within TOL of the target, or after max_iters steps.  Never
+    reports converged=True unless f(best) <= target + TOL.
     """
-    cfg = cfg or SolverConfig()
     x = np.asarray(x0, dtype=float).copy()
     f, g = oracle(x)
     best_x, best_f = x.copy(), f
     iters = 0
-    while best_f > target + cfg.tol and iters < cfg.max_iters:
+    while best_f > target + TOL and iters < max_iters:
         ng2 = float(g @ g)
         if ng2 < 1e-28:
             break  # numerically stationary; cannot certify the target
@@ -207,7 +196,7 @@ def polyak_subgradient(oracle, target, x0, cfg=None):
         value=best_f,
         residual=residual,
         iters=iters,
-        converged=residual <= cfg.tol,
+        converged=residual <= TOL,
     )
 
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from lipext.rng import SplitMix64
-from lipext.solvers import SolverConfig
 from lipext.geometry import Ball, Polytope
 from lipext.convex_sets import caratheodory, project, radon_partition, distance
 from lipext.helly import (
@@ -48,8 +47,6 @@ from lipext.gen import (
 )
 from lipext.cli import main as cli_main
 
-CFG = SolverConfig()
-
 
 def _report(name, detail):
     print(f"\nACCEPTANCE {name}: PASS ({detail})")
@@ -69,8 +66,8 @@ def test_criterion_01_kirszbraun_extension_suite():
         count = 4 + int(rng.integer(17))  # <= 20 points
         data = generate_lipschitz_data(m, m, count, 3000 + seed)
         models = {
-            "minimax": ExtensionModel(data, "minimax", CFG),
-            "proxavg": ExtensionModel(data, "proxavg", CFG),
+            "minimax": ExtensionModel(data, "minimax"),
+            "proxavg": ExtensionModel(data, "proxavg"),
         }
         for name, model in models.items():
             for i in range(data.size):
@@ -112,18 +109,18 @@ def test_criterion_02_closed_form_conjugates():
     for u in np.linspace(-1.5, 1.5, 10):
         for v in np.linspace(-1.5, 1.5, 10):
             x = np.array([u, v])
-            worst_q = max(worst_q, abs(cf.eval(conj_q, x, CFG) - 0.5 * float(x @ x)))
+            worst_q = max(worst_q, abs(cf.eval(conj_q, x) - 0.5 * float(x @ x)))
     assert worst_q <= 1e-5
 
     # kappa* on and off the anti-diagonal
     conj_k = cf.Conjugate(cf.Kappa(1), cf.cube(3.0, 2))
     worst_k = 0.0
     for t in np.linspace(-1.2, 1.2, 10):
-        got = cf.eval(conj_k, np.array([t, -t]), CFG)
+        got = cf.eval(conj_k, np.array([t, -t]))
         worst_k = max(worst_k, abs(got - 0.5 * t * t))
     assert worst_k <= 1e-6
     for t in (0.5, 1.0, -0.8):
-        assert cf.eval(conj_k, np.array([t, t + 0.3]), CFG) == cf.INF
+        assert cf.eval(conj_k, np.array([t, t + 0.3])) == cf.INF
 
     # delta* identity for three anchor choices
     rng = SplitMix64(99)
@@ -136,7 +133,7 @@ def test_criterion_02_closed_form_conjugates():
         samples = [
             np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)]) for _ in range(10)
         ]
-        worst_d = max(worst_d, cf.delta_conjugate_identity_check(a, b, samples, CFG))
+        worst_d = max(worst_d, cf.delta_conjugate_identity_check(a, b, samples))
     assert worst_d <= 1e-5
     _report(
         "2 closed-form conjugates",
@@ -158,7 +155,7 @@ def test_criterion_03_biconjugation():
         samples = [
             np.array([rng.uniform(-0.7, 0.7) for _ in range(n)]) for _ in range(5)
         ]
-        worst = max(worst, cf.biconjugate_check(f, samples, CFG))
+        worst = max(worst, cf.biconjugate_check(f, samples))
     assert worst <= 1e-5
     _report("3 biconjugation", f"20 max-affine functions, max gap {worst:.2e}")
 
@@ -200,7 +197,7 @@ def test_criterion_04_fenchel_duality():
     assert len(instances) == 10
     for f, neg_g, hand_value, half in instances:
         primal, dual, gap = cf.fenchel_duality_solve(
-            f, neg_g, cf.cube(half, f.dim), CFG
+            f, neg_g, cf.cube(half, f.dim)
         )
         worst_gap = max(worst_gap, abs(gap))
         worst_primal = max(worst_primal, abs(primal - hand_value))
@@ -246,7 +243,7 @@ def test_criterion_05_monotone_operator_identities():
             worst_phi = max(worst_phi, abs(fitzpatrick_eval(T, a, astar) - pairing))
             worst_phi_conj = max(
                 worst_phi_conj,
-                abs(fitzpatrick_conj_eval(T, astar, a, CFG) - float(a @ astar)),
+                abs(fitzpatrick_conj_eval(T, astar, a) - float(a @ astar)),
             )
             worst_psi = max(
                 worst_psi, abs(psi_eval(T, a, astar) - float(a @ astar))
@@ -310,11 +307,11 @@ def test_criterion_07_helly_suite():
         count = 5 + int(rng.integer(26))  # 5..30 balls
         mode = "common-core" if trial % 2 == 0 else "disjoint-pair"
         family = generate_ball_family(2, count, 9000 + trial, mode)
-        sub = check_k_intersection(family, 3, CFG)
+        sub = check_k_intersection(family, 3)
         oracle_min, cell = _grid_oracle_min(family)
         if sub.intersects:
             passed_triples += 1
-            rep = common_point(family, CFG)
+            rep = common_point(family)
             assert rep.intersects and rep.residual <= 1e-6
             # the oracle confirms a witness up to its grid resolution
             assert oracle_min <= 0.5 * cell + 1e-6
@@ -343,7 +340,7 @@ def test_criterion_08_geometry_certificates():
         w = np.array([rng.uniform(0, 1) for _ in range(k)])
         w /= w.sum()
         x = w @ verts
-        cert = caratheodory(x, Polytope(verts), CFG)
+        cert = caratheodory(x, Polytope(verts))
         assert len(cert.indices) <= n + 1
         rebuilt = cert.weights.weights @ verts[list(cert.indices)]
         worst_recon = max(worst_recon, float(np.linalg.norm(rebuilt - x)))
@@ -359,7 +356,7 @@ def test_criterion_08_geometry_certificates():
         left, right, witness = radon_partition(pts, n)
         for side in (left, right):
             hull = Polytope(np.array([pts[i] for i in side]))
-            worst_radon = max(worst_radon, distance(witness, hull, CFG))
+            worst_radon = max(worst_radon, distance(witness, hull))
     assert worst_radon <= 1e-8
 
     # projection firm non-expansiveness over 10^3 random pairs
@@ -370,7 +367,7 @@ def test_criterion_08_geometry_certificates():
     for _ in range(1000):
         x = np.array([rng.uniform(-4, 4), rng.uniform(-4, 4)])
         y = np.array([rng.uniform(-4, 4), rng.uniform(-4, 4)])
-        px, py = project(x, poly, CFG), project(y, poly, CFG)
+        px, py = project(x, poly), project(y, poly)
         worst_firm = min(
             worst_firm,
             float((x - y) @ (px - py)) - float((px - py) @ (px - py)),
@@ -384,17 +381,17 @@ def test_criterion_08_geometry_certificates():
             np.array([rng.uniform(0, 1) for _ in range(n)])
             for _ in range(3 + int(rng.integer(18)))
         ]
-        ball = jung_ball(pts, CFG)
+        ball = jung_ball(pts)
         cover = max(float(np.linalg.norm(p - ball.center)) for p in pts)
         assert cover <= ball.radius + 1e-9
-        _, _, _, holds = jung_bound_check(pts, CFG)
+        _, _, _, holds = jung_bound_check(pts)
         assert holds
     tri = [
         np.array([0.0, 0.0]),
         np.array([1.0, 0.0]),
         np.array([0.5, math.sqrt(3.0) / 2.0]),
     ]
-    _, radius, bound, holds = jung_bound_check(tri, CFG)
+    _, radius, bound, holds = jung_bound_check(tri)
     assert holds and abs(radius - bound) <= 1e-6
     assert radius == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
     _report(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lipext import __version__
-from lipext.cli import main
+from lipext.cli import build_parser, main
 from lipext.errors import BoxExhaustionError
 from lipext import convex_functions as cf
 from lipext import monotone
@@ -403,17 +403,20 @@ def _unconverged_qp(P, q, A_eq, b_eq, G, h, z0, **kwargs):
     return np.array(z0, dtype=float), {"converged": False, "iters": 321}
 
 
-def path_case(argv, rc, report=None, err="", inputs=None, patch=None):
-    """One exit path; inputs=None means no manifest may be written."""
+def path_case(argv, rc, report=None, err="", inputs=None, patch=None, tag=None):
+    """One exit path; inputs=None means no manifest may be written.  tag
+    tells apart paths whose subcommand, exit code and files coincide."""
     files = [a.strip("{}") for a in argv if a.startswith("{") and a != "{out}"]
     return pytest.param(argv, rc, report, err, inputs, patch,
-                        id="-".join([argv[0], str(rc)] + files))
+                        id="-".join([argv[0], str(rc)] + files + [tag] * bool(tag)))
 
 
 EXTEND = ["extend", "--data", "{data}", "--queries", "{q}", "--method", "mcshane",
           "--out", "{out}"]
 EXTEND_IN = {"data": "{data}", "queries": "{q}", "method": "mcshane"}
 GRAPH_OUT = '{\n  "monotone": true,\n  "worst_pair": [\n    0,\n    1\n  ],\n  "worst_value": 1.0\n}\n'
+# argparse's usage line, braces escaped for _fill.
+USAGE = build_parser().format_usage().replace("{", "{{").replace("}", "}}")
 COMMON_POINT = ('{\n  "intersects": true,\n  "residual": 0.0,\n  "violating_subset": null,'
                 '\n  "witness": [\n    0.5,\n    0.0\n  ]\n}\n')
 
@@ -453,6 +456,12 @@ EXIT_PATHS = [
     path_case(["extend", "--data", "{wide}", "--queries", "{q}", "--method", "mcshane",
                "--out", "{out}"], 3,
               err="lipext: invalid data: values do not match the declared n\n"),
+    path_case(["extend", "--data", "{missing}", "--queries", "{q}", "--method", "mcshane",
+               "--tol", "0", "--out", "{out}"], 3,
+              err="lipext: invalid data: tol must be positive\n"),
+    path_case(EXTEND[:-2] + ["--max-iters", "5", "--out", "{out}"], 2,
+              err=USAGE + "lipext: error: unrecognized arguments: --max-iters 5\n",
+              tag="max-iters"),
     # helly
     path_case(["helly", "--family", "{fam}", "--out", "{out}"], 0, COMMON_POINT,
               inputs={"family": "{fam}", "mode": "verify", "k": None}),
@@ -586,11 +595,16 @@ EXIT_PATHS = [
     path_case(["gen", "--kind", "ball-family", "--n", "1", "--count", "0",
                "--out", "{out}"], 3,
               err="lipext: invalid data: dimension and count must be >= 1\n"),
+    path_case(["gen", "--kind", "lipschitz-data", "--tol", "-1", "--out", "{out}"], 3,
+              err="lipext: invalid data: tol must be positive\n", tag="tol"),
 ]
 
 
 def _run(argv, capsys):
-    rc = main(argv)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects an argv with exit 2
+        rc = exc.code
     return rc, capsys.readouterr().err
 
 
@@ -616,7 +630,7 @@ def test_exit_path(inputs, capsys, monkeypatch, argv, rc, report, err,
     if expected_inputs is None:
         assert not os.path.exists(out + ".manifest.json")
         return
-    config = {"tol": 1e-6, "seed": 0, "max_iters": 200_000}
+    config = {"tol": 1e-6, "seed": 0}
     for flag, key, cast in (("--tol", "tol", float), ("--seed", "seed", int)):
         if flag in argv:
             config[key] = cast(argv[argv.index(flag) + 1])

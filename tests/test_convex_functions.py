@@ -7,11 +7,9 @@ import pytest
 from lipext.errors import BoxExhaustionError, DimensionMismatchError, SolverCapError
 from lipext.geometry import Ball, Polytope
 from lipext.rng import SplitMix64
-from lipext.solvers import SolverConfig
 import lipext.convex_functions as cf
 from lipext.convex_sets import distance
 
-CFG = SolverConfig()
 INF = cf.INF
 
 
@@ -23,25 +21,25 @@ def rand_maxaffine(rng, n, pieces, scale=2.0):
 
 class TestClosedFormEval:
     def test_quadratic(self):
-        assert cf.eval(cf.Quadratic(2), [3.0, 4.0], CFG) == 12.5
-        assert cf.eval(cf.Quadratic(1), [0.0], CFG) == 0.0
+        assert cf.eval(cf.Quadratic(2), [3.0, 4.0]) == 12.5
+        assert cf.eval(cf.Quadratic(1), [0.0]) == 0.0
 
     def test_max_affine(self):
         f = cf.MaxAffine(np.array([[1.0], [-1.0]]), np.array([0.0, 0.0]))  # |x|
-        assert cf.eval(f, [-2.5], CFG) == 2.5
+        assert cf.eval(f, [-2.5]) == 2.5
 
     def test_kappa(self):
         f = cf.Kappa(2)
-        assert cf.eval(f, [1.0, 2.0, -1.0, -2.0], CFG) == pytest.approx(10.0)
+        assert cf.eval(f, [1.0, 2.0, -1.0, -2.0]) == pytest.approx(10.0)
 
     def test_indicator(self):
         f = cf.Indicator(Ball([0.0, 0.0], 1.0))
-        assert cf.eval(f, [0.5, 0.5], CFG) == 0.0
-        assert cf.eval(f, [2.0, 0.0], CFG) == INF
+        assert cf.eval(f, [0.5, 0.5]) == 0.0
+        assert cf.eval(f, [2.0, 0.0]) == INF
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            cf.eval(cf.Quadratic(2), [1.0], CFG)
+            cf.eval(cf.Quadratic(2), [1.0])
 
     def test_translate_matches_formula(self):
         rng = SplitMix64(3)
@@ -51,7 +49,7 @@ class TestClosedFormEval:
         for _ in range(10):
             x = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2)])
             expect = 0.5 * float((x - a) @ (x - a)) + float(x @ astar) + 0.7
-            assert cf.eval(f, x, CFG) == pytest.approx(expect, abs=1e-12)
+            assert cf.eval(f, x) == pytest.approx(expect, abs=1e-12)
 
 
 class TestConjugates:
@@ -60,34 +58,34 @@ class TestConjugates:
         rng = SplitMix64(9)
         for _ in range(10):
             x = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)])
-            assert cf.eval(cq, x, CFG) == pytest.approx(
+            assert cf.eval(cq, x) == pytest.approx(
                 0.5 * float(x @ x), abs=1e-6
             )
 
     def test_kappa_conjugate_anti_diagonal(self):
         ck = cf.Conjugate(cf.Kappa(1), cf.cube(3.0, 2))
-        assert cf.eval(ck, [1.0, -1.0], CFG) == pytest.approx(0.5, abs=1e-6)
-        assert cf.eval(ck, [1.0, 2.0], CFG) == INF  # off the anti-diagonal
+        assert cf.eval(ck, [1.0, -1.0]) == pytest.approx(0.5, abs=1e-6)
+        assert cf.eval(ck, [1.0, 2.0]) == INF  # off the anti-diagonal
 
     def test_kappa_conjugate_vector_case(self):
         ck = cf.Conjugate(cf.Kappa(2), cf.cube(4.0, 4))
         xs = np.array([1.0, 2.0])
-        v = cf.eval(ck, np.concatenate([xs, -xs]), CFG)
+        v = cf.eval(ck, np.concatenate([xs, -xs]))
         assert v == pytest.approx(2.5, abs=1e-6)
-        assert cf.eval(ck, [1.0, 0.0, 1.0, 0.0], CFG) == INF
+        assert cf.eval(ck, [1.0, 0.0, 1.0, 0.0]) == INF
 
     def test_affine_conjugate_is_point_indicator(self):
         f = cf.MaxAffine(np.array([[2.0, 1.0]]), np.array([3.0]))
         fc = cf.conjugate(f)
-        assert cf.eval(fc, [2.0, 1.0], CFG) == pytest.approx(3.0, abs=1e-10)
-        assert cf.eval(fc, [3.0, 1.0], CFG) == INF
+        assert cf.eval(fc, [2.0, 1.0]) == pytest.approx(3.0, abs=1e-10)
+        assert cf.eval(fc, [3.0, 1.0]) == INF
 
     def test_indicator_conjugate_is_support_function(self):
         fc = cf.conjugate(cf.Indicator(Ball([0.0, 0.0], 1.0)))
         rng = SplitMix64(13)
         for _ in range(10):
             x = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2)])
-            assert cf.eval(fc, x, CFG) == pytest.approx(
+            assert cf.eval(fc, x) == pytest.approx(
                 float(np.linalg.norm(x)), abs=1e-6
             )
 
@@ -97,7 +95,7 @@ class TestConjugates:
         f = cf.Sum((far, cf.Quadratic(2)), (1.0, 1.0))
         node = cf.Conjugate(f, cf.cube(1.0, 2))
         with pytest.raises(cf.ImproperFunctionError):
-            cf.eval(node, [1.0, 0.0], CFG)
+            cf.eval(node, [1.0, 0.0])
 
 
 class TestBiconjugation:
@@ -106,14 +104,13 @@ class TestBiconjugation:
         for _ in range(5):
             f = rand_maxaffine(rng, 1, 3)
             samples = [np.array([t]) for t in (-2.0, -0.5, 0.0, 1.0, 2.0)]
-            assert cf.biconjugate_check(f, samples, CFG) <= 1e-5
+            assert cf.biconjugate_check(f, samples) <= 1e-5
 
     def test_q_biconjugation(self):
         box = cf.cube(5.0, 1)
         gap = cf.biconjugate_check(
             cf.Quadratic(1),
             [np.array([t]) for t in (-1.0, 0.0, 0.7)],
-            CFG,
             primal_box=box,
             dual_box=box,
         )
@@ -122,7 +119,7 @@ class TestBiconjugation:
     def test_point_indicator_biconjugation(self):
         pt = np.array([0.5, -0.25])
         f = cf.Indicator(Polytope([pt]))
-        gap = cf.biconjugate_check(f, [pt], CFG, dual_box=cf.cube(3.0, 2))
+        gap = cf.biconjugate_check(f, [pt], dual_box=cf.cube(3.0, 2))
         assert gap <= 1e-9
 
 
@@ -164,7 +161,7 @@ class TestPolyhedralConjugate:
                     points.append((w / w.sum()) @ S)
                     points.append(np.array([rng.uniform(-2.5, 2.5) for _ in range(n)]))
                 for y in points:
-                    v = cf.eval(node, y, CFG)
+                    v = cf.eval(node, y)
                     ref = brute_polyhedral_conjugate(S, o, y)
                     assert (v == INF) == (ref == INF), (S, o, y, v, ref)
                     if ref != INF:
@@ -176,7 +173,7 @@ class TestPolyhedralConjugate:
         monkeypatch.setattr(cf, "solve_qp", _unconverged_qp)
         f = cf.MaxAffine(np.array([[1.0], [-1.0]]), np.array([0.5, 0.0]))
         with pytest.raises(SolverCapError, match="capped at 321 iterations"):
-            cf.eval(cf.conjugate(f), [0.5], CFG)
+            cf.eval(cf.conjugate(f), [0.5])
 
     @pytest.mark.parametrize("slopes, offsets, hull_point, outward, value", [
         ([[1.0], [-1.0]], [0.5, 0.0], [1.0], [1.0], 0.5),
@@ -190,14 +187,14 @@ class TestPolyhedralConjugate:
         # the value there, 2e-6 out is +inf.
         node = cf.MaxAffineConjugate(np.array(slopes), np.array(offsets))
         u = np.array(outward) / np.linalg.norm(outward)
-        inside = cf.eval(node, np.array(hull_point) + 0.5e-6 * u, CFG)
+        inside = cf.eval(node, np.array(hull_point) + 0.5e-6 * u)
         assert inside == pytest.approx(value, abs=1e-9)
-        assert cf.eval(node, np.array(hull_point) + 2e-6 * u, CFG) == INF
+        assert cf.eval(node, np.array(hull_point) + 2e-6 * u) == INF
 
     def test_memo_is_freed_with_the_node(self):
         # f = max(x - 1/2, -x), so f*(y) = (1 + y) / 4 on [-1, 1].
         node = cf.MaxAffineConjugate(np.array([[1.0], [-1.0]]), np.array([0.5, 0.0]))
-        assert cf.eval(node, [0.5], CFG) == pytest.approx(0.375, abs=1e-12)
+        assert cf.eval(node, [0.5]) == pytest.approx(0.375, abs=1e-12)
         ref = weakref.ref(node)
         del node
         assert ref() is None
@@ -218,7 +215,7 @@ class TestDeltaIdentity:
             np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)]) for _ in range(10)
         ]
         gap = cf.delta_conjugate_identity_check(
-            np.array([0.0]), np.array([0.0]), samples, CFG
+            np.array([0.0]), np.array([0.0]), samples
         )
         assert gap <= 1e-5
 
@@ -228,8 +225,8 @@ class TestDeltaIdentity:
         d = cf.delta_expr(a, b)
         x = np.array([0.0, 0.0, 0.0, 0.0])
         # delta(x, y) = 1/2||(a-x, b-y)||^2 - <x, y>
-        assert cf.eval(d, x, CFG) == pytest.approx(1.0)
-        gap = cf.delta_conjugate_identity_check(a, b, [x], CFG)
+        assert cf.eval(d, x) == pytest.approx(1.0)
+        gap = cf.delta_conjugate_identity_check(a, b, [x])
         assert gap <= 1e-5
 
     def test_symmetry_for_equal_anchors(self):
@@ -237,7 +234,7 @@ class TestDeltaIdentity:
         u = np.array([0.3, -0.2])
         v = np.array([-0.2, 0.3])
         d = cf.delta_expr(a, a)
-        assert cf.eval(d, u, CFG) == pytest.approx(cf.eval(d, v, CFG), abs=1e-12)
+        assert cf.eval(d, u) == pytest.approx(cf.eval(d, v), abs=1e-12)
 
 
 class TestInfConv:
@@ -245,7 +242,7 @@ class TestInfConv:
         f = cf.MaxAffine(np.array([[1.0], [-1.0]]), np.array([0.0, 0.0]))
         node = cf.inf_conv(f, cf.Indicator(Polytope([[0.0]])), cf.cube(3.0, 1))
         for t in (-1.5, 0.0, 2.0):
-            assert cf.eval(node, [t], CFG) == pytest.approx(abs(t), abs=1e-6)
+            assert cf.eval(node, [t]) == pytest.approx(abs(t), abs=1e-6)
 
     def test_distance_function_via_convolution(self):
         seg = Polytope([[0.0], [1.0]])
@@ -254,13 +251,13 @@ class TestInfConv:
         rng = SplitMix64(29)
         for _ in range(10):
             x = np.array([rng.uniform(-3, 3)])
-            assert cf.eval(node, x, CFG) == pytest.approx(
-                distance(x, seg, CFG), abs=1e-6
+            assert cf.eval(node, x) == pytest.approx(
+                distance(x, seg), abs=1e-6
             )
 
     def test_q_box_q(self):
         node = cf.inf_conv(cf.Quadratic(2), cf.Quadratic(2), cf.cube(4.0, 2))
-        assert cf.eval(node, [2.0, 0.0], CFG) == pytest.approx(1.0, abs=1e-6)
+        assert cf.eval(node, [2.0, 0.0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_divergent_convolution_raises(self):
         # f = <1, x>, g = <-1, x> as max-affine: f [] g diverges to -inf
@@ -268,7 +265,7 @@ class TestInfConv:
         g = cf.MaxAffine(np.array([[-1.0]]), np.array([0.0]))
         node = cf.inf_conv(f, g, cf.cube(2.0, 1))
         with pytest.raises(BoxExhaustionError):
-            cf.eval(node, [0.0], CFG)
+            cf.eval(node, [0.0])
 
 
 class TestProxAvg:
@@ -277,7 +274,7 @@ class TestProxAvg:
         rng = SplitMix64(31)
         for _ in range(10):
             x = np.array([rng.uniform(-2, 2)])
-            assert cf.eval(node, x, CFG) == pytest.approx(
+            assert cf.eval(node, x) == pytest.approx(
                 0.5 * float(x @ x), abs=1e-5
             )
 
@@ -288,8 +285,8 @@ class TestProxAvg:
         node = cf.prox_avg(f, g, cf.cube(5.0, 1))
         for _ in range(10):
             x = np.array([rng.uniform(-1.5, 1.5)])
-            avg = 0.5 * cf.eval(f, x, CFG) + 0.5 * cf.eval(g, x, CFG)
-            assert cf.eval(node, x, CFG) <= avg + 1e-6
+            avg = 0.5 * cf.eval(f, x) + 0.5 * cf.eval(g, x)
+            assert cf.eval(node, x) <= avg + 1e-6
 
     def test_conjugate_commutes_with_average(self):
         # (psi(f, g))* = psi(f*, g*) checked numerically at depth 2
@@ -300,8 +297,8 @@ class TestProxAvg:
         rhs = cf.prox_avg(cf.Conjugate(f, box), cf.conjugate(g), box)
         for t in (-0.6, 0.0, 0.8):
             x = np.array([t])
-            assert cf.eval(lhs, x, CFG) == pytest.approx(
-                cf.eval(rhs, x, CFG), abs=1e-4
+            assert cf.eval(lhs, x) == pytest.approx(
+                cf.eval(rhs, x), abs=1e-4
             )
 
     def test_symmetry(self):
@@ -312,15 +309,15 @@ class TestProxAvg:
         ba = cf.prox_avg(g, f, box)
         for t in (-1.0, 0.3, 1.2):
             x = np.array([t])
-            assert cf.eval(ab, x, CFG) == pytest.approx(
-                cf.eval(ba, x, CFG), abs=1e-5
+            assert cf.eval(ab, x) == pytest.approx(
+                cf.eval(ba, x), abs=1e-5
             )
 
 
 class TestDuality:
     def test_q_vs_minus_q(self):
         primal, dual, gap = cf.fenchel_duality_solve(
-            cf.Quadratic(1), cf.Quadratic(1), cf.cube(3.0, 1), CFG
+            cf.Quadratic(1), cf.Quadratic(1), cf.cube(3.0, 1)
         )
         assert primal == pytest.approx(0.0, abs=1e-6)
         assert dual == pytest.approx(0.0, abs=1e-6)
@@ -331,7 +328,7 @@ class TestDuality:
         c = 0.8
         neg_g = cf.MaxAffine(np.array([[-c]]), np.array([0.0]))
         primal, dual, gap = cf.fenchel_duality_solve(
-            cf.Quadratic(1), neg_g, cf.cube(4.0, 1), CFG
+            cf.Quadratic(1), neg_g, cf.cube(4.0, 1)
         )
         assert primal == pytest.approx(-0.5 * c * c, abs=1e-6)
         assert abs(gap) <= 1e-5
@@ -339,7 +336,7 @@ class TestDuality:
     def test_point_domain(self):
         f = cf.Indicator(Polytope([[0.0]]))
         primal, dual, gap = cf.fenchel_duality_solve(
-            f, cf.Quadratic(1), cf.cube(2.0, 1), CFG
+            f, cf.Quadratic(1), cf.cube(2.0, 1)
         )
         assert primal == pytest.approx(0.0, abs=1e-9)
         assert abs(gap) <= 1e-5
@@ -348,7 +345,7 @@ class TestDuality:
 class TestFenchelYoung:
     def test_q_equality_case(self):
         pairs = [(np.array([t]), np.array([t])) for t in (-1.0, 0.0, 1.4)]
-        slack = cf.fenchel_young_check(cf.Quadratic(1), pairs, CFG, box=cf.cube(4.0, 1))
+        slack = cf.fenchel_young_check(cf.Quadratic(1), pairs, box=cf.cube(4.0, 1))
         assert abs(slack) <= 1e-6
 
     def test_q_random_pairs(self):
@@ -357,7 +354,7 @@ class TestFenchelYoung:
             (np.array([rng.uniform(-2, 2)]), np.array([rng.uniform(-2, 2)]))
             for _ in range(20)
         ]
-        slack = cf.fenchel_young_check(cf.Quadratic(1), pairs, CFG, box=cf.cube(5.0, 1))
+        slack = cf.fenchel_young_check(cf.Quadratic(1), pairs, box=cf.cube(5.0, 1))
         expected = min(0.5 * float((x - y) @ (x - y)) for x, y in pairs)
         assert slack == pytest.approx(expected, abs=1e-6)
         assert slack >= -1e-6
@@ -365,21 +362,21 @@ class TestFenchelYoung:
     def test_max_affine_active_piece(self):
         f = cf.MaxAffine(np.array([[1.0], [-1.0]]), np.array([0.0, 0.0]))
         pairs = [(np.array([2.0]), np.array([1.0]))]  # slope of the active piece
-        slack = cf.fenchel_young_check(f, pairs, CFG)
+        slack = cf.fenchel_young_check(f, pairs)
         assert slack == pytest.approx(0.0, abs=1e-9)
 
 
 class TestScaling:
     def test_epi_scale_formula(self):
         node = cf.scale_ops(cf.Quadratic(2), 2.0, "epi")
-        assert cf.eval(node, [2.0, 0.0], CFG) == pytest.approx(1.0)
+        assert cf.eval(node, [2.0, 0.0]) == pytest.approx(1.0)
 
     def test_identity_scalings(self):
         f = cf.Quadratic(2)
         x = np.array([0.7, -0.1])
-        assert cf.eval(cf.scale_ops(f, 1.0, "mul"), x, CFG) == cf.eval(f, x, CFG)
-        assert cf.eval(cf.scale_ops(f, 1.0, "epi"), x, CFG) == pytest.approx(
-            cf.eval(f, x, CFG)
+        assert cf.eval(cf.scale_ops(f, 1.0, "mul"), x) == cf.eval(f, x)
+        assert cf.eval(cf.scale_ops(f, 1.0, "epi"), x) == pytest.approx(
+            cf.eval(f, x)
         )
 
     def test_conjugate_scaling_identity(self):
@@ -390,8 +387,8 @@ class TestScaling:
         rhs = cf.EpiScale(lam, cf.Conjugate(cf.Quadratic(1), box))
         for t in (-1.0, 0.4, 2.0):
             x = np.array([t])
-            assert cf.eval(lhs, x, CFG) == pytest.approx(
-                cf.eval(rhs, x, CFG), abs=1e-5
+            assert cf.eval(lhs, x) == pytest.approx(
+                cf.eval(rhs, x), abs=1e-5
             )
 
     def test_rejects_nonpositive_factor(self):
@@ -418,10 +415,10 @@ class TestInvariants:
             for _ in range(12):
                 x = np.array([rng.uniform(-1.2, 1.2)])
                 y = np.array([rng.uniform(-1.2, 1.2)])
-                fx, fy = cf.eval(expr, x, CFG), cf.eval(expr, y, CFG)
+                fx, fy = cf.eval(expr, x), cf.eval(expr, y)
                 if fx == INF or fy == INF:
                     continue
-                mid = cf.eval(expr, (x + y) / 2.0, CFG)
+                mid = cf.eval(expr, (x + y) / 2.0)
                 assert mid <= 0.5 * fx + 0.5 * fy + 1e-6
 
     def test_conjugate_order_reversal(self):
@@ -432,7 +429,7 @@ class TestInvariants:
         fc, gc = cf.conjugate(f), cf.Conjugate(g, box)
         for t in (-0.9, 0.0, 0.5, 0.9):
             x = np.array([t])
-            fv, gv = cf.eval(fc, x, CFG), cf.eval(gc, x, CFG)
+            fv, gv = cf.eval(fc, x), cf.eval(gc, x)
             if fv == INF:
                 continue
             assert fv >= gv - 1e-6
@@ -445,9 +442,9 @@ class TestInvariants:
         fss = cf.Conjugate(cf.conjugate(f), cf.cube(3.0, 2))
         for _ in range(8):
             x = np.array([rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)])
-            assert cf.eval(fss, x, CFG) <= cf.eval(f, x, CFG) + 1e-6
+            assert cf.eval(fss, x) <= cf.eval(f, x) + 1e-6
 
     def test_eval_determinism(self):
         node = cf.Conjugate(cf.Quadratic(2), cf.cube(3.0, 2))
         x = np.array([0.7, -0.4])
-        assert cf.eval(node, x, CFG) == cf.eval(node, x, CFG)
+        assert cf.eval(node, x) == cf.eval(node, x)

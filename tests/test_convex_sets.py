@@ -7,7 +7,7 @@ from lipext import convex_sets
 from lipext.errors import InfeasiblePointError, SolverCapError
 from lipext.geometry import Ball, Polytope
 from lipext.rng import SplitMix64
-from lipext.solvers import SolverConfig, minimize_quadratic_over_simplex
+from lipext.solvers import minimize_quadratic_over_simplex
 from lipext.convex_sets import (
     _closest_pair,
     caratheodory,
@@ -17,8 +17,6 @@ from lipext.convex_sets import (
     radon_partition,
     separate,
 )
-
-CFG = SolverConfig()
 
 
 def random_polytope(rng, n, k, scale=2.0):
@@ -50,7 +48,7 @@ class TestProjection:
         for _ in range(30):
             poly = random_polytope(rng, 2, 5)
             x = np.array([rng.uniform(-4, 4), rng.uniform(-4, 4)])
-            p = project(x, poly, CFG)
+            p = project(x, poly)
             slack = (poly.vertices - p) @ (x - p)
             assert np.max(slack) <= 1e-8
 
@@ -60,10 +58,10 @@ class TestProjection:
             poly = random_polytope(rng, 2, 6)
             x = np.array([rng.uniform(-4, 4), rng.uniform(-4, 4)])
             y = np.array([rng.uniform(-4, 4), rng.uniform(-4, 4)])
-            px, py = project(x, poly, CFG), project(y, poly, CFG)
+            px, py = project(x, poly), project(y, poly)
             lhs = float((x - y) @ (px - py)) - float((px - py) @ (px - py))
             assert lhs >= -1e-8
-            assert np.linalg.norm(project(px, poly, CFG) - px) <= 1e-9
+            assert np.linalg.norm(project(px, poly) - px) <= 1e-9
 
     def test_distance_nonexpansive(self):
         rng = SplitMix64(7)
@@ -93,7 +91,7 @@ def brute_force_caratheodory(x, vertices):
 class TestCaratheodory:
     def test_vertex_is_singleton(self):
         square = Polytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        cert = caratheodory(np.array([1.0, 1.0]), square, CFG)
+        cert = caratheodory(np.array([1.0, 1.0]), square)
         assert len(cert.indices) == 1
         assert cert.indices[0] == 2
         assert cert.weights.weights[0] == pytest.approx(1.0)
@@ -101,7 +99,7 @@ class TestCaratheodory:
     def test_unit_square_interior(self):
         square = Polytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         x = np.array([0.25, 0.25])
-        cert = caratheodory(x, square, CFG)
+        cert = caratheodory(x, square)
         assert len(cert.indices) <= 3
         rebuilt = cert.weights.weights @ square.vertices[list(cert.indices)]
         assert np.linalg.norm(rebuilt - x) <= 1e-8
@@ -110,7 +108,7 @@ class TestCaratheodory:
     def test_outside_hull_rejected(self):
         tri = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(InfeasiblePointError) as exc:
-            caratheodory(np.array([2.0, 2.0]), tri, CFG)
+            caratheodory(np.array([2.0, 2.0]), tri)
         assert exc.value.distance > 0.5
 
     def test_random_instances_certified(self):
@@ -121,7 +119,7 @@ class TestCaratheodory:
             w = np.array([rng.uniform(0, 1) for _ in range(6)])
             w /= w.sum()
             x = w @ poly.vertices
-            cert = caratheodory(x, poly, CFG)
+            cert = caratheodory(x, poly)
             assert len(cert.indices) <= n + 1
             rebuilt = cert.weights.weights @ poly.vertices[list(cert.indices)]
             assert np.linalg.norm(rebuilt - x) <= 1e-8
@@ -153,7 +151,7 @@ class TestRadon:
         # witness must lie in both partial hulls
         for side in (left, right):
             hull = Polytope(np.array([pts[i] for i in side]))
-            assert distance(witness, hull, CFG) <= 1e-8
+            assert distance(witness, hull) <= 1e-8
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
@@ -169,25 +167,25 @@ class TestRadon:
             left, right, witness = radon_partition(pts, n)
             for side in (left, right):
                 hull = Polytope(np.array([pts[i] for i in side]))
-                assert distance(witness, hull, CFG) <= 1e-8
+                assert distance(witness, hull) <= 1e-8
 
 
 class TestSeparation:
     def test_two_balls(self):
-        h = separate(Ball([0.0, 0.0], 1.0), Ball([4.0, 0.0], 1.0), CFG)
+        h = separate(Ball([0.0, 0.0], 1.0), Ball([4.0, 0.0], 1.0))
         assert np.allclose(h.normal, [1.0, 0.0], atol=1e-12)
         assert h.offset == pytest.approx(2.0, abs=1e-12)
 
     def test_two_segments(self):
         A = Polytope([[0.0, 0.0], [0.0, 1.0]])
         B = Polytope([[2.0, 0.0], [2.0, 1.0]])
-        h = separate(A, B, CFG)
+        h = separate(A, B)
         assert np.allclose(h.normal, [1.0, 0.0], atol=1e-9)
         assert h.offset == pytest.approx(1.0, abs=1e-9)
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
-            separate(Ball([0.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0), CFG)
+            separate(Ball([0.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0))
 
     def test_sides_verified(self):
         rng = SplitMix64(41)
@@ -195,7 +193,7 @@ class TestSeparation:
             A = random_polytope(rng, 2, 4, scale=1.0)
             shift = np.array([4.0 + rng.uniform(0, 2), rng.uniform(-1, 1)])
             B = Polytope(A.vertices + shift)
-            h = separate(A, B, CFG)
+            h = separate(A, B)
             assert np.max(A.vertices @ h.normal) <= h.offset + 1e-9
             assert np.min(B.vertices @ h.normal) >= h.offset - 1e-9
 
@@ -245,18 +243,18 @@ class TestClosestPair:
             for _ in range(12):
                 V, W = polytope_pair(rng, n, mode)
                 A, B = Polytope(V), Polytope(W)
-                p, q, dist = _closest_pair(A, B, CFG)
+                p, q, dist = _closest_pair(A, B)
                 assert abs(dist - minkowski_difference_distance(V, W)) <= 1e-12
                 assert dist == pytest.approx(float(np.linalg.norm(p - q)), abs=1e-15)
-                assert distance(p, A, CFG) <= 1e-9 and distance(q, B, CFG) <= 1e-9
+                assert distance(p, A) <= 1e-9 and distance(q, B) <= 1e-9
                 if mode == "disjoint":
-                    h = separate(A, B, CFG)
+                    h = separate(A, B)
                     assert np.max(V @ h.normal) <= h.offset - 0.5 * dist + 1e-9
                     assert np.min(W @ h.normal) >= h.offset + 0.5 * dist - 1e-9
                 else:
                     assert dist <= 1e-12
                     with pytest.raises(ValueError):
-                        separate(A, B, CFG)
+                        separate(A, B)
 
     def test_capped_qp_raises(self, monkeypatch):
         def capped(*args, **kwargs):
@@ -266,7 +264,7 @@ class TestClosestPair:
         A = Polytope([[0.0, 0.0], [0.0, 1.0]])
         B = Polytope([[2.0, 0.0], [2.0, 1.0]])
         with pytest.raises(SolverCapError, match="capped at 7 iterations"):
-            separate(A, B, CFG)
+            separate(A, B)
 
 
 class TestMinkowski:

@@ -12,7 +12,7 @@ from lipext.errors import (
 )
 from lipext.geometry import Ball
 from lipext.rng import SplitMix64
-from lipext.solvers import SolverConfig, polyak_subgradient
+from lipext.solvers import polyak_subgradient
 from lipext.gen import generate_lipschitz_data
 from lipext.extension import (
     ExtensionModel,
@@ -34,8 +34,6 @@ from lipext.extension import (
     _tau,
     _tau_inv,
 )
-
-CFG = SolverConfig()
 
 FORCED = FiniteMapData(np.array([[-1.0], [1.0]]), np.array([[0.0], [2.0]]), 1.0)
 ROTATION = FiniteMapData(
@@ -87,7 +85,7 @@ class TestData:
             assert exc.value.witness == (0, 1)
 
 
-def minimax_primal_value(data, x, cfg):
+def minimax_primal_value(data, x):
     """Independent oracle: minimize max_i (||y - b_i||^2 - r_i^2) directly by
     Polyak subgradient with target <= 0 guaranteed by extension feasibility."""
     radii = data.L * np.linalg.norm(data.points - x, axis=1)
@@ -98,18 +96,18 @@ def minimax_primal_value(data, x, cfg):
         i = int(np.argmax(vals))
         return float(vals[i]), 2.0 * (y - B[i])
 
-    rep = polyak_subgradient(oracle, 0.0, B.mean(axis=0), cfg)
+    rep = polyak_subgradient(oracle, 0.0, B.mean(axis=0), 200_000)
     return rep.argmin, rep.value
 
 
 class TestMinimax:
     def test_forced_point(self):
-        y, r = extend_minimax(FORCED, np.array([0.0]), CFG)
+        y, r = extend_minimax(FORCED, np.array([0.0]))
         assert y[0] == pytest.approx(1.0, abs=1e-9)
         assert r <= 1e-9
 
     def test_rotation_query_origin(self):
-        y, r = extend_minimax(ROTATION, np.array([0.0, 0.0]), CFG)
+        y, r = extend_minimax(ROTATION, np.array([0.0, 0.0]))
         assert r <= 1e-6
         # brute-force feasibility: some grid point satisfies both balls;
         # verify the returned point against the ball constraints directly
@@ -120,7 +118,7 @@ class TestMinimax:
 
     def test_query_at_data_point(self):
         for i in range(2):
-            y, r = extend_minimax(ROTATION, ROTATION.points[i], CFG)
+            y, r = extend_minimax(ROTATION, ROTATION.points[i])
             assert np.max(np.abs(y - ROTATION.values[i])) <= 1e-8
 
     def test_tight_data_residual_at_rounding_level(self):
@@ -132,7 +130,7 @@ class TestMinimax:
         data = FiniteMapData(g.points, g.values)
         rng = SplitMix64(202)
         queries = [np.array([rng.uniform(-2.5, 2.5) for _ in range(2)]) for _ in range(20)]
-        worst = max(extend_minimax(data, x, CFG)[1] for x in queries)
+        worst = max(extend_minimax(data, x)[1] for x in queries)
         assert worst <= 5e-15
 
     def test_permuting_the_data_moves_values_by_rounding(self):
@@ -152,8 +150,8 @@ class TestMinimax:
             for data in datasets:
                 moved = FiniteMapData(data.points[order], data.values[order], data.L)
                 for x in queries:
-                    y, r = extend_minimax(data, x, CFG)
-                    y2, r2 = extend_minimax(moved, x, CFG)
+                    y, r = extend_minimax(data, x)
+                    y2, r2 = extend_minimax(moved, x)
                     scale = 1.0 + data.L * float(np.max(np.linalg.norm(data.points - x, axis=1)))
                     assert np.max(np.abs(y2 - y)) <= 1e-13 * scale
                     assert abs(r2 - r) <= 1e-13 * scale
@@ -164,8 +162,8 @@ class TestMinimax:
         for seed in range(5):
             data = generate_lipschitz_data(2, 2, 6, 800 + seed)
             x = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2)])
-            y_dual, r_dual = extend_minimax(data, x, CFG)
-            y_primal, v_primal = minimax_primal_value(data, x, CFG)
+            y_dual, r_dual = extend_minimax(data, x)
+            y_primal, v_primal = minimax_primal_value(data, x)
             assert r_dual <= 1e-6
             radii = data.L * np.linalg.norm(data.points - x, axis=1)
             dual_worst = float(
@@ -205,7 +203,7 @@ class TestProxAvg:
     def test_identity_data_in_plane(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         data = FiniteMapData(pts, pts.copy(), 1.0)
-        model = ExtensionModel(data, "proxavg", CFG)
+        model = ExtensionModel(data, "proxavg")
         rng = SplitMix64(5)
         for _ in range(5):
             # queries inside the hull: the identity is forced there
@@ -239,7 +237,7 @@ class TestProxAvg:
 
     def test_lipschitz_between_queries(self):
         data = generate_lipschitz_data(2, 2, 8, 902)
-        model = ExtensionModel(data, "proxavg", CFG)
+        model = ExtensionModel(data, "proxavg")
         rng = SplitMix64(11)
         pts, vals = [], []
         for _ in range(12):
@@ -383,22 +381,22 @@ class TestProjectDomain:
     def test_inside_domain_identical(self):
         domain = Ball([0.0, 0.0], 3.0)
         x = np.array([0.5, -0.5])
-        y = extend_project_domain(ROTATION, domain, x, CFG)
-        y2, _ = extend_minimax(ROTATION, x, CFG)
+        y = extend_project_domain(ROTATION, domain, x)
+        y2, _ = extend_minimax(ROTATION, x)
         assert np.allclose(y, y2)
 
     def test_far_query_equals_boundary_value(self):
         domain = Ball([0.0, 0.0], 2.0)
         x = np.array([10.0, 0.0])
-        y = extend_project_domain(ROTATION, domain, x, CFG)
-        y2, _ = extend_minimax(ROTATION, np.array([2.0, 0.0]), CFG)
+        y = extend_project_domain(ROTATION, domain, x)
+        y2, _ = extend_minimax(ROTATION, np.array([2.0, 0.0]))
         assert np.allclose(y, y2, atol=1e-9)
 
     def test_lipschitz_not_increased(self):
         domain = Ball([0.0, 0.0], 2.0)
         rng = SplitMix64(19)
         pts = [np.array([rng.uniform(-5, 5), rng.uniform(-5, 5)]) for _ in range(15)]
-        vals = [extend_project_domain(ROTATION, domain, x, CFG) for x in pts]
+        vals = [extend_project_domain(ROTATION, domain, x) for x in pts]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 dx = float(np.linalg.norm(pts[i] - pts[j]))
@@ -408,7 +406,7 @@ class TestProjectDomain:
     def test_data_outside_domain_rejected(self):
         domain = Ball([0.0, 0.0], 0.5)
         with pytest.raises(ValueError):
-            extend_project_domain(ROTATION, domain, np.array([0.0, 0.0]), CFG)
+            extend_project_domain(ROTATION, domain, np.array([0.0, 0.0]))
 
 
 class TestTietze:
@@ -684,14 +682,14 @@ class TestExtensionModelSurface:
         domain = Ball(np.zeros(2), 3.0)
         mcshane = ExtensionModel(scalar, "mcshane")
         functions = {
-            "minimax": lambda x: extend_minimax(data, x, CFG),
+            "minimax": lambda x: extend_minimax(data, x),
             "proxavg": lambda x: extend_proxavg(data, x),
             "mcshane": lambda x: (
                 [extend_mcshane(scalar, mcshane.omega, x, "lower")], 0.0
             ),
             "coordinatewise": lambda x: (extend_coordinatewise(data, x), 0.0),
             "project_domain": lambda x: (
-                extend_project_domain(data, domain, x, CFG), 0.0
+                extend_project_domain(data, domain, x), 0.0
             ),
             "tietze": lambda x: ([tietze_extend(scalar, x)], 0.0),
             "uniform": lambda x: ([uniform_extend(scalar, x)], 0.0),
@@ -701,7 +699,7 @@ class TestExtensionModelSurface:
         for method, function in functions.items():
             model = ExtensionModel(
                 scalar if method in ("mcshane", "tietze", "uniform") else data,
-                method, CFG, domain=domain,
+                method, domain=domain,
             )
             for x in queries:
                 y, residual = model.query(x)
@@ -713,7 +711,7 @@ class TestExtensionModelSurface:
         data = generate_lipschitz_data(2, 1, 8, 908)
         domain = Ball(np.zeros(2), 10.0)
         models = [
-            ExtensionModel(data, method, CFG, domain=domain)
+            ExtensionModel(data, method, domain=domain)
             for method in ExtensionModel.METHODS
         ]
 
@@ -731,7 +729,7 @@ class TestExtensionModelSurface:
         data = generate_lipschitz_data(2, 1, 5, 907)
         domain = Ball(np.zeros(2), 10.0)
         for method in ExtensionModel.METHODS:
-            model = ExtensionModel(data, method, CFG, domain=domain)
+            model = ExtensionModel(data, method, domain=domain)
             for i in range(data.size):
                 y, _ = model.query(data.points[i])
                 assert np.max(np.abs(y - data.values[i])) <= 1e-5

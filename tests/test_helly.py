@@ -9,7 +9,7 @@ from lipext.errors import EnumerationGuardError
 from lipext.gen import generate_ball_family
 from lipext.geometry import Ball, Polytope
 from lipext.rng import SplitMix64
-from lipext.solvers import SolverConfig, chebyshev_center
+from lipext.solvers import chebyshev_center
 from lipext.helly import (
     BodyFamily,
     check_k_intersection,
@@ -18,8 +18,6 @@ from lipext.helly import (
     jung_ball,
     jung_bound_check,
 )
-
-CFG = SolverConfig()
 
 
 def touching_families(n, count=20):
@@ -62,20 +60,20 @@ class TestCommonPoint:
         balls = [
             Ball([sx * 0.5, sy * 0.5], 1.0) for sx in (-1, 1) for sy in (-1, 1)
         ]
-        rep = common_point(BodyFamily(balls), CFG)
+        rep = common_point(BodyFamily(balls))
         assert rep.intersects
         assert rep.residual <= 1e-6
         assert np.linalg.norm(np.asarray(rep.witness)) <= 0.5
 
     def test_two_disjoint_balls(self):
         fam = BodyFamily([Ball([0.0, 0.0], 1.0), Ball([4.0, 0.0], 1.0)])
-        rep = common_point(fam, CFG)
+        rep = common_point(fam)
         assert not rep.intersects
         # the max distance is minimized at the midpoint with value 1
         assert rep.residual == pytest.approx(1.0, abs=0.05)
 
     def test_single_body(self):
-        rep = common_point(BodyFamily([Ball([1.0, 2.0], 0.5)]), CFG)
+        rep = common_point(BodyFamily([Ball([1.0, 2.0], 0.5)]))
         assert rep.intersects and rep.residual == 0.0
 
     def test_polytope_family(self):
@@ -86,7 +84,7 @@ class TestCommonPoint:
                 Ball([1.0, 1.0], 0.5),
             ]
         )
-        rep = common_point(fam, CFG)
+        rep = common_point(fam)
         assert rep.intersects
 
 
@@ -97,7 +95,7 @@ class TestKIntersection:
             Ball([4.0, 0.0], 1.0),
             Ball([0.5, 0.5], 2.0),
         ]
-        rep = check_k_intersection(BodyFamily(balls), 2, CFG)
+        rep = check_k_intersection(BodyFamily(balls), 2)
         assert not rep.intersects
         assert rep.violating_subset == [0, 1]
 
@@ -110,26 +108,26 @@ class TestKIntersection:
             Ball([1.0, 1.732], 1.05),
         ]
         fam = BodyFamily(balls)
-        pair = check_k_intersection(fam, 2, CFG)
+        pair = check_k_intersection(fam, 2)
         assert pair.intersects
-        triple = check_k_intersection(fam, 3, CFG)
+        triple = check_k_intersection(fam, 3)
         assert not triple.intersects
         assert triple.violating_subset == [0, 1, 2]
 
     def test_k1_on_nonempty_bodies(self):
         fam = BodyFamily([Ball([0.0, 0.0], 0.1), Ball([9.0, 9.0], 0.1)])
-        rep = check_k_intersection(fam, 1, CFG)
+        rep = check_k_intersection(fam, 1)
         assert rep.intersects
 
     def test_triple_with_common_point(self):
         balls = [Ball([0.3, 0.0], 1.0), Ball([-0.3, 0.2], 1.0), Ball([0.0, -0.4], 1.0)]
-        rep = check_k_intersection(BodyFamily(balls), 3, CFG)
+        rep = check_k_intersection(BodyFamily(balls), 3)
         assert rep.intersects
 
     def test_enumeration_guard(self):
         balls = [Ball([float(i), 0.0], 50.0) for i in range(60)]
         with pytest.raises(EnumerationGuardError):
-            check_k_intersection(BodyFamily(balls), 30, CFG)
+            check_k_intersection(BodyFamily(balls), 30)
 
 
 class TestHellyVerify:
@@ -137,7 +135,7 @@ class TestHellyVerify:
         balls = [
             Ball([sx * 0.5, sy * 0.5], 1.0) for sx in (-1, 1) for sy in (-1, 1)
         ]
-        rep = helly_verify(BodyFamily(balls), CFG)
+        rep = helly_verify(BodyFamily(balls))
         assert rep.intersects and rep.residual <= 1e-6
 
     def test_intervals_on_line(self):
@@ -146,7 +144,7 @@ class TestHellyVerify:
         fam = BodyFamily(
             [Ball([0.5 * (a + b)], 0.5 * (b - a)) for a, b in ivals]
         )
-        rep = helly_verify(fam, CFG)
+        rep = helly_verify(fam)
         lo = max(a for a, _ in ivals)
         hi = min(b for _, b in ivals)
         assert rep.intersects
@@ -166,19 +164,19 @@ class TestHellyVerify:
                 ) * (radius - 0.2) / math.sqrt(n)
                 balls.append(Ball(center, radius))
             fam = BodyFamily(balls)
-            sub = check_k_intersection(fam, n + 1, CFG)
+            sub = check_k_intersection(fam, n + 1)
             if sub.intersects:
-                rep = common_point(fam, CFG)
+                rep = common_point(fam)
                 assert rep.residual <= 1e-6
 
 
 class TestJung:
     def test_single_point(self):
-        ball = jung_ball([np.array([1.0, 2.0])], CFG)
+        ball = jung_ball([np.array([1.0, 2.0])])
         assert ball.radius == 0.0
 
     def test_two_points(self):
-        ball = jung_ball([np.array([0.0, 0.0]), np.array([2.0, 0.0])], CFG)
+        ball = jung_ball([np.array([0.0, 0.0]), np.array([2.0, 0.0])])
         assert np.allclose(ball.center, [1.0, 0.0], atol=1e-12)
         assert ball.radius == pytest.approx(1.0, abs=1e-12)
 
@@ -188,7 +186,7 @@ class TestJung:
             np.array([1.0, 0.0]),
             np.array([0.5, math.sqrt(3.0) / 2.0]),
         ]
-        diameter, radius, bound, holds = jung_bound_check(pts, CFG)
+        diameter, radius, bound, holds = jung_bound_check(pts)
         assert holds
         assert diameter == pytest.approx(1.0, abs=1e-12)
         assert radius == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
@@ -201,10 +199,10 @@ class TestJung:
             pts = [
                 np.array([rng.uniform(0, 1), rng.uniform(0, 1)]) for _ in range(20)
             ]
-            ball = jung_ball(pts, CFG)
+            ball = jung_ball(pts)
             dists = [float(np.linalg.norm(p - ball.center)) for p in pts]
             assert max(dists) <= ball.radius + 1e-9
-            _, _, _, holds = jung_bound_check(pts, CFG)
+            _, _, _, holds = jung_bound_check(pts)
             assert holds
 
     def test_radius_matches_circumball_oracle(self):
@@ -230,12 +228,12 @@ class TestJung:
             n = 2 + trial % 2
             k = 3 + int(rng.integer(8))
             pts = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(k)])
-            assert jung_ball(pts, CFG).radius == pytest.approx(oracle(pts), abs=1e-12)
+            assert jung_ball(pts).radius == pytest.approx(oracle(pts), abs=1e-12)
 
     def test_dimension_fallback(self):
         rng = SplitMix64(88)
         pts = [np.array([rng.uniform(-1, 1) for _ in range(5)]) for _ in range(15)]
-        ball = jung_ball(pts, CFG)
+        ball = jung_ball(pts)
         dists = [float(np.linalg.norm(p - ball.center)) for p in pts]
         assert max(dists) <= ball.radius + 1e-9
 
@@ -247,9 +245,9 @@ def test_touching_families_intersect(n):
     worst = 0.0
     for family in touching_families(n):
         reports = [
-            common_point(family, CFG),
-            check_k_intersection(family, n + 1, CFG),
-            helly_verify(family, CFG),
+            common_point(family),
+            check_k_intersection(family, n + 1),
+            helly_verify(family),
         ]
         assert all(rep.intersects for rep in reports)
         worst = max([worst] + [rep.residual for rep in reports])
@@ -266,10 +264,10 @@ def test_chebyshev_center_ignores_ball_order():
         C = np.array([[rng.uniform(-3, 3) for _ in range(n)] for _ in range(k)])
         families.append((C, np.array([rng.uniform(0.0, 2.5) for _ in range(k)])))
     for trial, (C, R) in enumerate(families):
-        y, t = chebyshev_center(C, R, CFG)
+        y, t = chebyshev_center(C, R)
         shuffled = np.array(SplitMix64(trial).shuffle(list(range(len(C)))))
         for order in (shuffled, np.arange(len(C))[::-1]):
-            y2, t2 = chebyshev_center(C[order], R[order], CFG)
+            y2, t2 = chebyshev_center(C[order], R[order])
             assert np.max(np.abs(y2 - y)) <= 1e-13 and abs(t2 - t) <= 1e-13
 
 
@@ -292,15 +290,15 @@ def _no_intersection_families():
 @pytest.mark.parametrize("family", list(_no_intersection_families()))
 def test_violating_subset_is_a_certificate(family):
     n = family.dimension
-    rep = helly_verify(family, CFG)
+    rep = helly_verify(family)
     assert not rep.intersects
     subset = rep.violating_subset
     assert 1 <= len(subset) <= n + 1 and subset == sorted(set(subset))
     balls = BodyFamily([family.bodies[i] for i in subset])
-    assert not check_k_intersection(balls, n + 1, CFG).intersects
+    assert not check_k_intersection(balls, n + 1).intersects
     # Compared with the engine: the n = 2 candidate test reports the best
     # candidate's distance, which is not the Chebyshev value.
-    _, t = chebyshev_center(*ball_arrays(balls), CFG)
+    _, t = chebyshev_center(*ball_arrays(balls))
     assert t == pytest.approx(rep.residual, abs=1e-9)
 
 
@@ -310,11 +308,11 @@ def test_ball_families_skip_enumeration_and_polyak(monkeypatch):
 
     monkeypatch.setattr(helly, "check_k_intersection", forbidden)
     monkeypatch.setattr(helly, "polyak_subgradient", forbidden)
-    assert helly_verify(touching_families(3)[0], CFG).intersects
+    assert helly_verify(touching_families(3)[0]).intersects
     crowd = BodyFamily([Ball([float(i), 0.0], 50.0) for i in range(45)])
-    assert helly_verify(crowd, CFG).intersects
+    assert helly_verify(crowd).intersects
     apart = BodyFamily([Ball([0.0, 0.0], 1.0), Ball([4.0, 0.0], 1.0)])
-    assert helly_verify(apart, CFG).violating_subset == [0, 1]
+    assert helly_verify(apart).violating_subset == [0, 1]
 
 
 def test_max_distance_is_nonexpansive():

@@ -6,67 +6,50 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "lipext"
 
 
-def _is_cfg_default(stmt):
-    """True for the statement `cfg = cfg or SolverConfig()`."""
-    return (
-        isinstance(stmt, ast.Assign)
-        and len(stmt.targets) == 1
-        and isinstance(stmt.targets[0], ast.Name)
-        and stmt.targets[0].id == "cfg"
-        and isinstance(stmt.value, ast.BoolOp)
-        and isinstance(stmt.value.op, ast.Or)
-        and isinstance(stmt.value.values[0], ast.Name)
-        and stmt.value.values[0].id == "cfg"
-    )
-
-
-def _reads_cfg(func):
-    for stmt in func.body:
-        if _is_cfg_default(stmt):
-            continue
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and node.id == "cfg" and isinstance(
-                node.ctx, ast.Load
-            ):
-                return True
-    return False
-
-
-def unread_cfg_parameters(source):
-    """Names of the functions in source that take `cfg` and never read it."""
+def cfg_parameters(source):
+    """Names of the functions in source that take a parameter named `cfg`."""
     out = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             args = node.args
             params = args.posonlyargs + args.args + args.kwonlyargs
-            if any(a.arg == "cfg" for a in params) and not _reads_cfg(node):
-                out.append(node.name)
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            if any(a.arg == "cfg" for a in params):
+                out.append(getattr(node, "name", "<lambda>"))
     return out
 
 
-def test_every_cfg_parameter_is_read():
-    unread = {
+def test_no_function_takes_cfg():
+    # Solver tolerances and caps are module constants; nothing threads a config.
+    root = SRC.parents[1]
+    takes = {
         path.name: names
         for path in sorted(SRC.glob("*.py"))
-        if (names := unread_cfg_parameters(path.read_text()))
+        if (names := cfg_parameters(path.read_text()))
     }
-    assert unread == {}
+    assert takes == {}
+    mentions = [
+        str(path.relative_to(root))
+        for folder in ("src", "demos", "bench")
+        for path in sorted((root / folder).rglob("*.py"))
+        if "SolverConfig" in path.read_text()
+    ]
+    assert mentions == []
 
 
-def test_scan_flags_a_defaulted_but_unread_cfg():
+def test_scan_flags_a_cfg_parameter():
     source = (
-        "def dropped(x, cfg=None):\n"
-        "    cfg = cfg or SolverConfig()\n"
+        "def positional(x, cfg=None):\n"
         "    return x\n"
-        "def passed(x, cfg=None):\n"
-        "    cfg = cfg or SolverConfig()\n"
-        "    return inner(x, cfg)\n"
-        "def closure(x, cfg):\n"
-        "    def f(y):\n"
-        "        return y * cfg.tol\n"
+        "def keyword(x, *, cfg):\n"
+        "    return x\n"
+        "def config(x, config=None):\n"
+        "    return x\n"
+        "def outer(x):\n"
+        "    f = lambda cfg: cfg\n"
         "    return f(x)\n"
     )
-    assert unread_cfg_parameters(source) == ["dropped"]
+    assert cfg_parameters(source) == ["positional", "keyword", "<lambda>"]
 
 
 def unused_imports(source):

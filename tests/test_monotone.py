@@ -6,7 +6,7 @@ from lipext import monotone
 from lipext.errors import SolverCapError
 from lipext.extension import ExtensionModel, FiniteMapData
 from lipext.rng import SplitMix64
-from lipext.solvers import SolverConfig, solve_qp
+from lipext.solvers import solve_qp
 from lipext.gen import generate_lipschitz_data, generate_monotone_graph
 from lipext.monotone import (
     OperatorGraph,
@@ -23,8 +23,6 @@ from lipext.monotone import (
     resolvent_eval,
     resolvent_of_graph,
 )
-
-CFG = SolverConfig()
 
 
 def graph_1d(pairs, **kw):
@@ -207,12 +205,12 @@ class TestFitzpatrick:
             pts, vals = generate_monotone_graph(2, 5, 300 + seed)
             T = OperatorGraph(pts, vals)
             for a, astar in T.pairs():
-                v = fitzpatrick_conj_eval(T, astar, a, CFG)
+                v = fitzpatrick_conj_eval(T, astar, a)
                 assert v == pytest.approx(float(a @ astar), abs=1e-8)
 
     def test_conjugate_outside_hull(self):
         T = graph_1d([(0.0, 0.0), (1.0, 1.0)])
-        assert fitzpatrick_conj_eval(T, np.array([5.0]), np.array([5.0]), CFG) == float(
+        assert fitzpatrick_conj_eval(T, np.array([5.0]), np.array([5.0])) == float(
             "inf"
         )
 
@@ -220,7 +218,7 @@ class TestFitzpatrick:
         # atoms (0,0) and (1,1): Phi*(t, t) = t for t in [0, 1]
         T = graph_1d([(0.0, 0.0), (1.0, 1.0)])
         for t in (0.0, 0.3, 0.5, 0.9, 1.0):
-            v = fitzpatrick_conj_eval(T, np.array([t]), np.array([t]), CFG)
+            v = fitzpatrick_conj_eval(T, np.array([t]), np.array([t]))
             assert v == pytest.approx(t, abs=1e-8)
 
 
