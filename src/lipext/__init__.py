@@ -3,7 +3,8 @@
 Modules
 -------
 geometry          vectors, balls, V-polytopes, simplex weights
-solvers           active-set QP (simplex QPs included) / Polyak
+solvers           active-set QP (simplex QPs included), Chebyshev center, Polyak;
+                  tolerances and caps are constants (TOL), not a config
 convex_sets       projection, Caratheodory, Radon, separation, Minkowski sums
 helly             family intersection checks, common points, Jung's bound
 convex_functions  convex expression trees: conjugates, convolutions, averages

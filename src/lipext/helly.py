@@ -287,17 +287,20 @@ def jung_ball(points) -> Ball:
     """Minimal enclosing ball of the point set (duplicates dropped, sorted):
     the concave dual over the simplex, maximize sum l_i ||p_i||^2 -
     ||sum l_i p_i||^2 (chebyshev_center's dual at zero radii and t = 0), gives
-    the center sum l_i p_i; the radius is the farthest point's distance."""
+    the center sum l_i p_i; the radius is the farthest point's distance.  As
+    in chebyshev_center, the points are centered on the first one."""
     P = np.asarray([np.asarray(p, dtype=float) for p in points])
     if P.shape[0] == 0:
         raise ValueError("need at least one point")
     P = np.unique(P, axis=0)
+    origin = P[0]
+    P = P - origin
     report = minimize_quadratic_over_simplex(
         2.0 * (P @ P.T), -np.sum(P * P, axis=1), P.shape[0]
     )
     center = report.argmin.weights @ P
     radius = float(np.max(np.linalg.norm(P - center, axis=1)))
-    return Ball(center, radius)
+    return Ball(center + origin, radius)
 
 
 def jung_bound_check(points):

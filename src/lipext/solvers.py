@@ -113,10 +113,14 @@ def chebyshev_center(centers, radii):
     the Chebyshev value t*, with phi'(t) = -2 sum l_i (r_i + t) read off the
     dual weights.  t* is bracketed by -min r_i and the value at y = c_0.  A
     final Gauss-Newton step over the balls tight at y is kept when it lowers
-    the residual.  Raises SolverCapError when 80 Newton steps meet neither
-    stop test.
+    the residual.  The work is done in coordinates centered on c_0, since a
+    Gram matrix of raw coordinates far from the origin loses the family's
+    shape to cancellation.  Raises SolverCapError when 80 Newton steps meet
+    neither stop test.
     """
     C = np.asarray(centers, dtype=float)
+    origin = C[0]
+    C = C - origin
     radii = np.asarray(radii, dtype=float)
     Q = 2.0 * (C @ C.T)
     sq_norms = np.sum(C * C, axis=1)
@@ -132,7 +136,7 @@ def chebyshev_center(centers, radii):
         return phi, slope, lam
 
     t_lo = -float(np.min(radii))
-    t_hi = max(0.0, float(np.max(np.linalg.norm(C[0] - C, axis=1) - radii)))
+    t_hi = max(0.0, float(np.max(np.linalg.norm(C, axis=1) - radii)))
     t = 0.0
     for _ in range(80):
         phi, slope, lam = dual_solve(t)
@@ -165,8 +169,8 @@ def chebyshev_center(centers, radii):
     y_step = y + step[:-1]
     residual_step = float(np.max(np.linalg.norm(y_step - C, axis=1) - radii))
     if residual_step < residual:
-        return y_step, residual_step
-    return y, residual
+        return y_step + origin, residual_step
+    return y + origin, residual
 
 
 def polyak_subgradient(oracle, target, x0, max_iters):

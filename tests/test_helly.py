@@ -237,6 +237,19 @@ class TestJung:
         dists = [float(np.linalg.norm(p - ball.center)) for p in pts]
         assert max(dists) <= ball.radius + 1e-9
 
+    def test_far_from_the_origin(self):
+        # The dual's Gram matrix is centered on the first point, so moving a
+        # unit-scale set by 1e6 leaves its radius to rounding.
+        rng = SplitMix64(3)
+        for trial in range(60):
+            n = 2 + trial % 4
+            pts = np.array(
+                [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(3 + trial % 20)]
+            )
+            assert jung_ball(pts + 1e6).radius == pytest.approx(
+                jung_ball(pts).radius, abs=1e-9
+            )
+
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_touching_families_intersect(n):
@@ -252,6 +265,54 @@ def test_touching_families_intersect(n):
         assert all(rep.intersects for rep in reports)
         worst = max([worst] + [rep.residual for rep in reports])
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("shift", [1e5, 1e6])
+def test_shifted_touching_families_intersect(shift):
+    # The same touching families moved far from the origin: the Chebyshev
+    # center's dual works in coordinates centered on the first ball.
+    worst = 0.0
+    for n in (2, 3, 4):
+        for family in touching_families(n):
+            moved = BodyFamily([Ball(b.center + shift, b.radius) for b in family.bodies])
+            rep = helly_verify(moved)
+            assert rep.intersects
+            worst = max(worst, rep.residual)
+    assert worst <= 1e-10
+
+
+def unit_square(corner, degrees=0.0):
+    """The unit square with a vertex at corner and edges along the directions
+    at degrees and degrees + 90."""
+    a = math.radians(degrees)
+    u = np.array([math.cos(a), math.sin(a)])
+    v = np.array([-u[1], u[0]])
+    p = np.asarray(corner, dtype=float)
+    return Polytope([p, p + u, p + u + v, p + v])
+
+
+POLYTOPE_FAMILIES = {
+    # Their common part is the 0.1 x 0.05 rectangle [0.9, 1] x [0.95, 1].
+    "three-overlapping-squares": [
+        unit_square([0.0, 0.0]), unit_square([0.9, 0.1]), unit_square([0.4, 0.95])
+    ],
+    # The four quadrants at (0.3, -0.2): that corner is their only common point.
+    "four-squares-one-corner": [
+        unit_square([0.3, -0.2], d) for d in (0.0, 90.0, 180.0, 270.0)
+    ],
+    # Turned so that the start, the mean of the squares' centers, is off the
+    # corner; still the only common point.
+    "four-turned-squares-one-corner": [
+        unit_square([0.3, -0.2], d) for d in (0.0, 100.0, 190.0, 280.0)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLYTOPE_FAMILIES))
+def test_polytope_families_intersect(name):
+    family = BodyFamily(POLYTOPE_FAMILIES[name])
+    for rep in (common_point(family), helly_verify(family)):
+        assert rep.intersects and rep.residual <= 1e-12
 
 
 def test_chebyshev_center_ignores_ball_order():
