@@ -4,7 +4,7 @@ Modules
 -------
 geometry          vectors, balls, V-polytopes, simplex weights
 solvers           active-set QP (simplex QPs included), Chebyshev center, Polyak;
-                  tolerances and caps are constants (TOL), not a config
+                  its tolerance TOL and iteration caps are module constants
 convex_sets       projection, Caratheodory, Radon, separation, Minkowski sums
 helly             family intersection checks, common points, Jung's bound
 convex_functions  convex expression trees: conjugates, convolutions, averages

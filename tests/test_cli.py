@@ -407,8 +407,8 @@ def path_case(argv, rc, report=None, err="", inputs=None, patch=None, tag=None):
     """One exit path; inputs=None means no manifest may be written.  tag
     tells apart paths whose subcommand, exit code and files coincide."""
     files = [a.strip("{}") for a in argv if a.startswith("{") and a != "{out}"]
-    return pytest.param(argv, rc, report, err, inputs, patch,
-                        id="-".join([argv[0], str(rc)] + files + [tag] * bool(tag)))
+    parts = [argv[0], str(rc)] + files + ([tag] if tag else [])
+    return pytest.param(argv, rc, report, err, inputs, patch, id="-".join(parts))
 
 
 EXTEND = ["extend", "--data", "{data}", "--queries", "{q}", "--method", "mcshane",
