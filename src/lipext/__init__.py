@@ -3,7 +3,7 @@
 Modules
 -------
 geometry          vectors, balls, V-polytopes, simplex weights
-solvers           active-set QP (simplex QPs included), Chebyshev center, Polyak;
+solvers           active-set QP (simplex QPs included), Chebyshev center;
                   its tolerance TOL and iteration caps are module constants
 convex_sets       projection, Caratheodory, Radon, separation, Minkowski sums
 helly             family intersection checks, common points, Jung's bound
@@ -17,11 +17,7 @@ cli               batch front-end (`lipext` entry point)
 __version__ = "0.1.0"
 
 from .geometry import Ball, Polytope, SimplexWeights, convex_combination, dot, norm
-from .solvers import (
-    SolveReport,
-    minimize_quadratic_over_simplex,
-    polyak_subgradient,
-)
+from .solvers import minimize_quadratic_over_simplex
 from .convex_sets import (
     CaratheodoryCertificate,
     Hyperplane,

@@ -2,9 +2,11 @@
 
 A convex body is either a Ball or a Polytope (V-representation).  Polytope
 computations reduce to QPs over simplices of vertex weights, so the weights
-double as barycentric certificates: projection solves one simplex and the
-closest pair of two polytopes two simplices (two equality rows), both with
-the active-set solve_qp.
+double as barycentric certificates: projection solves one simplex, and the
+least-squares points of a family of bodies one simplex per polytope (one
+equality row each) plus cutting planes for its balls, all with the
+active-set solve_qp.  The closest pair of two polytopes is their
+least-squares pair.
 """
 
 from dataclasses import dataclass
@@ -18,6 +20,7 @@ from .solvers import minimize_quadratic_over_simplex, solve_qp
 
 HULL_TOL = 1e-8
 DISJOINT_TOL = 1e-7
+CUT_ROUNDS = 100
 
 
 def dimension_of(body) -> int:
@@ -216,29 +219,94 @@ def _closest_pair(A, B):
     if isinstance(A, Polytope) and isinstance(B, Ball):
         q, p, d = _closest_pair(B, A)
         return p, q, d
-    # polytope-polytope: min ||V'l - W'm||^2 with l and m in two simplices
-    # (one equality row each), from the closest vertex pair
-    V, W = A.vertices, B.vertices
-    kA, kB = V.shape[0], W.shape[0]
-    K = kA + kB
-    M = np.vstack([V, -W])
-    A_eq = np.zeros((2, K))
-    A_eq[0, :kA] = 1.0
-    A_eq[1, kA:] = 1.0
-    diff = V[:, None, :] - W[None, :, :]
-    i, j = divmod(int(np.argmin(np.sum(diff * diff, axis=2))), kB)
-    z0 = np.zeros(K)
-    z0[[i, kA + j]] = 1.0
-    active = [r for r in range(K) if r not in (i, kA + j)]
-    z, info = solve_qp(
-        2.0 * (M @ M.T), np.zeros(K), A_eq, [1.0, 1.0], -np.eye(K), np.zeros(K),
-        z0, initial_active=active,
-    )
-    if not info["converged"]:
-        raise SolverCapError(f"closest-pair QP capped at {info['iters']} iterations")
-    p = SimplexWeights(z[:kA]).weights @ V
-    q = SimplexWeights(z[kA:]).weights @ W
+    p, q = least_squares_points((A, B))
     return p, q, float(np.linalg.norm(p - q))
+
+
+def least_squares_points(bodies):
+    """Points p_i in C_i minimizing sum_{i<j} ||p_i - p_j||^2, as an m x n array.
+
+    Their mean x minimizes sum_i d(x, C_i)^2, and the family meets iff the
+    minimum is 0.  A polytope's point is V_i'l_i with l_i in its own simplex;
+    a ball's is c_b + u_b, with the ball stood in for by cuts <w, u_b> <= r_b
+    (Kelley's cutting planes).  Each round is one solve_qp; after it, every
+    ball whose point lies more than 1e-12 (1 + r_b) outside gets the cut at
+    w = u_b / ||u_b||, and the next round starts from the same point with
+    each u_b pulled radially into its ball, where every cut holds.  (A stop
+    at solvers.TOL would leave witnesses of touching families up to 1e-9
+    from a ball.)  With no balls this is a single QP; for two polytopes it
+    is their closest pair.
+
+    The QP works in coordinates centered on x0, the mean of the balls'
+    centers and the polytopes' vertex centroids.  Each polytope starts at
+    its vertex nearest x0, and each ball at its point nearest x0.  Raises
+    SolverCapError when a QP stops at its cap or CUT_ROUNDS rounds leave a
+    ball point outside.
+    """
+    origin = np.mean(
+        [b.center if isinstance(b, Ball) else b.vertices.mean(axis=0) for b in bodies],
+        axis=0,
+    )
+    m, n = len(bodies), origin.shape[0]
+    sizes = [b.vertices.shape[0] if isinstance(b, Polytope) else n for b in bodies]
+    starts = np.cumsum([0] + sizes)
+    blocks = [slice(starts[i], starts[i + 1]) for i in range(m)]
+    K = int(starts[-1])
+    # Body i's point, less x0, is maps[i] @ z + shifts[i].
+    maps = np.zeros((m, n, K))
+    shifts = np.zeros((m, n))
+    z = np.zeros(K)
+    A_eq, bound_cols = [], []
+    for body, cols, lift, shift in zip(bodies, blocks, maps, shifts):
+        if isinstance(body, Polytope):
+            V = body.vertices - origin
+            lift[:, cols] = V.T
+            z[cols.start + int(np.argmin(np.sum(V * V, axis=1)))] = 1.0
+            row = np.zeros(K)
+            row[cols] = 1.0
+            A_eq.append(row)
+            bound_cols.extend(range(cols.start, cols.stop))
+        else:
+            lift[:, cols] = np.eye(n)
+            shift[:] = body.center - origin
+            z[cols] = project(origin, body) - body.center
+    # sum_{i<j} ||p_i - p_j||^2 = m sum_i ||p_i - mean p||^2
+    R = (maps - maps.mean(axis=0)).reshape(m * n, K)
+    r = (shifts - shifts.mean(axis=0)).reshape(m * n)
+    P = 2.0 * m * (R.T @ R)
+    q = 2.0 * m * (R.T @ r)
+    A_eq = np.array(A_eq).reshape(-1, K)
+    G = -np.eye(K)[bound_cols]
+    h = np.zeros(len(bound_cols))
+    balls = [(c, b.radius) for b, c in zip(bodies, blocks) if isinstance(b, Ball)]
+    for _ in range(CUT_ROUNDS):
+        active = [row for row, col in enumerate(bound_cols) if z[col] <= 0.0]
+        z, info = solve_qp(
+            P, q, A_eq, np.ones(A_eq.shape[0]), G, h, z, initial_active=active
+        )
+        if not info["converged"]:
+            raise SolverCapError(f"least-squares QP capped at {info['iters']} iterations")
+        cuts = []
+        for cols, radius in balls:
+            u = z[cols]
+            norm_u = float(np.linalg.norm(u))
+            if norm_u - radius > 1e-12 * (1.0 + radius):
+                cut = np.zeros(K)
+                cut[cols] = u / norm_u
+                cuts.append(cut)
+                h = np.append(h, radius)
+            if norm_u > radius:
+                z[cols] = (radius / norm_u) * u
+        if not cuts:
+            break
+        G = np.vstack([G, cuts])
+    else:
+        raise SolverCapError(f"least-squares cuts capped at {CUT_ROUNDS} rounds")
+    return np.array([
+        SimplexWeights(z[cols]).weights @ body.vertices
+        if isinstance(body, Polytope) else body.center + z[cols]
+        for body, cols in zip(bodies, blocks)
+    ])
 
 
 def separate(A, B) -> Hyperplane:

@@ -6,10 +6,11 @@ call decides a ball family and its center y is the witness.  When t > 0, 0
 lies in the hull of the unit normals (y - c_i) / ||y - c_i|| of the balls
 tight at y (KKT); Caratheodory keeps n + 1 of them, a violating subset with
 the same value t, found without enumerating subsets.  A family that holds a
-polytope minimizes max_i distance(x, C_i) by Polyak subgradient steps.  The
-k-subset checks for discs use an exact candidate-point certificate (any
-non-empty intersection of discs contains a disc center or an intersection
-point of two boundary circles), and for intervals the interval formula.
+polytope is decided by its least-squares point, the minimizer of
+sum_i d(x, C_i)^2 (one cutting-plane QP in convex_sets).  The k-subset
+checks for discs use an exact candidate-point certificate (any non-empty
+intersection of discs contains a disc center or an intersection point of
+two boundary circles), and for intervals the interval formula.
 """
 
 import math
@@ -20,14 +21,11 @@ import numpy as np
 
 from .geometry import Ball, Polytope
 from .errors import EnumerationGuardError
-from .solvers import chebyshev_center, polyak_subgradient
-from .solvers import minimize_quadratic_over_simplex
-from .convex_sets import caratheodory, dimension_of, distance, project
+from .solvers import chebyshev_center, minimize_quadratic_over_simplex
+from .convex_sets import caratheodory, dimension_of, least_squares_points
 
 INTERSECT_TOL = 1e-6
 ENUMERATION_CAP = 10 ** 6
-POLYAK_PHASE1_ITERS = 4000
-POLYAK_MAX_ITERS = 200_000
 
 
 @dataclass(frozen=True)
@@ -59,25 +57,6 @@ class IntersectionReport:
     violating_subset: object = None
 
 
-def _body_anchor(body):
-    if isinstance(body, Ball):
-        return body.center
-    return body.vertices.mean(axis=0)
-
-
-def _max_distance_oracle(bodies):
-    def oracle(x):
-        dists = [distance(x, b) for b in bodies]
-        i = int(np.argmax(dists))
-        di = dists[i]
-        if di <= 0.0:
-            return 0.0, np.zeros_like(x)
-        g = (x - project(x, bodies[i])) / di
-        return di, g
-
-    return oracle
-
-
 def _all_balls(family):
     return all(isinstance(b, Ball) for b in family.bodies)
 
@@ -87,14 +66,18 @@ def _ball_arrays(balls):
 
 
 def common_point(family: BodyFamily) -> IntersectionReport:
-    """Minimize d(x) = max_i distance(x, C_i); witness when the minimum is ~0.
+    """A witness x and its residual, the largest distance from x to a body;
+    intersects when the residual is <= 1e-6.
 
     A family of balls is one chebyshev_center call: the witness is the
-    center y, the residual max(t, 0).  Any other family runs Polyak steps
-    from the centroid of the bodies' centers / vertex centroids.  intersects
-    is declared when the final value is <= 1e-6.  Phase 1 takes at most
-    4,000 Polyak steps toward 0; phase 2 halves target estimates until the
-    run has taken 200,000 steps in all.
+    center y, which minimizes the largest distance, and the residual is
+    max(t, 0).  Any other family's witness is its least-squares point x, the
+    mean of the points p_i in C_i that convex_sets.least_squares_points
+    returns; x minimizes sum_i d(x, C_i)^2.  The residual is
+    max_i ||x - p_i||: each p_i lies in C_i, so it bounds the largest
+    distance from above, and at the optimum p_i is the projection of x onto
+    C_i, so it equals it.  It is 0 exactly when the family meets, and at
+    most sqrt(m) times the min-max value.
     """
     bodies = family.bodies
     if _all_balls(family):
@@ -102,40 +85,11 @@ def common_point(family: BodyFamily) -> IntersectionReport:
         return IntersectionReport(
             intersects=t <= INTERSECT_TOL, witness=y, residual=max(t, 0.0)
         )
-    oracle = _max_distance_oracle(bodies)
-    x0 = np.mean([_body_anchor(b) for b in bodies], axis=0)
-    # Phase 1: Polyak steps with target 0 (exact when the family intersects).
-    rep = polyak_subgradient(oracle, 0.0, x0, POLYAK_PHASE1_ITERS)
-    best_x, best_f, iters = rep.argmin, rep.value, rep.iters
-    # Phase 2: halving target estimates to localize a positive minimum.
-    if best_f > INTERSECT_TOL:
-        delta = best_f / 2.0
-        x = best_x.copy()
-        f, g = oracle(x)
-        while delta > 1e-9 and iters < POLYAK_MAX_ITERS:
-            target = max(best_f - delta, 0.0)
-            improved = False
-            for _ in range(150):
-                ng2 = float(g @ g)
-                if ng2 < 1e-28 or f <= target:
-                    break
-                x = x - ((f - target) / ng2) * g
-                f, g = oracle(x)
-                iters += 1
-                if f < best_f - 0.25 * delta:
-                    best_f, best_x = f, x.copy()
-                    improved = True
-                    break
-                if f < best_f:
-                    best_f, best_x = f, x.copy()
-            if not improved:
-                delta /= 2.0
-                x = best_x.copy()
-                f, g = oracle(x)
+    points = least_squares_points(bodies)
+    x = points.mean(axis=0)
+    residual = float(np.max(np.linalg.norm(points - x, axis=1)))
     return IntersectionReport(
-        intersects=best_f <= INTERSECT_TOL,
-        witness=best_x,
-        residual=best_f,
+        intersects=residual <= INTERSECT_TOL, witness=x, residual=residual
     )
 
 

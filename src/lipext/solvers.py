@@ -1,6 +1,6 @@
 """Deterministic convex solvers shared by the algorithmic modules.
 
-Three public entry points:
+Two public entry points:
 
 * minimize_quadratic_over_simplex -- 1/2 l'Ql + c'l over one probability
   simplex, solved exactly by solve_qp from the best vertex and certified by
@@ -11,20 +11,18 @@ Three public entry points:
   finite family of balls, by Newton root-finding on the simplex dual.  It is
   the one engine behind extend_minimax (balls B(b_i, L ||x - a_i||)) and
   the Helly checks on ball families.
-* polyak_subgradient -- subgradient descent with Polyak steps for problems
-  whose optimal value is known in advance (helly.common_point drives
-  max_i d(x, C_i) to target 0 on families that hold a polytope).
 
-TOL = 1e-9 is Polyak's stop test and the simplex solve's converged bound;
-Polyak's iteration cap is its caller's.
+TOL = 1e-9 is the simplex solve's converged bound.
 
 Internal helper used by other modules:
 
 * solve_qp -- dense primal active-set solver for small convex QPs with
   equality constraints and linear inequalities (the simplex QPs above, the
-  monotone QPs, the polyhedral-conjugate LP and the closest pair of two
-  polytopes).  It terminates on an exact KKT point, which is what lets
-  epigraph reformulations of max-affine objectives reach 1e-12 accuracy.
+  monotone QPs, the polyhedral-conjugate LP, and the least-squares points
+  of a family of bodies, which decide the Helly families that hold a
+  polytope and give the closest pair of two polytopes).  It terminates on
+  an exact KKT point, which is what lets epigraph reformulations of
+  max-affine objectives reach 1e-12 accuracy.
   Its iteration cap follows from the number of inequalities.  An active
   bound (a row of G with one nonzero) pins its coordinate, so each
   iteration's SVD covers only the equalities and the active general rows
@@ -50,9 +48,8 @@ TOL = 1e-9
 class SolveReport:
     """Outcome of a solve.
 
-    residual is the problem-specific optimality certificate (simplex duality
-    gap or value above target).  converged means the residual met TOL, in
-    the sense of each solver's contract.
+    residual is the simplex duality gap, an upper bound on the
+    suboptimality; converged means it is within TOL (1 + |value|).
     """
 
     argmin: object
@@ -171,37 +168,6 @@ def chebyshev_center(centers, radii):
     if residual_step < residual:
         return y_step + origin, residual_step
     return y + origin, residual
-
-
-def polyak_subgradient(oracle, target, x0, max_iters):
-    """Drive a convex function with known minimum <= target below target.
-
-    oracle(x) returns (value, subgradient).  Steps are
-    (f(x) - target) / ||g||^2 along -g; the iteration stops as soon as the
-    best value is within TOL of the target, or after max_iters steps.  Never
-    reports converged=True unless f(best) <= target + TOL.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    f, g = oracle(x)
-    best_x, best_f = x.copy(), f
-    iters = 0
-    while best_f > target + TOL and iters < max_iters:
-        ng2 = float(g @ g)
-        if ng2 < 1e-28:
-            break  # numerically stationary; cannot certify the target
-        x = x - ((f - target) / ng2) * g
-        f, g = oracle(x)
-        if f < best_f:
-            best_f, best_x = f, x.copy()
-        iters += 1
-    residual = max(best_f - target, 0.0)
-    return SolveReport(
-        argmin=best_x,
-        value=best_f,
-        residual=residual,
-        iters=iters,
-        converged=residual <= TOL,
-    )
 
 
 def _nullspace(C, K, fixed):

@@ -12,6 +12,7 @@ from lipext.convex_sets import (
     _closest_pair,
     caratheodory,
     distance,
+    least_squares_points,
     minkowski_sum,
     project,
     radon_partition,
@@ -265,6 +266,20 @@ class TestClosestPair:
         B = Polytope([[2.0, 0.0], [2.0, 1.0]])
         with pytest.raises(SolverCapError, match="capped at 7 iterations"):
             separate(A, B)
+
+
+def test_cut_rounds_cap_raises(monkeypatch):
+    # A QP that always leaves the ball's point outside the ball meets the
+    # cut test in no round, so the engine must raise, not return.
+    def outside(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
+        z = np.asarray(z0, dtype=float).copy()
+        z[-2:] = [5.0, 0.0]
+        return z, {"converged": True, "iters": 1}
+
+    monkeypatch.setattr(convex_sets, "solve_qp", outside)
+    bodies = [Polytope([[0.0, 0.0], [1.0, 0.0]]), Ball([0.0, 0.0], 1.0)]
+    with pytest.raises(SolverCapError, match=f"{convex_sets.CUT_ROUNDS} rounds"):
+        least_squares_points(bodies)
 
 
 class TestMinkowski:

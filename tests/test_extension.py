@@ -12,7 +12,6 @@ from lipext.errors import (
 )
 from lipext.geometry import Ball
 from lipext.rng import SplitMix64
-from lipext.solvers import polyak_subgradient
 from lipext.gen import generate_lipschitz_data
 from lipext.extension import (
     ExtensionModel,
@@ -87,17 +86,36 @@ class TestData:
 
 def minimax_primal_value(data, x):
     """Independent oracle: minimize max_i (||y - b_i||^2 - r_i^2) directly by
-    Polyak subgradient with target <= 0 guaranteed by extension feasibility."""
+    subgradient steps of Polyak's length toward the value 0, which extension
+    feasibility guarantees; stops within 1e-9 of it or after 200,000 steps."""
     radii = data.L * np.linalg.norm(data.points - x, axis=1)
     B = data.values
-
-    def oracle(y):
+    y = B.mean(axis=0)
+    best_y, best = y, math.inf
+    for _ in range(200_000):
         vals = np.sum((y - B) ** 2, axis=1) - radii ** 2
         i = int(np.argmax(vals))
-        return float(vals[i]), 2.0 * (y - B[i])
+        if vals[i] < best:
+            best_y, best = y, float(vals[i])
+        g = 2.0 * (y - B[i])
+        if best <= 1e-9 or g @ g < 1e-28:
+            break
+        y = y - (vals[i] / (g @ g)) * g
+    return best_y, best
 
-    rep = polyak_subgradient(oracle, 0.0, B.mean(axis=0), 200_000)
-    return rep.argmin, rep.value
+
+def permuted_datasets():
+    """(data, the same data in shuffled order, 10 queries) for generated,
+    tight (empirical L) and random m = n = 2 data with k = 20 and 120."""
+    for k in (20, 120):
+        g = generate_lipschitz_data(2, 2, k, k)
+        rng = SplitMix64(k)
+        rand = [[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2 * k)]
+        order = np.array(SplitMix64(k + 1).shuffle(list(range(k))))
+        queries = [np.array([rng.uniform(-1.5, 1.5) for _ in range(2)]) for _ in range(10)]
+        for data in (g, FiniteMapData(g.points, g.values), FiniteMapData(rand[:k], rand[k:])):
+            moved = FiniteMapData(data.points[order], data.values[order], data.L)
+            yield data, moved, queries
 
 
 class TestMinimax:
@@ -136,25 +154,13 @@ class TestMinimax:
     def test_permuting_the_data_moves_values_by_rounding(self):
         # A function of the data set (definability), up to rounding at the
         # scale of the largest constraint radius.
-        for k in (20, 120):
-            g = generate_lipschitz_data(2, 2, k, k)
-            rng = SplitMix64(k)
-            rand = [[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2 * k)]
-            datasets = [
-                g,
-                FiniteMapData(g.points, g.values),
-                FiniteMapData(rand[:k], rand[k:]),
-            ]
-            order = np.array(SplitMix64(k + 1).shuffle(list(range(k))))
-            queries = [np.array([rng.uniform(-1.5, 1.5) for _ in range(2)]) for _ in range(10)]
-            for data in datasets:
-                moved = FiniteMapData(data.points[order], data.values[order], data.L)
-                for x in queries:
-                    y, r = extend_minimax(data, x)
-                    y2, r2 = extend_minimax(moved, x)
-                    scale = 1.0 + data.L * float(np.max(np.linalg.norm(data.points - x, axis=1)))
-                    assert np.max(np.abs(y2 - y)) <= 1e-13 * scale
-                    assert abs(r2 - r) <= 1e-13 * scale
+        for data, moved, queries in permuted_datasets():
+            for x in queries:
+                y, r = extend_minimax(data, x)
+                y2, r2 = extend_minimax(moved, x)
+                scale = 1.0 + data.L * float(np.max(np.linalg.norm(data.points - x, axis=1)))
+                assert np.max(np.abs(y2 - y)) <= 1e-13 * scale
+                assert abs(r2 - r) <= 1e-13 * scale
 
     def test_dual_matches_primal_polyak(self):
         # the dual simplex reduction must agree with the direct minimax
@@ -234,6 +240,15 @@ class TestProxAvg:
         )
         y, r = extend_proxavg(down, np.array([0.3, 0.3]))
         assert r <= 1e-6 and y.shape == (1,)
+
+    def test_permuting_the_data_moves_values_by_rounding(self):
+        # A function of the data set (definability), up to rounding.
+        for data, moved, queries in permuted_datasets():
+            model, moved_model = ExtensionModel(data, "proxavg"), ExtensionModel(moved, "proxavg")
+            for x in queries:
+                y, r = model.query(x)
+                y2, r2 = moved_model.query(x)
+                assert np.max(np.abs(y2 - y)) <= 1e-12 and abs(r2 - r) <= 1e-12
 
     def test_lipschitz_between_queries(self):
         data = generate_lipschitz_data(2, 2, 8, 902)

@@ -8,6 +8,7 @@ from lipext import helly
 from lipext.errors import EnumerationGuardError
 from lipext.gen import generate_ball_family
 from lipext.geometry import Ball, Polytope
+from lipext.convex_sets import distance
 from lipext.rng import SplitMix64
 from lipext.solvers import chebyshev_center
 from lipext.helly import (
@@ -20,20 +21,31 @@ from lipext.helly import (
 )
 
 
-def touching_families(n, count=20):
-    """Families of n + 2 balls whose spheres all pass through one point.
+def touching_families(n, count=20, balls=None, polytopes=0):
+    """Families whose bodies all hold one point p, on every ball's sphere.
 
-    From one SplitMix64(7) stream per n: the point p uniform in [-1, 1]^n,
-    then n + 2 centers uniform in [-2, 2]^n, each radius ||c_i - p||.  They
-    are tight (p is their only common point, up to rounding), not tuned.
+    From one SplitMix64(7) stream per call: the point p uniform in
+    [-1, 1]^n, then `balls` centers uniform in [-2, 2]^n (n + 2 by default),
+    each radius ||c - p||, then `polytopes` hulls of p and n + 1 points
+    p + U[-1, 1]^n.  They are tight (p lies on every sphere), not tuned.
     """
+    balls = n + 2 if balls is None else balls
     rng = SplitMix64(7)
     out = []
     for _ in range(count):
         p = np.array([rng.uniform(-1, 1) for _ in range(n)])
-        centers = [np.array([rng.uniform(-2, 2) for _ in range(n)]) for _ in range(n + 2)]
-        out.append(BodyFamily([Ball(c, float(np.linalg.norm(c - p))) for c in centers]))
+        centers = [np.array([rng.uniform(-2, 2) for _ in range(n)]) for _ in range(balls)]
+        bodies = [Ball(c, float(np.linalg.norm(c - p))) for c in centers]
+        for _ in range(polytopes):
+            offsets = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n + 1)]
+            bodies.append(Polytope(np.vstack([p, p + np.array(offsets)])))
+        out.append(BodyFamily(bodies))
     return out
+
+
+def shuffled(family, seed):
+    order = SplitMix64(seed).shuffle(list(range(len(family))))
+    return BodyFamily([family.bodies[i] for i in order])
 
 
 def ball_arrays(family):
@@ -254,17 +266,26 @@ class TestJung:
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_touching_families_intersect(n):
     # Helly's theorem: a family whose every (n+1)-subset meets has a common
-    # point, so all three checks must accept, at rounding level.
-    worst = 0.0
-    for family in touching_families(n):
-        reports = [
-            common_point(family),
-            check_k_intersection(family, n + 1),
-            helly_verify(family),
-        ]
-        assert all(rep.intersects for rep in reports)
-        worst = max([worst] + [rep.residual for rep in reports])
-    assert worst <= 1e-12
+    # point, so all three checks must accept, at rounding level, whatever
+    # the order of the bodies.  Ball families are decided by the Chebyshev
+    # center; polytope-only and mixed ones by the least-squares points.
+    kinds = (
+        (touching_families(n), 1e-12),
+        (touching_families(n, balls=0, polytopes=n + 2), 1e-10),
+        (touching_families(n, balls=n + 1, polytopes=2), 1e-10),
+    )
+    for families, bound in kinds:
+        worst = 0.0
+        for trial, family in enumerate(families):
+            reports = [
+                common_point(family),
+                check_k_intersection(family, n + 1),
+                helly_verify(family),
+                common_point(shuffled(family, trial)),
+            ]
+            assert all(rep.intersects for rep in reports)
+            worst = max([worst] + [rep.residual for rep in reports])
+        assert worst <= bound
 
 
 @pytest.mark.parametrize("shift", [1e5, 1e6])
@@ -313,6 +334,66 @@ def test_polytope_families_intersect(name):
     family = BodyFamily(POLYTOPE_FAMILIES[name])
     for rep in (common_point(family), helly_verify(family)):
         assert rep.intersects and rep.residual <= 1e-12
+
+
+def segment_distance(X, Y, a, b):
+    ab = b - a
+    t = np.clip(((X - a[0]) * ab[0] + (Y - a[1]) * ab[1]) / (ab @ ab), 0.0, 1.0)
+    return np.hypot(X - a[0] - t * ab[0], Y - a[1] - t * ab[1])
+
+
+def polygon_distance(X, Y, vertices):
+    """Distance from the grid points to a segment, or to a convex polygon
+    whose vertices are listed in order around it."""
+    V = np.asarray(vertices)
+    edges = [(V[i], V[(i + 1) % len(V)]) for i in range(len(V) if len(V) > 2 else 1)]
+    d = np.min([segment_distance(X, Y, a, b) for a, b in edges], axis=0)
+    if len(V) > 2:
+        turns = np.array(
+            [(b[0] - a[0]) * (Y - a[1]) - (b[1] - a[1]) * (X - a[0]) for a, b in edges]
+        )
+        d[np.all(turns >= 0.0, axis=0) | np.all(turns <= 0.0, axis=0)] = 0.0
+    return d
+
+
+DISJOINT_POLYTOPE_FAMILIES = {
+    "two-squares-apart": [unit_square([0.0, 0.0]), unit_square([2.0, 0.3], 20.0)],
+    # Every two segments meet at a corner; the three share no point.
+    "three-segment-triangle": [
+        Polytope([[0.0, 0.0], [2.0, 0.0]]),
+        Polytope([[2.0, 0.0], [1.0, 1.7]]),
+        Polytope([[1.0, 1.7], [0.0, 0.0]]),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISJOINT_POLYTOPE_FAMILIES))
+def test_disjoint_polytope_families(name, steps=200):
+    bodies = DISJOINT_POLYTOPE_FAMILIES[name]
+    family = BodyFamily(bodies)
+    rep = common_point(family)
+    assert not rep.intersects
+    assert not helly_verify(family).intersects
+    assert not common_point(shuffled(family, 1)).intersects
+    dists = np.array([distance(rep.witness, b) for b in bodies])
+    assert rep.residual == pytest.approx(float(dists.max()), abs=1e-9)
+    # The witness is the least-squares point: no point of a 200 x 200 grid
+    # over the bodies has a smaller sum of squared distances, and the grid
+    # point nearest the witness (within one cell) comes close to it.
+    V = np.vstack([b.vertices for b in bodies])
+    xs = np.linspace(V[:, 0].min(), V[:, 0].max(), steps)
+    ys = np.linspace(V[:, 1].min(), V[:, 1].max(), steps)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    grid_min = float(sum(polygon_distance(X, Y, b.vertices) ** 2 for b in bodies).min())
+    value = float(dists @ dists)
+    cell = math.hypot(float(xs[1] - xs[0]), float(ys[1] - ys[0]))
+    m = len(bodies)
+    assert value <= grid_min + 1e-12
+    assert grid_min <= value + 2.0 * cell * math.sqrt(m * value) + m * cell ** 2
+    if name == "three-segment-triangle":
+        # At (1, y) the squared distances are y^2 + 2 (1.7 - y)^2 / 3.89,
+        # smallest at y = 6.8 / 11.78, which is also the largest distance.
+        assert rep.residual == pytest.approx(6.8 / 11.78, abs=1e-12)
 
 
 def test_chebyshev_center_ignores_ball_order():
@@ -368,7 +449,7 @@ def test_ball_families_skip_enumeration_and_polyak(monkeypatch):
         raise AssertionError("ball families must not reach this")
 
     monkeypatch.setattr(helly, "check_k_intersection", forbidden)
-    monkeypatch.setattr(helly, "polyak_subgradient", forbidden)
+    monkeypatch.setattr(helly, "least_squares_points", forbidden)
     assert helly_verify(touching_families(3)[0]).intersects
     crowd = BodyFamily([Ball([float(i), 0.0], 50.0) for i in range(45)])
     assert helly_verify(crowd).intersects

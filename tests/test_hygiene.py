@@ -206,3 +206,42 @@ def test_scan_flags_an_unreferenced_definition():
         "orphan",
         "unused",
     ]
+
+
+def uncalled_exports(init_source, module, sources):
+    """Names that init_source imports from .module and no source references."""
+    exported = {
+        alias.name
+        for node in ast.walk(ast.parse(init_source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+        for alias in node.names
+    }
+    return sorted(exported - set().union(set(), *map(referenced_names, sources)))
+
+
+def test_every_exported_solver_is_called_by_the_library():
+    # No exported solver that the library itself never calls, and no trace
+    # of the retired Polyak subgradient method.
+    others = [
+        path.read_text()
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("__init__.py", "solvers.py")
+    ]
+    assert uncalled_exports((SRC / "__init__.py").read_text(), "solvers", others) == []
+    root = SRC.parents[1]
+    mentions = [
+        str(path.relative_to(root))
+        for folder in ("src", "demos", "bench")
+        for path in sorted((root / folder).rglob("*.py"))
+        if "polyak" in path.read_text().lower()
+    ]
+    assert mentions == []
+
+
+def test_scan_flags_an_uncalled_export():
+    init = (
+        "from .solvers import called, uncalled as alias\n"
+        "from .geometry import elsewhere\n"
+        "from solvers import absolute\n"
+    )
+    assert uncalled_exports(init, "solvers", ["x = called(1)\n"]) == ["uncalled"]

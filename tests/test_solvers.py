@@ -9,12 +9,10 @@ from lipext.errors import SolverCapError
 from lipext.geometry import SimplexWeights
 from lipext.rng import SplitMix64
 from lipext.solvers import (
-    TOL,
     SolveReport,
     _nullspace,
     chebyshev_center,
     minimize_quadratic_over_simplex,
-    polyak_subgradient,
     solve_qp,
 )
 
@@ -99,45 +97,6 @@ class TestChebyshevCenter:
         monkeypatch.setattr(solvers, "minimize_quadratic_over_simplex", stuck)
         with pytest.raises(SolverCapError, match="80 steps"):
             chebyshev_center([[0.0, 0.0], [10.0, 0.0]], [1.0, 1.0])
-
-
-class TestPolyak:
-    def test_norm_to_zero(self):
-        def f(x):
-            n = float(np.linalg.norm(x))
-            return n, (x / n if n > 0 else np.zeros_like(x))
-
-        rep = polyak_subgradient(f, 0.0, np.array([1.0, 1.0]), 200_000)
-        assert rep.converged and rep.value <= TOL
-
-    def test_piecewise_hand_case(self):
-        # f(x) = max(x - 1, -x - 1) on R: min value -1 at x in [-1, 1]
-        def f(x):
-            v1, v2 = x[0] - 1.0, -x[0] - 1.0
-            if v1 >= v2:
-                return v1, np.array([1.0])
-            return v2, np.array([-1.0])
-
-        rep = polyak_subgradient(f, -1.0, np.array([5.0]), 200_000)
-        assert rep.converged
-        assert abs(rep.argmin[0]) <= 1.0 + 1e-9
-
-    def test_early_exit(self):
-        def f(x):
-            return float(x @ x), 2.0 * x
-
-        rep = polyak_subgradient(f, 10.0, np.array([1.0]), 200_000)
-        assert rep.iters == 0 and rep.converged
-        assert np.array_equal(rep.argmin, [1.0])
-
-    def test_never_false_positive(self):
-        # Target below the true minimum: must not claim convergence.
-        def f(x):
-            return float(x @ x) + 1.0, 2.0 * x
-
-        rep = polyak_subgradient(f, 0.0, np.array([2.0]), 500)
-        assert not rep.converged
-        assert rep.value > 0.0
 
 
 class TestActiveSetQP:
