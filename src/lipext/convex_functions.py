@@ -15,6 +15,7 @@ Values are plain floats with math.inf standing for +infinity.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as _iterproduct
 
 import numpy as np
@@ -231,8 +232,8 @@ class MaxAffineConjugate:
     """Exact polyhedral conjugate of a max-affine function.
 
     Value at y is min { sum_i l_i o_i : sum_i l_i s_i = y, l in simplex },
-    +inf when y is outside conv(slopes).  Values are memoised on the node,
-    keyed by y's bytes, so the memo is freed with the node.
+    +inf when y is outside conv(slopes).  Values, keyed by y's bytes, and
+    the QPs' constant data are memoised on the node and freed with it.
     """
 
     slopes: np.ndarray
@@ -250,6 +251,18 @@ class MaxAffineConjugate:
     @property
     def dim(self) -> int:
         return self.slopes.shape[1]
+
+    @cached_property
+    def _constants(self):
+        """The screen's 2SS'; the LP's zero P, A_eq, bounds -I and zero h;
+        the slopes' box widened by the collar and a rounding allowance."""
+        S = self.slopes
+        k = S.shape[0]
+        slack = POLYHEDRAL_INFEASIBLE_TOL + 1e-12 * (1.0 + float(np.abs(S).max()))
+        return (
+            2.0 * (S @ S.T), np.zeros((k, k)), np.vstack([S.T, np.ones((1, k))]),
+            -np.eye(k), np.zeros(k), S.min(axis=0) - slack, S.max(axis=0) + slack,
+        )
 
 
 @dataclass(frozen=True)
@@ -406,7 +419,9 @@ def _inner_minimize(fun, box, node_name, extra_points=()):
 def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
     """min { o'l : S'l = y, l in simplex } as one exact LP.
 
-    A screen, the exact projection of y onto conv(slopes), returns +inf when
+    y outside the slopes' box by more than 1e-6 plus 1e-12 (1 + max |S|)
+    for rounding is +inf at once, as the screen would find.  Otherwise a
+    screen, the exact projection of y onto conv(slopes), returns +inf when
     y is farther than 1e-6 from the hull; otherwise its weights l1 start
     solve_qp (P = 0) on the LP with target S'l1, the nearest hull point, so
     the start is feasible, and l1's zero weights start in the working set.
@@ -416,19 +431,19 @@ def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
         return node._memo[key]
     S, o = node.slopes, node.offsets
     k = S.shape[0]
-    lam1 = minimize_quadratic_over_simplex(
-        2.0 * (S @ S.T), -2.0 * (S @ y), k
-    ).argmin.weights
+    SS2, P0, A_eq, G, h, lo, hi = node._constants
+    if (y < lo).any() or (y > hi).any():
+        node._memo[key] = INF
+        return INF
+    lam1 = minimize_quadratic_over_simplex(SS2, -2.0 * (S @ y), k).argmin.weights
     nearest = S.T @ lam1
     # The distance itself, not the expanded quadratic's value, which loses
     # its last digits to cancellation near the 1e-6 threshold.
     if float(np.linalg.norm(nearest - y)) > POLYHEDRAL_INFEASIBLE_TOL:
         value = INF
     else:
-        A_eq = np.vstack([S.T, np.ones((1, k))])
-        b_eq = np.append(nearest, 1.0)
         lam, info = solve_qp(
-            np.zeros((k, k)), o, A_eq, b_eq, -np.eye(k), np.zeros(k), lam1,
+            P0, o, A_eq, np.append(nearest, 1.0), G, h, lam1,
             initial_active=np.flatnonzero(lam1 == 0.0),
         )
         if not info["converged"]:

@@ -20,6 +20,7 @@ precision rather than first-order-method accuracy.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,7 @@ class OperatorGraph:
 
     Set multi_valued=True to allow one x to carry several x* values;
     otherwise duplicate points with conflicting values (beyond 1e-12) are
-    rejected.
+    rejected.  The QPs' query-independent data are memoised on the graph.
     """
 
     points: np.ndarray
@@ -72,6 +73,39 @@ class OperatorGraph:
 
     def pairs(self):
         return list(zip(self.points, self.values))
+
+    @cached_property
+    def _atoms(self):
+        """Rows a~_i = (a_i, a_i*), transposed rows (a_i*, a_i), offsets
+        <a_i, a_i*>, and BA = Brows Arows'."""
+        Arows = np.hstack([self.points, self.values])
+        Brows = np.hstack([self.values, self.points])
+        o = np.sum(self.points * self.values, axis=1)
+        return Arows, Brows, o, Brows @ Arows.T
+
+    @cached_property
+    def _fitzpatrick_node(self):
+        """Phi* as a polyhedral-conjugate node on the transposed atoms."""
+        return MaxAffineConjugate(*self._atoms[1:3])
+
+    @cached_property
+    def _psi_constants(self):
+        """Psi's QP over z = (l, t)."""
+        k = self.size
+        return _epigraph_qp(self, np.zeros((0, 0)), np.zeros((0, k)), np.zeros((k, 0)))
+
+    @cached_property
+    def _psi_conj_constants(self):
+        """Psi*'s QP over z = (x~, l, t)."""
+        Arows, Brows = self._atoms[:2]
+        return _epigraph_qp(self, np.eye(2 * self.dim), Arows.T, 2.0 * Brows)
+
+    @cached_property
+    def _resolvent_constants(self):
+        """The resolvent's QP over z = (y, l, t): x~ = M y + (0, x) for
+        M y = (y, -y), and M'Arows' has columns a_j - a_j*."""
+        MtA, dA = (self.points - self.values).T, 2.0 * (self.values - self.points)
+        return _epigraph_qp(self, 4.0 * np.eye(self.dim), MtA, dA)
 
 
 def _first_conflict(points, values, tol):
@@ -162,14 +196,6 @@ def firm_to_nonexpansive(G: OperatorGraph) -> OperatorGraph:
     return OperatorGraph(G.points.copy(), 2.0 * G.values - G.points)
 
 
-def _atoms(T: OperatorGraph):
-    """Rows a~_i = (a_i, a_i*), transposed rows (a_i*, a_i), offsets <a_i, a_i*>."""
-    Arows = np.hstack([T.points, T.values])
-    Brows = np.hstack([T.values, T.points])
-    o = np.sum(T.points * T.values, axis=1)
-    return Arows, Brows, o
-
-
 def fitzpatrick_eval(T: OperatorGraph, x, xstar) -> float:
     """Exact max over the graph of <x, a*> + <a, x*> - <a, a*>."""
     x = as_vector(x)
@@ -193,9 +219,9 @@ def fitzpatrick_conj_eval(T: OperatorGraph, y, ystar) -> float:
     """
     y = as_vector(y)
     ystar = as_vector(ystar)
-    _, Brows, o = _atoms(T)
-    node = MaxAffineConjugate(Brows, o)
-    return _polyhedral_conjugate_value(node, np.concatenate([y, ystar]))
+    return _polyhedral_conjugate_value(
+        T._fitzpatrick_node, np.concatenate([y, ystar])
+    )
 
 
 def _epigraph_rows(Brows, BA, o, xt, lam):
@@ -232,20 +258,36 @@ def _vertex_start(Brows, BA, o, xt):
     return lam0, float(np.max(p0)), active
 
 
-def _solve_epigraph_qp(P, q, G_prefix, h_rows, prefix0, xt0, Brows, BA, o, what):
-    """Solve min 1/2 z'Pz + q'z over z = (u, l, t), l in the simplex, with
-    G_prefix u - BA l - t <= h_rows, from the vertex start at u = prefix0,
-    whose x~ is xt0.  Returns (u, l); raises SolverCapError at the cap."""
-    d, k = prefix0.shape[0], BA.shape[0]
+def _epigraph_qp(T, D, M, G_prefix):
+    """(P, G, A_eq) of an epigraph QP over z = (u, l, t) on T's atoms:
+    P = [[D, -M, 0], [-M', Arows Arows', 0], [0, 0, 0]]; the rows
+    G_prefix u - BA l - t and the bounds -l <= 0; and sum l = 1."""
+    Arows, _, _, BA = T._atoms
+    k, d = G_prefix.shape
     nz = d + k + 1
+    P = np.zeros((nz, nz))
+    P[:d, :d] = D
+    P[:d, d : d + k] = -M
+    P[d : d + k, :d] = -M.T
+    P[d : d + k, d : d + k] = Arows @ Arows.T
     G = np.zeros((2 * k, nz))
     G[:k, :d] = G_prefix
     G[:k, d : d + k] = -BA
     G[:k, d + k] = -1.0
     G[k:, d : d + k] = -np.eye(k)
-    h = np.concatenate([h_rows, np.zeros(k)])
     A_eq = np.zeros((1, nz))
     A_eq[0, d : d + k] = 1.0
+    return P, G, A_eq
+
+
+def _solve_epigraph_qp(T, qp, q, h_rows, prefix0, xt0, what):
+    """Solve min 1/2 z'Pz + q'z, qp = (P, G, A_eq), with G z <= (h_rows, 0)
+    from the vertex start at u = prefix0, whose x~ is xt0.  Returns (u, l)
+    for z = (u, l, t); raises SolverCapError at the cap."""
+    P, G, A_eq = qp
+    _, Brows, o, BA = T._atoms
+    d, k = prefix0.shape[0], BA.shape[0]
+    h = np.concatenate([h_rows, np.zeros(k)])
     lam0, t0, active = _vertex_start(Brows, BA, o, xt0)
     z0 = np.concatenate([prefix0, lam0, [t0]])
     z, info = solve_qp(P, q, A_eq, [1.0], G, h, z0, initial_active=active)
@@ -256,15 +298,10 @@ def _solve_epigraph_qp(P, q, G_prefix, h_rows, prefix0, xt0, Brows, BA, o, what)
 
 def _psi_qp(T: OperatorGraph, xt):
     """Minimize the epigraph form of Psi's inner problem at the point x~."""
-    Arows, Brows, o = _atoms(T)
-    k = Arows.shape[0]
-    BA = Brows @ Arows.T
-    P = np.zeros((k + 1, k + 1))
-    P[:k, :k] = Arows @ Arows.T
+    Arows, Brows, o, BA = T._atoms
     q = np.concatenate([-(Arows @ xt) + 0.5 * o, [0.5]])
     _, lam = _solve_epigraph_qp(
-        P, q, np.zeros((k, 0)), o - 2.0 * (Brows @ xt), np.zeros(0), xt,
-        Brows, BA, o, "Psi",
+        T, T._psi_constants, q, o - 2.0 * (Brows @ xt), np.zeros(0), xt, "Psi"
     )
     return _psi_value_at(Arows, Brows, o, BA, xt, lam), lam
 
@@ -282,21 +319,11 @@ def _psi_conj_qp(T: OperatorGraph, wt):
     (the objective is jointly concave in (x~, -l)), so the whole conjugate is
     one concave-maximization QP over (x~, l, t).
     """
-    Arows, Brows, o = _atoms(T)
-    k = Arows.shape[0]
-    d = Arows.shape[1]
-    BA = Brows @ Arows.T
-    nz = d + k + 1
-    P = np.zeros((nz, nz))
-    P[:d, :d] = np.eye(d)
-    P[:d, d : d + k] = -Arows.T
-    P[d : d + k, :d] = -Arows
-    P[d : d + k, d : d + k] = Arows @ Arows.T
+    Arows, Brows, o, BA = T._atoms
     q = np.concatenate([-wt, 0.5 * o, [0.5]])
-    half = d // 2
-    xt0 = np.concatenate([wt[half:], wt[:half]])
+    xt0 = np.concatenate([wt[T.dim :], wt[: T.dim]])
     xt, lam = _solve_epigraph_qp(
-        P, q, 2.0 * Brows, o, xt0, xt0, Brows, BA, o, "Psi conjugate"
+        T, T._psi_conj_constants, q, o, xt0, xt0, "Psi conjugate"
     )
     value = float(wt @ xt) - _psi_value_at(Arows, Brows, o, BA, xt, lam)
     return value, xt, lam
@@ -329,29 +356,19 @@ def resolvent_eval(T: OperatorGraph, x):
     simplex parametrization of the conjugate block; the optimum value is 0,
     so the returned residual doubles as the convergence certificate
     (converged iff residual <= 1e-6; the active-set solve normally lands at
-    ~1e-14).  Returns (y, residual); a QP stopped at its iteration cap raises
-    SolverCapError.
+    ~1e-14).  The QP's P, G and A_eq are built once per graph and memoised
+    on T; only q, h and the vertex start are per query.  Returns (y,
+    residual); a QP stopped at its iteration cap raises SolverCapError.
     """
     x = as_vector(x)
     if x.shape[0] != T.dim:
         raise DimensionMismatchError("query dimension does not match the graph")
-    n = T.dim
-    Arows, Brows, o = _atoms(T)
-    k = Arows.shape[0]
-    BA = Brows @ Arows.T
-    nz = n + k + 1
-    # M y = (y, -y); x~ = M y + (0, x).
-    MtA = (T.points - T.values).T  # columns a_j - a_j*
-    P = np.zeros((nz, nz))
-    P[:n, :n] = 4.0 * np.eye(n)
-    P[:n, n : n + k] = -MtA
-    P[n : n + k, :n] = -MtA.T
-    P[n : n + k, n : n + k] = Arows @ Arows.T
+    Arows, Brows, o, BA = T._atoms
     q = np.concatenate([-2.0 * x, -(T.values @ x) + 0.5 * o, [0.5]])
     y0 = x / 2.0
     y, lam = _solve_epigraph_qp(
-        P, q, 2.0 * (T.values - T.points), o - 2.0 * (T.points @ x), y0,
-        np.concatenate([y0, x - y0]), Brows, BA, o, "resolvent",
+        T, T._resolvent_constants, q, o - 2.0 * (T.points @ x), y0,
+        np.concatenate([y0, x - y0]), "resolvent",
     )
     xt = np.concatenate([y, x - y])
     psi_upper = _psi_value_at(Arows, Brows, o, BA, xt, lam)

@@ -24,11 +24,11 @@ Internal helper used by other modules:
   an exact KKT point, which is what lets epigraph reformulations of
   max-affine objectives reach 1e-12 accuracy.
   Its iteration cap follows from the number of inequalities.  An active
-  bound (a row of G with one nonzero) pins its coordinate, so each
-  iteration's SVD covers only the equalities and the active general rows
-  over the free coordinates, and the bound's multiplier is read off its
-  column.  With P = 0 it solves the conjugate LP and skips the
-  reduced-Hessian eigendecomposition: every step is a ray.
+  bound (a row of G with one nonzero) pins its coordinate, so the SVD
+  covers only the equalities and the active general rows over the free
+  coordinates; it is redone only when the working set changes, and the
+  bound's multiplier is read off its column.  With P = 0 it solves the
+  conjugate LP with no eigendecomposition: every step is a ray.
 
 All routines are pure and deterministic: identical inputs produce
 bit-identical reports.
@@ -49,14 +49,15 @@ class SolveReport:
     """Outcome of a solve.
 
     residual is the simplex duality gap, an upper bound on the
-    suboptimality; converged means it is within TOL (1 + |value|).
+    suboptimality, and always within TOL (1 + |value|): a solve that misses
+    that bound raises SolverCapError instead of reporting.
     """
 
     argmin: object
     value: float
     residual: float
     iters: int
-    converged: bool
+    converged = True  # not a field: a report exists only within its gap
 
 
 def minimize_quadratic_over_simplex(quad, c, k, *, constant=0.0):
@@ -65,9 +66,9 @@ def minimize_quadratic_over_simplex(quad, c, k, *, constant=0.0):
     One solve_qp from the best vertex e_j, j = argmin_j (Q_jj / 2 + c_j), with
     every other bound l_i >= 0 in the working set.  quad is a dense PSD
     matrix.  The returned residual is the duality gap g'l - min g at the
-    solution, a valid upper bound on the suboptimality for any PSD instance;
-    converged means it is within TOL (1 + |value|).  Raises SolverCapError
-    when the QP stops at its cap.
+    solution, a valid upper bound on the suboptimality for any PSD instance.
+    Raises SolverCapError when the QP stops at its cap or the gap exceeds
+    TOL (1 + |value|).
     """
     Q = np.asarray(quad, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -89,13 +90,9 @@ def minimize_quadratic_over_simplex(quad, c, k, *, constant=0.0):
     g = Qz + c
     gap = float(g @ z - np.min(g))
     value = 0.5 * float(z @ Qz) + float(c @ z) + constant
-    return SolveReport(
-        argmin=weights,
-        value=value,
-        residual=gap,
-        iters=info["iters"],
-        converged=gap <= TOL * (1.0 + abs(value)),
-    )
+    if gap > TOL * (1.0 + abs(value)):
+        raise SolverCapError(f"simplex QP stopped with duality gap {gap:.3e}")
+    return SolveReport(argmin=weights, value=value, residual=gap, iters=info["iters"])
 
 
 def chebyshev_center(centers, radii):
@@ -176,14 +173,14 @@ def _nullspace(C, K, fixed):
     fixed is a boolean mask of pinned columns.  The SVD runs only on the free
     columns of C, and the basis is zero on the pinned ones.
     """
-    free = np.flatnonzero(~fixed)
+    free = (~fixed).nonzero()[0]
     Cf = C[:, free]
     if Cf.shape[0] == 0:
         basis = np.eye(free.size)
     else:
         _, s, vt = np.linalg.svd(Cf, full_matrices=True)
         rank_tol = max(Cf.shape) * (s[0] if s.size else 0.0) * 1e-13
-        rank = int(np.sum(s > rank_tol))
+        rank = int((s > rank_tol).sum())
         basis = vt[rank:].T
     Z = np.zeros((K, basis.shape[1]))
     Z[free] = basis
@@ -194,7 +191,7 @@ def _restore_equalities(A_eq, b_eq, z):
     """z moved by the least-squares correction onto A_eq z = b_eq; z itself
     when the residual is exactly zero (or there are no equalities)."""
     resid = b_eq - A_eq @ z
-    if np.any(resid):
+    if resid.any():
         corr, *_ = np.linalg.lstsq(A_eq, resid, rcond=None)
         z += corr
     return z
@@ -211,14 +208,16 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
     are followed to their blocking constraints).
 
     Rows of G with a single nonzero are bounds: while one is active its
-    coordinate is pinned, and the null space is found by an SVD of A_eq and
-    the active general rows restricted to the unpinned coordinates.  At a
+    coordinate is pinned, and the null space Z is found by an SVD of A_eq
+    and the active general rows restricted to the unpinned coordinates.  Z,
+    the pinned columns and the eigendecomposition of Z'PZ are kept while the
+    working set is unchanged, and recomputed after each add or drop.  At a
     stationary point the same rows get their multipliers by least squares
     over the unpinned coordinates, and each active bound's multiplier is read
     off its pinned column; Bland's rule then drops the lowest-index active
-    row with a negative multiplier.  When P is zero the reduced Hessian is zero, so the
-    step is the ray -Z Z'grad, or none when that ray is below 1e-11 of the
-    gradient scale.  A point is stationary when the step or the reduced
+    row with a negative multiplier.  When P is zero the reduced Hessian is
+    zero, so the step is the ray -Z Z'grad, or none when that ray is below
+    1e-11 of the gradient scale.  A point is stationary when the step or the reduced
     gradient Z'grad is below 1e-11 of its scale.  The cap is
     200 + 80 (rows of G + 1) iterations.  Returns (z, info) with info
     carrying converged / iters.
@@ -242,16 +241,21 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
     max_iters = 200 + 80 * (mi + 1)
     converged = False
     iters = 0
+    Z = None  # null space of the working set; None after it changes
     while iters < max_iters:
         iters += 1
-        grad = P @ z + q
-        local = 1.0 + float(np.max(np.abs(grad), initial=0.0))
-        fixed = np.zeros(K, dtype=bool)
-        fixed[pin_col[active & single]] = True
-        Z = _nullspace(np.vstack([A_eq, G[active & ~single]]), K, fixed)
+        grad = q if linear else P @ z + q
+        local = 1.0 + float(np.abs(grad).max(initial=0.0))
+        if Z is None:
+            fixed = np.zeros(K, dtype=bool)
+            fixed[pin_col[active & single]] = True
+            rows = active & ~single
+            C = np.concatenate((A_eq, G[rows])) if rows.any() else A_eq
+            Z = _nullspace(C, K, fixed)
+            eig = None
         gr = Z.T @ grad
         ray = False
-        if float(np.max(np.abs(gr), initial=0.0)) <= 1e-11 * local:
+        if float(np.abs(gr).max(initial=0.0)) <= 1e-11 * local:
             # Stationary on the working set.  Testing Z'grad, not only the
             # step, matters: a Newton step along a tiny positive curvature
             # magnifies rounding in Z'grad and would cycle to the cap.
@@ -264,27 +268,27 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
             # Reduced Hessian by eigendecomposition: small positive curvature
             # is genuine (take the long Newton step along it); only the true
             # null space turns the subproblem linear (follow the ray).
-            H = Z.T @ P @ Z
-            w, V = np.linalg.eigh(0.5 * (H + H.T))
-            w_tol = max(1e-13, float(w.max(initial=0.0)) * 1e-12)
-            pos = w > w_tol
+            if eig is None:
+                H = Z.T @ P @ Z
+                w, V = np.linalg.eigh(0.5 * (H + H.T))
+                eig = w, V, w > max(1e-13, float(w.max(initial=0.0)) * 1e-12)
+            w, V, pos = eig
             g_eig = V.T @ gr
             g_null = V[:, ~pos] @ g_eig[~pos]
-            if float(np.max(np.abs(g_null), initial=0.0)) > 1e-11 * local:
+            if float(np.abs(g_null).max(initial=0.0)) > 1e-11 * local:
                 d = Z @ (-g_null)
                 ray = True
             else:
                 dr = -(V[:, pos] @ (g_eig[pos] / w[pos]))
                 d = Z @ dr
-        if not ray and float(np.max(np.abs(d))) <= 1e-11 * (
-            1.0 + float(np.max(np.abs(z), initial=0.0))
+        if not ray and float(np.abs(d).max()) <= 1e-11 * (
+            1.0 + float(np.abs(z).max(initial=0.0))
         ):
             # Multipliers: the equalities' and active general rows' by least
             # squares over the free columns, then each active bound's read off
             # its pinned column, where nothing else balances the gradient.
-            act_idx = np.flatnonzero(active)
+            act_idx = active.nonzero()[0]
             is_bound = single[act_idx]
-            C = np.vstack([A_eq, G[act_idx[~is_bound]]])
             resid = grad
             mult = np.empty(act_idx.size)
             if C.shape[0]:
@@ -294,24 +298,25 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
             bounds = act_idx[is_bound]
             cols = pin_col[bounds]
             mult[is_bound] = -resid[cols] / G[bounds, cols]
-            if mult.size == 0 or np.min(mult) >= -1e-11 * local:
+            if mult.size == 0 or mult.min() >= -1e-11 * local:
                 converged = True
                 break
             # Bland's rule: drop the lowest-index violating constraint.
-            neg = np.flatnonzero(mult < -1e-11 * local)
+            neg = (mult < -1e-11 * local).nonzero()[0]
             drop = act_idx[int(neg[0])]
             active[drop] = False
+            Z = None
             continue
         gd = G @ d
-        slack = np.clip(h - G @ z, 0.0, None)
-        gd_tol = 1e-13 * (1.0 + float(np.max(np.abs(gd), initial=0.0)))
-        blocking = np.flatnonzero(~active & (gd > gd_tol))
+        slack = (h - G @ z).clip(0.0, None)
+        gd_tol = 1e-13 * (1.0 + float(np.abs(gd).max(initial=0.0)))
+        blocking = (~active & (gd > gd_tol)).nonzero()[0]
         alpha_max = np.inf
         block_idx = -1
         if blocking.size:
             ratios = slack[blocking] / gd[blocking]
-            alpha_max = max(float(np.min(ratios)), 0.0)
-            ties = np.flatnonzero(ratios <= alpha_max * (1.0 + 1e-12) + 1e-15)
+            alpha_max = max(float(ratios.min()), 0.0)
+            ties = (ratios <= alpha_max * (1.0 + 1e-12) + 1e-15).nonzero()[0]
             block_idx = int(blocking[ties[0]])  # Bland tie-break by index
         if ray:
             curv = float(d @ (P @ d))
@@ -332,6 +337,7 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
             z = z + alpha * d
         if block_idx >= 0 and alpha_max <= alpha + 1e-15:
             active[block_idx] = True
+            Z = None
         if iters % 16 == 0:
             z = _restore_equalities(A_eq, b_eq, z)
     return _restore_equalities(A_eq, b_eq, z), {"converged": converged, "iters": iters}

@@ -448,3 +448,95 @@ class TestInvariants:
         node = cf.Conjugate(cf.Quadratic(2), cf.cube(3.0, 2))
         x = np.array([0.7, -0.4])
         assert cf.eval(node, x) == cf.eval(node, x)
+
+
+class TestConjugateGolden:
+    """reprs of f** gaps and polyhedral-conjugate values at seeded points,
+    recorded before the conjugate's constants were built once per node and
+    the box pretest was added: a change that moves any bit shows here."""
+
+    GOLDEN = {
+        1: [
+            "0.0", "-0.6224194491161299", "-0.4290098157008096",
+            "-0.29775606521782916", "0.0", "-0.9183113677814703",
+            "-0.9043065344336474", "-0.2609862354385936", "4.128763837485394e-07",
+            "-0.708723423165985", "-0.7518602549737295", "inf",
+        ],
+        2: [
+            "5.549649260139233e-07", "0.3163979475970651", "-0.2138492709739953",
+            "inf", "2.329356546537653e-07", "0.43693845860683034",
+            "0.23904126715416207", "inf",
+        ],
+    }
+
+    @staticmethod
+    def cases(n):
+        rng = SplitMix64(6060 + n)
+        for pieces in ((3, 5, 8) if n == 1 else (4, 5)):
+            f = rand_maxaffine(rng, n, pieces, scale=1.0)
+            x = np.array([rng.uniform(-0.5, 0.5) for _ in range(n)])
+            w = np.array([rng.uniform(0.0, 1.0) for _ in range(pieces)])
+            probes = [
+                f.slopes[rng.integer(pieces)],
+                (w / w.sum()) @ f.slopes,
+                np.array([rng.uniform(-1.5, 1.5) for _ in range(n)]),
+            ]
+            yield f, x, probes
+
+    def observed(self, n):
+        out = []
+        for f, x, probes in self.cases(n):
+            node = cf.conjugate(f)
+            out.append(repr(cf.biconjugate_check(f, [x])))
+            out.extend(repr(cf._polyhedral_conjugate_value(node, y)) for y in probes)
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_values_match_recorded_reprs(self, n):
+        assert self.observed(n) == self.GOLDEN[n]
+
+
+class TestBoxPretest:
+    """A y outside the slopes' box by more than the 1e-6 collar and a
+    rounding allowance of 1e-12 (1 + max |S|) is +inf without a screen;
+    every such y is +inf under the screen's own distance test too."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_settled_probes_fail_the_screen(self, monkeypatch, n, scale):
+        rng = SplitMix64(7070 + n)
+        tol = cf.POLYHEDRAL_INFEASIBLE_TOL
+        # Outside by tol (1 + 1e-3) clears the allowance only at scale 1.
+        expected = {"vertex": False, "inside": False, "edge": scale == 1.0, "far": True}
+        screen = cf.minimize_quadratic_over_simplex
+        screens = []
+
+        def counting(*args, **kwargs):
+            screens.append(1)
+            return screen(*args, **kwargs)
+
+        monkeypatch.setattr(cf, "minimize_quadratic_over_simplex", counting)
+        for k in (2, 4, 7):
+            f = rand_maxaffine(rng, n, k, scale=scale)
+            S = f.slopes
+            node = cf.conjugate(f)
+            probes = [(y, "vertex") for y in S]
+            for i in range(n):
+                for side, j in ((-1.0, np.argmin(S[:, i])), (1.0, np.argmax(S[:, i]))):
+                    for out, kind in (
+                        (tol * (1 - 1e-3), "inside"),
+                        (tol * (1 + 1e-3), "edge"),
+                        (10.0 * scale, "far"),
+                    ):
+                        y = S[j].copy()  # a vertex on the box's face
+                        y[i] += side * out
+                        probes.append((y, kind))
+            for y, kind in probes:
+                before = len(screens)
+                value = cf._polyhedral_conjugate_value(node, y)
+                settled = len(screens) == before
+                assert settled == expected[kind], (S, y, kind)
+                if settled:
+                    lam = screen(2.0 * (S @ S.T), -2.0 * (S @ y), k).argmin.weights
+                    assert value == INF
+                    assert float(np.linalg.norm(S.T @ lam - y)) > tol, (S, y)
