@@ -690,6 +690,59 @@ class TestUniformExtend:
         assert uniform_extend(data, np.array([1.0])) == pytest.approx(50.0, abs=1e-9)
 
 
+class TestUniformGolden:
+    # repr of uniform_extend at seeded queries, recorded before the merge of
+    # empirical_modulus and the hull of concave_majorant were vectorised: a
+    # change of the uniform model that moves any bit of an output shows here.
+    # k = 40 and m = 2 as in the envelopes benchmark; the grid data repeats
+    # points (17 distinct of 40) and ties many distances.
+    GOLDEN = {
+        "gen-2-1-40": [
+            "-0.62091963230738", "1.5931812123582887", "0.0812429390013791",
+            "1.0400075622522365", "0.3095392927310825", "-0.5886706256804211",
+        ],
+        "gen_tight-2-1-40": [
+            "-0.62091963230738", "1.5931812123582887", "0.0812429390013791",
+            "1.0400075622522365", "0.3095392927310825", "-0.5886706256804211",
+        ],
+        "random-2-1-40": [
+            "-0.9786981576788504", "-0.8896993526914483", "-0.7231343684729603",
+            "-0.6605898484362736", "-0.9786981576788504", "-0.3662407757371031",
+        ],
+        "grid-2-1-40": [
+            "0.0", "0.0", "0.11512126987360471", "0.47032078544303374", "0.0", "0.25",
+        ],
+    }
+
+    @staticmethod
+    def datasets():
+        gen = generate_lipschitz_data(2, 1, 40, 1501)
+        rng = SplitMix64(1502)
+        A = np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(40)])
+        B = np.array([[rng.uniform(-1, 1)] for _ in range(40)])
+        G = np.array([[0.5 * rng.integer(5) for _ in range(2)] for _ in range(40)])
+        cells = {}
+        V = np.array([[cells.setdefault(tuple(g), 0.25 * rng.integer(7))] for g in G])
+        return {
+            "gen-2-1-40": gen,
+            "gen_tight-2-1-40": FiniteMapData(gen.points, gen.values),
+            "random-2-1-40": FiniteMapData(A, B),
+            "grid-2-1-40": FiniteMapData(G, V),
+        }
+
+    def test_outputs_match_recorded_reprs(self):
+        for name, data in self.datasets().items():
+            rng = SplitMix64(1503)
+            reach = float(np.max(np.abs(data.points)))
+            queries = [
+                np.array([rng.uniform(-1.25, 1.25) * reach for _ in range(data.m)])
+                for _ in range(5)
+            ]
+            queries.append(data.points[3])
+            got = [repr(uniform_extend(data, x)) for x in queries]
+            assert got == self.GOLDEN[name], name
+
+
 class TestExtensionModelSurface:
     def test_models_agree_with_functions(self):
         data = generate_lipschitz_data(2, 2, 6, 906)
