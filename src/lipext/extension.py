@@ -23,6 +23,7 @@ output coordinate, giving the classical sqrt(n) L baseline.
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -218,7 +219,7 @@ class Modulus:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t < -1e-15):
-            raise ValueError("modulus arguments must to be >= 0")
+            raise ValueError("modulus arguments must be >= 0")
         t = np.clip(t, 0.0, None)
         out = np.interp(t, self.breakpoints, self.values)
         if self.breakpoints.size >= 2:
@@ -363,11 +364,33 @@ def affine_majorant(omega: Modulus):
 def concave_majorant(omega: Modulus) -> Modulus:
     """Least concave majorant on the breakpoint grid: the upper concave hull
     of (t_k, w(t_k)), evaluated back on the same grid and extended by the
-    last hull slope."""
+    last hull slope.
+
+    On non-decreasing values the monotone chain skips the points after the
+    first, p_a, of each run of equal values, except the last point and the
+    runs whose guard (v_a - v_{a-1}) (t_{a+1} - t_a - 4 eps t_max) > 2e-15
+    fails.  The stack ends the same: a later point of the run pops the one
+    above p_a (cross exactly 0); the next run's first point pops the run's
+    last (cross >= 0); and for h below p_a the computed cross of
+    (h, p_a, p_j) does not increase with t_j and lies within about
+    2 eps t_max (v_a - v_h) of -(v_a - v_h)(t_j - t_a), with
+    v_a - v_h >= v_a - v_{a-1}, so the guard keeps it below -1e-15: no
+    point of the run pops p_a.
+    """
     affine_majorant(omega)  # gate: extendability requires an affine majorant
     t, v = omega.breakpoints, omega.values
+    keep = np.ones(t.size, dtype=bool)
+    if np.all(np.diff(v) >= 0.0):
+        first = np.concatenate(([True], v[1:] != v[:-1]))
+        guard = np.ones(t.size, dtype=bool)
+        guard[1:-1] = (v[1:-1] - v[:-2]) * (
+            t[2:] - t[1:-1] - 4.0 * np.finfo(float).eps * t[-1]
+        ) > 2e-15
+        run_head = np.maximum.accumulate(np.where(first, np.arange(t.size), 0))
+        keep = first | ~guard[run_head]
+        keep[-1] = True
     hull = []
-    for p in zip(t.tolist(), v.tolist()):
+    for p in zip(t[keep].tolist(), v[keep].tolist()):
         while len(hull) >= 2:
             (t1, v1), (t2, v2) = hull[-2], hull[-1]
             cross = (t2 - t1) * (p[1] - v1) - (p[0] - t1) * (v2 - v1)
@@ -382,33 +405,45 @@ def concave_majorant(omega: Modulus) -> Modulus:
 
 
 def empirical_modulus(data: FiniteMapData) -> Modulus:
-    """Exact empirical modulus on the grid of pairwise distances."""
+    """Exact empirical modulus on the grid of pairwise distances.
+
+    Sorted distances above 1e-15 merge into the last breakpoint while within
+    1e-15 of it, and it takes the running maximum of the gaps |b_i - b_j| at
+    the group's last pair.  A distance more than 1e-15 above its predecessor
+    starts a group, an exact tie joins its predecessor's, and one forward
+    pass decides the near-duplicates (0 < step <= 1e-15) by their group's
+    start.  Groups end where the distance changes, so the order among tied
+    distances leaves every value as it is.
+    """
     if data.n != 1:
         raise ValueError("empirical modulus needs scalar values (n = 1)")
     pts, vals = data.points, data.values[:, 0]
-    if pts.shape[0] < 2:
-        return Modulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
     # vecdot (NumPy >= 2.0) matches the per-pair np.linalg.norm bit for bit;
     # norm(axis=1) and einsum change the last bit of some distances.
     I, J = np.triu_indices(pts.shape[0], 1)
     D = pts.take(I, axis=0) - pts.take(J, axis=0)
     dist = np.sqrt(np.vecdot(D, D))
-    dv = np.abs(vals[I] - vals[J])
-    order = np.lexsort((dv, dist))
-    running = np.maximum.accumulate(dv[order])
-    ts, vs = [0.0], [0.0]
-    for t, v in zip(dist[order].tolist(), running.tolist()):
-        if t <= 1e-15:
-            continue
-        if abs(t - ts[-1]) <= 1e-15:
-            vs[-1] = max(vs[-1], v)
-        else:
-            ts.append(t)
-            vs.append(v)
-    if len(ts) == 1:
-        ts.append(1.0)
-        vs.append(0.0)
-    return Modulus(np.array(ts), np.array(vs))
+    order = np.argsort(dist, kind="stable")
+    running = np.maximum.accumulate(np.abs(vals[I] - vals[J])[order])
+    t = dist[order]
+    keep = t > 1e-15
+    t, running = t[keep], running[keep]
+    if t.size == 0:  # one point, or no distance above 1e-15
+        return Modulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+    step = np.diff(t, prepend=0.0)
+    start = step > 1e-15
+    head = np.maximum.accumulate(np.where(start, np.arange(t.size), 0))
+    last = 0
+    for i in np.flatnonzero((step > 0.0) & ~start).tolist():
+        last = max(last, int(head[i]))
+        if t[i] - t[last] > 1e-15:
+            start[i] = True
+            last = i
+    starts = np.flatnonzero(start)
+    ends = np.append(starts[1:] - 1, t.size - 1)
+    return Modulus(
+        np.concatenate(([0.0], t[starts])), np.concatenate(([0.0], running[ends]))
+    )
 
 
 def uniform_extend(data: FiniteMapData, x) -> float:
@@ -475,7 +510,9 @@ class ExtensionModel:
             raw = empirical_modulus(data)
             s = self.scale = max(1.0, 2.0 * float(np.max(raw.values)))
             self.omega = concave_majorant(Modulus(raw.breakpoints, raw.values / s))
-            self.scaled = FiniteMapData(data.points, data.values / s)
+            # _envelope and _check_modulus_for_data read only points and
+            # values; a FiniteMapData would rescan every pair for its L.
+            self.scaled = SimpleNamespace(points=data.points, values=data.values / s)
             if not self.omega.is_subadditive:
                 raise ValueError("modulus must be subadditive")
             _check_modulus_for_data(self.scaled, self.omega)

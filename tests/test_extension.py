@@ -10,7 +10,7 @@ from lipext.errors import (
     DimensionMismatchError,
     ModulusViolationError,
 )
-from lipext.geometry import Ball
+from lipext.geometry import Ball, pairwise
 from lipext.rng import SplitMix64
 from lipext.gen import generate_lipschitz_data
 from lipext.extension import (
@@ -452,6 +452,10 @@ class TestTietze:
 
 
 class TestModulusMachinery:
+    def test_negative_argument_rejected(self):
+        with pytest.raises(ValueError, match="arguments must be >= 0"):
+            linear_modulus(1.0)(-1e-3)
+
     def test_large_lipschitz_modulus_is_subadditive(self):
         assert linear_modulus(441.7, 12.0).is_subadditive
 
@@ -576,6 +580,29 @@ def _modulus_datasets():
     return out
 
 
+def _near_tie_datasets():
+    """Seeded scalar data whose sorted distances form chains under 1e-15
+    apart, so group heads drift, and data on a unit grid, whose many exactly
+    tied distances carry different gaps."""
+    rng = SplitMix64(67)
+    out = []
+    for m in (1, 2, 3):
+        for step in (3 * 2.0**-52, 4e-16, 9e-16):
+            # Pairs (c_j, c_j + (1 + j step) e_j) with c_j 1e-6 apart.
+            A = []
+            for j in range(12):
+                e = np.array([rng.normal() for _ in range(m)])
+                c = np.full(m, j * 1e-6)
+                A += [c, c + (1.0 + j * step) * e / np.linalg.norm(e)]
+            A += [np.array([rng.uniform(-1, 1) for _ in range(m)]) for _ in range(6)]
+            B = np.array([[rng.uniform(-1, 1)] for _ in range(len(A))])
+            out.append(FiniteMapData(np.array(A), B))
+        G = np.array([[float(rng.integer(3)) for _ in range(m)] for _ in range(20)])
+        G = np.unique(G, axis=0)
+        out.append(FiniteMapData(G, np.array([[rng.uniform(-1, 1)] for _ in G])))
+    return out
+
+
 class TestEmpiricalModulus:
     def test_bit_identical_to_per_pair_loop(self):
         datasets = _modulus_datasets()
@@ -600,6 +627,110 @@ class TestEmpiricalModulus:
         data = generate_lipschitz_data(2, 2, 5, 910)
         with pytest.raises(ValueError, match="scalar"):
             ExtensionModel(data, "uniform")
+
+    def test_drifting_heads_and_exact_ties_match_per_pair_loop(self):
+        drifted = tied = 0
+        for data in _near_tie_datasets():
+            got, ref = empirical_modulus(data), per_pair_empirical_modulus(data)
+            assert got.breakpoints.tobytes() == ref.breakpoints.tobytes()
+            assert got.values.tobytes() == ref.values.tobytes()
+            # A breakpoint under 2e-15 above the last one was reached by a
+            # chain of distances each within 1e-15 of its predecessor.
+            drifted += bool(np.any(np.diff(ref.breakpoints) < 2e-15))
+            I, J = np.triu_indices(data.size, 1)
+            dist = np.linalg.norm(data.points[I] - data.points[J], axis=1)
+            gaps = np.abs(data.values[I, 0] - data.values[J, 0])
+            pairs = set(zip(dist.tolist(), gaps.tolist()))
+            tied += len({d for d, _ in pairs}) < len(pairs)
+        assert drifted > 0 and tied > 0
+
+    def test_uniform_model_scans_the_pairs_once(self, monkeypatch):
+        # The modulus check is the one scan; the rescaled values are held
+        # without a FiniteMapData, whose own scan would find an unread L.
+        data = generate_lipschitz_data(2, 1, 12, 911)
+        scans = []
+
+        def counting_pairwise(*args):
+            scans.append(args)
+            return pairwise(*args)
+
+        monkeypatch.setattr(extension, "pairwise", counting_pairwise)
+        ExtensionModel(data, "uniform")
+        assert len(scans) == 1
+
+
+def reference_concave_majorant(omega, keep=None):
+    """The hull concave_majorant replaced: the monotone chain over every
+    breakpoint (or those `keep` marks), popping while the cross is
+    >= -1e-15, interpolated back on the whole grid."""
+    t, v = omega.breakpoints, omega.values
+    if keep is not None:
+        t, v = t[keep], v[keep]
+    hull = []
+    for p in zip(t.tolist(), v.tolist()):
+        while len(hull) >= 2:
+            (t1, v1), (t2, v2) = hull[-2], hull[-1]
+            cross = (t2 - t1) * (p[1] - v1) - (p[0] - t1) * (v2 - v1)
+            if cross >= -1e-15:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    ht = np.array([p[0] for p in hull])
+    hv = np.array([p[1] for p in hull])
+    return Modulus(omega.breakpoints, np.interp(omega.breakpoints, ht, hv))
+
+
+def _adversarial_moduli(count, seed):
+    """Non-decreasing moduli below 1 built run by run: jumps between runs of
+    1e-17 to 1e-14 or ordinary ones, gaps between breakpoints of 1.01e-15 to
+    1e-13 or ordinary ones, some plateaus of 20 to 49 points, and on every
+    other input all gaps scaled by 1e-3."""
+    rng = SplitMix64(seed)
+    out = []
+    for n in range(count):
+        scale = 1e-3 if n % 2 else 1.0
+        t, v = [0.0], [0.0]
+        for _ in range(2 + rng.integer(12)):
+            tiny = rng.uniform() < 0.5
+            level = v[-1] + (10.0 ** rng.uniform(-17, -14) if tiny else rng.uniform(0, 0.05))
+            plateau = rng.uniform() < 0.2
+            for _ in range(20 + rng.integer(30) if plateau else 1 + rng.integer(5)):
+                tiny = rng.uniform() < 0.5
+                gap = 10.0 ** rng.uniform(-14.996, -13) if tiny else rng.uniform(1e-4, 0.01)
+                t.append(t[-1] + scale * gap)
+                v.append(level)
+        out.append(Modulus(np.array(t), np.array(v)))
+    return out
+
+
+class TestConcaveMajorantExact:
+    def test_bit_identical_to_full_hull(self):
+        unguarded_differs = 0
+        for omega in _adversarial_moduli(400, 61):
+            got = concave_majorant(omega)
+            assert got.values.tobytes() == reference_concave_majorant(omega).values.tobytes()
+            # The hull over the first point of each run and the last point
+            # alone: where it differs, only the runs the guard keeps whole
+            # make concave_majorant exact.
+            v = omega.values
+            first = np.concatenate(([True], v[1:] != v[:-1]))
+            first[-1] = True
+            unguarded = reference_concave_majorant(omega, first)
+            unguarded_differs += unguarded.values.tobytes() != got.values.tobytes()
+        assert unguarded_differs > 0
+
+    def test_values_that_dip_keep_every_point(self):
+        # Modulus allows drops of up to 1e-12, where runs of equal values
+        # prove nothing; the hull then runs over every breakpoint.
+        for omega in _adversarial_moduli(40, 71):
+            v = omega.values.copy()
+            v[len(v) // 2 :] -= 5e-13
+            v = np.maximum(v, 0.0)
+            v[0] = 0.0
+            dipped = Modulus(omega.breakpoints, v)
+            got = concave_majorant(dipped)
+            assert got.values.tobytes() == reference_concave_majorant(dipped).values.tobytes()
 
 
 class TestLazyModulus:
