@@ -232,8 +232,9 @@ class MaxAffineConjugate:
     """Exact polyhedral conjugate of a max-affine function.
 
     Value at y is min { sum_i l_i o_i : sum_i l_i s_i = y, l in simplex },
-    +inf when y is outside conv(slopes).  Values, keyed by y's bytes, and
-    the QPs' constant data are memoised on the node and freed with it.
+    +inf when y is outside conv(slopes).  Values, keyed by y's bytes, the
+    QPs' constant data, and the screen's and the LP's solve_qp memos of
+    working-set factors are memoised on the node and freed with it.
     """
 
     slopes: np.ndarray
@@ -255,13 +256,17 @@ class MaxAffineConjugate:
     @cached_property
     def _constants(self):
         """The screen's 2SS'; the LP's zero P, A_eq, bounds -I and zero h;
-        the slopes' box widened by the collar and a rounding allowance."""
+        the slopes' box widened by the collar and a rounding allowance; the
+        screen's and the LP's solve_qp memos.  The screen's q, -2Sy, moves
+        with y, so a screen whose 2SS' is zero (every slope zero) gets none."""
         S = self.slopes
         k = S.shape[0]
         slack = POLYHEDRAL_INFEASIBLE_TOL + 1e-12 * (1.0 + float(np.abs(S).max()))
+        SS2 = 2.0 * (S @ S.T)
         return (
-            2.0 * (S @ S.T), np.zeros((k, k)), np.vstack([S.T, np.ones((1, k))]),
+            SS2, np.zeros((k, k)), np.vstack([S.T, np.ones((1, k))]),
             -np.eye(k), np.zeros(k), S.min(axis=0) - slack, S.max(axis=0) + slack,
+            {} if SS2.any() else None, {},
         )
 
 
@@ -431,11 +436,13 @@ def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
         return node._memo[key]
     S, o = node.slopes, node.offsets
     k = S.shape[0]
-    SS2, P0, A_eq, G, h, lo, hi = node._constants
+    SS2, P0, A_eq, G, h, lo, hi, screen_memo, lp_memo = node._constants
     if (y < lo).any() or (y > hi).any():
         node._memo[key] = INF
         return INF
-    lam1 = minimize_quadratic_over_simplex(SS2, -2.0 * (S @ y), k).argmin.weights
+    lam1 = minimize_quadratic_over_simplex(
+        SS2, -2.0 * (S @ y), k, memo=screen_memo
+    ).argmin.weights
     nearest = S.T @ lam1
     # The distance itself, not the expanded quadratic's value, which loses
     # its last digits to cancellation near the 1e-6 threshold.
@@ -444,7 +451,7 @@ def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
     else:
         lam, info = solve_qp(
             P0, o, A_eq, np.append(nearest, 1.0), G, h, lam1,
-            initial_active=np.flatnonzero(lam1 == 0.0),
+            initial_active=np.flatnonzero(lam1 == 0.0), memo=lp_memo,
         )
         if not info["converged"]:
             raise SolverCapError(f"conjugate LP capped at {info['iters']} iterations")

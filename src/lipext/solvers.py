@@ -30,6 +30,17 @@ Internal helper used by other modules:
   bound's multiplier is read off its column.  With P = 0 it solves the
   conjugate LP with no eigendecomposition: every step is a ray.
 
+Memo contract.  solve_qp and minimize_quadratic_over_simplex take an
+optional memo, a dict that the caller owns and passes to every call of one
+fixed QP family: the same P, A_eq and G and, when P = 0, the same q (a P = 0
+memo stores q's bytes and raises ValueError on another q).  It maps each
+working set, keyed by the active mask's bytes, to its factors (and with
+P = 0 to its step plan), so a working set met again in a later call is not
+refactored.  Entries depend only on that fixed data and the working set, so
+passing a memo never moves a bit of a result.  The polyhedral conjugate node
+owns one memo for its screen and one for its LP; nothing here keeps a memo
+between calls.
+
 All routines are pure and deterministic: identical inputs produce
 bit-identical reports.
 """
@@ -60,13 +71,15 @@ class SolveReport:
     converged = True  # not a field: a report exists only within its gap
 
 
-def minimize_quadratic_over_simplex(quad, c, k, *, constant=0.0):
+def minimize_quadratic_over_simplex(quad, c, k, *, constant=0.0, memo=None):
     """Minimize 1/2 l'Ql + c'l (+ constant) over the probability simplex.
 
     One solve_qp from the best vertex e_j, j = argmin_j (Q_jj / 2 + c_j), with
     every other bound l_i >= 0 in the working set.  quad is a dense PSD
-    matrix.  The returned residual is the duality gap g'l - min g at the
-    solution, a valid upper bound on the suboptimality for any PSD instance.
+    matrix.  memo is passed on to solve_qp: calls that share it share quad
+    (and c when quad is zero).  The returned residual is the duality gap
+    g'l - min g at the solution, a valid upper bound on the suboptimality
+    for any PSD instance.
     Raises SolverCapError when the QP stops at its cap or the gap exceeds
     TOL (1 + |value|).
     """
@@ -80,7 +93,7 @@ def minimize_quadratic_over_simplex(quad, c, k, *, constant=0.0):
     z0[j] = 1.0
     z, info = solve_qp(
         Q, c, np.ones((1, K)), [1.0], -np.eye(K), np.zeros(K), z0,
-        initial_active=[i for i in range(K) if i != j],
+        initial_active=[i for i in range(K) if i != j], memo=memo,
     )
     if not info["converged"]:
         raise SolverCapError(f"simplex QP capped at {info['iters']} iterations")
@@ -197,7 +210,79 @@ def _restore_equalities(A_eq, b_eq, z):
     return z
 
 
-def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
+class _WorkingSet:
+    """One working set's factors: its pinned columns, C (A_eq over the active
+    general rows), the null space Z, and once needed the eigendecomposition
+    of Z'PZ (P != 0) or the step plan (P = 0)."""
+
+    __slots__ = ("fixed", "C", "Z", "eig", "plan")
+
+    def __init__(self, A_eq, G, active, single, pin_col):
+        K = A_eq.shape[1]
+        self.fixed = np.zeros(K, dtype=bool)
+        self.fixed[pin_col[active & single]] = True
+        rows = active & ~single
+        self.C = np.concatenate((A_eq, G[rows])) if rows.any() else A_eq
+        self.Z = _nullspace(self.C, K, self.fixed)
+        self.eig = self.plan = None
+
+
+def _drop_row(grad, local, active, ws, G, single, pin_col, me):
+    """Bland's rule at a stationary point: the lowest-index active row with a
+    multiplier below -1e-11 local, or -1 at a KKT point.
+
+    The equalities' and active general rows' multipliers come by least
+    squares over the free columns, then each active bound's is read off its
+    pinned column, where nothing else balances the gradient.
+    """
+    act_idx = active.nonzero()[0]
+    is_bound = single[act_idx]
+    resid = grad
+    mult = np.empty(act_idx.size)
+    C, free = ws.C, ~ws.fixed
+    if C.shape[0]:
+        nu, *_ = np.linalg.lstsq(C[:, free].T, -grad[free], rcond=None)
+        resid = grad + C.T @ nu
+        mult[~is_bound] = nu[me:]
+    bounds = act_idx[is_bound]
+    cols = pin_col[bounds]
+    mult[is_bound] = -resid[cols] / G[bounds, cols]
+    neg = (mult < -1e-11 * local).nonzero()[0]
+    return int(act_idx[neg[0]]) if neg.size else -1
+
+
+def _direction(P, linear, grad, local, z, ws):
+    """The step from z on the working set: (d, True) along a ray, (d, False)
+    for a Newton step, or (None, False) at a stationary point."""
+    Z = ws.Z
+    gr = Z.T @ grad
+    if float(np.abs(gr).max(initial=0.0)) <= 1e-11 * local:
+        # Stationary on the working set.  Testing Z'grad, not only the step,
+        # matters: a Newton step along a tiny positive curvature magnifies
+        # rounding in Z'grad and would cycle to the cap.
+        return None, False
+    if linear:
+        # Zero reduced Hessian: the step is the ray -Z Z'grad.
+        return Z @ -gr, True
+    # Reduced Hessian by eigendecomposition: small positive curvature is
+    # genuine (take the long Newton step along it); only the true null space
+    # turns the subproblem linear (follow the ray).
+    if ws.eig is None:
+        H = Z.T @ P @ Z
+        w, V = np.linalg.eigh(0.5 * (H + H.T))
+        ws.eig = w, V, w > max(1e-13, float(w.max(initial=0.0)) * 1e-12)
+    w, V, pos = ws.eig
+    g_eig = V.T @ gr
+    g_null = V[:, ~pos] @ g_eig[~pos]
+    if float(np.abs(g_null).max(initial=0.0)) > 1e-11 * local:
+        return Z @ (-g_null), True
+    d = Z @ -(V[:, pos] @ (g_eig[pos] / w[pos]))
+    if float(np.abs(d).max()) <= 1e-11 * (1.0 + float(np.abs(z).max(initial=0.0))):
+        return None, False
+    return d, False
+
+
+def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None):
     """Dense primal active-set method for a small convex QP.
 
     Minimizes 1/2 z'Pz + q'z subject to A_eq z = b_eq and G z <= h, starting
@@ -209,18 +294,28 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
 
     Rows of G with a single nonzero are bounds: while one is active its
     coordinate is pinned, and the null space Z is found by an SVD of A_eq
-    and the active general rows restricted to the unpinned coordinates.  Z,
-    the pinned columns and the eigendecomposition of Z'PZ are kept while the
-    working set is unchanged, and recomputed after each add or drop.  At a
+    and the active general rows restricted to the unpinned coordinates.  At a
     stationary point the same rows get their multipliers by least squares
     over the unpinned coordinates, and each active bound's multiplier is read
     off its pinned column; Bland's rule then drops the lowest-index active
     row with a negative multiplier.  When P is zero the reduced Hessian is
     zero, so the step is the ray -Z Z'grad, or none when that ray is below
-    1e-11 of the gradient scale.  A point is stationary when the step or the reduced
-    gradient Z'grad is below 1e-11 of its scale.  The cap is
+    1e-11 of the gradient scale.  A point is stationary when the step or the
+    reduced gradient Z'grad is below 1e-11 of its scale.  The cap is
     200 + 80 (rows of G + 1) iterations.  Returns (z, info) with info
     carrying converged / iters.
+
+    Each working set's factors are memoised in a dict keyed by the active
+    mask's bytes: the pinned columns, C, Z and, once needed, the eigh of
+    Z'PZ; with P = 0 also the step plan (the ray, or the row to drop, or
+    convergence), which depends on q and not on z.  The bound rows, the
+    pinned column of each and whether P is zero are kept under the key None.
+    memo, when given, is that dict, owned by the caller and shared by its
+    calls, which must then share P, A_eq and G and, when P = 0, q: q's bytes
+    are stored with the first call, and a later call whose q differs raises
+    ValueError.  Every entry is a deterministic function of these and of the
+    working set, so a memo never moves a bit of the result.  Without one the
+    memo lives for the one call.
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -230,82 +325,53 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
     G = np.asarray(G, dtype=float).reshape(-1, K)
     h = np.asarray(h, dtype=float).reshape(-1)
     me, mi = A_eq.shape[0], G.shape[0]
+    if memo is None:
+        memo = {}
+    if None not in memo:
+        # A row with one nonzero (a bound) pins its column while it is active.
+        linear = not P.any()
+        memo[None] = (
+            np.count_nonzero(G, axis=1) == 1, np.argmax(G != 0, axis=1),
+            linear, q.tobytes() if linear else None,
+        )
+    single, pin_col, linear, q_bytes = memo[None]
+    if linear and q.tobytes() != q_bytes:
+        raise ValueError("a memo of a QP with P = 0 serves one q only")
     z = _restore_equalities(A_eq, b_eq, np.asarray(z0, dtype=float).copy())
     active = np.zeros(mi, dtype=bool)
     for i in initial_active:
         active[i] = True
-    # A row with one nonzero (a bound) pins its column while it is active.
-    single = np.count_nonzero(G, axis=1) == 1
-    pin_col = np.argmax(G != 0, axis=1)
-    linear = not np.any(P)
     max_iters = 200 + 80 * (mi + 1)
     converged = False
     iters = 0
-    Z = None  # null space of the working set; None after it changes
+    grad = q
+    local = 1.0 + float(np.abs(q).max(initial=0.0))
+    ws = None  # the working set's factors; None after it changes
     while iters < max_iters:
         iters += 1
-        grad = q if linear else P @ z + q
-        local = 1.0 + float(np.abs(grad).max(initial=0.0))
-        if Z is None:
-            fixed = np.zeros(K, dtype=bool)
-            fixed[pin_col[active & single]] = True
-            rows = active & ~single
-            C = np.concatenate((A_eq, G[rows])) if rows.any() else A_eq
-            Z = _nullspace(C, K, fixed)
-            eig = None
-        gr = Z.T @ grad
-        ray = False
-        if float(np.abs(gr).max(initial=0.0)) <= 1e-11 * local:
-            # Stationary on the working set.  Testing Z'grad, not only the
-            # step, matters: a Newton step along a tiny positive curvature
-            # magnifies rounding in Z'grad and would cycle to the cap.
-            d = np.zeros(K)
-        elif linear:
-            # Zero reduced Hessian: the step is the ray -Z Z'grad.
-            d = Z @ -gr
-            ray = True
+        if ws is None:
+            key = active.tobytes()
+            ws = memo.get(key)
+            if ws is None:
+                ws = memo[key] = _WorkingSet(A_eq, G, active, single, pin_col)
+        if ws.plan is not None:
+            d, ray, drop = ws.plan
         else:
-            # Reduced Hessian by eigendecomposition: small positive curvature
-            # is genuine (take the long Newton step along it); only the true
-            # null space turns the subproblem linear (follow the ray).
-            if eig is None:
-                H = Z.T @ P @ Z
-                w, V = np.linalg.eigh(0.5 * (H + H.T))
-                eig = w, V, w > max(1e-13, float(w.max(initial=0.0)) * 1e-12)
-            w, V, pos = eig
-            g_eig = V.T @ gr
-            g_null = V[:, ~pos] @ g_eig[~pos]
-            if float(np.abs(g_null).max(initial=0.0)) > 1e-11 * local:
-                d = Z @ (-g_null)
-                ray = True
-            else:
-                dr = -(V[:, pos] @ (g_eig[pos] / w[pos]))
-                d = Z @ dr
-        if not ray and float(np.abs(d).max()) <= 1e-11 * (
-            1.0 + float(np.abs(z).max(initial=0.0))
-        ):
-            # Multipliers: the equalities' and active general rows' by least
-            # squares over the free columns, then each active bound's read off
-            # its pinned column, where nothing else balances the gradient.
-            act_idx = active.nonzero()[0]
-            is_bound = single[act_idx]
-            resid = grad
-            mult = np.empty(act_idx.size)
-            if C.shape[0]:
-                nu, *_ = np.linalg.lstsq(C[:, ~fixed].T, -grad[~fixed], rcond=None)
-                resid = grad + C.T @ nu
-                mult[~is_bound] = nu[me:]
-            bounds = act_idx[is_bound]
-            cols = pin_col[bounds]
-            mult[is_bound] = -resid[cols] / G[bounds, cols]
-            if mult.size == 0 or mult.min() >= -1e-11 * local:
+            if not linear:
+                grad = P @ z + q
+                local = 1.0 + float(np.abs(grad).max(initial=0.0))
+            d, ray = _direction(P, linear, grad, local, z, ws)
+            drop = None
+            if d is None:
+                drop = _drop_row(grad, local, active, ws, G, single, pin_col, me)
+            if linear:
+                ws.plan = d, ray, drop
+        if d is None:
+            if drop < 0:
                 converged = True
                 break
-            # Bland's rule: drop the lowest-index violating constraint.
-            neg = (mult < -1e-11 * local).nonzero()[0]
-            drop = act_idx[int(neg[0])]
             active[drop] = False
-            Z = None
+            ws = None
             continue
         gd = G @ d
         slack = (h - G @ z).clip(0.0, None)
@@ -319,7 +385,7 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
             ties = (ratios <= alpha_max * (1.0 + 1e-12) + 1e-15).nonzero()[0]
             block_idx = int(blocking[ties[0]])  # Bland tie-break by index
         if ray:
-            curv = float(d @ (P @ d))
+            curv = 0.0 if linear else float(d @ (P @ d))
             slope = float(grad @ d)
             if curv > 1e-14 * local:
                 alpha = min(-slope / curv, alpha_max)
@@ -337,7 +403,7 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
             z = z + alpha * d
         if block_idx >= 0 and alpha_max <= alpha + 1e-15:
             active[block_idx] = True
-            Z = None
+            ws = None
         if iters % 16 == 0:
             z = _restore_equalities(A_eq, b_eq, z)
     return _restore_equalities(A_eq, b_eq, z), {"converged": converged, "iters": iters}

@@ -8,6 +8,7 @@ from lipext.errors import BoxExhaustionError, DimensionMismatchError, SolverCapE
 from lipext.geometry import Ball, Polytope
 from lipext.rng import SplitMix64
 import lipext.convex_functions as cf
+import lipext.solvers as solvers
 from lipext.convex_sets import distance
 
 INF = cf.INF
@@ -206,6 +207,62 @@ class TestPolyhedralConjugate:
             if isinstance(value, dict) and not name.startswith("__")
         ]
         assert held == []
+
+
+def _memo_probes(rng, S):
+    """Vertices, interior points, and vertices moved 0.5e-6, 0.999e-6 and
+    1.001e-6 along seeded unit directions: in, on and past the collar."""
+    k, n = S.shape
+    probes = []
+    for _ in range(3):
+        probes.append(S[rng.integer(k)])
+        w = np.array([rng.uniform(0.0, 1.0) for _ in range(k)])
+        probes.append((w / w.sum()) @ S)
+        for r in (0.5e-6, 0.999e-6, 1.001e-6):
+            u = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
+            probes.append(S[rng.integer(k)] + r * u / np.linalg.norm(u))
+    return probes
+
+
+class TestWorkingSetMemo:
+    """The node's screen and LP memos carry working-set factors from one
+    probe to the next without moving a bit of any value."""
+
+    def test_shared_node_matches_fresh_nodes(self, monkeypatch):
+        rng = SplitMix64(6060)
+        real = solvers._nullspace
+        factored = []
+        monkeypatch.setattr(
+            solvers, "_nullspace", lambda *a: factored.append(1) or real(*a)
+        )
+        shared_factors = fresh_factors = finite = 0
+        for n in (1, 2):
+            for k in range(3, 11):
+                f = rand_maxaffine(rng, n, k)
+                shared = cf.conjugate(f)
+                for y in _memo_probes(rng, f.slopes):
+                    before = len(factored)
+                    value = cf._polyhedral_conjugate_value(shared, y)
+                    shared_factors += len(factored) - before
+                    before = len(factored)
+                    fresh = cf._polyhedral_conjugate_value(cf.conjugate(f), y)
+                    fresh_factors += len(factored) - before
+                    assert repr(value) == repr(fresh), (f.slopes, y)
+                    finite += value != INF
+        assert 0 < finite < 16 * 30  # both finite and +inf values occur
+        assert shared_factors < fresh_factors / 2  # the memos are reused
+
+    def test_zero_slopes_screen_has_no_memo(self):
+        # With every slope zero the screen's P = 2SS' is zero, and its q
+        # moves with y, so only the LP keeps a memo.
+        f = cf.MaxAffine(np.zeros((3, 2)), np.array([0.5, -0.25, 0.0]))
+        shared = cf.conjugate(f)
+        for y in ([1e-7, 0.0], [-1e-7, 0.5e-6], [0.0, 0.0], [2e-6, 0.0]):
+            y = np.array(y)
+            value = cf._polyhedral_conjugate_value(shared, y)
+            assert repr(value) == repr(cf._polyhedral_conjugate_value(cf.conjugate(f), y))
+        assert shared._constants[-2] is None
+        assert shared._constants[-1]
 
 
 class TestDeltaIdentity:

@@ -52,6 +52,86 @@ def test_scan_flags_a_cfg_parameter():
     assert cfg_parameters(source) == ["positional", "keyword", "<lambda>"]
 
 
+MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+
+
+def _is_mutable_container(value):
+    return isinstance(
+        value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+    ) or (
+        isinstance(value, ast.Call)
+        and getattr(value.func, "id", getattr(value.func, "attr", None)) in MUTABLE_CALLS
+    )
+
+
+def module_level_caches(source):
+    """Names bound to a mutable container at module or class level (a class
+    attribute is shared by every instance), and functions decorated with
+    functools' lru_cache or cache."""
+    out = []
+    tree = ast.parse(source)
+    scopes = [("", tree)] + [
+        (node.name + ".", node) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    for prefix, scope in scopes:
+        for node in scope.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            if _is_mutable_container(node.value):
+                out += [prefix + ast.unparse(t) for t in targets]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                func = deco.func if isinstance(deco, ast.Call) else deco
+                if getattr(func, "id", getattr(func, "attr", None)) in ("lru_cache", "cache"):
+                    out.append(node.name)
+    return out
+
+
+def test_no_module_level_cache():
+    # Memos live on the objects that own their data and are freed with them.
+    held = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := module_level_caches(path.read_text()))
+    }
+    assert held == {}
+
+
+def test_scan_flags_a_module_level_cache():
+    source = (
+        "import functools\n"
+        "from functools import cache, cached_property, lru_cache\n"
+        "from collections import defaultdict\n"
+        "TOL = 1e-9\n"
+        "PAIR = (1, 2)\n"
+        "_MEMO = {}\n"
+        "SEEN: list = []\n"
+        "BY_ID = defaultdict(list)\n"
+        "SQUARES = {i: i * i for i in range(3)}\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def cached(x):\n"
+        "    local = {}\n"
+        "    return x\n"
+        "@cache\n"
+        "def bare(x):\n"
+        "    return x\n"
+        "class Node:\n"
+        "    __slots__ = ('memo',)\n"
+        "    table = {}\n"
+        "    @cached_property\n"
+        "    def owned(self):\n"
+        "        return {}\n"
+    )
+    assert module_level_caches(source) == [
+        "_MEMO", "SEEN", "BY_ID", "SQUARES", "Node.table", "cached", "bare",
+    ]
+
+
 def unused_imports(source):
     """Names that source imports and never mentions again."""
     tree = ast.parse(source)

@@ -377,7 +377,8 @@ class TestWorkingSetReuse:
     of it, and reuses the factor on the iterations in between."""
 
     def refactors(self, monkeypatch, args, kwargs):
-        """(working set at each _nullspace call, solve_qp's info)."""
+        """(working set at each _nullspace call, solve_qp's info) of the QP
+        replayed with a fresh memo: the caller's was filled by its own run."""
         P, q, A_eq, b_eq, G, h, z0 = args
         me = np.asarray(A_eq).reshape(-1, len(q)).shape[0]
         sets = []
@@ -390,7 +391,7 @@ class TestWorkingSetReuse:
             return real(C, K, fixed)
 
         monkeypatch.setattr(solvers, "_nullspace", recording)
-        _, info = solve_qp(*args, **kwargs)
+        _, info = solve_qp(*args, **{**kwargs, "memo": {}})
         assert info["converged"]
         # Each refactor after the first follows exactly one change (one row
         # entered or left, or one column pinned or freed): none is repeated
@@ -417,3 +418,36 @@ class TestWorkingSetReuse:
         )
         sets, info = self.refactors(monkeypatch, args, kwargs)
         assert 1 < len(sets) <= info["iters"]
+
+    def test_filled_memo_factors_nothing(self, monkeypatch):
+        # A second solve with the memo the first one filled refactors no
+        # working set and returns the same bits.
+        rng = SplitMix64(5161)
+        node = cf.MaxAffineConjugate(_points(rng, 8, 2), _points(rng, 1, 8)[0])
+        y = np.full(8, 1.0 / 8) @ node.slopes
+        args, kwargs = _first_qp(
+            monkeypatch, cf, lambda: cf._polyhedral_conjugate_value(node, y)
+        )
+        memo = {}
+        z, info = solve_qp(*args, **{**kwargs, "memo": memo})
+        calls = []
+        real = solvers._nullspace
+        monkeypatch.setattr(
+            solvers, "_nullspace", lambda *a: calls.append(a) or real(*a)
+        )
+        z2, info2 = solve_qp(*args, **{**kwargs, "memo": memo})
+        assert calls == []
+        assert (z2.tobytes(), info2["iters"]) == (z.tobytes(), info["iters"])
+        assert info["iters"] > 1
+
+    def test_linear_memo_serves_one_q(self):
+        # With P = 0 the memo holds step plans that depend on q.
+        K = 3
+        args = (np.zeros((K, K)), [0.3, -0.2, 0.1], np.ones((1, K)), [1.0],
+                -np.eye(K), np.zeros(K), np.full(K, 1.0 / K))
+        memo = {}
+        z, info = solve_qp(*args, memo=memo)
+        assert info["converged"] and z[1] == pytest.approx(1.0)
+        solve_qp(*args, memo=memo)
+        with pytest.raises(ValueError, match="serves one q"):
+            solve_qp(args[0], [0.3, 0.2, -0.1], *args[2:], memo=memo)
