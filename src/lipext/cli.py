@@ -11,7 +11,8 @@ none of its own.
 Exit codes: 0 success (intersecting / residuals within --tol), 1 negative
 result (family does not intersect, monotonicity check fails), 2 parse error,
 3 invalid input data, 4 solver non-convergence / tolerance exceeded,
-5 subset-enumeration budget exceeded, 6 search-box exhaustion.
+5 subset-enumeration budget exceeded (only `helly --mode k-check`; verify
+decides any family without enumerating subsets), 6 search-box exhaustion.
 """
 
 import argparse

@@ -92,9 +92,11 @@ def project(x, body) -> np.ndarray:
 def distance(x, body) -> float:
     """Distance from x to the body, ||x - project(x, body)||."""
     x = as_vector(x)
+    if x.shape[0] != dimension_of(body):
+        raise DimensionMismatchError("point and body dimensions differ")
     if isinstance(body, Ball):
         return max(float(np.linalg.norm(x - body.center)) - body.radius, 0.0)
-    return float(np.linalg.norm(x - project(x, body)))
+    return float(np.linalg.norm(x - _project_polytope(x, body)[0]))
 
 
 def _affine_dependence(points):

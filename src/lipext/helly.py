@@ -1,16 +1,19 @@
 """Intersection checking for finite families of convex bodies and Jung's bound.
 
-Balls B(c_i, r_i) share a point iff their Chebyshev value
-t = min_y max_i (||y - c_i|| - r_i) is <= 0, so one solvers.chebyshev_center
-call decides a ball family and its center y is the witness.  When t > 0, 0
-lies in the hull of the unit normals (y - c_i) / ||y - c_i|| of the balls
-tight at y (KKT); Caratheodory keeps n + 1 of them, a violating subset with
-the same value t, found without enumerating subsets.  A family that holds a
-polytope is decided by its least-squares point, the minimizer of
-sum_i d(x, C_i)^2 (one cutting-plane QP in convex_sets).  The k-subset
-checks for discs use an exact candidate-point certificate (any non-empty
-intersection of discs contains a disc center or an intersection point of
-two boundary circles), and for intervals the interval formula.
+One computation decides a family.  Balls B(c_i, r_i) share a point iff their
+Chebyshev value t = min_y max_i (||y - c_i|| - r_i) is <= 0, so one
+solvers.chebyshev_center call decides a ball family and its center y is the
+witness.  Any other family is decided by its least-squares point x, the
+minimizer of sum_i d(x, C_i)^2 (one cutting-plane QP in convex_sets).  When
+the family does not meet, helly_verify reads a violating subset off the same
+witness, without enumerating subsets: with p_i the point of C_i nearest x, 0
+lies in the hull of the unit normals u_i = (x - p_i) / ||x - p_i|| (the KKT
+conditions of either problem), and Caratheodory keeps a set J of at most
+n + 1 of them with weights mu_j.  Each C_j lies in {z : <u_j, z - p_j> <= 0},
+so every z is at least sum_J mu_j ||x - p_j|| > 0 from some C_j in J.  The
+k-subset checks for discs use an exact candidate-point certificate (any
+non-empty intersection of discs contains a disc center or an intersection
+point of two boundary circles), and for intervals the interval formula.
 """
 
 import math
@@ -19,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import Ball, Polytope
+from .geometry import Ball, Polytope, pairwise
 from .errors import EnumerationGuardError
 from .solvers import chebyshev_center, minimize_quadratic_over_simplex
 from .convex_sets import caratheodory, dimension_of, least_squares_points
@@ -69,28 +72,38 @@ def common_point(family: BodyFamily) -> IntersectionReport:
     """A witness x and its residual, the largest distance from x to a body;
     intersects when the residual is <= 1e-6.
 
-    A family of balls is one chebyshev_center call: the witness is the
-    center y, which minimizes the largest distance, and the residual is
-    max(t, 0).  Any other family's witness is its least-squares point x, the
-    mean of the points p_i in C_i that convex_sets.least_squares_points
-    returns; x minimizes sum_i d(x, C_i)^2.  The residual is
-    max_i ||x - p_i||: each p_i lies in C_i, so it bounds the largest
-    distance from above, and at the optimum p_i is the projection of x onto
-    C_i, so it equals it.  It is 0 exactly when the family meets, and at
-    most sqrt(m) times the min-max value.
+    For a family of balls x is the Chebyshev center and the residual
+    max(t, 0).  Any other family's x is the mean of the points p_i in C_i
+    that convex_sets.least_squares_points returns, and the residual is
+    max_i ||x - p_i||, which at the optimum is max_i d(x, C_i): 0 exactly
+    when the family meets, and at most sqrt(m) times the min-max value.
     """
+    return _decide(family)[0]
+
+
+def _decide(family):
+    """common_point's report, the directions x - p_i, and the candidates
+    for the violating subset.  For balls x - c_i stands in for x - p_i, and
+    the candidates are the balls within 1e-9 (1 + t) of tight at x.  Any
+    other family's candidates are the bodies with p_i more than
+    1e-12 (1 + residual) from x; a closer p_i is rounding, and its normal
+    points anywhere."""
     bodies = family.bodies
     if _all_balls(family):
-        y, t = chebyshev_center(*_ball_arrays(bodies))
-        return IntersectionReport(
-            intersects=t <= INTERSECT_TOL, witness=y, residual=max(t, 0.0)
-        )
-    points = least_squares_points(bodies)
-    x = points.mean(axis=0)
-    residual = float(np.max(np.linalg.norm(points - x, axis=1)))
-    return IntersectionReport(
-        intersects=residual <= INTERSECT_TOL, witness=x, residual=residual
-    )
+        centers, radii = _ball_arrays(bodies)
+        x, t = chebyshev_center(centers, radii)
+        residual = max(t, 0.0)
+        diff = x - centers
+        away = np.linalg.norm(diff, axis=1) - radii >= t - 1e-9 * (1.0 + t)
+    else:
+        points = least_squares_points(bodies)
+        x = points.mean(axis=0)
+        diff = x - points
+        dist = np.linalg.norm(diff, axis=1)
+        residual = float(np.max(dist))
+        away = dist > 1e-12 * (1.0 + residual)
+    report = IntersectionReport(residual <= INTERSECT_TOL, x, residual)
+    return report, diff, np.flatnonzero(away)
 
 
 def _circle_pair_points(c1, r1, c2, r2):
@@ -194,47 +207,28 @@ def check_k_intersection(family: BodyFamily, k: int) -> IntersectionReport:
         else:
             rep = common_point(BodyFamily([family.bodies[i] for i in subset]))
         if not rep.intersects:
-            return IntersectionReport(
-                intersects=False,
-                witness=None,
-                residual=rep.residual,
-                violating_subset=list(subset),
-            )
+            residual = rep.residual
+            if cand is not None:
+                # The best candidate's distance overstates the Chebyshev value.
+                subfamily = [family.bodies[i] for i in subset]
+                residual = chebyshev_center(*_ball_arrays(subfamily))[1]
+            return IntersectionReport(False, None, residual, list(subset))
         worst = max(worst, rep.residual)
     return IntersectionReport(intersects=True, witness=None, residual=worst)
 
 
-def _violating_subset(family, y, t):
-    """At most n + 1 balls with Chebyshev value t > 0, from the balls within
-    1e-9 (1 + t) of tight at the family's Chebyshev center y."""
-    centers, radii = _ball_arrays(family.bodies)
-    diff = y - centers
-    dist = np.linalg.norm(diff, axis=1)
-    tight = np.flatnonzero(dist - radii >= t - 1e-9 * (1.0 + t))
-    normals = Polytope(diff[tight] / dist[tight, None])
-    cert = caratheodory(np.zeros(family.dimension), normals)
-    return sorted(int(tight[i]) for i in cert.indices)
-
-
 def helly_verify(family: BodyFamily) -> IntersectionReport:
-    """A global witness, or a violating subset of at most n + 1 bodies.
-
-    A family of balls is decided by common_point, and its violating subset is
-    read off the Chebyshev center.  Any other family runs
-    check_k_intersection(n+1) and, on success, common_point for the whole
-    family; by Helly's theorem for closed bounded convex sets the global
-    search must succeed.
-    """
-    if _all_balls(family):
-        rep = common_point(family)
-        if rep.intersects:
-            return rep
-        subset = _violating_subset(family, rep.witness, rep.residual)
-        return IntersectionReport(False, None, rep.residual, subset)
-    sub = check_k_intersection(family, family.dimension + 1)
-    if not sub.intersects:
-        return sub
-    return common_point(family)
+    """common_point's report when the family meets; otherwise its residual
+    and a violating subset of at most n + 1 bodies, sorted, read off the
+    witness by Caratheodory on the candidates' unit normals (see the module
+    docstring).  No subset is enumerated, for any family."""
+    report, diff, away = _decide(family)
+    if report.intersects:
+        return report
+    normals = diff[away] / np.linalg.norm(diff[away], axis=1)[:, None]
+    cert = caratheodory(np.zeros(family.dimension), Polytope(normals))
+    subset = sorted(int(away[i]) for i in cert.indices)
+    return IntersectionReport(False, None, report.residual, subset)
 
 
 def jung_ball(points) -> Ball:
@@ -264,8 +258,7 @@ def jung_bound_check(points):
     if pts.shape[0] < 2:
         raise ValueError("need at least two points")
     n = pts.shape[1]
-    diff = pts[:, None, :] - pts[None, :, :]
-    diameter = float(np.sqrt(np.max(np.sum(diff * diff, axis=2))))
+    diameter = math.sqrt(pairwise(pts, pts, lambda dp, _: np.sum(dp * dp, axis=1))[0])
     radius = jung_ball(pts).radius
     bound = diameter * math.sqrt(n / (2.0 * (n + 1)))
     return diameter, radius, bound, radius <= bound + 1e-9

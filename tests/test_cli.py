@@ -149,6 +149,17 @@ class TestHellyCommand:
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 0
 
+    def test_verify_polytope_family_past_the_budget(self, tmp_path):
+        # C(45, 5) = 1,221,759 subsets of 2 balls and 43 polytopes in R^4
+        # exceed the budget; verify decides the family by its least-squares
+        # point and never exits 5.
+        family = touching_families(4, count=1, balls=2, polytopes=43)[0]
+        fam = write(tmp_path / "fam.json", json.dumps(io.family_to_dict(family)))
+        rep = str(tmp_path / "rep.json")
+        assert main(["helly", "--family", fam, "--mode", "verify", "--out", rep]) == 0
+        payload = json.loads(open(rep).read())
+        assert payload["intersects"] is True and payload["residual"] <= 1e-10
+
     def test_enumeration_guard_exit_5(self, tmp_path):
         balls = [{"kind": "ball", "center": [float(i), 0.0], "radius": 50.0}
                  for i in range(45)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lipext import convex_sets
-from lipext.errors import InfeasiblePointError, SolverCapError
+from lipext.errors import DimensionMismatchError, InfeasiblePointError, SolverCapError
 from lipext.geometry import Ball, Polytope
 from lipext.rng import SplitMix64
 from lipext.solvers import minimize_quadratic_over_simplex
@@ -43,6 +43,18 @@ class TestProjection:
         p = project([1.0, 1.0], seg)
         assert np.allclose(p, [1.0, 0.0], atol=1e-9)
         assert distance([1.0, 1.0], seg) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("body", [
+        Ball([0.0, 0.0], 0.1), Polytope([[0.0, 0.0], [1.0, 0.0]]),
+    ])
+    def test_dimension_mismatch(self, body):
+        # distance checks the dimension itself for every body: numpy would
+        # broadcast a 1-D point against a 2-D ball's center.
+        for call in (distance, project):
+            with pytest.raises(DimensionMismatchError):
+                call([0.5], body)
+            with pytest.raises(DimensionMismatchError):
+                call([0.5, 0.5, 0.5], body)
 
     def test_variational_inequality(self):
         rng = SplitMix64(5)

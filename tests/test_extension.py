@@ -423,6 +423,13 @@ class TestProjectDomain:
         with pytest.raises(ValueError):
             extend_project_domain(ROTATION, domain, np.array([0.0, 0.0]))
 
+    @pytest.mark.parametrize("domain", [Ball([0.0], 5.0), Ball([0.0, 0.0, 0.0], 5.0)])
+    def test_domain_of_another_dimension_rejected_at_build(self, domain):
+        # The domain's dimension is checked when the model is built, not
+        # first at query time.
+        with pytest.raises(DimensionMismatchError):
+            ExtensionModel(ROTATION, "project_domain", domain=domain)
+
 
 class TestTietze:
     def test_data_points_exact(self):

@@ -55,16 +55,30 @@ def ball_arrays(family):
     )
 
 
-def grid_min_max_distance(family, lo, hi, steps=200):
-    """Brute-force oracle: min over a grid of max_i distance(x, C_i)."""
+def grid_min_max_distance(bodies, steps=200):
+    """Brute-force oracle in the plane: the least, over a steps x steps grid
+    on the bodies' bounding box, of max_i d(x, C_i), and the grid's cell
+    diagonal.  The box holds a minimizer, since projecting onto it moves no
+    point farther from a body inside it."""
+    lo = np.min([b.center - b.radius if isinstance(b, Ball) else b.vertices.min(axis=0)
+                 for b in bodies], axis=0)
+    hi = np.max([b.center + b.radius if isinstance(b, Ball) else b.vertices.max(axis=0)
+                 for b in bodies], axis=0)
     xs = np.linspace(lo[0], hi[0], steps)
     ys = np.linspace(lo[1], hi[1], steps)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     worst = np.full(X.shape, -np.inf)
-    for b in family.bodies:
-        d = np.sqrt((X - b.center[0]) ** 2 + (Y - b.center[1]) ** 2) - b.radius
-        worst = np.maximum(worst, np.clip(d, 0.0, None))
-    return float(worst.min())
+    for b in bodies:
+        if isinstance(b, Ball):
+            d = np.clip(np.hypot(X - b.center[0], Y - b.center[1]) - b.radius, 0.0, None)
+        else:
+            # A hull of points is the union of its triangles (Caratheodory).
+            V = b.vertices
+            d = np.min([polygon_distance(X, Y, V[list(S)])
+                        for S in itertools.combinations(range(len(V)), min(len(V), 3))],
+                       axis=0)
+        worst = np.maximum(worst, d)
+    return float(worst.min()), math.hypot(float(xs[1] - xs[0]), float(ys[1] - ys[0]))
 
 
 class TestCommonPoint:
@@ -136,6 +150,16 @@ class TestKIntersection:
         rep = check_k_intersection(BodyFamily(balls), 3)
         assert rep.intersects
 
+    def test_disc_violation_reports_the_chebyshev_value(self):
+        # The violating triple's best candidate point is 0.827 from a disc,
+        # but the triple's Chebyshev value, the reported residual, is 0.408.
+        family = generate_ball_family(2, 9, 3, "disjoint-pair")
+        rep = check_k_intersection(family, 3)
+        assert not rep.intersects and rep.violating_subset == [0, 1, 2]
+        triple = BodyFamily([family.bodies[i] for i in rep.violating_subset])
+        assert rep.residual == chebyshev_center(*ball_arrays(triple))[1]
+        assert rep.residual == pytest.approx(0.408, abs=1e-3)
+
     def test_enumeration_guard(self):
         balls = [Ball([float(i), 0.0], 50.0) for i in range(60)]
         with pytest.raises(EnumerationGuardError):
@@ -204,6 +228,17 @@ class TestJung:
         assert radius == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
         assert bound == pytest.approx(math.sqrt(2.0 / 6.0), abs=1e-12)
         assert abs(radius - bound) <= 1e-6  # equality case in the plane
+
+    def test_diameter_matches_dense_differences(self):
+        # The diameter is a geometry.pairwise scan; the dense k x k x n
+        # difference array is the reference, bit for bit.
+        rng = SplitMix64(21)
+        for trial in range(60):
+            n, k = 1 + trial % 17, 2 + trial
+            pts = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(k)])
+            diff = pts[:, None, :] - pts[None, :, :]
+            reference = float(np.sqrt(np.max(np.sum(diff * diff, axis=2))))
+            assert jung_bound_check(pts)[0] == reference
 
     def test_random_sets_hold_bound_and_cover(self):
         rng = SplitMix64(55)
@@ -427,6 +462,21 @@ def _no_intersection_families():
         [Ball([rng.uniform(-3, 3), rng.uniform(-3, 3)], rng.uniform(0.5, 2.5))
          for _ in range(200)]
     )
+    yield from pushed_apart_families()
+    for name in sorted(DISJOINT_POLYTOPE_FAMILIES):
+        yield BodyFamily(DISJOINT_POLYTOPE_FAMILIES[name])
+
+
+def pushed_apart_families():
+    """Touching mixed families (n = 2, 3) with the first ball shrunk to 0.8
+    of its radius and the last polytope moved by 0.3 in every coordinate;
+    none of them meets."""
+    for n in (2, 3):
+        for family in touching_families(n, count=10, balls=n + 1, polytopes=2):
+            bodies = list(family.bodies)
+            bodies[0] = Ball(bodies[0].center, 0.8 * bodies[0].radius)
+            bodies[-1] = Polytope(bodies[-1].vertices + 0.3)
+            yield BodyFamily(bodies)
 
 
 @pytest.mark.parametrize("family", list(_no_intersection_families()))
@@ -436,12 +486,39 @@ def test_violating_subset_is_a_certificate(family):
     assert not rep.intersects
     subset = rep.violating_subset
     assert 1 <= len(subset) <= n + 1 and subset == sorted(set(subset))
-    balls = BodyFamily([family.bodies[i] for i in subset])
-    assert not check_k_intersection(balls, n + 1).intersects
-    # Compared with the engine: the n = 2 candidate test reports the best
-    # candidate's distance, which is not the Chebyshev value.
-    _, t = chebyshev_center(*ball_arrays(balls))
-    assert t == pytest.approx(rep.residual, abs=1e-9)
+    sub = BodyFamily([family.bodies[i] for i in subset])
+    assert not common_point(sub).intersects
+    if n == 2:
+        # max_j d(x, C_j) is 1-Lipschitz, so a grid minimum above one cell
+        # diagonal proves that the subset has no common point.
+        value, cell = grid_min_max_distance(sub.bodies)
+        assert value > cell
+    if all(isinstance(b, Ball) for b in family.bodies):
+        # Every k-check path, the disc candidates included, reports the
+        # subset's Chebyshev value, which is the family's.
+        check = check_k_intersection(sub, n + 1)
+        _, t = chebyshev_center(*ball_arrays(sub))
+        assert not check.intersects and check.residual == pytest.approx(t, abs=1e-12)
+        assert t == pytest.approx(rep.residual, abs=1e-9)
+
+
+def test_helly_verify_never_enumerates(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("helly_verify must not enumerate subsets")
+
+    monkeypatch.setattr(helly, "check_k_intersection", forbidden)
+    for n in (2, 3):
+        for family in (
+            touching_families(n, count=3, balls=0, polytopes=n + 2)
+            + touching_families(n, count=3, balls=n + 1, polytopes=2)
+        ):
+            assert helly_verify(family).intersects
+    for bodies in POLYTOPE_FAMILIES.values():
+        assert helly_verify(BodyFamily(bodies)).intersects
+    for family in list(pushed_apart_families())[::5]:
+        assert len(helly_verify(family).violating_subset) <= family.dimension + 1
+    for bodies in DISJOINT_POLYTOPE_FAMILIES.values():
+        assert not helly_verify(BodyFamily(bodies)).intersects
 
 
 def test_ball_families_skip_enumeration_and_polyak(monkeypatch):

@@ -325,3 +325,49 @@ def test_scan_flags_an_uncalled_export():
         "from solvers import absolute\n"
     )
     assert uncalled_exports(init, "solvers", ["x = called(1)\n"]) == ["uncalled"]
+
+
+def _expands_axis(node):
+    """True for a subscript whose index holds a None, such as X[:, None]."""
+    index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    return any(isinstance(i, ast.Constant) and i.value is None for i in index)
+
+
+def self_pair_differences(source):
+    """Dense pair-difference arrays of one array against itself, such as
+    X[:, None, :] - X[None, :, :], written as in source."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and all(isinstance(side, ast.Subscript) for side in (node.left, node.right))
+        and ast.unparse(node.left.value) == ast.unparse(node.right.value)
+        and ast.unparse(node.left.slice) != ast.unparse(node.right.slice)
+        and _expands_axis(node.left)
+        and _expands_axis(node.right)
+    ]
+
+
+def test_no_dense_self_pair_difference():
+    # Pair scans go through geometry.pairwise, in blocks of bounded memory.
+    dense = {
+        path.name: found
+        for path in sorted(SRC.glob("*.py"))
+        if (found := self_pair_differences(path.read_text()))
+    }
+    assert dense == {}
+
+
+def test_scan_flags_a_dense_self_pair_difference():
+    source = (
+        "d = pts[:, None, :] - pts[None, :, :]\n"
+        "e = x[None] - x[:, None]\n"
+        "f = P[:, None, :] - centers[None, :, :]\n"
+        "g = s[:, None] + s[None, :]\n"
+        "h = X[:, None] - X[:, None]\n"
+        "k = X[1:] - X[0]\n"
+    )
+    assert self_pair_differences(source) == [
+        "pts[:, None, :] - pts[None, :, :]", "x[None] - x[:, None]",
+    ]
