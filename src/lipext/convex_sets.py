@@ -127,8 +127,7 @@ def _affine_dependence(points):
 def caratheodory(x, poly: Polytope) -> CaratheodoryCertificate:
     """Represent x in conv(vertices) using at most n+1 affinely independent vertices.
 
-    Starts from the projection solver's weights and repeatedly shifts along an
-    affine dependence of the support to zero out one coefficient.  Raises
+    Reduces the projection solver's weights (caratheodory_reduce).  Raises
     InfeasiblePointError (carrying the distance) when x is outside the hull.
     """
     x = as_vector(x)
@@ -140,21 +139,21 @@ def caratheodory(x, poly: Polytope) -> CaratheodoryCertificate:
         raise InfeasiblePointError(
             f"point is outside the hull (distance {dist:.3e})", dist
         )
-    n = poly.dimension
-    lam = lam.copy()
+    return caratheodory_reduce(poly.vertices, lam)
+
+
+def caratheodory_reduce(vertices, weights) -> CaratheodoryCertificate:
+    """The point sum_i weights_i v_i (weights on the simplex) on at most n+1
+    affinely independent vertices: repeatedly shifts the weights along an
+    affine dependence of their support to zero out one coefficient."""
+    lam = np.array(weights, dtype=float)
     support = np.flatnonzero(lam > 1e-14)
-    if support.size == 0:
-        support = np.array([int(np.argmax(lam))])
     while support.size > 1:
-        mu_s = _affine_dependence(poly.vertices[support])
+        mu_s = _affine_dependence(vertices[support])
         if mu_s is None:
             break
+        # The dependence's first nonzero entry is positive.
         pos = np.flatnonzero(mu_s > 1e-14)
-        if pos.size == 0:
-            mu_s = -mu_s
-            pos = np.flatnonzero(mu_s > 1e-14)
-            if pos.size == 0:
-                break
         ratios = lam[support[pos]] / mu_s[pos]
         jloc = int(np.argmin(ratios))
         theta = float(ratios[jloc])
@@ -221,12 +220,13 @@ def _closest_pair(A, B):
     if isinstance(A, Polytope) and isinstance(B, Ball):
         q, p, d = _closest_pair(B, A)
         return p, q, d
-    p, q = least_squares_points((A, B))
+    (p, q), _ = least_squares_points((A, B))
     return p, q, float(np.linalg.norm(p - q))
 
 
 def least_squares_points(bodies):
-    """Points p_i in C_i minimizing sum_{i<j} ||p_i - p_j||^2, as an m x n array.
+    """Points p_i in C_i minimizing sum_{i<j} ||p_i - p_j||^2 as an m x n
+    array, and the same points less x0 (below), free of x0's rounding.
 
     Their mean x minimizes sum_i d(x, C_i)^2, and the family meets iff the
     minimum is 0.  A polytope's point is V_i'l_i with l_i in its own simplex;
@@ -308,7 +308,7 @@ def least_squares_points(bodies):
         SimplexWeights(z[cols]).weights @ body.vertices
         if isinstance(body, Polytope) else body.center + z[cols]
         for body, cols in zip(bodies, blocks)
-    ])
+    ]), maps @ z + shifts
 
 
 def separate(A, B) -> Hyperplane:

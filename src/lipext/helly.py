@@ -1,19 +1,17 @@
 """Intersection checking for finite families of convex bodies and Jung's bound.
 
 One computation decides a family.  Balls B(c_i, r_i) share a point iff their
-Chebyshev value t = min_y max_i (||y - c_i|| - r_i) is <= 0, so one
-solvers.chebyshev_center call decides a ball family and its center y is the
-witness.  Any other family is decided by its least-squares point x, the
-minimizer of sum_i d(x, C_i)^2 (one cutting-plane QP in convex_sets).  When
-the family does not meet, helly_verify reads a violating subset off the same
-witness, without enumerating subsets: with p_i the point of C_i nearest x, 0
-lies in the hull of the unit normals u_i = (x - p_i) / ||x - p_i|| (the KKT
-conditions of either problem), and Caratheodory keeps a set J of at most
-n + 1 of them with weights mu_j.  Each C_j lies in {z : <u_j, z - p_j> <= 0},
-so every z is at least sum_J mu_j ||x - p_j|| > 0 from some C_j in J.  The
-k-subset checks for discs use an exact candidate-point certificate (any
-non-empty intersection of discs contains a disc center or an intersection
-point of two boundary circles), and for intervals the interval formula.
+Chebyshev value t = min_y max_i (||y - c_i|| - r_i) is <= 0: one
+solvers.chebyshev_center call, whose center y is the witness.  Any other
+family is decided by its least-squares point x, the minimizer of
+sum_i d(x, C_i)^2 (one cutting-plane QP in convex_sets).  When the family
+does not meet, helly_verify reads a violating subset off the witness: with
+p_i the point of C_i nearest x, 0 lies in the hull of the unit normals
+u_i = (x - p_i) / ||x - p_i|| (the KKT conditions of either problem), and
+Caratheodory keeps at most n + 1 of them, J, with weights mu_j.  As each C_j
+lies in {z : <u_j, z - p_j> <= 0}, every z is at least sum_J mu_j ||x - p_j|| > 0
+from some C_j in J.  Disc k-subset checks test candidate points (discs that
+meet share a center or a crossing of two circles), intervals their formula.
 """
 
 import math
@@ -25,7 +23,9 @@ import numpy as np
 from .geometry import Ball, Polytope, pairwise
 from .errors import EnumerationGuardError
 from .solvers import chebyshev_center, minimize_quadratic_over_simplex
-from .convex_sets import caratheodory, dimension_of, least_squares_points
+from .convex_sets import (
+    caratheodory, caratheodory_reduce, dimension_of, least_squares_points,
+)
 
 INTERSECT_TOL = 1e-6
 ENUMERATION_CAP = 10 ** 6
@@ -83,11 +83,11 @@ def common_point(family: BodyFamily) -> IntersectionReport:
 
 def _decide(family):
     """common_point's report, the directions x - p_i, and the candidates
-    for the violating subset.  For balls x - c_i stands in for x - p_i, and
-    the candidates are the balls within 1e-9 (1 + t) of tight at x.  Any
-    other family's candidates are the bodies with p_i more than
-    1e-12 (1 + residual) from x; a closer p_i is rounding, and its normal
-    points anywhere."""
+    for the violating subset: for balls x - c_i and the balls within
+    1e-9 (1 + t) of tight at x; otherwise x - p_i in the QP's coordinates
+    centered on x0 (their rounding scales with the spread, not with x0) and
+    the p_i more than 1e-12 (1 + the largest such coordinate) from x, since
+    a closer p_i is rounding and its normal points anywhere."""
     bodies = family.bodies
     if _all_balls(family):
         centers, radii = _ball_arrays(bodies)
@@ -96,12 +96,11 @@ def _decide(family):
         diff = x - centers
         away = np.linalg.norm(diff, axis=1) - radii >= t - 1e-9 * (1.0 + t)
     else:
-        points = least_squares_points(bodies)
+        points, centered = least_squares_points(bodies)
         x = points.mean(axis=0)
-        diff = x - points
-        dist = np.linalg.norm(diff, axis=1)
-        residual = float(np.max(dist))
-        away = dist > 1e-12 * (1.0 + residual)
+        residual = float(np.max(np.linalg.norm(x - points, axis=1)))
+        diff = centered.mean(axis=0) - centered
+        away = np.linalg.norm(diff, axis=1) > 1e-12 * (1.0 + np.max(np.abs(centered)))
     report = IntersectionReport(residual <= INTERSECT_TOL, x, residual)
     return report, diff, np.flatnonzero(away)
 
@@ -133,11 +132,9 @@ class _BallCandidates:
     """
 
     def __init__(self, balls):
-        self.balls = balls
         k = len(balls)
         centers, radii = _ball_arrays(balls)
-        pts = [centers[i] for i in range(k)]
-        self.center_cand = list(range(k))
+        pts = list(centers)
         self.pair_cand = {}
         for i, j in combinations(range(k), 2):
             idxs = []
@@ -154,7 +151,7 @@ class _BallCandidates:
         self.points = P
 
     def subset_report(self, subset):
-        rows = [self.center_cand[i] for i in subset]
+        rows = list(subset)
         for i, j in combinations(sorted(subset), 2):
             rows.extend(self.pair_cand[(i, j)])
         sub = self.depth[np.asarray(rows)][:, np.asarray(subset)]
@@ -173,9 +170,7 @@ def _interval_report(balls, subset):
     hi = min(balls[i].center[0] + balls[i].radius for i in subset)
     mid = np.array([(lo + hi) / 2.0])
     residual = max((lo - hi) / 2.0, 0.0)
-    return IntersectionReport(
-        intersects=residual <= INTERSECT_TOL, witness=mid, residual=residual
-    )
+    return IntersectionReport(residual <= INTERSECT_TOL, mid, residual)
 
 
 def check_k_intersection(family: BodyFamily, k: int) -> IntersectionReport:
@@ -195,9 +190,7 @@ def check_k_intersection(family: BodyFamily, k: int) -> IntersectionReport:
         )
     all_balls = _all_balls(family)
     n = family.dimension
-    cand = None
-    if all_balls and n == 2:
-        cand = _BallCandidates(family.bodies)
+    cand = _BallCandidates(family.bodies) if all_balls and n == 2 else None
     worst = 0.0
     for subset in combinations(range(m), k):
         if cand is not None:
@@ -206,29 +199,40 @@ def check_k_intersection(family: BodyFamily, k: int) -> IntersectionReport:
             rep = _interval_report(family.bodies, subset)
         else:
             rep = common_point(BodyFamily([family.bodies[i] for i in subset]))
+        if cand is not None and not rep.intersects:
+            # The Chebyshev value decides; the best candidate overstates it.
+            t = chebyshev_center(*_ball_arrays([family.bodies[i] for i in subset]))[1]
+            rep = IntersectionReport(t <= INTERSECT_TOL, None, max(t, 0.0))
         if not rep.intersects:
-            residual = rep.residual
-            if cand is not None:
-                # The best candidate's distance overstates the Chebyshev value.
-                subfamily = [family.bodies[i] for i in subset]
-                residual = chebyshev_center(*_ball_arrays(subfamily))[1]
-            return IntersectionReport(False, None, residual, list(subset))
+            return IntersectionReport(False, None, rep.residual, list(subset))
         worst = max(worst, rep.residual)
     return IntersectionReport(intersects=True, witness=None, residual=worst)
 
 
 def helly_verify(family: BodyFamily) -> IntersectionReport:
-    """common_point's report when the family meets; otherwise its residual
-    and a violating subset of at most n + 1 bodies, sorted, read off the
-    witness by Caratheodory on the candidates' unit normals (see the module
-    docstring).  No subset is enumerated, for any family."""
+    """common_point's report when the family meets; otherwise a violating
+    subset J of at most n + 1 bodies, sorted, by Caratheodory on the
+    candidates' unit normals (see the module docstring), and J's residual;
+    no subset is enumerated.  A ball family's weights project 0 onto the
+    normals' hull.  Any other family's are the ||x - p_i||, as the x - p_i
+    sum to 0; its residual can overstate the min-max value by sqrt(m), so J
+    is checked by common_point, and if J meets the family's report returns."""
     report, diff, away = _decide(family)
     if report.intersects:
         return report
-    normals = diff[away] / np.linalg.norm(diff[away], axis=1)[:, None]
-    cert = caratheodory(np.zeros(family.dimension), Polytope(normals))
+    dist = np.linalg.norm(diff[away], axis=1)
+    normals = diff[away] / dist[:, None]
+    if _all_balls(family):
+        cert = caratheodory(np.zeros(family.dimension), Polytope(normals))
+    else:
+        cert = caratheodory_reduce(normals, dist / dist.sum())
     subset = sorted(int(away[i]) for i in cert.indices)
-    return IntersectionReport(False, None, report.residual, subset)
+    if _all_balls(family):
+        return IntersectionReport(False, None, report.residual, subset)
+    sub = common_point(BodyFamily([family.bodies[i] for i in subset]))
+    if sub.intersects:
+        return report
+    return IntersectionReport(False, None, sub.residual, subset)
 
 
 def jung_ball(points) -> Ball:

@@ -11,6 +11,7 @@ from lipext.solvers import minimize_quadratic_over_simplex
 from lipext.convex_sets import (
     _closest_pair,
     caratheodory,
+    caratheodory_reduce,
     distance,
     least_squares_points,
     minkowski_sum,
@@ -139,6 +140,22 @@ class TestCaratheodory:
             # support must be affinely independent
             pts = poly.vertices[list(cert.indices)]
             M = np.vstack([pts.T, np.ones(len(cert.indices))])
+            assert np.linalg.matrix_rank(M, tol=1e-9) == len(cert.indices)
+
+    def test_reduce_keeps_the_given_point(self):
+        # From explicit weights, with no projection: the reduced support is
+        # affinely independent and spans the same point.
+        rng = SplitMix64(22)
+        for _ in range(40):
+            n = 2 if rng.uniform() < 0.7 else 3
+            V = random_polytope(rng, n, 8).vertices
+            w = np.array([rng.uniform(0, 1) for _ in range(8)])
+            w /= w.sum()
+            cert = caratheodory_reduce(V, w)
+            assert len(cert.indices) <= n + 1
+            rebuilt = cert.weights.weights @ V[list(cert.indices)]
+            assert np.linalg.norm(rebuilt - w @ V) <= 1e-12
+            M = np.vstack([V[list(cert.indices)].T, np.ones(len(cert.indices))])
             assert np.linalg.matrix_rank(M, tol=1e-9) == len(cert.indices)
 
 

@@ -160,6 +160,18 @@ class TestKIntersection:
         assert rep.residual == chebyshev_center(*ball_arrays(triple))[1]
         assert rep.residual == pytest.approx(0.408, abs=1e-3)
 
+    def test_disc_triple_within_tolerance_meets(self):
+        # Discs of radius R - t on an equilateral triangle with circumradius
+        # R: the Chebyshev value is t, within 1e-6, while the best candidate,
+        # a crossing of two circles, lies about 3t from the third disc.
+        R, t = 1.0, 5e-7
+        angles = [0.5 + 2.0 * math.pi * k / 3.0 for k in range(3)]
+        family = BodyFamily([Ball([R * math.cos(a), R * math.sin(a)], R - t) for a in angles])
+        rep = check_k_intersection(family, 3)
+        _, value = chebyshev_center(*ball_arrays(family))
+        assert 0.0 < value <= 1e-6
+        assert rep.intersects and rep.residual == value
+
     def test_enumeration_guard(self):
         balls = [Ball([float(i), 0.0], 50.0) for i in range(60)]
         with pytest.raises(EnumerationGuardError):
@@ -465,6 +477,17 @@ def _no_intersection_families():
     yield from pushed_apart_families()
     for name in sorted(DISJOINT_POLYTOPE_FAMILIES):
         yield BodyFamily(DISJOINT_POLYTOPE_FAMILIES[name])
+    # Far from the origin, x - p_i is formed in the QP's centered coordinates.
+    for shift in (1e4, 1e5):
+        yield from (moved(family, shift) for family in pushed_apart_families())
+
+
+def moved(family, shift):
+    return BodyFamily([
+        Ball(b.center + shift, b.radius) if isinstance(b, Ball)
+        else Polytope(b.vertices + shift)
+        for b in family.bodies
+    ])
 
 
 def pushed_apart_families():
@@ -487,7 +510,10 @@ def test_violating_subset_is_a_certificate(family):
     subset = rep.violating_subset
     assert 1 <= len(subset) <= n + 1 and subset == sorted(set(subset))
     sub = BodyFamily([family.bodies[i] for i in subset])
-    assert not common_point(sub).intersects
+    sub_report = common_point(sub)
+    assert not sub_report.intersects
+    if not all(isinstance(b, Ball) for b in family.bodies):
+        assert rep.residual == sub_report.residual
     if n == 2:
         # max_j d(x, C_j) is 1-Lipschitz, so a grid minimum above one cell
         # diagonal proves that the subset has no common point.
@@ -500,6 +526,32 @@ def test_violating_subset_is_a_certificate(family):
         _, t = chebyshev_center(*ball_arrays(sub))
         assert not check.intersects and check.residual == pytest.approx(t, abs=1e-12)
         assert t == pytest.approx(rep.residual, abs=1e-9)
+
+
+def test_subset_within_tolerance_is_not_reported():
+    # The least-squares residual, 1.2e-6, overstates the min-max value,
+    # 0.9e-6: every pair meets within 1e-6, so no violating subset exists.
+    family = BodyFamily([Polytope([[0.0]]), Polytope([[0.0]]), Polytope([[1.8e-6]])])
+    rep, whole = helly_verify(family), common_point(family)
+    assert not rep.intersects and rep.violating_subset is None
+    assert rep.residual == whole.residual and np.array_equal(rep.witness, whole.witness)
+    assert check_k_intersection(family, 2).intersects
+
+
+def test_near_tolerance_pair_among_many_bodies():
+    # Squares 2.1e-6 apart and six discs around the gap: the discs' rounding
+    # leaves the two normals off balance by far more than caratheodory's
+    # 1e-8 hull tolerance, so the weights come from the distances instead.
+    gap = 2.1e-6
+    mid = np.array([1.0 + gap / 2.0, 0.5])
+    rng = SplitMix64(13)
+    discs = [Ball(mid + [rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)], 0.5)
+             for _ in range(6)]
+    family = BodyFamily([unit_square([0.0, 0.0]), unit_square([1.0 + gap, 0.2])] + discs)
+    for shift in (0.0, 1e4, 1e5):
+        rep = helly_verify(moved(family, shift))
+        assert not rep.intersects and rep.violating_subset == [0, 1]
+        assert rep.residual == pytest.approx(gap / 2.0, rel=1e-4)
 
 
 def test_helly_verify_never_enumerates(monkeypatch):
