@@ -234,10 +234,10 @@ def cmd_replay(args):
     return main(_parse(args.manifest, _replay_argv, (TypeError,)))
 
 
-def _add_common(p, out_required=True):
+def _add_common(p):
     p.add_argument("--tol", type=float, default=1e-6, help="residual acceptance tolerance")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed for any randomness")
-    p.add_argument("--out", required=out_required, help="output report path")
+    p.add_argument("--out", required=True, help="output report path")
 
 
 def build_parser(parser_class=argparse.ArgumentParser):

@@ -608,10 +608,10 @@ def scale_ops(f, factor, mode):
     raise ValueError(f"mode must be 'mul' or 'epi', got {mode!r}")
 
 
-def _auto_dual_box(f_star, margin=1.0):
+def _auto_dual_box(f_star):
     if isinstance(f_star, MaxAffineConjugate):
-        lo = f_star.slopes.min(axis=0) - margin
-        hi = f_star.slopes.max(axis=0) + margin
+        lo = f_star.slopes.min(axis=0) - 1.0
+        hi = f_star.slopes.max(axis=0) + 1.0
         return Box(lo, hi)
     return None
 
@@ -647,22 +647,17 @@ def delta_expr(a, b):
     return Translate(shift, slope, float(a @ b), Quadratic(2 * n))
 
 
-def delta_conjugate_identity_check(a, b, samples, *, box=None):
+def delta_conjugate_identity_check(a, b, samples):
     """max gap of delta*(x*, y*) = delta(-y*, -x*) over sampled (x*, y*)."""
     a = as_vector(a)
     b = as_vector(b)
     n = a.shape[0]
     samples = [as_vector(s) for s in samples]
-    if box is None:
-        # delta is quadratic, so the conjugate's argmax is s + (a+b, a+b)
-        # up to coordinate pairing; cover those points with slack.
-        targets = np.array([s for s in samples])
-        reach = float(np.max(np.abs(targets))) + float(np.max(np.abs(a))) + float(
-            np.max(np.abs(b))
-        )
-        box = cube(reach + 3.0, 2 * n)
+    # delta is quadratic, so the conjugate's argmax is s + (a+b, a+b) up to
+    # coordinate pairing; the search box covers those points with slack.
+    reach = sum(float(np.max(np.abs(v))) for v in (np.array(samples), a, b))
     d = delta_expr(a, b)
-    d_star = Conjugate(d, box)
+    d_star = Conjugate(d, cube(reach + 3.0, 2 * n))
     worst = 0.0
     for s in samples:
         xs, ys = s[:n], s[n:]

@@ -58,7 +58,7 @@ class CaratheodoryCertificate:
 def _project_polytope(x, poly):
     """Projection onto conv(vertices) with the solver's simplex weights.
 
-    Returns (point, weights, duality gap).  Minimizes ||V'l - x||^2 written as
+    Returns (point, weights).  Minimizes ||V'l - x||^2 written as
     l'(VV')l - 2(Vx)'l + ||x||^2.
     """
     V = poly.vertices
@@ -66,7 +66,7 @@ def _project_polytope(x, poly):
     c = -2.0 * (V @ x)
     report = minimize_quadratic_over_simplex(Q, c, V.shape[0], constant=float(x @ x))
     lam = report.argmin.weights
-    return lam @ V, lam, report.residual
+    return lam @ V, lam
 
 
 def project(x, body) -> np.ndarray:
@@ -85,8 +85,7 @@ def project(x, body) -> np.ndarray:
         if dist <= body.radius:
             return x.copy()
         return body.center + (body.radius / dist) * delta
-    p, _, _ = _project_polytope(x, body)
-    return p
+    return _project_polytope(x, body)[0]
 
 
 def distance(x, body) -> float:
@@ -133,7 +132,7 @@ def caratheodory(x, poly: Polytope) -> CaratheodoryCertificate:
     x = as_vector(x)
     if x.shape[0] != poly.dimension:
         raise DimensionMismatchError("point and polytope dimensions differ")
-    p, lam, _ = _project_polytope(x, poly)
+    p, lam = _project_polytope(x, poly)
     dist = float(np.linalg.norm(x - p))
     if dist > HULL_TOL:
         raise InfeasiblePointError(
@@ -204,7 +203,7 @@ def _closest_pair(A, B):
         delta = B.center - A.center
         dist = float(np.linalg.norm(delta))
         if dist < 1e-15:
-            return A.center.copy(), B.center.copy(), max(0.0, -(A.radius + B.radius))
+            return A.center.copy(), B.center.copy(), 0.0
         u = delta / dist
         p = A.center + min(A.radius, dist) * u
         q = B.center - min(B.radius, dist) * u

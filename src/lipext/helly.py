@@ -148,29 +148,21 @@ class _BallCandidates:
         self.depth = np.clip(
             np.sqrt(np.sum(diff * diff, axis=2)) - radii[None, :], 0.0, None
         )
-        self.points = P
 
-    def subset_report(self, subset):
+    def subset_value(self, subset):
+        """The best candidate's largest clamped depth over the subset."""
         rows = list(subset)
         for i, j in combinations(sorted(subset), 2):
             rows.extend(self.pair_cand[(i, j)])
         sub = self.depth[np.asarray(rows)][:, np.asarray(subset)]
-        vals = sub.max(axis=1)
-        best = int(np.argmin(vals))
-        residual = float(vals[best])
-        return IntersectionReport(
-            intersects=residual <= INTERSECT_TOL,
-            witness=self.points[rows[best]].copy(),
-            residual=residual,
-        )
+        return float(sub.max(axis=1).min())
 
 
-def _interval_report(balls, subset):
-    lo = max(balls[i].center[0] - balls[i].radius for i in subset)
-    hi = min(balls[i].center[0] + balls[i].radius for i in subset)
-    mid = np.array([(lo + hi) / 2.0])
-    residual = max((lo - hi) / 2.0, 0.0)
-    return IntersectionReport(residual <= INTERSECT_TOL, mid, residual)
+def _interval_value(balls):
+    """Half the gap between the intervals, or 0 when they meet."""
+    lo = max(b.center[0] - b.radius for b in balls)
+    hi = min(b.center[0] + b.radius for b in balls)
+    return max((lo - hi) / 2.0, 0.0)
 
 
 def check_k_intersection(family: BodyFamily, k: int) -> IntersectionReport:
@@ -193,19 +185,19 @@ def check_k_intersection(family: BodyFamily, k: int) -> IntersectionReport:
     cand = _BallCandidates(family.bodies) if all_balls and n == 2 else None
     worst = 0.0
     for subset in combinations(range(m), k):
+        bodies = [family.bodies[i] for i in subset]
         if cand is not None:
-            rep = cand.subset_report(subset)
+            value = cand.subset_value(subset)
+            if value > INTERSECT_TOL:
+                # The Chebyshev value decides; the best candidate overstates it.
+                value = max(chebyshev_center(*_ball_arrays(bodies))[1], 0.0)
         elif all_balls and n == 1:
-            rep = _interval_report(family.bodies, subset)
+            value = _interval_value(bodies)
         else:
-            rep = common_point(BodyFamily([family.bodies[i] for i in subset]))
-        if cand is not None and not rep.intersects:
-            # The Chebyshev value decides; the best candidate overstates it.
-            t = chebyshev_center(*_ball_arrays([family.bodies[i] for i in subset]))[1]
-            rep = IntersectionReport(t <= INTERSECT_TOL, None, max(t, 0.0))
-        if not rep.intersects:
-            return IntersectionReport(False, None, rep.residual, list(subset))
-        worst = max(worst, rep.residual)
+            value = common_point(BodyFamily(bodies)).residual
+        if value > INTERSECT_TOL:
+            return IntersectionReport(False, None, value, list(subset))
+        worst = max(worst, value)
     return IntersectionReport(intersects=True, witness=None, residual=worst)
 
 

@@ -296,43 +296,34 @@ def _solve_epigraph_qp(T, qp, q, h_rows, prefix0, xt0, what):
     return z[:d], _clean_simplex(z[d : d + k])
 
 
-def _psi_qp(T: OperatorGraph, xt):
-    """Minimize the epigraph form of Psi's inner problem at the point x~."""
+def psi_eval(T: OperatorGraph, x, xstar) -> float:
+    """Proximal average of Phi and Phi*t evaluated at (x, x*): the epigraph
+    form of Psi's inner problem, minimized at the point x~ = (x, x*)."""
+    xt = np.concatenate([as_vector(x), as_vector(xstar)])
     Arows, Brows, o, BA = T._atoms
     q = np.concatenate([-(Arows @ xt) + 0.5 * o, [0.5]])
     _, lam = _solve_epigraph_qp(
         T, T._psi_constants, q, o - 2.0 * (Brows @ xt), np.zeros(0), xt, "Psi"
     )
-    return _psi_value_at(Arows, Brows, o, BA, xt, lam), lam
+    return _psi_value_at(Arows, Brows, o, BA, xt, lam)
 
 
-def psi_eval(T: OperatorGraph, x, xstar) -> float:
-    """Proximal average of Phi and Phi*t evaluated at (x, x*)."""
-    xt = np.concatenate([as_vector(x), as_vector(xstar)])
-    return _psi_qp(T, xt)[0]
-
-
-def _psi_conj_qp(T: OperatorGraph, wt):
-    """Exact Psi*(w~) = sup over x~ of <w~, x~> - Psi(x~).
+def psi_conj_eval(T: OperatorGraph, y, ystar) -> float:
+    """Conjugate of Psi, evaluated exactly (no search box needed):
+    Psi*(w~) = sup over x~ of <w~, x~> - Psi(x~) at w~ = (y, y*).
 
     The inner minimization over the simplex commutes with the outer supremum
     (the objective is jointly concave in (x~, -l)), so the whole conjugate is
     one concave-maximization QP over (x~, l, t).
     """
+    wt = np.concatenate([as_vector(y), as_vector(ystar)])
     Arows, Brows, o, BA = T._atoms
     q = np.concatenate([-wt, 0.5 * o, [0.5]])
     xt0 = np.concatenate([wt[T.dim :], wt[: T.dim]])
     xt, lam = _solve_epigraph_qp(
         T, T._psi_conj_constants, q, o, xt0, xt0, "Psi conjugate"
     )
-    value = float(wt @ xt) - _psi_value_at(Arows, Brows, o, BA, xt, lam)
-    return value, xt, lam
-
-
-def psi_conj_eval(T: OperatorGraph, y, ystar) -> float:
-    """Conjugate of Psi, evaluated exactly (no search box needed)."""
-    wt = np.concatenate([as_vector(y), as_vector(ystar)])
-    return _psi_conj_qp(T, wt)[0]
+    return float(wt @ xt) - _psi_value_at(Arows, Brows, o, BA, xt, lam)
 
 
 def autoconjugacy_check(T: OperatorGraph, samples) -> float:
@@ -344,7 +335,7 @@ def autoconjugacy_check(T: OperatorGraph, samples) -> float:
         if s.shape[0] != 2 * n:
             raise DimensionMismatchError("samples must live in R^(2n)")
         st = np.concatenate([s[n:], s[:n]])
-        gap = abs(psi_conj_eval(T, st[:n], st[n:]) - _psi_qp(T, s)[0])
+        gap = abs(psi_conj_eval(T, st[:n], st[n:]) - psi_eval(T, s[:n], s[n:]))
         worst = max(worst, gap)
     return worst
 

@@ -23,6 +23,8 @@ Internal helper used by other modules:
   polytope and give the closest pair of two polytopes).  It terminates on
   an exact KKT point, which is what lets epigraph reformulations of
   max-affine objectives reach 1e-12 accuracy.
+  Its ratio test lets every inactive row with (G d)_i > 0 block a step, so
+  a step crosses no row by more than rounding, however long the ray.
   Its iteration cap follows from the number of inequalities.  An active
   bound (a row of G with one nonzero) pins its coordinate, so the SVD
   covers only the equalities and the active general rows over the free
@@ -298,12 +300,16 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None):
     stationary point the same rows get their multipliers by least squares
     over the unpinned coordinates, and each active bound's multiplier is read
     off its pinned column; Bland's rule then drops the lowest-index active
-    row with a negative multiplier.  When P is zero the reduced Hessian is
-    zero, so the step is the ray -Z Z'grad, or none when that ray is below
-    1e-11 of the gradient scale.  A point is stationary when the step or the
-    reduced gradient Z'grad is below 1e-11 of its scale.  The cap is
-    200 + 80 (rows of G + 1) iterations.  Returns (z, info) with info
-    carrying converged / iters.
+    row with a negative multiplier.  The ratio test's blocking rows are the
+    inactive rows with (G d)_i > 0, with no tolerance: a row skipped for a
+    tiny (G d)_i is crossed by alpha (G d)_i on a long ray step, and Kelley's
+    cuts in convex_sets then cycle.  A ray that no row blocks and no
+    curvature bounds raises SolverCapError as unbounded.  When P is zero the
+    reduced Hessian is zero, so the step is the ray -Z Z'grad, or none when
+    that ray is below 1e-11 of the gradient scale.  A point is stationary
+    when the step or the reduced gradient Z'grad is below 1e-11 of its
+    scale.  The cap is 200 + 80 (rows of G + 1) iterations.  Returns (z,
+    info) with info carrying converged / iters.
 
     Each working set's factors are memoised in a dict keyed by the active
     mask's bytes: the pinned columns, C, Z and, once needed, the eigh of
@@ -375,8 +381,7 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None):
             continue
         gd = G @ d
         slack = (h - G @ z).clip(0.0, None)
-        gd_tol = 1e-13 * (1.0 + float(np.abs(gd).max(initial=0.0)))
-        blocking = (~active & (gd > gd_tol)).nonzero()[0]
+        blocking = (~active & (gd > 0.0)).nonzero()[0]
         alpha_max = np.inf
         block_idx = -1
         if blocking.size:
@@ -391,14 +396,10 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None):
                 alpha = min(-slope / curv, alpha_max)
             elif np.isfinite(alpha_max):
                 alpha = alpha_max
-            elif slope < 0:
-                raise SolverCapError("QP is unbounded below")
             else:
-                alpha = 0.0
+                raise SolverCapError("QP is unbounded below")
         else:
             alpha = min(1.0, alpha_max)
-        if not np.isfinite(alpha):
-            alpha = 1.0
         if alpha > 0.0:
             z = z + alpha * d
         if block_idx >= 0 and alpha_max <= alpha + 1e-15:

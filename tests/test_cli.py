@@ -10,6 +10,7 @@ from lipext.errors import BoxExhaustionError
 from lipext import convex_functions as cf
 from lipext import monotone
 from lipext import io_formats as io
+from lipext.geometry import Ball
 from test_helly import touching_families
 
 
@@ -725,3 +726,61 @@ def test_json_integer_too_long_exit_2(tmp_path, capsys):
     assert err.startswith(f"lipext: parse error: {function}: Exceeds the limit (4300 digits)")
     assert len(err.splitlines()) == 1
     assert not os.path.exists(out) and not os.path.exists(out + ".manifest.json")
+
+
+class TestFunctionFromDict:
+    """Each node kind builds the tree that its constructor builds, so the
+    two evaluate bit for bit alike."""
+
+    QUAD = {"node": "quadratic", "n": 1}
+    AFFINE = {"node": "max_affine", "slopes": [[1.0], [-2.0]], "offsets": [0.0, 0.25]}
+    BOX = {"lo": [-2.0], "hi": [2.0]}
+    POINTS = ([0.0], [0.7], [-1.3], [2.0])
+
+    def built(self):
+        quad = cf.Quadratic(1)
+        affine = cf.MaxAffine(np.array([[1.0], [-2.0]]), np.array([0.0, 0.25]))
+        return {
+            "indicator": (
+                {"node": "indicator", "body": {"kind": "ball", "center": [0.5], "radius": 1.0}},
+                cf.Indicator(Ball([0.5], 1.0)),
+            ),
+            "sum": (
+                {"node": "sum", "children": [self.QUAD, self.AFFINE], "coefficients": [2, 0.5]},
+                cf.Sum((quad, affine), (2.0, 0.5)),
+            ),
+            "scale": (
+                {"node": "scale", "factor": 3.0, "child": self.AFFINE},
+                cf.Scale(3.0, affine),
+            ),
+            "epi_scale": (
+                {"node": "epi_scale", "factor": 0.5, "child": self.QUAD},
+                cf.EpiScale(0.5, quad),
+            ),
+            "translate": (
+                {"node": "translate", "shift": [0.25], "slope": [-1.0], "offset": 1.5,
+                 "child": self.AFFINE},
+                cf.Translate(np.array([0.25]), np.array([-1.0]), 1.5, affine),
+            ),
+            "prox_avg": (
+                {"node": "prox_avg", "left": self.QUAD, "right": self.AFFINE, "box": self.BOX},
+                cf.ProxAvg(quad, affine, cf.Box(np.array([-2.0]), np.array([2.0]))),
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "node", ["indicator", "sum", "scale", "epi_scale", "translate", "prox_avg"]
+    )
+    def test_matches_the_constructed_node(self, node):
+        tree, direct = self.built()[node]
+        parsed = io.function_from_dict(tree)
+        for x in self.POINTS:
+            assert cf.eval(parsed, np.array(x)) == cf.eval(direct, np.array(x))
+
+    def test_default_box_fills_a_missing_box(self):
+        tree = {"node": "conjugate", "child": self.QUAD}
+        parsed = io.function_from_dict(tree, default_box=3.0)
+        direct = cf.Conjugate(cf.Quadratic(1), cf.cube(3.0, 1))
+        assert parsed.box.lo.tolist() == [-3.0] and parsed.box.hi.tolist() == [3.0]
+        for x in self.POINTS:
+            assert cf.eval(parsed, np.array(x)) == cf.eval(direct, np.array(x))

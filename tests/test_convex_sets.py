@@ -206,6 +206,14 @@ class TestSeparation:
         assert np.allclose(h.normal, [1.0, 0.0], atol=1e-12)
         assert h.offset == pytest.approx(2.0, abs=1e-12)
 
+    def test_ball_and_polytope_in_either_order(self):
+        ball = Ball([0.0, 0.0], 1.0)
+        triangle = Polytope([[3.0, 0.0], [3.0, 1.0], [4.0, 0.0]])
+        for A, B, sign in ((ball, triangle, 1.0), (triangle, ball, -1.0)):
+            h = separate(A, B)
+            assert np.allclose(h.normal, [sign, 0.0], rtol=0.0, atol=1e-12)
+            assert h.offset == pytest.approx(2.0 * sign, abs=1e-12)
+
     def test_two_segments(self):
         A = Polytope([[0.0, 0.0], [0.0, 1.0]])
         B = Polytope([[2.0, 0.0], [2.0, 1.0]])

@@ -43,6 +43,20 @@ def touching_families(n, count=20, balls=None, polytopes=0):
     return out
 
 
+def cut_cycling_family(shift=0.0):
+    """A triangle and a ball in R^3, about 7.9e-4 apart, shifted by `shift`
+    in every coordinate.  A ratio test that let rows with G d below 1e-13 of
+    the largest go unblocked crossed its cuts by up to 7.9e-8, and the
+    least-squares cuts then cycled to their round cap."""
+    V = np.array([
+        [0.12933583, -0.2309303, 0.05439155],
+        [0.88716085, -0.26979177, 0.08033103],
+        [0.16516175, -0.24683542, 0.41837829],
+    ])
+    center = np.array([0.62882581, -0.19384161, 1.02288899])
+    return BodyFamily([Polytope(V + shift), Ball(center + shift, 0.7455249470098184)])
+
+
 def shuffled(family, seed):
     order = SplitMix64(seed).shuffle(list(range(len(family))))
     return BodyFamily([family.bodies[i] for i in order])
@@ -216,6 +230,18 @@ class TestHellyVerify:
             if sub.intersects:
                 rep = common_point(fam)
                 assert rep.residual <= 1e-6
+
+    @pytest.mark.parametrize("shift", [0.0, 1e4, 1e5])
+    def test_polytope_and_ball_whose_cuts_cycled(self, shift):
+        family = cut_cycling_family(shift)
+        rep = helly_verify(family)
+        assert not rep.intersects and rep.violating_subset == [0, 1]
+        # Two bodies: the residual is half their distance.
+        poly, ball = family.bodies
+        gap = distance(ball.center, poly) - ball.radius
+        assert rep.residual == pytest.approx(gap / 2.0, rel=0.0, abs=1e-10)
+        subset = [family.bodies[i] for i in rep.violating_subset]
+        assert not common_point(BodyFamily(subset)).intersects
 
 
 class TestJung:

@@ -371,3 +371,99 @@ def test_scan_flags_a_dense_self_pair_difference():
     assert self_pair_differences(source) == [
         "pts[:, None, :] - pts[None, :, :]", "x[None] - x[:, None]",
     ]
+
+
+def _defaulted_parameters(source):
+    """(callee name, parameter, position in a call or None if keyword-only)
+    for each defaulted parameter in source; a method's position skips self,
+    and an __init__ is called by its class's name."""
+    tree = ast.parse(source)
+    owner = {
+        id(fn): cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        bound = id(node) in owner and not any(
+            getattr(d, "id", None) == "staticmethod" for d in node.decorator_list
+        )
+        name = owner[id(node)] if bound and node.name == "__init__" else node.name
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, a in enumerate(positional[first:], first):
+            out.append((name, a.arg, i - bound))
+        for a, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                out.append((name, a.arg, None))
+    return out
+
+
+def unset_parameters(defining, calling):
+    """"function.parameter" for each defaulted parameter in the defining
+    sources that no call in the calling sources passes, by position or by
+    keyword.  A call with *args passes every position, one with **kwargs
+    every keyword."""
+    calls = {}
+    for source in calling:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append((
+                    float("inf") if starred else len(node.args),
+                    {k.arg for k in node.keywords},
+                ))
+    return sorted(
+        f"{name}.{param}"
+        for source in defining
+        for name, param, index in _defaulted_parameters(source)
+        if not any(
+            (index is not None and count > index) or param in keys or None in keys
+            for count, keys in calls.get(name, [])
+        )
+    )
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # A default that no caller overrides is a constant, not a parameter.
+    root = SRC.parents[1]
+    everywhere = [
+        path.read_text()
+        for folder in ("src", "tests", "demos", "bench")
+        for path in sorted((root / folder).rglob("*.py"))
+    ]
+    library = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert unset_parameters(library, everywhere) == []
+
+
+def test_scan_flags_an_unset_parameter():
+    source = (
+        "def by_position(x, scale=1.0, shift=0.0):\n"
+        "    return scale * x + shift\n"
+        "def by_keyword(x, *, tol=1e-9, cap=None):\n"
+        "    return x\n"
+        "def splatted(x, a=0, *, b=1):\n"
+        "    return x\n"
+        "class Node:\n"
+        "    def __init__(self, child, box=None):\n"
+        "        self.child = child\n"
+        "    def eval(self, x, strict=False):\n"
+        "        return x\n"
+        "    @staticmethod\n"
+        "    def make(x, fast=True):\n"
+        "        return x\n"
+        "by_position(1.0, 2.0)\n"
+        "by_keyword(1.0, tol=1e-6)\n"
+        "splatted(*xs, **kw)\n"
+        "Node(None).eval(1.0, True)\n"
+        "Node.make(1.0, False)\n"
+    )
+    assert unset_parameters([source], [source]) == [
+        "Node.box", "by_keyword.cap", "by_position.shift",
+    ]

@@ -19,6 +19,7 @@ from lipext.solvers import (
     minimize_quadratic_over_simplex,
     solve_qp,
 )
+from test_helly import cut_cycling_family
 
 
 def projection_instance(vertices, x):
@@ -298,6 +299,36 @@ def _least_squares_instances():
             ]
             bodies[0] = Polytope(_points(rng, 2, n))
             least_squares_points(bodies)
+
+
+class TestRatioTest:
+    """Every inactive row with (G d)_i > 0 blocks a step, so no solve_qp
+    result lies outside a row of G z <= h by more than rounding."""
+
+    def crossings(self, monkeypatch, run):
+        """max_i (G z - h)_i / (1 + |h_i|) of each solve_qp that run() makes
+        through convex_sets."""
+        worst = []
+
+        def recording(P, q, A_eq, b_eq, G, h, z0, **kwargs):
+            z, info = solve_qp(P, q, A_eq, b_eq, G, h, z0, **kwargs)
+            excess = (np.asarray(G) @ z - h) / (1.0 + np.abs(h))
+            worst.append(float(np.max(excess, initial=-np.inf)))
+            return z, info
+
+        monkeypatch.setattr(convex_sets, "solve_qp", recording)
+        run()
+        return worst
+
+    @pytest.mark.parametrize("shift", [0.0, 1e4, 1e5])
+    def test_cut_rounds_of_a_polytope_and_a_ball(self, monkeypatch, shift):
+        bodies = cut_cycling_family(shift).bodies
+        worst = self.crossings(monkeypatch, lambda: least_squares_points(bodies))
+        assert len(worst) > 1 and max(worst) <= 1e-12
+
+    def test_least_squares_instances(self, monkeypatch):
+        worst = self.crossings(monkeypatch, _least_squares_instances)
+        assert len(worst) == 42 and max(worst) <= 1e-12
 
 
 class TestSolveQPDigest:
