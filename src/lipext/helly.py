@@ -86,8 +86,9 @@ def _decide(family):
     for the violating subset: for balls x - c_i and the balls within
     1e-9 (1 + t) of tight at x; otherwise x - p_i in the QP's coordinates
     centered on x0 (their rounding scales with the spread, not with x0) and
-    the p_i more than 1e-12 (1 + the largest such coordinate) from x, since
-    a closer p_i is rounding and its normal points anywhere."""
+    the p_i more than 1e-11 (1 + s) from x, s the largest such coordinate or
+    radius, since a closer p_i is rounding and its normal points anywhere:
+    a ball's point may sit 1e-12 (1 + r) outside it (the cut test)."""
     bodies = family.bodies
     if _all_balls(family):
         centers, radii = _ball_arrays(bodies)
@@ -100,7 +101,9 @@ def _decide(family):
         x = points.mean(axis=0)
         residual = float(np.max(np.linalg.norm(x - points, axis=1)))
         diff = centered.mean(axis=0) - centered
-        away = np.linalg.norm(diff, axis=1) > 1e-12 * (1.0 + np.max(np.abs(centered)))
+        radii = [b.radius for b in bodies if isinstance(b, Ball)]
+        scale = 1.0 + max([np.max(np.abs(centered))] + radii)
+        away = np.linalg.norm(diff, axis=1) > 1e-11 * scale
     report = IntersectionReport(residual <= INTERSECT_TOL, x, residual)
     return report, diff, np.flatnonzero(away)
 

@@ -19,6 +19,7 @@ QP solved exactly by the dense active-set solver, so residuals reach machine
 precision rather than first-order-method accuracy.
 """
 
+from collections import ChainMap
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,7 +37,8 @@ class OperatorGraph:
 
     Set multi_valued=True to allow one x to carry several x* values;
     otherwise duplicate points with conflicting values (beyond 1e-12) are
-    rejected.  The QPs' query-independent data are memoised on the graph.
+    rejected.  The QPs' query-independent data are memoised on the graph,
+    with the working sets of each QP family's last call.
     """
 
     points: np.ndarray
@@ -259,9 +261,11 @@ def _vertex_start(Brows, BA, o, xt):
 
 
 def _epigraph_qp(T, D, M, G_prefix):
-    """(P, G, A_eq) of an epigraph QP over z = (u, l, t) on T's atoms:
+    """(P, G, A_eq, memo) of an epigraph QP over z = (u, l, t) on T's atoms:
     P = [[D, -M, 0], [-M', Arows Arows', 0], [0, 0, 0]]; the rows
-    G_prefix u - BA l - t and the bounds -l <= 0; and sum l = 1."""
+    G_prefix u - BA l - t and the bounds -l <= 0; sum l = 1; and the
+    solve_qp memo that carries the last call's working sets (see
+    _solve_epigraph_qp)."""
     Arows, _, _, BA = T._atoms
     k, d = G_prefix.shape
     nz = d + k + 1
@@ -277,20 +281,28 @@ def _epigraph_qp(T, D, M, G_prefix):
     G[k:, d : d + k] = -np.eye(k)
     A_eq = np.zeros((1, nz))
     A_eq[0, d : d + k] = 1.0
-    return P, G, A_eq
+    return P, G, A_eq, ChainMap()
 
 
 def _solve_epigraph_qp(T, qp, q, h_rows, prefix0, xt0, what):
-    """Solve min 1/2 z'Pz + q'z, qp = (P, G, A_eq), with G z <= (h_rows, 0)
-    from the vertex start at u = prefix0, whose x~ is xt0.  Returns (u, l)
-    for z = (u, l, t); raises SolverCapError at the cap."""
-    P, G, A_eq = qp
+    """Solve min 1/2 z'Pz + q'z, qp = (P, G, A_eq, memo), with G z <=
+    (h_rows, 0) from the vertex start at u = prefix0, whose x~ is xt0.
+    Returns (u, l) for z = (u, l, t); raises SolverCapError at the cap.
+
+    The memo is a ChainMap whose last map holds the working sets of the
+    family's previous call, where solve_qp looks first; it writes the ones
+    it meets into the first map, which then replaces the last.  So a graph
+    keeps one call's working sets per family.  (Psi's P is zero only when
+    every atom is, and then its q is the same for every query, as a P = 0
+    memo requires.)"""
+    P, G, A_eq, memo = qp
     _, Brows, o, BA = T._atoms
     d, k = prefix0.shape[0], BA.shape[0]
     h = np.concatenate([h_rows, np.zeros(k)])
     lam0, t0, active = _vertex_start(Brows, BA, o, xt0)
     z0 = np.concatenate([prefix0, lam0, [t0]])
-    z, info = solve_qp(P, q, A_eq, [1.0], G, h, z0, initial_active=active)
+    z, info = solve_qp(P, q, A_eq, [1.0], G, h, z0, initial_active=active, memo=memo)
+    memo.maps = [{}, memo.maps[0]]
     if not info["converged"]:
         raise SolverCapError(f"{what} QP capped at {info['iters']} iterations")
     return z[:d], _clean_simplex(z[d : d + k])
@@ -348,8 +360,12 @@ def resolvent_eval(T: OperatorGraph, x):
     so the returned residual doubles as the convergence certificate
     (converged iff residual <= 1e-6; the active-set solve normally lands at
     ~1e-14).  The QP's P, G and A_eq are built once per graph and memoised
-    on T; only q, h and the vertex start are per query.  Returns (y,
-    residual); a QP stopped at its iteration cap raises SolverCapError.
+    on T; only q, h and the vertex start are per query.  T also carries the
+    factors of the working sets that its last query met, and this query
+    looks each working set up there before it factors it (no iterate
+    carries over, so the result is the same bits as on a fresh graph).
+    Returns (y, residual); a QP stopped at its iteration cap raises
+    SolverCapError.
     """
     x = as_vector(x)
     if x.shape[0] != T.dim:

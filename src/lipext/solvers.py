@@ -28,20 +28,29 @@ Internal helper used by other modules:
   Its iteration cap follows from the number of inequalities.  An active
   bound (a row of G with one nonzero) pins its coordinate, so the SVD
   covers only the equalities and the active general rows over the free
-  coordinates; it is redone only when the working set changes, and the
-  bound's multiplier is read off its column.  With P = 0 it solves the
-  conjugate LP with no eigendecomposition: every step is a ray.
+  coordinates.  It is done once per working set: its null space gives the
+  steps, and its range factors give the multipliers of the equalities and
+  general rows at a stationary point, while each bound's multiplier is read
+  off its column.  With P = 0 it solves the conjugate LP with no
+  eigendecomposition: every step is a ray.
 
 Memo contract.  solve_qp and minimize_quadratic_over_simplex take an
-optional memo, a dict that the caller owns and passes to every call of one
-fixed QP family: the same P, A_eq and G and, when P = 0, the same q (a P = 0
-memo stores q's bytes and raises ValueError on another q).  It maps each
-working set, keyed by the active mask's bytes, to its factors (and with
-P = 0 to its step plan), so a working set met again in a later call is not
-refactored.  Entries depend only on that fixed data and the working set, so
-passing a memo never moves a bit of a result.  The polyhedral conjugate node
-owns one memo for its screen and one for its LP; nothing here keeps a memo
-between calls.
+optional memo, a mapping that the caller owns and passes to every call of
+one fixed QP family: the same P, A_eq and G and, when P = 0, the same q (a
+P = 0 memo stores q's bytes and raises ValueError on another q).  It maps
+each working set, keyed by the active mask's bytes, to its factors (and
+with P = 0 to its step plan), so a working set met again in a later call is
+not refactored; the QP's bound rows sit under the key None, and the simplex
+wrapper's constants (half of Q's diagonal, the sum row, -I and zero h)
+under "simplex".  A call writes every entry it uses back into the memo,
+found or built, so a collections.ChainMap(fresh, last) gathers exactly that
+call's entries in fresh while it reads last's.  Entries depend only on the
+fixed data and the working set, so passing a memo never moves a bit of a
+result.  Owners: the polyhedral conjugate node keeps one memo for its
+screen and one for its LP; chebyshev_center shares one among its Newton
+steps' duals; each monotone.OperatorGraph carries, per QP family, the
+working sets of its last call only.  Nothing here keeps a memo between
+calls.
 
 All routines are pure and deterministic: identical inputs produce
 bit-identical reports.
@@ -79,9 +88,9 @@ def minimize_quadratic_over_simplex(quad, c, k, *, constant=0.0, memo=None):
     One solve_qp from the best vertex e_j, j = argmin_j (Q_jj / 2 + c_j), with
     every other bound l_i >= 0 in the working set.  quad is a dense PSD
     matrix.  memo is passed on to solve_qp: calls that share it share quad
-    (and c when quad is zero).  The returned residual is the duality gap
-    g'l - min g at the solution, a valid upper bound on the suboptimality
-    for any PSD instance.
+    (and c when quad is zero), and it also keeps the QP's constants, built
+    once.  The returned residual is the duality gap g'l - min g at the
+    solution, a valid upper bound on the suboptimality for any PSD instance.
     Raises SolverCapError when the QP stops at its cap or the gap exceeds
     TOL (1 + |value|).
     """
@@ -90,11 +99,18 @@ def minimize_quadratic_over_simplex(quad, c, k, *, constant=0.0, memo=None):
     K = int(k)
     if c.shape[0] != K:
         raise ValueError("linear term length does not match k")
-    j = int(np.argmin(0.5 * np.diag(Q) + c))
-    z0 = np.zeros(K)
+    if memo is None:
+        memo = {}
+    consts = memo.get("simplex")
+    if consts is None:
+        consts = 0.5 * np.diag(Q), np.ones((1, K)), -np.eye(K), np.zeros(K)
+    memo["simplex"] = consts
+    half_diag, ones, bounds, zeros = consts
+    j = int(np.argmin(half_diag + c))
+    z0 = zeros.copy()
     z0[j] = 1.0
     z, info = solve_qp(
-        Q, c, np.ones((1, K)), [1.0], -np.eye(K), np.zeros(K), z0,
+        Q, c, ones, [1.0], bounds, zeros, z0,
         initial_active=[i for i in range(K) if i != j], memo=memo,
     )
     if not info["converged"]:
@@ -134,11 +150,13 @@ def chebyshev_center(centers, radii):
     Q = 2.0 * (C @ C.T)
     sq_norms = np.sum(C * C, axis=1)
     scale = 1.0 + float(np.max(radii) ** 2) + float(np.max(np.abs(sq_norms)))
+    # Every dual shares Q; with Q = 0 (one center) a memo would serve one c.
+    memo = {} if Q.any() else None
 
     def dual_solve(t):
         infl = radii + t
         gains = sq_norms - infl ** 2
-        report = minimize_quadratic_over_simplex(Q, -gains, C.shape[0])
+        report = minimize_quadratic_over_simplex(Q, -gains, C.shape[0], memo=memo)
         lam = report.argmin.weights
         phi = -report.value
         slope = -2.0 * float(lam @ infl)
@@ -183,23 +201,27 @@ def chebyshev_center(centers, radii):
 
 
 def _nullspace(C, K, fixed):
-    """Orthonormal K x r basis of {d : C d = 0, d[fixed] = 0}.
+    """Orthonormal K x r basis Z of {d : C d = 0, d[fixed] = 0}, and the
+    rank part (u, s, vt) of the SVD of C over the free columns, or None when
+    C has no rows.
 
     fixed is a boolean mask of pinned columns.  The SVD runs only on the free
-    columns of C, and the basis is zero on the pinned ones.
+    columns of C, and the basis is zero on the pinned ones.  Singular values
+    up to 1e-13 max(shape) s_max count as zero in both.
     """
     free = (~fixed).nonzero()[0]
     Cf = C[:, free]
     if Cf.shape[0] == 0:
-        basis = np.eye(free.size)
+        basis, svd = np.eye(free.size), None
     else:
-        _, s, vt = np.linalg.svd(Cf, full_matrices=True)
+        u, s, vt = np.linalg.svd(Cf, full_matrices=True)
         rank_tol = max(Cf.shape) * (s[0] if s.size else 0.0) * 1e-13
         rank = int((s > rank_tol).sum())
-        basis = vt[rank:].T
+        # Copies, so that a memo does not keep the full u and vt alive.
+        basis, svd = vt[rank:].T, (u[:, :rank].copy(), s[:rank], vt[:rank].copy())
     Z = np.zeros((K, basis.shape[1]))
     Z[free] = basis
-    return Z
+    return Z, svd
 
 
 def _restore_equalities(A_eq, b_eq, z):
@@ -214,10 +236,11 @@ def _restore_equalities(A_eq, b_eq, z):
 
 class _WorkingSet:
     """One working set's factors: its pinned columns, C (A_eq over the active
-    general rows), the null space Z, and once needed the eigendecomposition
-    of Z'PZ (P != 0) or the step plan (P = 0)."""
+    general rows), the null space Z and the rank part of the SVD of C over
+    the free columns, and once needed the eigendecomposition of Z'PZ
+    (P != 0) or the step plan (P = 0)."""
 
-    __slots__ = ("fixed", "C", "Z", "eig", "plan")
+    __slots__ = ("fixed", "C", "Z", "svd", "eig", "plan")
 
     def __init__(self, A_eq, G, active, single, pin_col):
         K = A_eq.shape[1]
@@ -225,7 +248,7 @@ class _WorkingSet:
         self.fixed[pin_col[active & single]] = True
         rows = active & ~single
         self.C = np.concatenate((A_eq, G[rows])) if rows.any() else A_eq
-        self.Z = _nullspace(self.C, K, self.fixed)
+        self.Z, self.svd = _nullspace(self.C, K, self.fixed)
         self.eig = self.plan = None
 
 
@@ -233,9 +256,11 @@ def _drop_row(grad, local, active, ws, G, single, pin_col, me):
     """Bland's rule at a stationary point: the lowest-index active row with a
     multiplier below -1e-11 local, or -1 at a KKT point.
 
-    The equalities' and active general rows' multipliers come by least
-    squares over the free columns, then each active bound's is read off its
-    pinned column, where nothing else balances the gradient.
+    The equalities' and active general rows' multipliers nu solve C_f' nu =
+    -grad_f in least squares over the free columns f, through the working
+    set's own SVD C_f = u diag(s) vt, as nu = u (vt (-grad_f) / s); then each
+    active bound's is read off its pinned column, where nothing else
+    balances the gradient.
     """
     act_idx = active.nonzero()[0]
     is_bound = single[act_idx]
@@ -243,7 +268,8 @@ def _drop_row(grad, local, active, ws, G, single, pin_col, me):
     mult = np.empty(act_idx.size)
     C, free = ws.C, ~ws.fixed
     if C.shape[0]:
-        nu, *_ = np.linalg.lstsq(C[:, free].T, -grad[free], rcond=None)
+        u, s, vt = ws.svd
+        nu = u @ ((vt @ -grad[free]) / s)
         resid = grad + C.T @ nu
         mult[~is_bound] = nu[me:]
     bounds = act_idx[is_bound]
@@ -297,10 +323,10 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None):
     Rows of G with a single nonzero are bounds: while one is active its
     coordinate is pinned, and the null space Z is found by an SVD of A_eq
     and the active general rows restricted to the unpinned coordinates.  At a
-    stationary point the same rows get their multipliers by least squares
-    over the unpinned coordinates, and each active bound's multiplier is read
-    off its pinned column; Bland's rule then drops the lowest-index active
-    row with a negative multiplier.  The ratio test's blocking rows are the
+    stationary point the same rows get their least-squares multipliers from
+    that SVD's range factors, and each active bound's multiplier is read off
+    its pinned column; Bland's rule then drops the lowest-index active row
+    with a negative multiplier.  The ratio test's blocking rows are the
     inactive rows with (G d)_i > 0, with no tolerance: a row skipped for a
     tiny (G d)_i is crossed by alpha (G d)_i on a long ray step, and Kelley's
     cuts in convex_sets then cycle.  A ray that no row blocks and no
@@ -311,17 +337,13 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None):
     scale.  The cap is 200 + 80 (rows of G + 1) iterations.  Returns (z,
     info) with info carrying converged / iters.
 
-    Each working set's factors are memoised in a dict keyed by the active
-    mask's bytes: the pinned columns, C, Z and, once needed, the eigh of
-    Z'PZ; with P = 0 also the step plan (the ray, or the row to drop, or
-    convergence), which depends on q and not on z.  The bound rows, the
-    pinned column of each and whether P is zero are kept under the key None.
-    memo, when given, is that dict, owned by the caller and shared by its
-    calls, which must then share P, A_eq and G and, when P = 0, q: q's bytes
-    are stored with the first call, and a later call whose q differs raises
-    ValueError.  Every entry is a deterministic function of these and of the
-    working set, so a memo never moves a bit of the result.  Without one the
-    memo lives for the one call.
+    Each working set's factors are memoised in memo, keyed by the active
+    mask's bytes, under the module's memo contract: the pinned columns, C,
+    Z, the rank part of the SVD and, once needed, the eigh of Z'PZ; with
+    P = 0 also the step plan (the ray, or the row to drop, or convergence),
+    which depends on q and not on z.  The bound rows, the pinned column of
+    each, whether P is zero and then q's bytes sit under the key None.
+    Without a memo one lives for the one call.
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -333,14 +355,16 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None):
     me, mi = A_eq.shape[0], G.shape[0]
     if memo is None:
         memo = {}
-    if None not in memo:
+    consts = memo.get(None)
+    if consts is None:
         # A row with one nonzero (a bound) pins its column while it is active.
         linear = not P.any()
-        memo[None] = (
+        consts = (
             np.count_nonzero(G, axis=1) == 1, np.argmax(G != 0, axis=1),
             linear, q.tobytes() if linear else None,
         )
-    single, pin_col, linear, q_bytes = memo[None]
+    memo[None] = consts
+    single, pin_col, linear, q_bytes = consts
     if linear and q.tobytes() != q_bytes:
         raise ValueError("a memo of a QP with P = 0 serves one q only")
     z = _restore_equalities(A_eq, b_eq, np.asarray(z0, dtype=float).copy())
@@ -359,7 +383,8 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None):
             key = active.tobytes()
             ws = memo.get(key)
             if ws is None:
-                ws = memo[key] = _WorkingSet(A_eq, G, active, single, pin_col)
+                ws = _WorkingSet(A_eq, G, active, single, pin_col)
+            memo[key] = ws
         if ws.plan is not None:
             d, ray, drop = ws.plan
         else:

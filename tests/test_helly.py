@@ -580,6 +580,41 @@ def test_near_tolerance_pair_among_many_bodies():
         assert rep.residual == pytest.approx(gap / 2.0, rel=1e-4)
 
 
+def squares_and_holders(seed):
+    """Two unit squares 0.1 to 2 apart, then one to three balls of radius 1
+    to 1e4 and up to two triangles (sides 1e-3 to 1e2) that hold the
+    squares' least-squares mean x: each ball has x on its sphere or up to
+    1e-3 inside it, and each triangle has x as a vertex.  From SplitMix64
+    seeded by `seed`."""
+    rng = SplitMix64(seed)
+    squares = [unit_square([0.0, 0.0]), unit_square([1.0 + rng.uniform(0.1, 2.0), 0.0])]
+    x = common_point(BodyFamily(squares)).witness
+    bodies = list(squares)
+    for _ in range(1 + rng.integer(3)):
+        r = 10.0 ** rng.uniform(0.0, 4.0)
+        u = np.array([rng.normal(), rng.normal()])
+        depth = rng.uniform(0.0, 1e-3) if rng.uniform() < 0.5 else 0.0
+        bodies.append(Ball(x + (r - depth) * u / np.linalg.norm(u), r))
+    for _ in range(rng.integer(3)):
+        size = 10.0 ** rng.uniform(-3.0, 2.0)
+        offsets = [[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(2)]
+        bodies.append(Polytope(np.vstack([x, x + size * np.array(offsets)])))
+    return BodyFamily(bodies)
+
+
+@pytest.mark.parametrize("seed", [903, 1242, 1910])
+def test_bodies_holding_the_mean_give_no_normal(seed):
+    # A ball's least-squares point may sit 1e-12 (1 + r) outside it.  The
+    # bodies holding x here sit 2e-11 to 1.7e-7 from it; with a guard scaled
+    # by the centered coordinates alone, their normals made Caratheodory
+    # pick bodies that meet, and no subset was returned.
+    family = squares_and_holders(seed)
+    rep = helly_verify(family)
+    subset = rep.violating_subset
+    assert not rep.intersects and subset is not None and len(subset) <= 3
+    assert not common_point(BodyFamily([family.bodies[i] for i in subset])).intersects
+
+
 def test_helly_verify_never_enumerates(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("helly_verify must not enumerate subsets")

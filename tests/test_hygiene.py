@@ -467,3 +467,39 @@ def test_scan_flags_an_unset_parameter():
     assert unset_parameters([source], [source]) == [
         "Node.box", "by_keyword.cap", "by_position.shift",
     ]
+
+
+def lstsq_callers(source):
+    """Top-level functions of source whose body calls lstsq."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) == "lstsq"
+            for n in ast.walk(node)
+        )
+    ]
+
+
+def test_solve_qp_refactors_nothing_by_lstsq():
+    # solve_qp reads its multipliers off each working set's own SVD; lstsq
+    # only restores the equalities.  chebyshev_center's lstsq is its final
+    # Gauss-Newton step over the balls tight at y, not a working set.
+    source = (SRC / "solvers.py").read_text()
+    assert lstsq_callers(source) == ["chebyshev_center", "_restore_equalities"]
+
+
+def test_scan_flags_an_lstsq_call():
+    source = (
+        "def _restore_equalities(A, r):\n"
+        "    return np.linalg.lstsq(A, r, rcond=None)[0]\n"
+        "def _drop_row(C, g):\n"
+        "    def inner():\n"
+        "        return lstsq(C.T, -g)\n"
+        "    return inner()\n"
+        "def _direction(Z, g):\n"
+        "    return Z @ -(Z.T @ g)\n"
+    )
+    assert lstsq_callers(source) == ["_restore_equalities", "_drop_row"]

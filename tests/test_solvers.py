@@ -107,7 +107,7 @@ class TestChebyshevCenter:
     def test_newton_cap_raises(self, monkeypatch):
         # A dual that always reports phi = 1e-6 > 0 moves t by about 5e-7 a
         # step, so 80 steps meet neither the phi nor the bracket test.
-        def stuck(quad, c, k, *, constant=0.0):
+        def stuck(quad, c, k, *, constant=0.0, memo=None):
             return SolveReport(SimplexWeights(np.full(k, 1.0 / k)), -1e-6, 0.0, 1)
 
         monkeypatch.setattr(solvers, "minimize_quadratic_over_simplex", stuck)
@@ -198,12 +198,18 @@ class TestNullspace:
             row = np.zeros(K)
             row[col] = coeff
             rows.append(row)
-        Z = _nullspace(general, K, fixed)
+        Z, svd = _nullspace(general, K, fixed)
         ref = full_svd_nullspace(np.vstack([general, *rows]).reshape(-1, K), K)
         assert Z.shape == ref.shape
         assert np.allclose(Z.T @ Z, np.eye(Z.shape[1]), rtol=0.0, atol=1e-12)
         assert np.all(Z[fixed] == 0.0)
         assert np.max(np.abs(Z @ Z.T - ref @ ref.T), initial=0.0) <= 1e-12
+        # The rank part of the SVD over the free columns rebuilds them.
+        if general.shape[0] == 0:
+            assert svd is None
+        else:
+            u, sv, vt = svd
+            assert np.allclose(u @ (sv[:, None] * vt), general[:, ~fixed], atol=1e-12)
 
     def test_matches_full_svd_with_planted_singletons(self):
         rng = SplitMix64(31)
@@ -482,3 +488,141 @@ class TestWorkingSetReuse:
         solve_qp(*args, memo=memo)
         with pytest.raises(ValueError, match="serves one q"):
             solve_qp(args[0], [0.3, 0.2, -0.1], *args[2:], memo=memo)
+
+
+def lstsq_drop_row(grad, local, active, ws, G, single, pin_col, me):
+    """Reference for solvers._drop_row: the same rule, with the equalities'
+    and active general rows' multipliers by np.linalg.lstsq."""
+    act_idx = active.nonzero()[0]
+    is_bound = single[act_idx]
+    resid = grad
+    mult = np.empty(act_idx.size)
+    C, free = ws.C, ~ws.fixed
+    if C.shape[0]:
+        nu, *_ = np.linalg.lstsq(C[:, free].T, -grad[free], rcond=None)
+        resid = grad + C.T @ nu
+        mult[~is_bound] = nu[me:]
+    bounds = act_idx[is_bound]
+    cols = pin_col[bounds]
+    mult[is_bound] = -resid[cols] / G[bounds, cols]
+    neg = (mult < -1e-11 * local).nonzero()[0]
+    return int(act_idx[neg[0]]) if neg.size else -1
+
+
+class TestSVDMultipliers:
+    """_drop_row reads its multipliers off the working set's own SVD, so each
+    working set is factored once and no multiplier needs np.linalg.lstsq."""
+
+    @pytest.mark.parametrize("shape", ["simplex", "resolvent-48", "least-squares"])
+    def test_same_drop_row_as_lstsq(self, monkeypatch, shape):
+        real = solvers._drop_row
+        picks = []
+
+        def checked(*args):
+            row = real(*args)
+            picks.append((row, lstsq_drop_row(*args)))
+            return row
+
+        monkeypatch.setattr(solvers, "_drop_row", checked)
+        TestSolveQPDigest.SHAPES[shape][1]()
+        assert [svd for svd, _ in picks] == [ref for _, ref in picks]
+        assert any(row >= 0 for row, _ in picks) and any(row < 0 for row, _ in picks)
+
+    def test_conjugate_probes_factor_each_working_set_once(self, monkeypatch):
+        rng = SplitMix64(5162)
+        node = cf.MaxAffineConjugate(_points(rng, 8, 2), _points(rng, 1, 8)[0])
+        probes = [node.slopes[i] for i in range(8)]
+        for _ in range(30):
+            w = np.array([rng.uniform(0.0, 1.0) for _ in range(8)])
+            probes.append((w / w.sum()) @ node.slopes)
+        probes += [1.5 * p for p in probes[8:18]]  # some outside the hull
+        svds, lstsqs, inside = [], [], []
+        real_svd, real_lstsq = np.linalg.svd, np.linalg.lstsq
+        real_drop = solvers._drop_row
+
+        def svd(*args, **kwargs):
+            svds.append(args[0].shape)
+            return real_svd(*args, **kwargs)
+
+        def lstsq(*args, **kwargs):
+            lstsqs.append(bool(inside))
+            return real_lstsq(*args, **kwargs)
+
+        def drop_row(*args):
+            inside.append(True)
+            try:
+                return real_drop(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        monkeypatch.setattr(solvers, "_drop_row", drop_row)
+        for y in probes + probes:
+            cf._polyhedral_conjugate_value(node, y)
+        memos = node._constants[-2:]
+        entries = sum(isinstance(key, bytes) for memo in memos for key in memo)
+        assert len(svds) == entries > 8
+        assert lstsqs.count(True) == 0
+
+
+class TestCarriedWorkingSets:
+    """Each OperatorGraph carries, per QP family, the working sets of its
+    last call into the next: no bit of a result moves, and nothing else is
+    kept."""
+
+    @staticmethod
+    def queries(count):
+        """count / 2 seeded points, each followed by itself moved by 0.05."""
+        rng = SplitMix64(5163)
+        for _ in range(count // 2):
+            x = np.array([rng.uniform(-2.5, 2.5) for _ in range(2)])
+            yield x
+            yield x + 0.05
+
+    @staticmethod
+    def graph():
+        return ExtensionModel(generate_lipschitz_data(2, 2, 48, 5164), "proxavg").graph
+
+    def test_paired_queries_match_fresh_graphs(self, monkeypatch):
+        T = self.graph()
+        factored = {"carried": 0, "fresh": 0}
+        real = solvers._nullspace
+        side = ["carried"]
+
+        def counting(*args):
+            factored[side[0]] += 1
+            return real(*args)
+
+        monkeypatch.setattr(solvers, "_nullspace", counting)
+
+        def same_bits(evaluate, *args):
+            """evaluate on T, then on a fresh graph of the same pairs."""
+            side[0] = "carried"
+            out = np.hstack(evaluate(T, *args))
+            side[0] = "fresh"
+            ref = np.hstack(evaluate(monotone.OperatorGraph(T.points, T.values), *args))
+            return out.tobytes() == ref.tobytes()
+
+        def psi(G, s):
+            return (monotone.psi_eval(G, s[:2], s[2:]),
+                    monotone.psi_conj_eval(G, s[2:], s[:2]))
+
+        assert all(same_bits(monotone.resolvent_eval, x) for x in self.queries(40))
+        assert all(same_bits(psi, np.hstack([x, 0.5 * x])) for x in self.queries(8))
+        # The second query of each pair meets working sets of the first.
+        assert 0 < factored["carried"] < factored["fresh"]
+
+    def test_graph_keeps_only_the_last_calls_working_sets(self, monkeypatch):
+        T = self.graph()
+        memo = T._resolvent_constants[3]
+        sizes = []
+        for x in self.queries(10):
+            args, kwargs = _first_qp(
+                monkeypatch, monotone, lambda: monotone.resolvent_eval(T, x)
+            )
+            met = {}
+            solve_qp(*args, **{**kwargs, "memo": met})
+            assert set(memo) == set(met)
+            sizes.append(len(met))
+        assert max(sizes) > 3
