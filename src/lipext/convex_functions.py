@@ -234,12 +234,17 @@ class MaxAffineConjugate:
     Value at y is min { sum_i l_i o_i : sum_i l_i s_i = y, l in simplex },
     +inf when y is outside conv(slopes).  Values, keyed by y's bytes, the
     QPs' constant data, and the screen's and the LP's solve_qp memos of
-    working-set factors are memoised on the node and freed with it.
+    working-set factors are memoised on the node and freed with it.  So are
+    the dual cuts of the LPs it solved, one per distinct multiplier vector
+    and so at most one per final working set: _cuts maps each cut's
+    multipliers' bytes to its level and None to every cut stacked as
+    (normals, levels), which _cut_bound reads.
     """
 
     slopes: np.ndarray
     offsets: np.ndarray
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _cuts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         s = np.asarray(self.slopes, dtype=float)
@@ -256,17 +261,18 @@ class MaxAffineConjugate:
     @cached_property
     def _constants(self):
         """The screen's 2SS'; the LP's zero P, A_eq, bounds -I and zero h;
-        the slopes' box widened by the collar and a rounding allowance; the
-        screen's and the LP's solve_qp memos.  The screen's q, -2Sy, moves
-        with y, so a screen whose 2SS' is zero (every slope zero) gets none."""
+        the collar plus a rounding allowance, and the slopes' box widened by
+        it; the screen's and the LP's solve_qp memos.  The screen's q, -2Sy,
+        moves with y, so a screen whose 2SS' is zero (every slope zero) gets
+        none."""
         S = self.slopes
         k = S.shape[0]
         slack = POLYHEDRAL_INFEASIBLE_TOL + 1e-12 * (1.0 + float(np.abs(S).max()))
         SS2 = 2.0 * (S @ S.T)
         return (
             SS2, np.zeros((k, k)), np.vstack([S.T, np.ones((1, k))]),
-            -np.eye(k), np.zeros(k), S.min(axis=0) - slack, S.max(axis=0) + slack,
-            {} if SS2.any() else None, {},
+            -np.eye(k), np.zeros(k), slack, S.min(axis=0) - slack,
+            S.max(axis=0) + slack, {} if SS2.any() else None, {},
         )
 
 
@@ -332,7 +338,14 @@ def _compass_directions(d):
     return axes + diags
 
 
-def _compass(fun, x0, f0, box):
+def _compass(fun, x0, f0, box, lower=None):
+    """Compass search from (x0, f0): poll the directions in order, move to
+    the first that improves, and halve the step when none does.
+
+    lower, when given, is a lower bound on fun.  A poll whose bound reaches
+    fx + 1e-9 (1 + |fx|) cannot improve on fx and is skipped, so the search
+    takes the same steps with fewer evaluations of fun.
+    """
     span = box.hi - box.lo
     dirs = _compass_directions(box.dim)
     x, fx = x0.copy(), f0
@@ -344,6 +357,8 @@ def _compass(fun, x0, f0, box):
             for v in dirs:
                 cand = np.clip(x + s * span * v, box.lo, box.hi)
                 if np.array_equal(cand, x):
+                    continue
+                if lower is not None and lower(cand) >= fx + 1e-9 * (1.0 + abs(fx)):
                     continue
                 fc = fun(cand)
                 if fc < fx:
@@ -361,13 +376,14 @@ def _grid_density(d):
     return 33 if d == 1 else (9 if d == 2 else 5)
 
 
-def _box_minimize(fun, box, extra_points=()):
+def _box_minimize(fun, box, extra_points=(), lower=None):
     """Grid + compass minimization over the box.
 
     extra_points are additional probe starts (e.g. the slope points of a
-    polyhedral domain, which a coarse grid can miss entirely).  Returns
-    (value, argmin, on_boundary) or (None, None, False) when the objective is
-    +inf everywhere probed.
+    polyhedral domain, which a coarse grid can miss entirely); every probe
+    is evaluated, and lower (a lower bound on fun, or None) serves only the
+    compass.  Returns (value, argmin, on_boundary) or (None, None, False)
+    when the objective is +inf everywhere probed.
     """
     grid = box.grid(_grid_density(box.dim))
     if len(extra_points):
@@ -387,7 +403,7 @@ def _box_minimize(fun, box, extra_points=()):
             x0, f0 = grid[idx], float(vals[idx])  # probe outside the box
             x, v = x0, f0
         else:
-            x, v = _compass(fun, x0, f0, box)
+            x, v = _compass(fun, x0, f0, box, lower)
         if v < best_v:
             best_x, best_v = x, v
     margin = 1e-9 * (box.hi - box.lo)
@@ -397,20 +413,20 @@ def _box_minimize(fun, box, extra_points=()):
     return best_v, best_x, on_boundary
 
 
-def _inner_minimize(fun, box, node_name, extra_points=()):
+def _inner_minimize(fun, box, node_name, extra_points=(), lower=None):
     """Minimize over the box with the doubling divergence protocol.
 
     Returns the minimum, None when the objective is +inf on every probed box,
     and raises _Divergence when two consecutive doublings keep improving the
-    optimum by more than 1e-3.
+    optimum by more than 1e-3.  lower is passed on to _box_minimize.
     """
-    v0, _, boundary = _box_minimize(fun, box, extra_points)
+    v0, _, boundary = _box_minimize(fun, box, extra_points, lower)
     if v0 is not None and not boundary:
         return v0
     b1 = box.doubled()
-    v1, _, _ = _box_minimize(fun, b1, extra_points)
+    v1, _, _ = _box_minimize(fun, b1, extra_points, lower)
     b2 = b1.doubled()
-    v2, _, _ = _box_minimize(fun, b2, extra_points)
+    v2, _, _ = _box_minimize(fun, b2, extra_points, lower)
     candidates = [v for v in (v0, v1, v2) if v is not None]
     if not candidates:
         return None
@@ -430,13 +446,14 @@ def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
     y is farther than 1e-6 from the hull; otherwise its weights l1 start
     solve_qp (P = 0) on the LP with target S'l1, the nearest hull point, so
     the start is feasible, and l1's zero weights start in the working set.
+    Each converged LP leaves its dual cut on the node (_add_cut).
     """
     key = y.tobytes()
     if key in node._memo:
         return node._memo[key]
     S, o = node.slopes, node.offsets
     k = S.shape[0]
-    SS2, P0, A_eq, G, h, lo, hi, screen_memo, lp_memo = node._constants
+    SS2, P0, A_eq, G, h, slack, lo, hi, screen_memo, lp_memo = node._constants
     if (y < lo).any() or (y > hi).any():
         node._memo[key] = INF
         return INF
@@ -455,10 +472,45 @@ def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
         )
         if not info["converged"]:
             raise SolverCapError(f"conjugate LP capped at {info['iters']} iterations")
+        _add_cut(node, info["eq_mult"][:-1], slack)
         np.clip(lam, 0.0, None, out=lam)
         value = float(o @ (lam / lam.sum()))
     node._memo[key] = value
     return value
+
+
+def _add_cut(node, nu, slack):
+    """Keep the LP's dual cut on the node, unless it holds one with the same
+    multipliers nu of the rows S'l = b.
+
+    For l in the simplex, o'l = sum_i l_i (o_i + s_i'nu) - nu'S'l, so with
+    level = min_i (o_i + s_i'nu) every value o'l that the node returns is at
+    least level - nu'S'l: weak duality, for any nu, whatever the LP's
+    tolerances.  S'l lies within the collar, 1e-6 plus the rounding
+    allowance slack, of the y asked for, so the cut keeps level lowered by
+    ||nu|| slack, and by 1e-12 (max |o| + ||nu||_1 (1 + max |S|)) for the
+    rounding of level and nu'y.  A y outside the collar is +inf, above any
+    bound.
+    """
+    cut = nu.tobytes()
+    if cut in node._cuts:
+        return
+    S, o = node.slopes, node.offsets
+    scale = float(np.abs(o).max()) + float(np.abs(nu).sum()) * (1.0 + float(np.abs(S).max()))
+    level = float(np.min(o + S @ nu)) - float(np.linalg.norm(nu)) * slack - 1e-12 * scale
+    normals, levels = node._cuts.get(None, (np.empty((0, nu.size)), np.empty(0)))
+    node._cuts[cut] = level
+    node._cuts[None] = np.vstack([normals, nu]), np.append(levels, level)
+
+
+def _cut_bound(node, y):
+    """Kelley's lower model of the node's values at y: the largest cut
+    level - nu'y, or -inf before the first LP."""
+    cuts = node._cuts.get(None)
+    if cuts is None:
+        return -INF
+    normals, levels = cuts
+    return float(np.max(levels - normals @ y))
 
 
 def eval(expr, x) -> float:  # noqa: A001 - module-level eval is the API
@@ -516,12 +568,20 @@ def _eval(expr, x) -> float:
         def neg_slope(z):
             return _eval(child, z) - float(z @ x)
 
-        # Polyhedral children attain the supremum at a vertex of their
-        # domain; probe the generating slopes so the grid cannot miss it.
-        probes = child.slopes if isinstance(child, MaxAffineConjugate) else ()
+        probes, lower = (), None
+        if isinstance(child, MaxAffineConjugate):
+            # Polyhedral children attain the supremum at a vertex of their
+            # domain; probe the generating slopes so the grid cannot miss
+            # it.  The LPs' dual cuts bound neg_slope from below, so the
+            # compass skips polls that they prove cannot improve.
+            probes = child.slopes
+
+            def lower(z):
+                return _cut_bound(child, z) - float(z @ x)
+
         name = f"Conjugate({type(child).__name__})"
         try:
-            m = _inner_minimize(neg_slope, expr.box, name, extra_points=probes)
+            m = _inner_minimize(neg_slope, expr.box, name, probes, lower)
         except _Divergence:
             return INF  # the supremum escapes every box: conjugate is +inf
         if m is None:

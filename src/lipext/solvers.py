@@ -31,8 +31,9 @@ Internal helper used by other modules:
   coordinates.  It is done once per working set: its null space gives the
   steps, and its range factors give the multipliers of the equalities and
   general rows at a stationary point, while each bound's multiplier is read
-  off its column.  With P = 0 it solves the conjugate LP with no
-  eigendecomposition: every step is a ray.
+  off its column; a converged solve returns the equalities' multipliers.
+  With P = 0 it solves the conjugate LP with no eigendecomposition: every
+  step is a ray.
 
 Memo contract.  solve_qp and minimize_quadratic_over_simplex take an
 optional memo, a mapping that the caller owns and passes to every call of
@@ -86,7 +87,10 @@ def minimize_quadratic_over_simplex(quad, c, k, *, constant=0.0, memo=None):
     """Minimize 1/2 l'Ql + c'l (+ constant) over the probability simplex.
 
     One solve_qp from the best vertex e_j, j = argmin_j (Q_jj / 2 + c_j), with
-    every other bound l_i >= 0 in the working set.  quad is a dense PSD
+    every other bound l_i >= 0 in the working set.  When e_j is already a KKT
+    point, that is no bound's multiplier g_i - g_j (g = Q e_j + c) is below
+    -1e-11 (1 + max |g|), e_j is returned with iters = 1 and no solve_qp:
+    this is the decision of solve_qp's first iteration.  quad is a dense PSD
     matrix.  memo is passed on to solve_qp: calls that share it share quad
     (and c when quad is zero), and it also keeps the QP's constants, built
     once.  The returned residual is the duality gap g'l - min g at the
@@ -107,14 +111,20 @@ def minimize_quadratic_over_simplex(quad, c, k, *, constant=0.0, memo=None):
     memo["simplex"] = consts
     half_diag, ones, bounds, zeros = consts
     j = int(np.argmin(half_diag + c))
-    z0 = zeros.copy()
-    z0[j] = 1.0
-    z, info = solve_qp(
-        Q, c, ones, [1.0], bounds, zeros, z0,
-        initial_active=[i for i in range(K) if i != j], memo=memo,
-    )
-    if not info["converged"]:
-        raise SolverCapError(f"simplex QP capped at {info['iters']} iterations")
+    z = zeros.copy()
+    z[j] = 1.0
+    # solve_qp's first iteration from e_j, decided here: the bound on l_i
+    # has multiplier g_i - g_j, so e_j is a KKT point iff none is negative.
+    g = Q @ z + c
+    if (g - g[j] < -1e-11 * (1.0 + float(np.abs(g).max()))).any():
+        z, info = solve_qp(
+            Q, c, ones, [1.0], bounds, zeros, z,
+            initial_active=[i for i in range(K) if i != j], memo=memo,
+        )
+        if not info["converged"]:
+            raise SolverCapError(f"simplex QP capped at {info['iters']} iterations")
+    else:
+        info = {"iters": 1}
     weights = SimplexWeights(z)
     z = weights.weights
     Qz = Q @ z
@@ -253,20 +263,21 @@ class _WorkingSet:
 
 
 def _drop_row(grad, local, active, ws, G, single, pin_col, me):
-    """Bland's rule at a stationary point: the lowest-index active row with a
-    multiplier below -1e-11 local, or -1 at a KKT point.
+    """Bland's rule at a stationary point: (row, nu) with row the
+    lowest-index active row with a multiplier below -1e-11 local, or -1 at a
+    KKT point, and nu the multipliers of C's rows, the equalities first.
 
-    The equalities' and active general rows' multipliers nu solve C_f' nu =
-    -grad_f in least squares over the free columns f, through the working
-    set's own SVD C_f = u diag(s) vt, as nu = u (vt (-grad_f) / s); then each
-    active bound's is read off its pinned column, where nothing else
-    balances the gradient.
+    nu solves C_f' nu = -grad_f in least squares over the free columns f,
+    through the working set's own SVD C_f = u diag(s) vt, as nu = u (vt
+    (-grad_f) / s); then each active bound's multiplier is read off its
+    pinned column, where nothing else balances the gradient.
     """
     act_idx = active.nonzero()[0]
     is_bound = single[act_idx]
     resid = grad
     mult = np.empty(act_idx.size)
     C, free = ws.C, ~ws.fixed
+    nu = np.zeros(0)
     if C.shape[0]:
         u, s, vt = ws.svd
         nu = u @ ((vt @ -grad[free]) / s)
@@ -276,7 +287,7 @@ def _drop_row(grad, local, active, ws, G, single, pin_col, me):
     cols = pin_col[bounds]
     mult[is_bound] = -resid[cols] / G[bounds, cols]
     neg = (mult < -1e-11 * local).nonzero()[0]
-    return int(act_idx[neg[0]]) if neg.size else -1
+    return (int(act_idx[neg[0]]) if neg.size else -1), nu
 
 
 def _direction(P, linear, grad, local, z, ws):
@@ -335,15 +346,19 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None):
     that ray is below 1e-11 of the gradient scale.  A point is stationary
     when the step or the reduced gradient Z'grad is below 1e-11 of its
     scale.  The cap is 200 + 80 (rows of G + 1) iterations.  Returns (z,
-    info) with info carrying converged / iters.
+    info) with info carrying converged / iters and, when converged, eq_mult:
+    the multipliers nu of A_eq's rows at the KKT point, so that grad +
+    A_eq' nu, plus the active general rows' terms, is the bounds'
+    nonnegative multipliers up to rounding.
 
     Each working set's factors are memoised in memo, keyed by the active
     mask's bytes, under the module's memo contract: the pinned columns, C,
     Z, the rank part of the SVD and, once needed, the eigh of Z'PZ; with
-    P = 0 also the step plan (the ray, or the row to drop, or convergence),
-    which depends on q and not on z.  The bound rows, the pinned column of
-    each, whether P is zero and then q's bytes sit under the key None.
-    Without a memo one lives for the one call.
+    P = 0 also the step plan (the ray, or the row to drop and the
+    multipliers, or convergence), which depends on q and not on z.  The
+    bound rows, the pinned column of each, whether P is zero and then q's
+    bytes sit under the key None.  Without a memo one lives for the one
+    call.
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -386,17 +401,17 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None):
                 ws = _WorkingSet(A_eq, G, active, single, pin_col)
             memo[key] = ws
         if ws.plan is not None:
-            d, ray, drop = ws.plan
+            d, ray, drop, nu = ws.plan
         else:
             if not linear:
                 grad = P @ z + q
                 local = 1.0 + float(np.abs(grad).max(initial=0.0))
             d, ray = _direction(P, linear, grad, local, z, ws)
-            drop = None
+            drop = nu = None
             if d is None:
-                drop = _drop_row(grad, local, active, ws, G, single, pin_col, me)
+                drop, nu = _drop_row(grad, local, active, ws, G, single, pin_col, me)
             if linear:
-                ws.plan = d, ray, drop
+                ws.plan = d, ray, drop, nu
         if d is None:
             if drop < 0:
                 converged = True
@@ -405,11 +420,11 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None):
             ws = None
             continue
         gd = G @ d
-        slack = (h - G @ z).clip(0.0, None)
         blocking = (~active & (gd > 0.0)).nonzero()[0]
         alpha_max = np.inf
         block_idx = -1
         if blocking.size:
+            slack = (h - G @ z).clip(0.0, None)
             ratios = slack[blocking] / gd[blocking]
             alpha_max = max(float(ratios.min()), 0.0)
             ties = (ratios <= alpha_max * (1.0 + 1e-12) + 1e-15).nonzero()[0]
@@ -432,4 +447,7 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None):
             ws = None
         if iters % 16 == 0:
             z = _restore_equalities(A_eq, b_eq, z)
-    return _restore_equalities(A_eq, b_eq, z), {"converged": converged, "iters": iters}
+    info = {"converged": converged, "iters": iters}
+    if converged:
+        info["eq_mult"] = nu[:me]
+    return _restore_equalities(A_eq, b_eq, z), info

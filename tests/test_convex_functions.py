@@ -553,6 +553,103 @@ class TestConjugateGolden:
         assert self.observed(n) == self.GOLDEN[n]
 
 
+def _biconjugate_cases():
+    """40 seeded max-affine f, on R and R^2 with 3 to 10 pieces, each with
+    one point in [-0.8, 0.8]^n."""
+    rng = SplitMix64(8080)
+    for i in range(40):
+        n, pieces = 1 + i % 2, 3 + (i // 2) % 8
+        s = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(pieces)])
+        o = np.array([rng.uniform(0.0, 1.0) for _ in range(pieces)])
+        yield cf.MaxAffine(s, o), np.array([rng.uniform(-0.8, 0.8) for _ in range(n)])
+
+
+class TestCutSkipping:
+    """The compass of f** skips the polls that the conjugate LPs' dual cuts
+    prove cannot improve, so the search takes the same steps: every f**
+    value keeps its bits, with fewer LP solves."""
+
+    # f** at each case's point and the LP solves of the 40
+    # biconjugate_checks, both recorded before any poll was skipped.
+    GOLDEN = [
+        "-0.27314834651066433", "-0.03526678416844069", "-0.6076406106466743",
+        "-0.05422432440530989", "0.07716300305581714", "-0.13818182907694382",
+        "0.21435273117412618", "0.2915447556314635", "0.5181960558129635",
+        "0.20823543926615434", "0.08832915293474464", "-0.3262841189673261",
+        "0.18160768222400142", "-0.1408721790858711", "0.1334166664197322",
+        "0.012700327195633326", "0.38018981203395924", "0.4442933446552528",
+        "0.029817982848456798", "-0.12340063190436379", "-0.11871024348983121",
+        "0.3601205624513514", "0.19706035769997654", "0.7438014956550031",
+        "-0.10314885521239903", "0.5077247988537328", "0.04779048141553538",
+        "-0.12307421109554165", "-0.5906660812505696", "0.06284294929327378",
+        "0.058583785134928346", "0.6096918983050147", "-0.8470427525613464",
+        "0.5672226364771457", "-0.17188926847271863", "-0.18397842606971382",
+        "0.392619284588565", "-0.3035732136644355", "-0.1173740190222263",
+        "0.0994605296423615",
+    ]
+    PARENT_LPS = 9491
+
+    @staticmethod
+    def run(monkeypatch):
+        """(reprs of f** at each case's point, LP solves) over one
+        biconjugate_check per case."""
+        values, lps = [], []
+        real_eval, real_qp = cf.eval, cf.solve_qp
+
+        def eval_recording(expr, x):
+            value = real_eval(expr, x)
+            if isinstance(expr, cf.Conjugate):
+                values.append(repr(value))
+            return value
+
+        monkeypatch.setattr(cf, "eval", eval_recording)
+        monkeypatch.setattr(cf, "solve_qp", lambda *a, **k: lps.append(1) or real_qp(*a, **k))
+        for f, x in _biconjugate_cases():
+            cf.biconjugate_check(f, [x])
+        return values, len(lps)
+
+    def test_same_values_with_fewer_lp_solves(self, monkeypatch):
+        values, lps = self.run(monkeypatch)
+        assert values == self.GOLDEN
+        assert lps <= 0.6 * self.PARENT_LPS
+
+    def test_no_bound_solves_every_poll(self, monkeypatch):
+        monkeypatch.setattr(cf, "_cut_bound", lambda node, y: -INF)
+        assert self.run(monkeypatch) == (self.GOLDEN, self.PARENT_LPS)
+
+    def test_skipped_polls_cannot_improve(self, monkeypatch):
+        # A poll whose bound was asked for and that was not evaluated next
+        # was skipped: evaluate it anyway, against the incumbent of its time.
+        real = cf._compass
+        checked = []
+
+        def compass(fun, x0, f0, box, lower=None):
+            events, best = [], [f0]
+
+            def logged_fun(c):
+                fc = fun(c)
+                events.append(c.tobytes())
+                best[0] = min(best[0], fc)  # the compass moves iff fc < fx
+                return fc
+
+            def logged_lower(c):
+                events.append((c.copy(), best[0]))
+                return lower(c)
+
+            out = real(logged_fun, x0, f0, box, logged_lower if lower else None)
+            for event, after in zip(events, events[1:] + [None]):
+                if isinstance(event, tuple) and after != event[0].tobytes():
+                    checked.append((fun(event[0]), event[1]))
+            return out
+
+        monkeypatch.setattr(cf, "_compass", compass)
+        result = self.run(monkeypatch)
+        assert len(checked) > 1000
+        assert all(fc >= fx for fc, fx in checked)
+        # Every poll was evaluated once, skipped or not: the parent's LPs.
+        assert result == (self.GOLDEN, self.PARENT_LPS)
+
+
 class TestBoxPretest:
     """A y outside the slopes' box by more than the 1e-6 collar and a
     rounding allowance of 1e-12 (1 + max |S|) is +inf without a screen;

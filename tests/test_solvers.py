@@ -245,9 +245,9 @@ def _simplex_instances():
     for k in range(2, 11):
         for _ in range(3):
             M = _points(rng, k, k)
-            minimize_quadratic_over_simplex(M @ M.T, _points(rng, 1, k)[0], k)
+            solvers.minimize_quadratic_over_simplex(M @ M.T, _points(rng, 1, k)[0], k)
             Q, c, c0 = projection_instance(_points(rng, k, 2), _points(rng, 1, 2)[0])
-            minimize_quadratic_over_simplex(Q, c, k, constant=c0)
+            solvers.minimize_quadratic_over_simplex(Q, c, k, constant=c0)
 
 
 def _conjugate_lp_instances():
@@ -341,7 +341,12 @@ class TestSolveQPDigest:
     """SHA-256 over the z bytes and iteration counts of every solve_qp that
     each caller makes on seeded instances, recorded before the QP's constant
     data were hoisted and its null space reused: any change of the
-    active-set path that moves a bit of an iterate's outcome shows here."""
+    active-set path that moves a bit of an iterate's outcome shows here.
+
+    The simplex wrapper returns a start vertex that is already optimal
+    without calling solve_qp, so the simplex shape hashes the wrapper's
+    reports instead (argmin bytes, value, residual, iters), recorded before
+    that shortcut."""
 
     SHAPES = {
         "simplex": (solvers, _simplex_instances),
@@ -372,7 +377,7 @@ class TestSolveQPDigest:
             12, "f6111f41e0a42e70ff83b388a0b2f2c817fdaf1e5a4c792bb547d379135be8fc"
         ),
         "simplex": (
-            54, "6a651bee6f484f82f841917a83aff2127c374bbbdc2fb9453480bdf1ba825925"
+            54, "2b69faee98a049979a0f834a575472717646ec3755885e4d161acc6e039078df"
         ),
     }
 
@@ -380,17 +385,27 @@ class TestSolveQPDigest:
     def test_digest_matches_recorded(self, monkeypatch, shape):
         module, run = self.SHAPES[shape]
         digest = hashlib.sha256()
-        real = solvers.solve_qp
         solves = []
 
-        def recording(*args, **kwargs):
-            z, info = real(*args, **kwargs)
+        def solve_recording(*args, **kwargs):
+            z, info = solve_qp(*args, **kwargs)
             digest.update(z.tobytes())
             digest.update(info["iters"].to_bytes(4, "little"))
             solves.append(info["iters"])
             return z, info
 
-        monkeypatch.setattr(module, "solve_qp", recording)
+        def report_recording(*args, **kwargs):
+            report = minimize_quadratic_over_simplex(*args, **kwargs)
+            digest.update(report.argmin.weights.tobytes())
+            digest.update(np.array([report.value, report.residual]).tobytes())
+            digest.update(report.iters.to_bytes(4, "little"))
+            solves.append(report.iters)
+            return report
+
+        if shape == "simplex":
+            monkeypatch.setattr(module, "minimize_quadratic_over_simplex", report_recording)
+        else:
+            monkeypatch.setattr(module, "solve_qp", solve_recording)
         run()
         assert (len(solves), digest.hexdigest()) == self.GOLDEN[shape]
 
@@ -519,9 +534,9 @@ class TestSVDMultipliers:
         picks = []
 
         def checked(*args):
-            row = real(*args)
+            row, nu = real(*args)
             picks.append((row, lstsq_drop_row(*args)))
-            return row
+            return row, nu
 
         monkeypatch.setattr(solvers, "_drop_row", checked)
         TestSolveQPDigest.SHAPES[shape][1]()
@@ -564,6 +579,32 @@ class TestSVDMultipliers:
         entries = sum(isinstance(key, bytes) for memo in memos for key in memo)
         assert len(svds) == entries > 8
         assert lstsqs.count(True) == 0
+
+
+class TestEqualityMultipliers:
+    """A converged solve_qp returns the multipliers nu of A_eq; on the
+    conjugate LP (A_eq = [S'; 1'], b = [target; 1]) they form the dual cut
+    that bounds the node's values from below."""
+
+    def test_conjugate_lp_cuts_are_dual_feasible_and_tight(self, monkeypatch):
+        solves = []
+
+        def recording(P, q, A_eq, b_eq, G, h, z0, **kwargs):
+            z, info = solve_qp(P, q, A_eq, b_eq, G, h, z0, **kwargs)
+            solves.append((q, A_eq, b_eq, z, info["eq_mult"]))
+            return z, info
+
+        monkeypatch.setattr(cf, "solve_qp", recording)
+        _conjugate_lp_instances()
+        assert len(solves) == TestSolveQPDigest.GOLDEN["conjugate-lp"][0]
+        for o, A_eq, b, z, nu in solves:
+            assert nu.shape == (A_eq.shape[0],)
+            # rho = min_i (o_i + s_i'nu_S + nu_1): nu is dual feasible.
+            rho = float(np.min(o + A_eq.T @ nu))
+            assert rho >= -1e-11 * (1.0 + float(np.abs(o).max()))
+            # -(nu_S'b + nu_1) is the LP's value.
+            value = float(o @ z)
+            assert abs(-float(nu @ b) - value) <= 1e-12 * (1.0 + abs(value))
 
 
 class TestCarriedWorkingSets:
