@@ -8,7 +8,9 @@ Every inner problem in this algebra is convex (or concave for suprema), so an
 interior optimum is global; when the optimizer lands on the box boundary the
 box is doubled twice, and sustained improvement is interpreted as divergence:
 +inf for suprema, a box-exhaustion error for infima (a -inf value is never
-returned silently).
+returned silently).  Every conjugate is a node, Fenchel's g* included; f**
+and the dual read their final value at a hull point of a polyhedral
+conjugate, whose 1e-6 collar takes the nearest hull point's value.
 
 Values are plain floats with math.inf standing for +infinity.
 """
@@ -232,13 +234,14 @@ class MaxAffineConjugate:
     """Exact polyhedral conjugate of a max-affine function.
 
     Value at y is min { sum_i l_i o_i : sum_i l_i s_i = y, l in simplex },
-    +inf when y is outside conv(slopes).  Values, keyed by y's bytes, the
-    QPs' constant data, and the screen's and the LP's solve_qp memos of
-    working-set factors are memoised on the node and freed with it.  So are
-    the dual cuts of the LPs it solved, one per distinct multiplier vector
-    and so at most one per final working set: _cuts maps each cut's
-    multipliers' bytes to its level and None to every cut stacked as
-    (normals, levels), which _cut_bound reads.
+    +inf farther than 1e-6 from conv(slopes), else the value at y's nearest
+    hull point p (_hull_point), where searches re-read their final value.
+    Values, keyed by y's bytes, the QPs' constant data, and the screen's and
+    the LP's solve_qp memos of working-set factors are memoised on the node
+    and freed with it.  So are the dual cuts of the LPs it solved, one per
+    distinct multiplier vector and so at most one per final working set:
+    _cuts maps each cut's multipliers' bytes to its level and None to every
+    cut stacked as (normals, levels), which _cut_bound reads.
     """
 
     slopes: np.ndarray
@@ -416,25 +419,23 @@ def _box_minimize(fun, box, extra_points=(), lower=None):
 def _inner_minimize(fun, box, node_name, extra_points=(), lower=None):
     """Minimize over the box with the doubling divergence protocol.
 
-    Returns the minimum, None when the objective is +inf on every probed box,
-    and raises _Divergence when two consecutive doublings keep improving the
-    optimum by more than 1e-3.  lower is passed on to _box_minimize.
+    Returns (minimum, argmin), (None, None) when the objective is +inf on
+    every probed box, and raises _Divergence when two consecutive doublings
+    keep improving the optimum by more than 1e-3.  lower goes to _box_minimize.
     """
-    v0, _, boundary = _box_minimize(fun, box, extra_points, lower)
+    v0, x0, boundary = _box_minimize(fun, box, extra_points, lower)
     if v0 is not None and not boundary:
-        return v0
-    b1 = box.doubled()
-    v1, _, _ = _box_minimize(fun, b1, extra_points, lower)
-    b2 = b1.doubled()
-    v2, _, _ = _box_minimize(fun, b2, extra_points, lower)
-    candidates = [v for v in (v0, v1, v2) if v is not None]
+        return v0, x0
+    v1, x1, _ = _box_minimize(fun, box.doubled(), extra_points, lower)
+    v2, x2, _ = _box_minimize(fun, box.doubled().doubled(), extra_points, lower)
+    candidates = [(v, x) for v, x in ((v0, x0), (v1, x1), (v2, x2)) if v is not None]
     if not candidates:
-        return None
+        return None, None
     if v1 is not None and v2 is not None:
         base = v0 if v0 is not None else v1
         if (base - v1) > DIVERGENCE_IMPROVEMENT and (v1 - v2) > DIVERGENCE_IMPROVEMENT:
             raise _Divergence(node_name)
-    return min(candidates)
+    return min(candidates, key=lambda c: c[0])
 
 
 def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
@@ -451,32 +452,36 @@ def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
     key = y.tobytes()
     if key in node._memo:
         return node._memo[key]
-    S, o = node.slopes, node.offsets
-    k = S.shape[0]
-    SS2, P0, A_eq, G, h, slack, lo, hi, screen_memo, lp_memo = node._constants
+    _, P0, A_eq, G, h, slack, lo, hi, _, lp_memo = node._constants
     if (y < lo).any() or (y > hi).any():
         node._memo[key] = INF
         return INF
-    lam1 = minimize_quadratic_over_simplex(
-        SS2, -2.0 * (S @ y), k, memo=screen_memo
-    ).argmin.weights
-    nearest = S.T @ lam1
+    nearest, lam1 = _hull_point(node, y)
     # The distance itself, not the expanded quadratic's value, which loses
     # its last digits to cancellation near the 1e-6 threshold.
     if float(np.linalg.norm(nearest - y)) > POLYHEDRAL_INFEASIBLE_TOL:
         value = INF
     else:
         lam, info = solve_qp(
-            P0, o, A_eq, np.append(nearest, 1.0), G, h, lam1,
+            P0, node.offsets, A_eq, np.append(nearest, 1.0), G, h, lam1,
             initial_active=np.flatnonzero(lam1 == 0.0), memo=lp_memo,
         )
         if not info["converged"]:
             raise SolverCapError(f"conjugate LP capped at {info['iters']} iterations")
         _add_cut(node, info["eq_mult"][:-1], slack)
         np.clip(lam, 0.0, None, out=lam)
-        value = float(o @ (lam / lam.sum()))
+        value = float(node.offsets @ (lam / lam.sum()))
     node._memo[key] = value
     return value
+
+
+def _hull_point(node, y):
+    """The screen: y's exact projection S'l1 onto conv(slopes), and l1."""
+    S, constants = node.slopes, node._constants
+    lam1 = minimize_quadratic_over_simplex(
+        constants[0], -2.0 * (S @ y), S.shape[0], memo=constants[8]
+    ).argmin.weights
+    return S.T @ lam1, lam1
 
 
 def _add_cut(node, nu, slack):
@@ -581,13 +586,16 @@ def _eval(expr, x) -> float:
 
         name = f"Conjugate({type(child).__name__})"
         try:
-            m = _inner_minimize(neg_slope, expr.box, name, probes, lower)
+            m, z = _inner_minimize(neg_slope, expr.box, name, probes, lower)
         except _Divergence:
             return INF  # the supremum escapes every box: conjugate is +inf
         if m is None:
             raise ImproperFunctionError(
                 name, f"child is +inf on the whole box; conjugate would be -inf"
             )
+        if isinstance(child, MaxAffineConjugate):
+            # Read z's collar value at its hull point p: x.p - f*(p) <= f(x).
+            m = _eval(child, z) - float(_hull_point(child, z)[0] @ x)
         return -m
     if isinstance(expr, InfConv):
         f, g = expr.left, expr.right
@@ -611,7 +619,7 @@ def _eval(expr, x) -> float:
 
         name = f"InfConv({type(f).__name__},{type(g).__name__})"
         try:
-            m = _inner_minimize(total, expr.box, name)
+            m, _ = _inner_minimize(total, expr.box, name)
         except _Divergence:
             raise BoxExhaustionError(
                 name, f"infimal convolution diverges to -inf in node {name}"
@@ -632,7 +640,7 @@ def _eval(expr, x) -> float:
 
         name = f"ProxAvg({type(f).__name__},{type(g).__name__})"
         try:
-            m = _inner_minimize(total, expr.box, name)
+            m, _ = _inner_minimize(total, expr.box, name)
         except _Divergence:
             raise BoxExhaustionError(name)
         return INF if m is None else m
@@ -730,47 +738,32 @@ def delta_conjugate_identity_check(a, b, samples):
 def fenchel_duality_solve(f, neg_g, box):
     """Fenchel duality for convex f and concave g supplied as neg_g = -g.
 
-    primal = inf over the box of f - g; dual = max over the box of g* - f*
-    with g*(y) = inf_x (<x, y> - g(x)).  Returns (primal, dual, gap).
+    primal = inf over the box of f - g; dual = max over the box of g* - f*,
+    g*(y) = inf_x (<x, y> - g(x)) = -(neg_g)*(-y) read off conjugate(neg_g,
+    box).  The final y moves to the hull points of max-affine operands,
+    neg_g's then f's, where the dual is re-read.  Returns (primal, dual, gap).
     """
     if f.dim != neg_g.dim or box.dim != f.dim:
         raise DimensionMismatchError("operands disagree in dimension")
 
     def primal_obj(z):
         a = _eval(f, z)
-        if a == INF:
-            return INF
-        b = _eval(neg_g, z)
-        return INF if b == INF else a + b
+        return INF if a == INF else a + _eval(neg_g, z)
 
     try:
-        primal = _inner_minimize(primal_obj, box, "FenchelPrimal")
+        primal, _ = _inner_minimize(primal_obj, box, "FenchelPrimal")
     except _Divergence:
         raise BoxExhaustionError("FenchelPrimal")
-    if primal is None:
-        primal = INF
+    primal = INF if primal is None else primal
 
-    f_star = conjugate(f, box)
-
-    def g_star(y):
-        def h(z):
-            b = _eval(neg_g, z)
-            return INF if b == INF else float(z @ y) + b
-
-        try:
-            m = _inner_minimize(h, box, "ConcaveConjugate")
-        except _Divergence:
-            return -INF  # the concave conjugate is -inf outside its domain
-        return -INF if m is None else m
+    f_star, neg_g_star = conjugate(f, box), conjugate(neg_g, box)
 
     def dual_neg(y):
-        fs = _eval(f_star, y)
-        if fs == INF:
-            return INF
-        gs = g_star(y)
-        if gs == -INF:
-            return INF
-        return fs - gs
+        try:
+            gs = _eval(neg_g_star, -y)
+        except ImproperFunctionError:
+            return INF  # neg_g is +inf on the whole box: g* is -inf
+        return INF if gs == INF else _eval(f_star, y) + gs
 
     # Polyhedral operands pin the dual domain: probe their slope points,
     # which a coarse grid over the box may miss (affine g has a point domain).
@@ -780,9 +773,16 @@ def fenchel_duality_solve(f, neg_g, box):
     if isinstance(neg_g, MaxAffine):
         probes.extend(-neg_g.slopes)
     try:
-        m = _inner_minimize(dual_neg, box, "FenchelDual", extra_points=probes)
+        m, y = _inner_minimize(dual_neg, box, "FenchelDual", extra_points=probes)
     except _Divergence:
         raise BoxExhaustionError("FenchelDual")
+    if m is not None and (isinstance(f, MaxAffine) or isinstance(neg_g, MaxAffine)):
+        if isinstance(neg_g, MaxAffine):
+            y = -_hull_point(neg_g_star, -y)[0]
+        if isinstance(f, MaxAffine):
+            y = _hull_point(f_star, y)[0]
+        reread = dual_neg(y)  # +inf where the domains meet only in the collar
+        m = reread if reread < INF else m
     dual = -m if m is not None else -INF
     return primal, dual, primal - dual
 

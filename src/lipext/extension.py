@@ -540,8 +540,7 @@ class ExtensionModel:
         if self.method == "mcshane":
             return _envelope(data, self.omega, x, "lower"), 0.0
         if self.method == "project_domain":
-            y, _ = extend_minimax(data, project(x, self.domain))
-            return y, 0.0
+            return extend_minimax(data, project(x, self.domain))
         if self.method == "tietze":
             return np.array([tietze_extend(data, x)]), 0.0
         if self.method == "uniform":

@@ -160,9 +160,8 @@ def test_criterion_03_biconjugation():
     _report("3 biconjugation", f"20 max-affine functions, max gap {worst:.2e}")
 
 
-def test_criterion_04_fenchel_duality():
-    worst_gap = 0.0
-    worst_primal = 0.0
+def fenchel_instances():
+    """Criterion 4's ten (f, neg_g, hand-computed optimum, box half-width)."""
     instances = []
     # 1. q vs -q (optimum 0)
     instances.append((cf.Quadratic(1), cf.Quadratic(1), 0.0, 3.0))
@@ -193,7 +192,13 @@ def test_criterion_04_fenchel_duality():
     c2 = np.array([0.6, -0.4])
     g10 = cf.MaxAffine(np.array([-c2]), np.array([0.0]))
     instances.append((cf.Quadratic(2), g10, -0.5 * float(c2 @ c2), 4.0))
+    return instances
 
+
+def test_criterion_04_fenchel_duality():
+    worst_gap = 0.0
+    worst_primal = 0.0
+    instances = fenchel_instances()
     assert len(instances) == 10
     for f, neg_g, hand_value, half in instances:
         primal, dual, gap = cf.fenchel_duality_solve(

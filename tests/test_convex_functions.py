@@ -10,6 +10,7 @@ from lipext.rng import SplitMix64
 import lipext.convex_functions as cf
 import lipext.solvers as solvers
 from lipext.convex_sets import distance
+from test_acceptance import fenchel_instances
 
 INF = cf.INF
 
@@ -398,6 +399,52 @@ class TestDuality:
         assert primal == pytest.approx(0.0, abs=1e-9)
         assert abs(gap) <= 1e-5
 
+    # (primal, dual, gap) of criterion 4's instances, recorded while the dual
+    # ran its own inner search for g* at every probe.
+    CRITERION_4 = [
+        "(0.0, 0.0, 0.0)",
+        "(-0.32000000000000006, -0.32000000000000006, 0.0)",
+        "(-0.8450000000000001, -0.8450000000000001, 0.0)",
+        "(-0.07999999999999999, -0.07999999999999999, 0.0)",
+        "(0.0, -0.0, 0.0)",
+        "(0.24, 0.24, 0.0)",
+        "(0.0, -0.0, 0.0)",
+        "(-1.35, -1.35, 0.0)",
+        "(-0.062499999999999986, -0.062499999999999986, 0.0)",
+        "(-0.26, -0.26, 0.0)",
+    ]
+
+    def test_criterion_4_reprs_and_weak_duality(self):
+        out = []
+        for f, neg_g, _, half in fenchel_instances():
+            primal, dual, gap = cf.fenchel_duality_solve(f, neg_g, cf.cube(half, f.dim))
+            assert dual <= primal
+            out.append(repr((primal, dual, gap)))
+        assert out == self.CRITERION_4
+
+    @pytest.mark.parametrize(
+        "neg_g",
+        [cf.Translate(np.array([a]), np.array([0.0]), 0.0, cf.Quadratic(1))
+         for a in (3.0, -2.5, 1.7)]
+        + [cf.MaxAffine(np.array([[-3.0], [0.5]]), np.array(o))
+           for o in ((0.0, 1.0), (0.0, 2.0), (0.3, 1.7))],
+        ids=["q3", "q-2.5", "q1.7", "ma01", "ma02", "ma.3-1.7"],
+    )
+    def test_max_affine_f_dual_at_most_primal(self, neg_g):
+        # |x| against 1/2 (x - a)^2 or max(-3x - o1, x/2 - o2): the dual's
+        # optimum is an end of f*'s domain [-1, 1], and a search that ends in
+        # its 1e-6 collar would carry the dual above the primal.
+        f = cf.MaxAffine(np.array([[1.0], [-1.0]]), np.array([0.0, 0.0]))
+        primal, dual, _ = cf.fenchel_duality_solve(f, neg_g, cf.cube(4.0, 1))
+        assert dual <= primal
+        assert primal - dual <= 1e-8
+
+    def test_improper_negative(self):
+        # -g is +inf on the whole box: g* is -inf, so the dual is too.
+        neg_g = cf.Sum((cf.Indicator(Ball([10.0], 0.5)), cf.Quadratic(1)), (1, 1))
+        result = cf.fenchel_duality_solve(cf.Quadratic(1), neg_g, cf.cube(2.0, 1))
+        assert result == (INF, -INF, INF)
+
 
 class TestFenchelYoung:
     def test_q_equality_case(self):
@@ -510,18 +557,20 @@ class TestInvariants:
 class TestConjugateGolden:
     """reprs of f** gaps and polyhedral-conjugate values at seeded points,
     recorded before the conjugate's constants were built once per node and
-    the box pretest was added: a change that moves any bit shows here."""
+    the box pretest was added: a change that moves any bit shows here.  The
+    three nonzero gaps of that recording were f** above f; they were
+    re-recorded when f** began to read its final value at a hull point."""
 
     GOLDEN = {
         1: [
             "0.0", "-0.6224194491161299", "-0.4290098157008096",
             "-0.29775606521782916", "0.0", "-0.9183113677814703",
-            "-0.9043065344336474", "-0.2609862354385936", "4.128763837485394e-07",
+            "-0.9043065344336474", "-0.2609862354385936", "0.0",
             "-0.708723423165985", "-0.7518602549737295", "inf",
         ],
         2: [
-            "5.549649260139233e-07", "0.3163979475970651", "-0.2138492709739953",
-            "inf", "2.329356546537653e-07", "0.43693845860683034",
+            "0.0", "0.3163979475970651", "-0.2138492709739953",
+            "inf", "3.229980727326165e-10", "0.43693845860683034",
             "0.23904126715416207", "inf",
         ],
     }
@@ -564,28 +613,43 @@ def _biconjugate_cases():
         yield cf.MaxAffine(s, o), np.array([rng.uniform(-0.8, 0.8) for _ in range(n)])
 
 
+def test_biconjugate_at_most_f():
+    # Fenchel-Moreau: f** <= f.  f** reads its final value at a hull point p
+    # of the slopes, where x.p - f*(p) <= f(x) holds up to rounding.
+    above = []
+    for i, (f, x) in enumerate(_biconjugate_cases()):
+        f_star = cf.conjugate(f)
+        fss = cf.eval(cf.Conjugate(f_star, cf._auto_dual_box(f_star)), x)
+        fx = cf.eval(f, x)
+        if fss > fx + 1e-12 * (1.0 + abs(fx)):
+            above.append((i, fss - fx))
+    assert above == []
+
+
 class TestCutSkipping:
     """The compass of f** skips the polls that the conjugate LPs' dual cuts
     prove cannot improve, so the search takes the same steps: every f**
     value keeps its bits, with fewer LP solves."""
 
     # f** at each case's point and the LP solves of the 40
-    # biconjugate_checks, both recorded before any poll was skipped.
+    # biconjugate_checks, both recorded before any poll was skipped; the
+    # values were re-recorded when f** began to read its final value at a
+    # hull point, which moved 20 of them and no LP solve.
     GOLDEN = [
-        "-0.27314834651066433", "-0.03526678416844069", "-0.6076406106466743",
+        "-0.27314882050029027", "-0.03526707702525311", "-0.6076406106466743",
         "-0.05422432440530989", "0.07716300305581714", "-0.13818182907694382",
-        "0.21435273117412618", "0.2915447556314635", "0.5181960558129635",
-        "0.20823543926615434", "0.08832915293474464", "-0.3262841189673261",
+        "0.21435221374177926", "0.29154406745448896", "0.5181952666428555",
+        "0.20823500674479112", "0.08832898116056964", "-0.32628449801627324",
         "0.18160768222400142", "-0.1408721790858711", "0.1334166664197322",
         "0.012700327195633326", "0.38018981203395924", "0.4442933446552528",
-        "0.029817982848456798", "-0.12340063190436379", "-0.11871024348983121",
-        "0.3601205624513514", "0.19706035769997654", "0.7438014956550031",
-        "-0.10314885521239903", "0.5077247988537328", "0.04779048141553538",
-        "-0.12307421109554165", "-0.5906660812505696", "0.06284294929327378",
+        "0.029817982848456798", "-0.12340119365026953", "-0.11871024348983121",
+        "0.3601197753501032", "0.19705981405103573", "0.7438006835128361",
+        "-0.10314885521239903", "0.5077247988537328", "0.04779027788030504",
+        "-0.12307470007272481", "-0.5906667638354837", "0.06284294929327378",
         "0.058583785134928346", "0.6096918983050147", "-0.8470427525613464",
-        "0.5672226364771457", "-0.17188926847271863", "-0.18397842606971382",
-        "0.392619284588565", "-0.3035732136644355", "-0.1173740190222263",
-        "0.0994605296423615",
+        "0.5672218176461066", "-0.17188926847271863", "-0.18397869088194513",
+        "0.392618626862859", "-0.30357404527344545", "-0.1173740190222263",
+        "0.09945985410486026",
     ]
     PARENT_LPS = 9491
 

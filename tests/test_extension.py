@@ -10,6 +10,7 @@ from lipext.errors import (
     DimensionMismatchError,
     ModulusViolationError,
 )
+from lipext.convex_sets import project
 from lipext.geometry import Ball, pairwise
 from lipext.rng import SplitMix64
 from lipext.gen import generate_lipschitz_data
@@ -894,9 +895,7 @@ class TestExtensionModelSurface:
                 [extend_mcshane(scalar, mcshane.omega, x, "lower")], 0.0
             ),
             "coordinatewise": lambda x: (extend_coordinatewise(data, x), 0.0),
-            "project_domain": lambda x: (
-                extend_project_domain(data, domain, x), 0.0
-            ),
+            "project_domain": lambda x: extend_minimax(data, project(x, domain)),
             "tietze": lambda x: ([tietze_extend(scalar, x)], 0.0),
             "uniform": lambda x: ([uniform_extend(scalar, x)], 0.0),
         }

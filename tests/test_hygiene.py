@@ -503,3 +503,62 @@ def test_scan_flags_an_lstsq_call():
         "    return Z @ -(Z.T @ g)\n"
     )
     assert lstsq_callers(source) == ["_restore_equalities", "_drop_row"]
+
+
+def nested_box_searches(source):
+    """Qualified names of the functions nested in another function that call
+    _inner_minimize: a box search run inside another search's objective."""
+    out = []
+
+    def visit(node, prefix, in_function):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+            ):
+                visit(child, prefix, in_function)
+                continue
+            name = prefix + getattr(child, "name", "<lambda>")
+            is_function = not isinstance(child, ast.ClassDef)
+            if in_function and is_function and any(
+                isinstance(n, ast.Call)
+                and getattr(n.func, "id", getattr(n.func, "attr", None)) == "_inner_minimize"
+                for n in ast.walk(child)
+            ):
+                out.append(name)
+            visit(child, name + ".", in_function or is_function)
+
+    visit(ast.parse(source), "", False)
+    return out
+
+
+def test_no_nested_box_search():
+    # One conjugate engine: an objective that needs a conjugate evaluates a
+    # conjugate node and never runs a box search of its own per probe.
+    nested = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := nested_box_searches(path.read_text()))
+    }
+    assert nested == {}
+
+
+def test_scan_flags_a_nested_box_search():
+    source = (
+        "def top(f, box):\n"
+        "    return _inner_minimize(f, box, 'top')\n"
+        "def outer(f, box):\n"
+        "    def probe(y):\n"
+        "        return cf._inner_minimize(f, box, 'probe')\n"
+        "    def clean(y):\n"
+        "        return f(y)\n"
+        "    g = lambda y: _inner_minimize(f, box, 'lambda')\n"
+        "    return probe, clean, g\n"
+        "class Node:\n"
+        "    def method(self, f, box):\n"
+        "        def inner():\n"
+        "            return _inner_minimize(f, box, 'inner')\n"
+        "        return _inner_minimize(f, box, 'method'), inner\n"
+    )
+    assert nested_box_searches(source) == [
+        "outer.probe", "outer.<lambda>", "Node.method.inner",
+    ]
