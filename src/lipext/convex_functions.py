@@ -24,12 +24,7 @@ import numpy as np
 
 from .geometry import Polytope, as_vector, dot
 from .convex_sets import dimension_of, distance
-from .errors import (
-    BoxExhaustionError,
-    DimensionMismatchError,
-    ImproperFunctionError,
-    SolverCapError,
-)
+from .errors import BoxExhaustionError, DimensionMismatchError, ImproperFunctionError
 from .solvers import minimize_quadratic_over_simplex, solve_qp
 
 INF = math.inf
@@ -447,7 +442,7 @@ def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
     y is farther than 1e-6 from the hull; otherwise its weights l1 start
     solve_qp (P = 0) on the LP with target S'l1, the nearest hull point, so
     the start is feasible, and l1's zero weights start in the working set.
-    Each converged LP leaves its dual cut on the node (_add_cut).
+    Each LP leaves its dual cut on the node (_add_cut).
     """
     key = y.tobytes()
     if key in node._memo:
@@ -465,9 +460,8 @@ def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
         lam, info = solve_qp(
             P0, node.offsets, A_eq, np.append(nearest, 1.0), G, h, lam1,
             initial_active=np.flatnonzero(lam1 == 0.0), memo=lp_memo,
+            name="conjugate LP",
         )
-        if not info["converged"]:
-            raise SolverCapError(f"conjugate LP capped at {info['iters']} iterations")
         _add_cut(node, info["eq_mult"][:-1], slack)
         np.clip(lam, 0.0, None, out=lam)
         value = float(node.offsets @ (lam / lam.sum()))
@@ -741,7 +735,8 @@ def fenchel_duality_solve(f, neg_g, box):
     primal = inf over the box of f - g; dual = max over the box of g* - f*,
     g*(y) = inf_x (<x, y> - g(x)) = -(neg_g)*(-y) read off conjugate(neg_g,
     box).  The final y moves to the hull points of max-affine operands,
-    neg_g's then f's, where the dual is re-read.  Returns (primal, dual, gap).
+    neg_g's then f's, where the dual is re-read.  Returns (primal, dual, gap),
+    which is (inf, -inf, inf) when f or neg_g is +inf on the whole box.
     """
     if f.dim != neg_g.dim or box.dim != f.dim:
         raise DimensionMismatchError("operands disagree in dimension")
@@ -761,9 +756,9 @@ def fenchel_duality_solve(f, neg_g, box):
     def dual_neg(y):
         try:
             gs = _eval(neg_g_star, -y)
+            return INF if gs == INF else _eval(f_star, y) + gs
         except ImproperFunctionError:
-            return INF  # neg_g is +inf on the whole box: g* is -inf
-        return INF if gs == INF else _eval(f_star, y) + gs
+            return INF  # f or neg_g is +inf on the whole box: no dual value
 
     # Polyhedral operands pin the dual domain: probe their slope points,
     # which a coarse grid over the box may miss (affine g has a point domain).

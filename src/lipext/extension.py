@@ -137,18 +137,9 @@ def extend_minimax(data: FiniteMapData, x):
     ||y1 - y2|| / (L ||x1 - x2||) reached 1.35-1.60).
 
     Returns (y, residual) with residual = max_i (||y - b_i|| - L ||x - a_i||).
+    One ExtensionModel query; for batch queries build the model once instead.
     """
-    x = as_vector(x)
-    if x.shape[0] != data.m:
-        raise DimensionMismatchError("query dimension does not match the data")
-    A, B, L = data.points, data.values, data.L
-    dist = np.linalg.norm(A - x, axis=1)
-    exact = np.flatnonzero(dist == 0.0)
-    if exact.size:
-        return B[exact[0]].copy(), 0.0
-    if data.size == 1:
-        return B[0].copy(), 0.0
-    return chebyshev_center(B, L * dist)
+    return ExtensionModel(data, "minimax").query(x)
 
 
 def extend_proxavg(data: FiniteMapData, x):
@@ -293,13 +284,9 @@ def extend_coordinatewise(data: FiniteMapData, x) -> np.ndarray:
     Every coordinate of L-Lipschitz data is itself L-Lipschitz, so the
     envelope max_i (b_i - w(||x - a_i||)) is taken for all coordinates at once
     without re-validating them.  The result interpolates the data and is
-    sqrt(n) L-Lipschitz.
+    sqrt(n) L-Lipschitz.  One ExtensionModel query.
     """
-    x = as_vector(x)
-    if x.shape[0] != data.m:
-        raise DimensionMismatchError("query dimension does not match the data")
-    scale = 1.0 + float(np.max(np.abs(data.points))) + float(np.max(np.abs(x)))
-    return _envelope(data, linear_modulus(data.L, scale), x, "lower")
+    return ExtensionModel(data, "coordinatewise").query(x)[0]
 
 
 def extend_project_domain(data: FiniteMapData, domain, x) -> np.ndarray:
@@ -327,18 +314,9 @@ def tietze_extend(data: FiniteMapData, x) -> float:
     Values are passed through the homeomorphism t -> 3/2 + t/(2 sqrt(1+t^2))
     onto (1, 2), extended by inf_i f(a_i) d(x, a_i) / d(x, A), and mapped
     back.  At (numerically) zero distance the nearest data value is returned.
+    One ExtensionModel query.
     """
-    if data.n != 1:
-        raise ValueError("Tietze extension needs scalar values (n = 1)")
-    x = as_vector(x)
-    if x.shape[0] != data.m:
-        raise DimensionMismatchError("query dimension does not match the data")
-    d = np.linalg.norm(data.points - x, axis=1)
-    dmin = float(np.min(d))
-    if dmin <= 1e-12:
-        return float(data.values[int(np.argmin(d)), 0])
-    c = _tau(data.values[:, 0])
-    return float(_tau_inv(np.min(c * d / dmin)))
+    return float(ExtensionModel(data, "tietze").query(x)[0][0])
 
 
 def affine_majorant(omega: Modulus):
@@ -465,7 +443,10 @@ class ExtensionModel:
     ||db|| <= L ||da|| + 1e-9 already shows that it dominates the data),
     uniform's rescaled data, concave majorant and their checks, and
     project_domain's check that the domain holds every data point.  A query
-    only evaluates.  mcshane, tietze and uniform require scalar values.
+    validates x once and evaluates every method itself; extend_minimax,
+    extend_proxavg, extend_coordinatewise, extend_project_domain,
+    tietze_extend and uniform_extend are each one query of a fresh model.
+    mcshane, tietze and uniform require scalar values.
     """
 
     METHODS = (
@@ -528,21 +509,34 @@ class ExtensionModel:
         data = self.data
         if x.shape[0] != data.m:
             raise DimensionMismatchError("query dimension does not match the data")
-        if self.method == "minimax":
-            return extend_minimax(data, x)
-        if self.method == "proxavg":
+        method = self.method
+        if method == "project_domain":
+            x, method = project(x, self.domain), "minimax"
+        if method == "minimax":
+            dist = np.linalg.norm(data.points - x, axis=1)
+            exact = np.flatnonzero(dist == 0.0)
+            if exact.size:
+                return data.values[exact[0]].copy(), 0.0
+            if data.size == 1:
+                return data.values[0].copy(), 0.0
+            return chebyshev_center(data.values, data.L * dist)
+        if method == "proxavg":
             if self.graph is None:
                 return data.values[0].copy(), 0.0
             xhat = np.zeros(self.graph.dim)
             xhat[: data.m] = x
             g, residual = resolvent_eval(self.graph, xhat)
             return data.L * (2.0 * g - xhat)[: data.n], residual
-        if self.method == "mcshane":
+        if method == "mcshane":
             return _envelope(data, self.omega, x, "lower"), 0.0
-        if self.method == "project_domain":
-            return extend_minimax(data, project(x, self.domain))
-        if self.method == "tietze":
-            return np.array([tietze_extend(data, x)]), 0.0
-        if self.method == "uniform":
+        if method == "tietze":
+            d = np.linalg.norm(data.points - x, axis=1)
+            dmin = float(np.min(d))
+            if dmin <= 1e-12:
+                return data.values[int(np.argmin(d))].copy(), 0.0
+            c = _tau(data.values[:, 0])
+            return np.array([_tau_inv(np.min(c * d / dmin))]), 0.0
+        if method == "uniform":
             return self.scale * _envelope(self.scaled, self.omega, x, "lower"), 0.0
-        return extend_coordinatewise(data, x), 0.0
+        scale = 1.0 + float(np.max(np.abs(data.points))) + float(np.max(np.abs(x)))
+        return _envelope(data, linear_modulus(data.L, scale), x, "lower"), 0.0

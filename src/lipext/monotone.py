@@ -25,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import as_vector, dot, pairwise
-from .errors import DimensionMismatchError, SolverCapError
+from .geometry import SimplexWeights, as_vector, dot, pairwise
+from .errors import DimensionMismatchError
 from .solvers import solve_qp
 from .convex_functions import MaxAffineConjugate, _polyhedral_conjugate_value
 
@@ -237,12 +237,6 @@ def _psi_value_at(Arows, Brows, o, BA, xt, lam):
     return 0.5 * float(np.max(p)) + 0.5 * float(o @ lam) + 0.5 * float(r @ r)
 
 
-def _clean_simplex(lam):
-    lam = np.clip(lam, 0.0, None)
-    s = lam.sum()
-    return lam / s if s > 0 else np.full_like(lam, 1.0 / lam.size)
-
-
 def _vertex_start(Brows, BA, o, xt):
     """Start (l0, t0, working set) of an epigraph QP whose prefix sits at x~.
 
@@ -287,25 +281,29 @@ def _epigraph_qp(T, D, M, G_prefix):
 def _solve_epigraph_qp(T, qp, q, h_rows, prefix0, xt0, what):
     """Solve min 1/2 z'Pz + q'z, qp = (P, G, A_eq, memo), with G z <=
     (h_rows, 0) from the vertex start at u = prefix0, whose x~ is xt0.
-    Returns (u, l) for z = (u, l, t); raises SolverCapError at the cap.
+    Returns (u, l) for z = (u, l, t), l cleaned by SimplexWeights; at its
+    cap solve_qp raises SolverCapError("<what> QP capped at ...").
 
     The memo is a ChainMap whose last map holds the working sets of the
     family's previous call, where solve_qp looks first; it writes the ones
-    it meets into the first map, which then replaces the last.  So a graph
-    keeps one call's working sets per family.  (Psi's P is zero only when
-    every atom is, and then its q is the same for every query, as a P = 0
-    memo requires.)"""
+    it meets into the first map, which then replaces the last, also when
+    solve_qp raises.  So a graph keeps one call's working sets per family.
+    (Psi's P is zero only when every atom is, and then its q is the same for
+    every query, as a P = 0 memo requires.)"""
     P, G, A_eq, memo = qp
     _, Brows, o, BA = T._atoms
     d, k = prefix0.shape[0], BA.shape[0]
     h = np.concatenate([h_rows, np.zeros(k)])
     lam0, t0, active = _vertex_start(Brows, BA, o, xt0)
     z0 = np.concatenate([prefix0, lam0, [t0]])
-    z, info = solve_qp(P, q, A_eq, [1.0], G, h, z0, initial_active=active, memo=memo)
-    memo.maps = [{}, memo.maps[0]]
-    if not info["converged"]:
-        raise SolverCapError(f"{what} QP capped at {info['iters']} iterations")
-    return z[:d], _clean_simplex(z[d : d + k])
+    try:
+        z, _ = solve_qp(
+            P, q, A_eq, [1.0], G, h, z0, initial_active=active, memo=memo,
+            name=f"{what} QP",
+        )
+    finally:
+        memo.maps = [{}, memo.maps[0]]
+    return z[:d], SimplexWeights(z[d : d + k]).weights
 
 
 def psi_eval(T: OperatorGraph, x, xstar) -> float:

@@ -25,13 +25,15 @@ Internal helper used by other modules:
   max-affine objectives reach 1e-12 accuracy.
   Its ratio test lets every inactive row with (G d)_i > 0 block a step, so
   a step crosses no row by more than rounding, however long the ray.
-  Its iteration cap follows from the number of inequalities.  An active
+  Its iteration cap follows from the number of inequalities, and it
+  raises SolverCapError there, named after the caller's QP, as it does on
+  an unbounded QP: a result it returns is a KKT point.  An active
   bound (a row of G with one nonzero) pins its coordinate, so the SVD
   covers only the equalities and the active general rows over the free
   coordinates.  It is done once per working set: its null space gives the
   steps, and its range factors give the multipliers of the equalities and
   general rows at a stationary point, while each bound's multiplier is read
-  off its column; a converged solve returns the equalities' multipliers.
+  off its column; every solve returns the equalities' multipliers.
   With P = 0 it solves the conjugate LP with no eigendecomposition: every
   step is a ray.
 
@@ -120,9 +122,8 @@ def minimize_quadratic_over_simplex(quad, c, k, *, constant=0.0, memo=None):
         z, info = solve_qp(
             Q, c, ones, [1.0], bounds, zeros, z,
             initial_active=[i for i in range(K) if i != j], memo=memo,
+            name="simplex QP",
         )
-        if not info["converged"]:
-            raise SolverCapError(f"simplex QP capped at {info['iters']} iterations")
     else:
         info = {"iters": 1}
     weights = SimplexWeights(z)
@@ -321,7 +322,7 @@ def _direction(P, linear, grad, local, z, ws):
     return d, False
 
 
-def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None):
+def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"):
     """Dense primal active-set method for a small convex QP.
 
     Minimizes 1/2 z'Pz + q'z subject to A_eq z = b_eq and G z <= h, starting
@@ -345,11 +346,12 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None):
     reduced Hessian is zero, so the step is the ray -Z Z'grad, or none when
     that ray is below 1e-11 of the gradient scale.  A point is stationary
     when the step or the reduced gradient Z'grad is below 1e-11 of its
-    scale.  The cap is 200 + 80 (rows of G + 1) iterations.  Returns (z,
-    info) with info carrying converged / iters and, when converged, eq_mult:
-    the multipliers nu of A_eq's rows at the KKT point, so that grad +
-    A_eq' nu, plus the active general rows' terms, is the bounds'
-    nonnegative multipliers up to rounding.
+    scale.  The cap is 200 + 80 (rows of G + 1) iterations, where it raises
+    SolverCapError("<name> capped at <cap> iterations"); name only labels
+    that message.  Returns (z, info) with info carrying iters, eq_mult (the
+    multipliers nu of A_eq's rows at the KKT point, so that grad + A_eq' nu,
+    plus the active general rows' terms, is the bounds' nonnegative
+    multipliers up to rounding) and converged, always True.
 
     Each working set's factors are memoised in memo, keyed by the active
     mask's bytes, under the module's memo contract: the pinned columns, C,
@@ -387,13 +389,10 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None):
     for i in initial_active:
         active[i] = True
     max_iters = 200 + 80 * (mi + 1)
-    converged = False
-    iters = 0
     grad = q
     local = 1.0 + float(np.abs(q).max(initial=0.0))
     ws = None  # the working set's factors; None after it changes
-    while iters < max_iters:
-        iters += 1
+    for iters in range(1, max_iters + 1):
         if ws is None:
             key = active.tobytes()
             ws = memo.get(key)
@@ -414,7 +413,6 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None):
                 ws.plan = d, ray, drop, nu
         if d is None:
             if drop < 0:
-                converged = True
                 break
             active[drop] = False
             ws = None
@@ -447,7 +445,8 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None):
             ws = None
         if iters % 16 == 0:
             z = _restore_equalities(A_eq, b_eq, z)
-    info = {"converged": converged, "iters": iters}
-    if converged:
-        info["eq_mult"] = nu[:me]
+    else:
+        raise SolverCapError(f"{name} capped at {iters} iterations")
+    # "converged" is always True; bench/tracing.py reads it.
+    info = {"converged": True, "iters": iters, "eq_mult": nu[:me]}
     return _restore_equalities(A_eq, b_eq, z), info

@@ -6,7 +6,7 @@ import pytest
 
 from lipext import __version__
 from lipext.cli import build_parser, main
-from lipext.errors import BoxExhaustionError
+from lipext.errors import BoxExhaustionError, SolverCapError
 from lipext import convex_functions as cf
 from lipext import monotone
 from lipext import io_formats as io
@@ -95,8 +95,8 @@ class TestExtendCommand:
         assert out.read_bytes() == first
 
     def test_solver_cap_exit_4(self, tmp_path, capsys, monkeypatch, forced_data):
-        def unconverged_qp(P, q, A_eq, b_eq, G, h, z0, **kwargs):
-            return np.array(z0, dtype=float), {"converged": False, "iters": 321}
+        def unconverged_qp(P, q, A_eq, b_eq, G, h, z0, *, name, **kwargs):
+            raise SolverCapError(f"{name} capped at 321 iterations")
 
         monkeypatch.setattr(monotone, "solve_qp", unconverged_qp)
         queries = write(tmp_path / "q.csv", "0.25\n")
@@ -227,8 +227,8 @@ class TestFunctionCommand:
         assert rc == 2
 
     def test_solver_cap_exit_4(self, tmp_path, capsys, monkeypatch):
-        def unconverged_qp(P, q, A_eq, b_eq, G, h, z0, **kwargs):
-            return np.array(z0, dtype=float), {"converged": False, "iters": 321}
+        def unconverged_qp(P, q, A_eq, b_eq, G, h, z0, *, name, **kwargs):
+            raise SolverCapError(f"{name} capped at 321 iterations")
 
         monkeypatch.setattr(cf, "solve_qp", unconverged_qp)
         tree = {"node": "max_affine", "slopes": [[1.0], [-1.0]], "offsets": [0.5, 0.0]}
@@ -411,8 +411,8 @@ def _raising(exc):
     return fail
 
 
-def _unconverged_qp(P, q, A_eq, b_eq, G, h, z0, **kwargs):
-    return np.array(z0, dtype=float), {"converged": False, "iters": 321}
+def _unconverged_qp(P, q, A_eq, b_eq, G, h, z0, *, name, **kwargs):
+    raise SolverCapError(f"{name} capped at 321 iterations")
 
 
 def path_case(argv, rc, report=None, err="", inputs=None, patch=None, tag=None):

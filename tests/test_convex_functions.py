@@ -143,8 +143,8 @@ def brute_polyhedral_conjugate(S, o, y):
     return best
 
 
-def _unconverged_qp(P, q, A_eq, b_eq, G, h, z0, **kwargs):
-    return np.array(z0, dtype=float), {"converged": False, "iters": 321}
+def _unconverged_qp(P, q, A_eq, b_eq, G, h, z0, *, name, **kwargs):
+    raise SolverCapError(f"{name} capped at 321 iterations")
 
 
 class TestPolyhedralConjugate:
@@ -445,6 +445,12 @@ class TestDuality:
         result = cf.fenchel_duality_solve(cf.Quadratic(1), neg_g, cf.cube(2.0, 1))
         assert result == (INF, -INF, INF)
 
+    def test_improper_f(self):
+        # f is +inf on the whole box: it is reported as an improper -g is.
+        f = cf.Sum((cf.Indicator(Ball([10.0], 0.5)), cf.Quadratic(1)), (1, 1))
+        result = cf.fenchel_duality_solve(f, cf.Quadratic(1), cf.cube(2.0, 1))
+        assert result == (INF, -INF, INF)
+
 
 class TestFenchelYoung:
     def test_q_equality_case(self):
@@ -613,14 +619,21 @@ def _biconjugate_cases():
         yield cf.MaxAffine(s, o), np.array([rng.uniform(-0.8, 0.8) for _ in range(n)])
 
 
-def test_biconjugate_at_most_f():
+@pytest.fixture(scope="module")
+def cut_run():
+    """TestCutSkipping.run once, with the cuts on: the 40 f** values are
+    shared by test_biconjugate_at_most_f and the cut-skipping golden test."""
+    with pytest.MonkeyPatch.context() as mp:
+        return TestCutSkipping.run(mp)
+
+
+def test_biconjugate_at_most_f(cut_run):
     # Fenchel-Moreau: f** <= f.  f** reads its final value at a hull point p
     # of the slopes, where x.p - f*(p) <= f(x) holds up to rounding.
     above = []
-    for i, (f, x) in enumerate(_biconjugate_cases()):
-        f_star = cf.conjugate(f)
-        fss = cf.eval(cf.Conjugate(f_star, cf._auto_dual_box(f_star)), x)
-        fx = cf.eval(f, x)
+    values = cut_run[0]
+    for i, ((f, x), fss) in enumerate(zip(_biconjugate_cases(), values, strict=True)):
+        fss, fx = float(fss), cf.eval(f, x)
         if fss > fx + 1e-12 * (1.0 + abs(fx)):
             above.append((i, fss - fx))
     assert above == []
@@ -672,8 +685,8 @@ class TestCutSkipping:
             cf.biconjugate_check(f, [x])
         return values, len(lps)
 
-    def test_same_values_with_fewer_lp_solves(self, monkeypatch):
-        values, lps = self.run(monkeypatch)
+    def test_same_values_with_fewer_lp_solves(self, cut_run):
+        values, lps = cut_run
         assert values == self.GOLDEN
         assert lps <= 0.6 * self.PARENT_LPS
 

@@ -295,8 +295,8 @@ class TestClosestPair:
                         separate(A, B)
 
     def test_capped_qp_raises(self, monkeypatch):
-        def capped(*args, **kwargs):
-            return np.asarray(args[6], dtype=float), {"converged": False, "iters": 7}
+        def capped(*args, name, **kwargs):
+            raise SolverCapError(f"{name} capped at 7 iterations")
 
         monkeypatch.setattr(convex_sets, "solve_qp", capped)
         A = Polytope([[0.0, 0.0], [0.0, 1.0]])
@@ -308,7 +308,7 @@ class TestClosestPair:
 def test_cut_rounds_cap_raises(monkeypatch):
     # A QP that always leaves the ball's point outside the ball meets the
     # cut test in no round, so the engine must raise, not return.
-    def outside(P, q, A_eq, b_eq, G, h, z0, initial_active=()):
+    def outside(P, q, A_eq, b_eq, G, h, z0, initial_active=(), **kwargs):
         z = np.asarray(z0, dtype=float).copy()
         z[-2:] = [5.0, 0.0]
         return z, {"converged": True, "iters": 1}

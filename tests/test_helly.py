@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lipext import helly
-from lipext.errors import EnumerationGuardError
+from lipext.errors import EnumerationGuardError, SolverCapError
 from lipext.gen import generate_ball_family
 from lipext.geometry import Ball, Polytope
 from lipext.convex_sets import distance
@@ -609,6 +609,18 @@ def test_bodies_holding_the_mean_give_no_normal(seed):
     # by the centered coordinates alone, their normals made Caratheodory
     # pick bodies that meet, and no subset was returned.
     family = squares_and_holders(seed)
+    rep = helly_verify(family)
+    subset = rep.violating_subset
+    assert not rep.intersects and subset is not None and len(subset) <= 3
+    assert not common_point(BodyFamily([family.bodies[i] for i in subset])).intersects
+
+
+@pytest.mark.xfail(strict=True, raises=SolverCapError, reason=(
+    "solve_qp cycles between two working sets at a degenerate point of the "
+    "second cut round and raises 'least-squares QP capped at 1400 iterations'"
+))
+def test_squares_and_holders_73_gives_a_violating_subset():
+    family = squares_and_holders(73)
     rep = helly_verify(family)
     subset = rep.violating_subset
     assert not rep.intersects and subset is not None and len(subset) <= 3

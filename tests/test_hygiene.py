@@ -170,61 +170,6 @@ def test_scan_flags_an_unused_import():
     assert unused_imports(source) == ["field", "os"]
 
 
-def unchecked_solve_qp_callers(source):
-    """Functions in source that call solve_qp and never read ["converged"]."""
-    out = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        inner = list(ast.walk(node))
-        calls = any(
-            isinstance(n, ast.Call)
-            and getattr(n.func, "id", getattr(n.func, "attr", None)) == "solve_qp"
-            for n in inner
-        )
-        reads = any(
-            isinstance(n, ast.Subscript)
-            and isinstance(n.slice, ast.Constant)
-            and n.slice.value == "converged"
-            for n in inner
-        )
-        if calls and not reads:
-            out.append(node.name)
-    return out
-
-
-def test_every_solve_qp_caller_reads_converged():
-    # A solver never exits silently at its iteration cap.
-    unchecked = {
-        path.name: names
-        for path in sorted(SRC.glob("*.py"))
-        if (names := unchecked_solve_qp_callers(path.read_text()))
-    }
-    assert unchecked == {}
-
-
-def test_scan_flags_an_unchecked_solve_qp_call():
-    source = (
-        "def checked(P):\n"
-        "    z, info = solve_qp(P)\n"
-        "    if not info['converged']:\n"
-        "        raise SolverCapError('capped')\n"
-        "    return z\n"
-        "def dropped(P):\n"
-        "    z, _ = solvers.solve_qp(P)\n"
-        "    return z\n"
-        "def iters_only(P):\n"
-        "    z, info = solve_qp(P)\n"
-        "    return z, info['iters']\n"
-        "def outer(P):\n"
-        "    def inner():\n"
-        "        return solve_qp(P)\n"
-        "    z, info = inner()\n"
-        "    return z if info['converged'] else None\n"
-    )
-    assert unchecked_solve_qp_callers(source) == ["dropped", "iters_only", "inner"]
-
-
 def defined_names(source):
     """Functions, classes and methods that source defines, dunders excluded."""
     return {

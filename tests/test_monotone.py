@@ -385,8 +385,8 @@ class TestResolvent:
                 assert float(dy @ dx) - float(dy @ dy) >= -1e-5
 
 
-def _unconverged_qp(P, q, A_eq, b_eq, G, h, z0, **kwargs):
-    return np.array(z0, dtype=float), {"converged": False, "iters": 321}
+def _unconverged_qp(P, q, A_eq, b_eq, G, h, z0, *, name, **kwargs):
+    raise SolverCapError(f"{name} capped at 321 iterations")
 
 
 class TestSolverCap:

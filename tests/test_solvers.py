@@ -176,6 +176,54 @@ class TestActiveSetQP:
         assert np.allclose(z, [-1.0, 1.0], rtol=0.0, atol=1e-15)
 
 
+def _graph():
+    return monotone.OperatorGraph(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]))
+
+
+# solve_qp itself and each caller that names its QP.  Every call reaches
+# solve_qp: the simplex instance's start vertex e_0 is not optimal, and the
+# conjugate's screen at the slope y = 1 is.
+CAPPED_CALLS = [
+    pytest.param("QP", lambda: solve_qp(
+        np.eye(2), [1.0, -1.0], np.ones((1, 2)), [1.0], -np.eye(2), np.zeros(2),
+        np.array([1.0, 0.0]), initial_active=[1],
+    ), id="QP"),
+    pytest.param("simplex QP", lambda: minimize_quadratic_over_simplex(
+        np.eye(2), np.zeros(2), 2,
+    ), id="simplex"),
+    pytest.param("conjugate LP", lambda: cf.eval(cf.conjugate(cf.MaxAffine(
+        np.array([[1.0], [-1.0]]), np.array([0.5, 0.0]),
+    )), [1.0]), id="conjugate"),
+    pytest.param("resolvent QP", lambda: monotone.resolvent_eval(_graph(), [0.5]),
+                 id="resolvent"),
+    pytest.param("Psi QP", lambda: monotone.psi_eval(_graph(), [0.5], [0.25]), id="Psi"),
+    pytest.param("Psi conjugate QP", lambda: monotone.psi_conj_eval(
+        _graph(), [0.5], [0.25],
+    ), id="Psi-conjugate"),
+    pytest.param("least-squares QP", lambda: least_squares_points((
+        Polytope([[0.0, 0.0], [0.0, 1.0]]), Polytope([[2.0, 0.0], [2.0, 1.0]]),
+    )), id="least-squares"),
+]
+
+
+@pytest.mark.parametrize("name, call", CAPPED_CALLS)
+def test_cap_raises_with_the_callers_name(monkeypatch, name, call):
+    # solve_qp raises at its cap, and the message names the caller's QP.
+    # Every point is stationary and row 0 is always dropped, so no solve
+    # reaches a KKT point.
+    rows = []
+
+    def drop_row_0(grad, local, active, ws, G, *args):
+        rows.append(G.shape[0])
+        return 0, np.zeros(ws.C.shape[0])
+
+    monkeypatch.setattr(solvers, "_direction", lambda *args: (None, False))
+    monkeypatch.setattr(solvers, "_drop_row", drop_row_0)
+    with pytest.raises(SolverCapError) as err:
+        call()
+    assert str(err.value) == f"{name} capped at {200 + 80 * (rows[0] + 1)} iterations"
+
+
 def full_svd_nullspace(C, K):
     """Reference: null space of the whole working set by one full SVD."""
     if C.shape[0] == 0:
