@@ -8,9 +8,11 @@ Every inner problem in this algebra is convex (or concave for suprema), so an
 interior optimum is global; when the optimizer lands on the box boundary the
 box is doubled twice, and sustained improvement is interpreted as divergence:
 +inf for suprema, a box-exhaustion error for infima (a -inf value is never
-returned silently).  Every conjugate is a node, Fenchel's g* included; f**
-and the dual read their final value at a hull point of a polyhedral
-conjugate, whose 1e-6 collar takes the nearest hull point's value.
+returned silently).  Every conjugate is a node, Fenchel's g* included.  The
+conjugate of a polyhedral conjugate, f** of a max-affine f, is read off its
+slopes and searches no box; the dual reads its final value at a hull point
+of a polyhedral conjugate, whose 1e-6 collar takes the nearest hull point's
+value.
 
 Values are plain floats with math.inf standing for +infinity.
 """
@@ -210,7 +212,11 @@ class Translate:
 
 @dataclass(frozen=True)
 class Conjugate:
-    """Numeric Fenchel conjugate: sup over the box of <x, y> - child(x)."""
+    """Numeric Fenchel conjugate: sup over the box of <x, y> - child(x).
+
+    A polyhedral child (MaxAffineConjugate) is read at its slopes, as
+    max_i (<s_i, y> - child(s_i)), and its box is not searched.
+    """
 
     child: object
     box: Box
@@ -230,19 +236,17 @@ class MaxAffineConjugate:
 
     Value at y is min { sum_i l_i o_i : sum_i l_i s_i = y, l in simplex },
     +inf farther than 1e-6 from conv(slopes), else the value at y's nearest
-    hull point p (_hull_point), where searches re-read their final value.
-    Values, keyed by y's bytes, the QPs' constant data, and the screen's and
-    the LP's solve_qp memos of working-set factors are memoised on the node
-    and freed with it.  So are the dual cuts of the LPs it solved, one per
-    distinct multiplier vector and so at most one per final working set:
-    _cuts maps each cut's multipliers' bytes to its level and None to every
-    cut stacked as (normals, levels), which _cut_bound reads.
+    hull point p (_hull_point), where the Fenchel dual re-reads its final
+    value.  Its conjugate is affine on each cell of a subdivision of
+    conv(slopes) whose vertices are slopes, so Conjugate reads it at the
+    slopes alone.  Values, keyed by y's bytes, the QPs' constant data, and
+    the screen's and the LP's solve_qp memos of working-set factors are
+    memoised on the node and freed with it.
     """
 
     slopes: np.ndarray
     offsets: np.ndarray
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _cuts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         s = np.asarray(self.slopes, dtype=float)
@@ -259,9 +263,9 @@ class MaxAffineConjugate:
     @cached_property
     def _constants(self):
         """The screen's 2SS'; the LP's zero P, A_eq, bounds -I and zero h;
-        the collar plus a rounding allowance, and the slopes' box widened by
-        it; the screen's and the LP's solve_qp memos.  The screen's q, -2Sy,
-        moves with y, so a screen whose 2SS' is zero (every slope zero) gets
+        the slopes' box widened by the collar plus a rounding allowance; the
+        screen's and the LP's solve_qp memos.  The screen's q, -2Sy, moves
+        with y, so a screen whose 2SS' is zero (every slope zero) gets
         none."""
         S = self.slopes
         k = S.shape[0]
@@ -269,7 +273,7 @@ class MaxAffineConjugate:
         SS2 = 2.0 * (S @ S.T)
         return (
             SS2, np.zeros((k, k)), np.vstack([S.T, np.ones((1, k))]),
-            -np.eye(k), np.zeros(k), slack, S.min(axis=0) - slack,
+            -np.eye(k), np.zeros(k), S.min(axis=0) - slack,
             S.max(axis=0) + slack, {} if SS2.any() else None, {},
         )
 
@@ -336,14 +340,9 @@ def _compass_directions(d):
     return axes + diags
 
 
-def _compass(fun, x0, f0, box, lower=None):
+def _compass(fun, x0, f0, box):
     """Compass search from (x0, f0): poll the directions in order, move to
-    the first that improves, and halve the step when none does.
-
-    lower, when given, is a lower bound on fun.  A poll whose bound reaches
-    fx + 1e-9 (1 + |fx|) cannot improve on fx and is skipped, so the search
-    takes the same steps with fewer evaluations of fun.
-    """
+    the first that improves, and halve the step when none does."""
     span = box.hi - box.lo
     dirs = _compass_directions(box.dim)
     x, fx = x0.copy(), f0
@@ -355,8 +354,6 @@ def _compass(fun, x0, f0, box, lower=None):
             for v in dirs:
                 cand = np.clip(x + s * span * v, box.lo, box.hi)
                 if np.array_equal(cand, x):
-                    continue
-                if lower is not None and lower(cand) >= fx + 1e-9 * (1.0 + abs(fx)):
                     continue
                 fc = fun(cand)
                 if fc < fx:
@@ -374,14 +371,13 @@ def _grid_density(d):
     return 33 if d == 1 else (9 if d == 2 else 5)
 
 
-def _box_minimize(fun, box, extra_points=(), lower=None):
+def _box_minimize(fun, box, extra_points=()):
     """Grid + compass minimization over the box.
 
     extra_points are additional probe starts (e.g. the slope points of a
     polyhedral domain, which a coarse grid can miss entirely); every probe
-    is evaluated, and lower (a lower bound on fun, or None) serves only the
-    compass.  Returns (value, argmin, on_boundary) or (None, None, False)
-    when the objective is +inf everywhere probed.
+    is evaluated.  Returns (value, argmin, on_boundary) or (None, None,
+    False) when the objective is +inf everywhere probed.
     """
     grid = box.grid(_grid_density(box.dim))
     if len(extra_points):
@@ -401,7 +397,7 @@ def _box_minimize(fun, box, extra_points=(), lower=None):
             x0, f0 = grid[idx], float(vals[idx])  # probe outside the box
             x, v = x0, f0
         else:
-            x, v = _compass(fun, x0, f0, box, lower)
+            x, v = _compass(fun, x0, f0, box)
         if v < best_v:
             best_x, best_v = x, v
     margin = 1e-9 * (box.hi - box.lo)
@@ -411,18 +407,18 @@ def _box_minimize(fun, box, extra_points=(), lower=None):
     return best_v, best_x, on_boundary
 
 
-def _inner_minimize(fun, box, node_name, extra_points=(), lower=None):
+def _inner_minimize(fun, box, node_name, extra_points=()):
     """Minimize over the box with the doubling divergence protocol.
 
     Returns (minimum, argmin), (None, None) when the objective is +inf on
     every probed box, and raises _Divergence when two consecutive doublings
-    keep improving the optimum by more than 1e-3.  lower goes to _box_minimize.
+    keep improving the optimum by more than 1e-3.
     """
-    v0, x0, boundary = _box_minimize(fun, box, extra_points, lower)
+    v0, x0, boundary = _box_minimize(fun, box, extra_points)
     if v0 is not None and not boundary:
         return v0, x0
-    v1, x1, _ = _box_minimize(fun, box.doubled(), extra_points, lower)
-    v2, x2, _ = _box_minimize(fun, box.doubled().doubled(), extra_points, lower)
+    v1, x1, _ = _box_minimize(fun, box.doubled(), extra_points)
+    v2, x2, _ = _box_minimize(fun, box.doubled().doubled(), extra_points)
     candidates = [(v, x) for v, x in ((v0, x0), (v1, x1), (v2, x2)) if v is not None]
     if not candidates:
         return None, None
@@ -442,12 +438,11 @@ def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
     y is farther than 1e-6 from the hull; otherwise its weights l1 start
     solve_qp (P = 0) on the LP with target S'l1, the nearest hull point, so
     the start is feasible, and l1's zero weights start in the working set.
-    Each LP leaves its dual cut on the node (_add_cut).
     """
     key = y.tobytes()
     if key in node._memo:
         return node._memo[key]
-    _, P0, A_eq, G, h, slack, lo, hi, _, lp_memo = node._constants
+    _, P0, A_eq, G, h, lo, hi, _, lp_memo = node._constants
     if (y < lo).any() or (y > hi).any():
         node._memo[key] = INF
         return INF
@@ -457,12 +452,11 @@ def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
     if float(np.linalg.norm(nearest - y)) > POLYHEDRAL_INFEASIBLE_TOL:
         value = INF
     else:
-        lam, info = solve_qp(
+        lam, _ = solve_qp(
             P0, node.offsets, A_eq, np.append(nearest, 1.0), G, h, lam1,
             initial_active=np.flatnonzero(lam1 == 0.0), memo=lp_memo,
             name="conjugate LP",
         )
-        _add_cut(node, info["eq_mult"][:-1], slack)
         np.clip(lam, 0.0, None, out=lam)
         value = float(node.offsets @ (lam / lam.sum()))
     node._memo[key] = value
@@ -473,43 +467,9 @@ def _hull_point(node, y):
     """The screen: y's exact projection S'l1 onto conv(slopes), and l1."""
     S, constants = node.slopes, node._constants
     lam1 = minimize_quadratic_over_simplex(
-        constants[0], -2.0 * (S @ y), S.shape[0], memo=constants[8]
+        constants[0], -2.0 * (S @ y), S.shape[0], memo=constants[7]
     ).argmin.weights
     return S.T @ lam1, lam1
-
-
-def _add_cut(node, nu, slack):
-    """Keep the LP's dual cut on the node, unless it holds one with the same
-    multipliers nu of the rows S'l = b.
-
-    For l in the simplex, o'l = sum_i l_i (o_i + s_i'nu) - nu'S'l, so with
-    level = min_i (o_i + s_i'nu) every value o'l that the node returns is at
-    least level - nu'S'l: weak duality, for any nu, whatever the LP's
-    tolerances.  S'l lies within the collar, 1e-6 plus the rounding
-    allowance slack, of the y asked for, so the cut keeps level lowered by
-    ||nu|| slack, and by 1e-12 (max |o| + ||nu||_1 (1 + max |S|)) for the
-    rounding of level and nu'y.  A y outside the collar is +inf, above any
-    bound.
-    """
-    cut = nu.tobytes()
-    if cut in node._cuts:
-        return
-    S, o = node.slopes, node.offsets
-    scale = float(np.abs(o).max()) + float(np.abs(nu).sum()) * (1.0 + float(np.abs(S).max()))
-    level = float(np.min(o + S @ nu)) - float(np.linalg.norm(nu)) * slack - 1e-12 * scale
-    normals, levels = node._cuts.get(None, (np.empty((0, nu.size)), np.empty(0)))
-    node._cuts[cut] = level
-    node._cuts[None] = np.vstack([normals, nu]), np.append(levels, level)
-
-
-def _cut_bound(node, y):
-    """Kelley's lower model of the node's values at y: the largest cut
-    level - nu'y, or -inf before the first LP."""
-    cuts = node._cuts.get(None)
-    if cuts is None:
-        return -INF
-    normals, levels = cuts
-    return float(np.max(levels - normals @ y))
 
 
 def eval(expr, x) -> float:  # noqa: A001 - module-level eval is the API
@@ -563,33 +523,23 @@ def _eval(expr, x) -> float:
         child = expr.child
         if isinstance(child, (MaxAffine, Indicator)):
             return _eval(conjugate(child), x)
+        if isinstance(child, MaxAffineConjugate):
+            # x.y - f*(y) is affine on each cell of f*'s subdivision of
+            # conv(slopes), and every cell vertex is a slope.
+            return max(float(s @ x) - _eval(child, s) for s in child.slopes)
 
         def neg_slope(z):
             return _eval(child, z) - float(z @ x)
 
-        probes, lower = (), None
-        if isinstance(child, MaxAffineConjugate):
-            # Polyhedral children attain the supremum at a vertex of their
-            # domain; probe the generating slopes so the grid cannot miss
-            # it.  The LPs' dual cuts bound neg_slope from below, so the
-            # compass skips polls that they prove cannot improve.
-            probes = child.slopes
-
-            def lower(z):
-                return _cut_bound(child, z) - float(z @ x)
-
         name = f"Conjugate({type(child).__name__})"
         try:
-            m, z = _inner_minimize(neg_slope, expr.box, name, probes, lower)
+            m, _ = _inner_minimize(neg_slope, expr.box, name)
         except _Divergence:
             return INF  # the supremum escapes every box: conjugate is +inf
         if m is None:
             raise ImproperFunctionError(
                 name, f"child is +inf on the whole box; conjugate would be -inf"
             )
-        if isinstance(child, MaxAffineConjugate):
-            # Read z's collar value at its hull point p: x.p - f*(p) <= f(x).
-            m = _eval(child, z) - float(_hull_point(child, z)[0] @ x)
         return -m
     if isinstance(expr, InfConv):
         f, g = expr.left, expr.right
@@ -754,11 +704,8 @@ def fenchel_duality_solve(f, neg_g, box):
     f_star, neg_g_star = conjugate(f, box), conjugate(neg_g, box)
 
     def dual_neg(y):
-        try:
-            gs = _eval(neg_g_star, -y)
-            return INF if gs == INF else _eval(f_star, y) + gs
-        except ImproperFunctionError:
-            return INF  # f or neg_g is +inf on the whole box: no dual value
+        gs = _eval(neg_g_star, -y)
+        return INF if gs == INF else _eval(f_star, y) + gs
 
     # Polyhedral operands pin the dual domain: probe their slope points,
     # which a coarse grid over the box may miss (affine g has a point domain).
@@ -771,6 +718,9 @@ def fenchel_duality_solve(f, neg_g, box):
         m, y = _inner_minimize(dual_neg, box, "FenchelDual", extra_points=probes)
     except _Divergence:
         raise BoxExhaustionError("FenchelDual")
+    except ImproperFunctionError:
+        # f or neg_g is +inf on the whole box, whatever y: no dual value.
+        return primal, -INF, INF
     if m is not None and (isinstance(f, MaxAffine) or isinstance(neg_g, MaxAffine)):
         if isinstance(neg_g, MaxAffine):
             y = -_hull_point(neg_g_star, -y)[0]

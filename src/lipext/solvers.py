@@ -33,7 +33,7 @@ Internal helper used by other modules:
   coordinates.  It is done once per working set: its null space gives the
   steps, and its range factors give the multipliers of the equalities and
   general rows at a stationary point, while each bound's multiplier is read
-  off its column; every solve returns the equalities' multipliers.
+  off its column.
   With P = 0 it solves the conjugate LP with no eigendecomposition: every
   step is a ray.
 
@@ -264,9 +264,8 @@ class _WorkingSet:
 
 
 def _drop_row(grad, local, active, ws, G, single, pin_col, me):
-    """Bland's rule at a stationary point: (row, nu) with row the
-    lowest-index active row with a multiplier below -1e-11 local, or -1 at a
-    KKT point, and nu the multipliers of C's rows, the equalities first.
+    """Bland's rule at a stationary point: the lowest-index active row with a
+    multiplier below -1e-11 local, or -1 at a KKT point.
 
     nu solves C_f' nu = -grad_f in least squares over the free columns f,
     through the working set's own SVD C_f = u diag(s) vt, as nu = u (vt
@@ -278,7 +277,6 @@ def _drop_row(grad, local, active, ws, G, single, pin_col, me):
     resid = grad
     mult = np.empty(act_idx.size)
     C, free = ws.C, ~ws.fixed
-    nu = np.zeros(0)
     if C.shape[0]:
         u, s, vt = ws.svd
         nu = u @ ((vt @ -grad[free]) / s)
@@ -288,7 +286,7 @@ def _drop_row(grad, local, active, ws, G, single, pin_col, me):
     cols = pin_col[bounds]
     mult[is_bound] = -resid[cols] / G[bounds, cols]
     neg = (mult < -1e-11 * local).nonzero()[0]
-    return (int(act_idx[neg[0]]) if neg.size else -1), nu
+    return int(act_idx[neg[0]]) if neg.size else -1
 
 
 def _direction(P, linear, grad, local, z, ws):
@@ -348,16 +346,14 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
     when the step or the reduced gradient Z'grad is below 1e-11 of its
     scale.  The cap is 200 + 80 (rows of G + 1) iterations, where it raises
     SolverCapError("<name> capped at <cap> iterations"); name only labels
-    that message.  Returns (z, info) with info carrying iters, eq_mult (the
-    multipliers nu of A_eq's rows at the KKT point, so that grad + A_eq' nu,
-    plus the active general rows' terms, is the bounds' nonnegative
-    multipliers up to rounding) and converged, always True.
+    that message.  Returns (z, info) with info carrying iters and
+    converged, always True.
 
     Each working set's factors are memoised in memo, keyed by the active
     mask's bytes, under the module's memo contract: the pinned columns, C,
     Z, the rank part of the SVD and, once needed, the eigh of Z'PZ; with
-    P = 0 also the step plan (the ray, or the row to drop and the
-    multipliers, or convergence), which depends on q and not on z.  The
+    P = 0 also the step plan (the ray, or the row to drop, or
+    convergence), which depends on q and not on z.  The
     bound rows, the pinned column of each, whether P is zero and then q's
     bytes sit under the key None.  Without a memo one lives for the one
     call.
@@ -400,17 +396,17 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
                 ws = _WorkingSet(A_eq, G, active, single, pin_col)
             memo[key] = ws
         if ws.plan is not None:
-            d, ray, drop, nu = ws.plan
+            d, ray, drop = ws.plan
         else:
             if not linear:
                 grad = P @ z + q
                 local = 1.0 + float(np.abs(grad).max(initial=0.0))
             d, ray = _direction(P, linear, grad, local, z, ws)
-            drop = nu = None
+            drop = None
             if d is None:
-                drop, nu = _drop_row(grad, local, active, ws, G, single, pin_col, me)
+                drop = _drop_row(grad, local, active, ws, G, single, pin_col, me)
             if linear:
-                ws.plan = d, ray, drop, nu
+                ws.plan = d, ray, drop
         if d is None:
             if drop < 0:
                 break
@@ -448,5 +444,5 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
     else:
         raise SolverCapError(f"{name} capped at {iters} iterations")
     # "converged" is always True; bench/tracing.py reads it.
-    info = {"converged": True, "iters": iters, "eq_mult": nu[:me]}
+    info = {"converged": True, "iters": iters}
     return _restore_equalities(A_eq, b_eq, z), info
