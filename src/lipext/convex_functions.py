@@ -215,14 +215,18 @@ class Conjugate:
     """Numeric Fenchel conjugate: sup over the box of <x, y> - child(x).
 
     A polyhedral child (MaxAffineConjugate) is read at its slopes, as
-    max_i (<s_i, y> - child(s_i)), and its box is not searched.
+    max_i (<s_i, y> - child(s_i)), so it needs no box; every other child
+    does.
     """
 
     child: object
-    box: Box
+    box: Box | None
 
     def __post_init__(self):
-        if self.box.dim != self.child.dim:
+        if self.box is None:
+            if not isinstance(self.child, MaxAffineConjugate):
+                raise ValueError("a search box is required for non-polyhedral conjugates")
+        elif self.box.dim != self.child.dim:
             raise DimensionMismatchError("box does not match child dimension")
 
     @property
@@ -593,13 +597,12 @@ def _eval(expr, x) -> float:
 
 def conjugate(f, box=None):
     """Conjugate node; exact evaluators for max-affine and indicator input,
-    box-based supremum otherwise."""
+    the slope rule for a polyhedral conjugate, box-based supremum otherwise
+    (box required)."""
     if isinstance(f, MaxAffine):
         return MaxAffineConjugate(f.slopes, f.offsets)
     if isinstance(f, Indicator):
         return SupportFunction(f.body)
-    if box is None:
-        raise ValueError("a search box is required for non-polyhedral conjugates")
     return Conjugate(f, box)
 
 
@@ -620,22 +623,13 @@ def scale_ops(f, factor, mode):
     raise ValueError(f"mode must be 'mul' or 'epi', got {mode!r}")
 
 
-def _auto_dual_box(f_star):
-    if isinstance(f_star, MaxAffineConjugate):
-        lo = f_star.slopes.min(axis=0) - 1.0
-        hi = f_star.slopes.max(axis=0) + 1.0
-        return Box(lo, hi)
-    return None
-
-
 def biconjugate_check(f, samples, *, primal_box=None, dual_box=None):
-    """max |f**(x) - f(x)| over the samples; samples must be in dom f."""
+    """max |f**(x) - f(x)| over the samples; samples must be in dom f.  A
+    polyhedral f* (f max-affine) needs no dual_box."""
     f_star = conjugate(f, primal_box)
-    if dual_box is None:
-        dual_box = _auto_dual_box(f_star)
-    if dual_box is None:
+    if dual_box is None and not isinstance(f_star, MaxAffineConjugate):
         raise ValueError("dual_box is required when f* is not polyhedral")
-    f_star_star = Conjugate(f_star, dual_box)
+    f_star_star = conjugate(f_star, dual_box)
     worst = 0.0
     for s in samples:
         s = as_vector(s)

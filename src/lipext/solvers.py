@@ -24,7 +24,13 @@ Internal helper used by other modules:
   an exact KKT point, which is what lets epigraph reformulations of
   max-affine objectives reach 1e-12 accuracy.
   Its ratio test lets every inactive row with (G d)_i > 0 block a step, so
-  a step crosses no row by more than rounding, however long the ray.
+  a step crosses no row by more than rounding, however long the ray.  At a
+  stationary point it drops the row with the most negative multiplier
+  (Dantzig's rule), and after the solve's first step with alpha = 0 the
+  lowest-index one (Bland's rule, which cannot cycle).  A dropped row that
+  blocks the very step its drop opened, at alpha = 0, had a multiplier
+  whose sign is rounding: it goes back in and is not dropped again until
+  the point moves, so drop/add 2-cycles at degenerate points end.
   Its iteration cap follows from the number of inequalities, and it
   raises SolverCapError there, named after the caller's QP, as it does on
   an unbounded QP: a result it returns is a KKT point.  An active
@@ -42,14 +48,15 @@ optional memo, a mapping that the caller owns and passes to every call of
 one fixed QP family: the same P, A_eq and G and, when P = 0, the same q (a
 P = 0 memo stores q's bytes and raises ValueError on another q).  It maps
 each working set, keyed by the active mask's bytes, to its factors (and
-with P = 0 to its step plan), so a working set met again in a later call is
-not refactored; the QP's bound rows sit under the key None, and the simplex
-wrapper's constants (half of Q's diagonal, the sum row, -I and zero h)
-under "simplex".  A call writes every entry it uses back into the memo,
-found or built, so a collections.ChainMap(fresh, last) gathers exactly that
-call's entries in fresh while it reads last's.  Entries depend only on the
-fixed data and the working set, so passing a memo never moves a bit of a
-result.  Owners: the polyhedral conjugate node keeps one memo for its
+with P = 0 to its step plan: the direction, or the rows a drop may take in
+Dantzig's order, never the drop itself), so a working set met again in a
+later call is not refactored; the QP's bound rows sit under the key None,
+and the simplex wrapper's constants (half of Q's diagonal, the sum row, -I
+and zero h) under "simplex".  A call writes every entry it uses back into
+the memo, found or built, so a collections.ChainMap(fresh, last) gathers
+exactly that call's entries in fresh while it reads last's.  Entries depend
+only on the fixed data and the working set, not on a solve's drop-rule
+state, so passing a memo never moves a bit of a result.  Owners: the polyhedral conjugate node keeps one memo for its
 screen and one for its LP; chebyshev_center shares one among its Newton
 steps' duals; each monotone.OperatorGraph carries, per QP family, the
 working sets of its last call only.  Nothing here keeps a memo between
@@ -264,8 +271,10 @@ class _WorkingSet:
 
 
 def _drop_row(grad, local, active, ws, G, single, pin_col, me):
-    """Bland's rule at a stationary point: the lowest-index active row with a
-    multiplier below -1e-11 local, or -1 at a KKT point.
+    """The active rows whose multiplier is below -1e-11 local at a stationary
+    point, in Dantzig's order: most negative first, ties by index.  Empty at
+    a KKT point.  solve_qp drops the first of them that is not frozen, or
+    the lowest-index one once a step of the solve has had alpha = 0.
 
     nu solves C_f' nu = -grad_f in least squares over the free columns f,
     through the working set's own SVD C_f = u diag(s) vt, as nu = u (vt
@@ -286,7 +295,7 @@ def _drop_row(grad, local, active, ws, G, single, pin_col, me):
     cols = pin_col[bounds]
     mult[is_bound] = -resid[cols] / G[bounds, cols]
     neg = (mult < -1e-11 * local).nonzero()[0]
-    return int(act_idx[neg[0]]) if neg.size else -1
+    return act_idx[neg[np.argsort(mult[neg], kind="stable")]].tolist()
 
 
 def _direction(P, linear, grad, local, z, ws):
@@ -335,8 +344,13 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
     and the active general rows restricted to the unpinned coordinates.  At a
     stationary point the same rows get their least-squares multipliers from
     that SVD's range factors, and each active bound's multiplier is read off
-    its pinned column; Bland's rule then drops the lowest-index active row
-    with a negative multiplier.  The ratio test's blocking rows are the
+    its pinned column.  The row dropped is the one with the most negative
+    multiplier (Dantzig's rule, ties by index) until a step of the solve has
+    alpha = 0, and the lowest-index one from then on (Bland's rule).  A
+    dropped row that blocks the next step at alpha = 0 is added back and
+    frozen: no frozen row is dropped until a step moves z, so the next
+    candidate is tried, and with none left the point is KKT to rounding and
+    the solve ends.  The ratio test's blocking rows are the
     inactive rows with (G d)_i > 0, with no tolerance: a row skipped for a
     tiny (G d)_i is crossed by alpha (G d)_i on a long ray step, and Kelley's
     cuts in convex_sets then cycle.  A ray that no row blocks and no
@@ -352,8 +366,9 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
     Each working set's factors are memoised in memo, keyed by the active
     mask's bytes, under the module's memo contract: the pinned columns, C,
     Z, the rank part of the SVD and, once needed, the eigh of Z'PZ; with
-    P = 0 also the step plan (the ray, or the row to drop, or
-    convergence), which depends on q and not on z.  The
+    P = 0 also the step plan (the ray, or the rows a drop may take in
+    Dantzig's order, empty at convergence), which depends on q and not on z
+    or on the drop rule's state.  The
     bound rows, the pinned column of each, whether P is zero and then q's
     bytes sit under the key None.  Without a memo one lives for the one
     call.
@@ -388,6 +403,9 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
     grad = q
     local = 1.0 + float(np.abs(q).max(initial=0.0))
     ws = None  # the working set's factors; None after it changes
+    bland = False  # after a step with alpha = 0, drops follow Bland's rule
+    frozen = set()  # dropped rows that blocked at alpha = 0, until z moves
+    dropped = -1  # the row dropped since the last step
     for iters in range(1, max_iters + 1):
         if ws is None:
             key = active.tobytes()
@@ -396,21 +414,23 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
                 ws = _WorkingSet(A_eq, G, active, single, pin_col)
             memo[key] = ws
         if ws.plan is not None:
-            d, ray, drop = ws.plan
+            d, ray, drops = ws.plan
         else:
             if not linear:
                 grad = P @ z + q
                 local = 1.0 + float(np.abs(grad).max(initial=0.0))
             d, ray = _direction(P, linear, grad, local, z, ws)
-            drop = None
+            drops = None
             if d is None:
-                drop = _drop_row(grad, local, active, ws, G, single, pin_col, me)
+                drops = _drop_row(grad, local, active, ws, G, single, pin_col, me)
             if linear:
-                ws.plan = d, ray, drop
+                ws.plan = d, ray, drops
         if d is None:
-            if drop < 0:
+            rows = [i for i in drops if i not in frozen]
+            if not rows:
                 break
-            active[drop] = False
+            dropped = min(rows) if bland else rows[0]
+            active[dropped] = False
             ws = None
             continue
         gd = G @ d
@@ -436,6 +456,15 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
             alpha = min(1.0, alpha_max)
         if alpha > 0.0:
             z = z + alpha * d
+            frozen.clear()
+        else:
+            bland = True
+            if block_idx == dropped:
+                # The row just dropped blocks the step it opened: its
+                # multiplier's sign is rounding, so it goes back in and
+                # stays until z moves.
+                frozen.add(dropped)
+        dropped = -1
         if block_idx >= 0 and alpha_max <= alpha + 1e-15:
             active[block_idx] = True
             ws = None

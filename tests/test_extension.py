@@ -273,19 +273,20 @@ class TestProxAvgGolden:
     # repr of (y, residual) at seeded queries, recorded before the bound
     # multipliers of solve_qp were read off pinned columns: a change of the
     # active-set path that moves any bit of a proxavg output shows here.
+    # Re-recorded when solve_qp began to drop the most negative multiplier.
     GOLDEN = {
         "gen-2-2-8": [
-            "([1.3061021933182873, 0.5511104806564823], 2.220446049250313e-16)",
+            "([1.3061021933182875, 0.5511104806564819], 1.1102230246251565e-16)",
             "([1.693309050964915, 0.7524869254114988], 4.440892098500626e-16)",
             "([0.09957948147380691, -0.6113949386715731], 4.440892098500626e-16)",
         ],
         "gen-3-2-12": [
-            "([-0.9736860480476415, 0.7812079194233978], 1.1102230246251565e-16)",
+            "([-0.9736860480476418, 0.7812079194233978], 1.6653345369377348e-16)",
             "([1.4431911462607925, 1.5514248152751344], 0.0)",
-            "([-1.086447575572181, 1.5148609516812561], 4.440892098500626e-16)",
+            "([-1.0864475755721807, 1.5148609516812563], 0.0)",
         ],
         "tight-2-2-7": [
-            "([-0.3819090508739219, -0.41195236631921855], 2.7755575615628914e-17)",
+            "([-0.3819090508739219, -0.41195236631921855], 1.3877787807814457e-17)",
             "([0.4728415384614378, 0.08205164613524822], 0.0)",
             "([-0.38653247108660005, 0.8118152592315048], 0.0)",
         ],

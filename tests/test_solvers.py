@@ -215,7 +215,7 @@ def test_cap_raises_with_the_callers_name(monkeypatch, name, call):
 
     def drop_row_0(grad, local, active, ws, G, *args):
         rows.append(G.shape[0])
-        return 0
+        return [0]
 
     monkeypatch.setattr(solvers, "_direction", lambda *args: (None, False))
     monkeypatch.setattr(solvers, "_drop_row", drop_row_0)
@@ -385,11 +385,80 @@ class TestRatioTest:
         assert len(worst) == 42 and max(worst) <= 1e-12
 
 
+def working_sets(memo):
+    """The active rows of each working set solve_qp met, in the order it
+    first met them (the memo's insertion order)."""
+    return [
+        tuple(np.flatnonzero(np.frombuffer(key, dtype=bool)).tolist())
+        for key in memo if isinstance(key, bytes)
+    ]
+
+
+class TestDropRule:
+    """At a stationary point solve_qp drops the most negative multiplier
+    (Dantzig's rule, ties by index), after a step with alpha = 0 the
+    lowest-index one (Bland's rule), and never a row that blocked the step
+    its own drop opened, until z moves."""
+
+    @staticmethod
+    def projection(t, G, active):
+        """Minimize 1/2 ||z - t||^2 subject to G z <= 0 from z = 0, and the
+        working sets met."""
+        memo = {}
+        K = len(t)
+        z, _ = solve_qp(
+            np.eye(K), -np.asarray(t, dtype=float), np.zeros((0, K)), [],
+            G, np.zeros(len(G)), np.zeros(K), initial_active=active, memo=memo,
+        )
+        return z, working_sets(memo)
+
+    def test_most_negative_multiplier_leaves_first(self):
+        # z >= 0 from the origin: bound i's multiplier is -t_i, so Bland's
+        # rule would free z_0, z_1, z_2 in turn; Dantzig's frees z_1 (-3),
+        # then z_2 (-2), then z_0 (-1).
+        z, sets = self.projection([1.0, 3.0, 2.0], -np.eye(3), [0, 1, 2])
+        assert sets == [(0, 1, 2), (0, 2), (0,), ()]
+        assert z.tolist() == [1.0, 3.0, 2.0]
+
+    def test_zero_step_switches_to_bland(self):
+        # Row 3 (z_2 <= 0) holds at the origin.  Freeing z_2 first (-3, the
+        # most negative) opens a step that row 3 blocks at alpha = 0.  Bounds
+        # 0 and 1 then have multipliers -1 and -2: Dantzig's rule would free
+        # z_1, but from that step on the lowest index, z_0, goes first.
+        G = np.vstack([-np.eye(3), [0.0, 0.0, 1.0]])
+        z, sets = self.projection([1.0, 2.0, 3.0], G, [0, 1, 2])
+        assert sets == [(0, 1, 2), (0, 1), (0, 1, 3), (1, 3), (3,)]
+        assert z.tolist() == [1.0, 2.0, 0.0]
+
+    def test_self_blocked_row_is_frozen(self, monkeypatch):
+        # Bound 0 (z_0 >= 0) has multiplier +1 at every point here, but a
+        # drop rule that reads it as negative, as rounding can at a
+        # degenerate point, offers it first.  Its drop opens the step
+        # z_0 -> -1, which row 0 itself blocks at alpha = 0: it goes back in,
+        # frozen, and z_1's bound (-2) leaves instead.  Once z moved, row 0
+        # is offered again, blocks again, and with no other candidate the
+        # solve ends at the KKT point instead of cycling to its cap.
+        real = solvers._drop_row
+        seen = []
+
+        def noisy(grad, local, active, *args):
+            seen.append(tuple(np.flatnonzero(active).tolist()))
+            rows = real(grad, local, active, *args)
+            return [0] + rows if active[0] else rows
+
+        monkeypatch.setattr(solvers, "_drop_row", noisy)
+        z, _ = self.projection([-1.0, 2.0], -np.eye(2), [0, 1])
+        assert seen == [(0, 1), (0, 1), (0,), (0,)]
+        assert z.tolist() == [0.0, 2.0]
+
+
 class TestSolveQPDigest:
     """SHA-256 over the z bytes and iteration counts of every solve_qp that
     each caller makes on seeded instances, recorded before the QP's constant
     data were hoisted and its null space reused: any change of the
     active-set path that moves a bit of an iterate's outcome shows here.
+    Re-recorded when solve_qp began to drop the most negative multiplier
+    (Dantzig's rule) instead of the lowest-index one.
 
     The simplex wrapper returns a start vertex that is already optimal
     without calling solve_qp, so the simplex shape hashes the wrapper's
@@ -407,25 +476,25 @@ class TestSolveQPDigest:
     }
     GOLDEN = {
         "conjugate-lp": (
-            133, "506740bcfb8bf26ee201b4168f95e789bef3d6eeb02f9fa04ddd5b6b45e99863"
+            133, "81b98ee475b07c6924071f564d479d77ec23f96931b9e292d984087bd02aefc1"
         ),
         "fitzpatrick-conj": (
-            8, "f47f4835a90f1477381f11c3a406f9b6defa0ce42df968118ee005bff0ef46b0"
+            8, "459b6285f8d0a02716138fcd3f6b2079a2cf6fa04ea72f6685fa3d893039fec8"
         ),
         "least-squares": (
-            42, "d459bbadc2973e1b6fc3d231136ea63e18432aae00dd60083d7b7bf59e18047b"
+            42, "5dbd818837c3b9e7eb8403141bb907a5cf69c16761405a8694b9902fc52fba75"
         ),
         "psi": (
-            12, "3c44cff8da24c255a28bf3836d6f8fd312417a95fbd920979936b55b81586fd3"
+            12, "74a117949d45266ee82b66020877fb48198ed984a02a81b82c9e6894f2d3ad2a"
         ),
         "resolvent-48": (
-            12, "45f2209cb9dd1157b46813adaaba58ab69c8e1ac025134691f70bddbe509b2ac"
+            12, "45692893b51ceca096a75cf6c5910f70ed195b376008bd2dae22ed6ffc94cdf5"
         ),
         "resolvent-8": (
-            12, "f6111f41e0a42e70ff83b388a0b2f2c817fdaf1e5a4c792bb547d379135be8fc"
+            12, "db1fb66a9f9296cb03f0985420da3a476fae42fd048f82238d0d64b805560162"
         ),
         "simplex": (
-            54, "2b69faee98a049979a0f834a575472717646ec3755885e4d161acc6e039078df"
+            54, "f6bbce60c0b6a20bb075d7dd443ac30b342a910a1168feba20189df18b5aa1b7"
         ),
     }
 
@@ -554,8 +623,9 @@ class TestWorkingSetReuse:
 
 
 def lstsq_drop_row(grad, local, active, ws, G, single, pin_col, me):
-    """Reference for solvers._drop_row: the same rule, with the equalities'
-    and active general rows' multipliers by np.linalg.lstsq."""
+    """Reference for solvers._drop_row: the same rows in Dantzig's order,
+    with the equalities' and active general rows' multipliers by
+    np.linalg.lstsq."""
     act_idx = active.nonzero()[0]
     is_bound = single[act_idx]
     resid = grad
@@ -569,7 +639,7 @@ def lstsq_drop_row(grad, local, active, ws, G, single, pin_col, me):
     cols = pin_col[bounds]
     mult[is_bound] = -resid[cols] / G[bounds, cols]
     neg = (mult < -1e-11 * local).nonzero()[0]
-    return int(act_idx[neg[0]]) if neg.size else -1
+    return [int(act_idx[j]) for j in sorted(neg, key=lambda j: (mult[j], j))]
 
 
 class TestSVDMultipliers:
@@ -582,14 +652,14 @@ class TestSVDMultipliers:
         picks = []
 
         def checked(*args):
-            row = real(*args)
-            picks.append((row, lstsq_drop_row(*args)))
-            return row
+            rows = real(*args)
+            picks.append((rows, lstsq_drop_row(*args)))
+            return rows
 
         monkeypatch.setattr(solvers, "_drop_row", checked)
         TestSolveQPDigest.SHAPES[shape][1]()
         assert [svd for svd, _ in picks] == [ref for _, ref in picks]
-        assert any(row >= 0 for row, _ in picks) and any(row < 0 for row, _ in picks)
+        assert any(rows for rows, _ in picks) and not all(rows for rows, _ in picks)
 
     def test_conjugate_probes_factor_each_working_set_once(self, monkeypatch):
         rng = SplitMix64(5162)
