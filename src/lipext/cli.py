@@ -13,6 +13,8 @@ result (family does not intersect, monotonicity check fails), 2 parse error,
 3 invalid input data, 4 solver non-convergence / tolerance exceeded,
 5 subset-enumeration budget exceeded (only `helly --mode k-check`; verify
 decides any family without enumerating subsets), 6 search-box exhaustion.
+--tol is read by extend, function and monotone, not by helly (it classifies at
+1e-6) or gen.
 """
 
 import argparse

@@ -2,17 +2,18 @@
 
 Closed-form nodes (quadratic, max-affine, indicators, kappa, sums, scalings,
 translations) evaluate exactly.  Conjugate, infimal convolution, and proximal
-average evaluate by inner optimization over an explicit search box: a 5-per-
-dimension coarse grid followed by a deterministic compass (pattern) search.
-Every inner problem in this algebra is convex (or concave for suprema), so an
-interior optimum is global; when the optimizer lands on the box boundary the
-box is doubled twice, and sustained improvement is interpreted as divergence:
-+inf for suprema, a box-exhaustion error for infima (a -inf value is never
-returned silently).  Every conjugate is a node, Fenchel's g* included.  The
-conjugate of a polyhedral conjugate, f** of a max-affine f, is read off its
-slopes and searches no box; the dual reads its final value at a hull point
-of a polyhedral conjugate, whose 1e-6 collar takes the nearest hull point's
-value.
+average evaluate by inner optimization over an explicit search box: a coarse
+grid (33, 9, then 5 points per dimension), then a compass (pattern) search
+that polls each step as one array.  Every inner problem in this algebra is
+convex (or concave for suprema), so an interior optimum is global; when the
+optimizer lands on the box boundary the box is doubled twice, and sustained
+improvement is a -inf minimum.  The search returns one extended-real minimum
+(+inf when no probe is finite); a node raises on the infinite minima that
+make it improper or exhausted, so no -inf value is returned silently.
+Every conjugate is a node, Fenchel's g* included.  The conjugate of a
+polyhedral conjugate, f** of a max-affine f, is read off its slopes and
+searches no box; the dual reads its final value at a hull point of a
+polyhedral conjugate, whose 1e-6 collar takes the nearest hull point's value.
 
 Values are plain floats with math.inf standing for +infinity.
 """
@@ -327,45 +328,32 @@ class ProxAvg:
         return self.left.dim
 
 
-class _Divergence(Exception):
-    pass
-
-
 def _compass_directions(d):
+    """Poll rows: nonzero {-1, 0, 1}^d up to d = 3, else signed axes, diagonals."""
     if d <= 3:
-        dirs = [np.array(v, dtype=float) for v in _iterproduct((-1, 0, 1), repeat=d)]
-        return [v for v in dirs if np.any(v)]
-    axes = []
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        axes.extend([e.copy(), -e])
-    diags = [np.array(v, dtype=float) for v in _iterproduct((-1, 1), repeat=d)]
-    return axes + diags
+        dirs = np.array(list(_iterproduct((-1.0, 0.0, 1.0), repeat=d)))
+        return dirs[dirs.any(axis=1)]
+    axes = np.kron(np.eye(d), [[1.0], [-1.0]])
+    return np.vstack([axes, np.array(list(_iterproduct((-1.0, 1.0), repeat=d)))])
 
 
 def _compass(fun, x0, f0, box):
-    """Compass search from (x0, f0): poll the directions in order, move to
-    the first that improves, and halve the step when none does."""
+    """Compass search from (x0, f0): each step clips its candidates as one
+    array and polls, in order, those the box does not clip back onto x; it
+    moves to the first that improves and halves the step when none does."""
     span = box.hi - box.lo
     dirs = _compass_directions(box.dim)
     x, fx = x0.copy(), f0
     s = 0.125
     while s > 1e-9:
-        moves = 0
-        while moves < 200:
-            improved = False
-            for v in dirs:
-                cand = np.clip(x + s * span * v, box.lo, box.hi)
-                if np.array_equal(cand, x):
-                    continue
+        for _ in range(200):
+            cands = np.clip(x + (s * span) * dirs, box.lo, box.hi)
+            for cand in cands[(cands != x).any(axis=1)]:
                 fc = fun(cand)
                 if fc < fx:
                     x, fx = cand, fc
-                    improved = True
-                    moves += 1
                     break
-            if not improved:
+            else:
                 break
         s *= 0.5
     return x, fx
@@ -380,8 +368,8 @@ def _box_minimize(fun, box, extra_points=()):
 
     extra_points are additional probe starts (e.g. the slope points of a
     polyhedral domain, which a coarse grid can miss entirely); every probe
-    is evaluated.  Returns (value, argmin, on_boundary) or (None, None,
-    False) when the objective is +inf everywhere probed.
+    is evaluated.  Returns (value, argmin, on_boundary); the value is +inf,
+    with no argmin, when the objective is +inf everywhere probed.
     """
     grid = box.grid(_grid_density(box.dim))
     if len(extra_points):
@@ -389,17 +377,14 @@ def _box_minimize(fun, box, extra_points=()):
     vals = np.array([fun(p) for p in grid])
     finite = np.isfinite(vals)
     if not np.any(finite):
-        return None, None, False
+        return INF, None, False
     order = np.argsort(vals, kind="stable")
     best_x, best_v = None, INF
-    for idx in order[:2]:
-        if not finite[idx]:
-            continue
+    for idx in [i for i in order[:2] if finite[i]]:
         x0 = np.clip(grid[idx], box.lo, box.hi)
         f0 = float(vals[idx]) if np.array_equal(x0, grid[idx]) else fun(x0)
         if not np.isfinite(f0):
-            x0, f0 = grid[idx], float(vals[idx])  # probe outside the box
-            x, v = x0, f0
+            x, v = grid[idx], float(vals[idx])  # probe outside the box
         else:
             x, v = _compass(fun, x0, f0, box)
         if v < best_v:
@@ -411,26 +396,24 @@ def _box_minimize(fun, box, extra_points=()):
     return best_v, best_x, on_boundary
 
 
-def _inner_minimize(fun, box, node_name, extra_points=()):
+def _inner_minimize(fun, box, extra_points=()):
     """Minimize over the box with the doubling divergence protocol.
 
-    Returns (minimum, argmin), (None, None) when the objective is +inf on
-    every probed box, and raises _Divergence when two consecutive doublings
-    keep improving the optimum by more than 1e-3.
+    Returns (minimum, argmin): (inf, None) when the objective is +inf on
+    every probed box, and (-inf, None) when two consecutive doublings keep
+    improving the optimum by more than 1e-3.  Each caller decides what an
+    infinite minimum means for its node.
     """
     v0, x0, boundary = _box_minimize(fun, box, extra_points)
-    if v0 is not None and not boundary:
+    if v0 < INF and not boundary:
         return v0, x0
     v1, x1, _ = _box_minimize(fun, box.doubled(), extra_points)
     v2, x2, _ = _box_minimize(fun, box.doubled().doubled(), extra_points)
-    candidates = [(v, x) for v, x in ((v0, x0), (v1, x1), (v2, x2)) if v is not None]
-    if not candidates:
-        return None, None
-    if v1 is not None and v2 is not None:
-        base = v0 if v0 is not None else v1
-        if (base - v1) > DIVERGENCE_IMPROVEMENT and (v1 - v2) > DIVERGENCE_IMPROVEMENT:
-            raise _Divergence(node_name)
-    return min(candidates, key=lambda c: c[0])
+    base = v0 if v0 < INF else v1
+    # inf - inf is nan, so a box with no finite probe never counts as a gain.
+    if (base - v1) > DIVERGENCE_IMPROVEMENT and (v1 - v2) > DIVERGENCE_IMPROVEMENT:
+        return -INF, None
+    return min(((v0, x0), (v1, x1), (v2, x2)), key=lambda c: c[0])
 
 
 def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
@@ -535,16 +518,13 @@ def _eval(expr, x) -> float:
         def neg_slope(z):
             return _eval(child, z) - float(z @ x)
 
-        name = f"Conjugate({type(child).__name__})"
-        try:
-            m, _ = _inner_minimize(neg_slope, expr.box, name)
-        except _Divergence:
-            return INF  # the supremum escapes every box: conjugate is +inf
-        if m is None:
+        m, _ = _inner_minimize(neg_slope, expr.box)
+        if m == INF:
             raise ImproperFunctionError(
-                name, f"child is +inf on the whole box; conjugate would be -inf"
+                f"Conjugate({type(child).__name__})",
+                "child is +inf on the whole box; conjugate would be -inf",
             )
-        return -m
+        return -m  # +inf when the supremum escapes every box
     if isinstance(expr, InfConv):
         f, g = expr.left, expr.right
         # A single-point indicator is the shift element: f [] delta_p = f(. - p).
@@ -565,14 +545,13 @@ def _eval(expr, x) -> float:
                 return INF
             return a + b
 
-        name = f"InfConv({type(f).__name__},{type(g).__name__})"
-        try:
-            m, _ = _inner_minimize(total, expr.box, name)
-        except _Divergence:
+        m, _ = _inner_minimize(total, expr.box)
+        if m == -INF:
+            name = f"InfConv({type(f).__name__},{type(g).__name__})"
             raise BoxExhaustionError(
                 name, f"infimal convolution diverges to -inf in node {name}"
             )
-        return INF if m is None else m
+        return m
     if isinstance(expr, ProxAvg):
         f, g = expr.left, expr.right
 
@@ -586,12 +565,10 @@ def _eval(expr, x) -> float:
             d = 2.0 * ylocal - x
             return 0.5 * a + 0.5 * b + 0.5 * float(d @ d)
 
-        name = f"ProxAvg({type(f).__name__},{type(g).__name__})"
-        try:
-            m, _ = _inner_minimize(total, expr.box, name)
-        except _Divergence:
-            raise BoxExhaustionError(name)
-        return INF if m is None else m
+        m, _ = _inner_minimize(total, expr.box)
+        if m == -INF:
+            raise BoxExhaustionError(f"ProxAvg({type(f).__name__},{type(g).__name__})")
+        return m
     raise TypeError(f"unknown expression node: {type(expr).__name__}")
 
 
@@ -689,11 +666,9 @@ def fenchel_duality_solve(f, neg_g, box):
         a = _eval(f, z)
         return INF if a == INF else a + _eval(neg_g, z)
 
-    try:
-        primal, _ = _inner_minimize(primal_obj, box, "FenchelPrimal")
-    except _Divergence:
+    primal, _ = _inner_minimize(primal_obj, box)
+    if primal == -INF:
         raise BoxExhaustionError("FenchelPrimal")
-    primal = INF if primal is None else primal
 
     f_star, neg_g_star = conjugate(f, box), conjugate(neg_g, box)
 
@@ -709,21 +684,20 @@ def fenchel_duality_solve(f, neg_g, box):
     if isinstance(neg_g, MaxAffine):
         probes.extend(-neg_g.slopes)
     try:
-        m, y = _inner_minimize(dual_neg, box, "FenchelDual", extra_points=probes)
-    except _Divergence:
-        raise BoxExhaustionError("FenchelDual")
+        m, y = _inner_minimize(dual_neg, box, extra_points=probes)
     except ImproperFunctionError:
         # f or neg_g is +inf on the whole box, whatever y: no dual value.
         return primal, -INF, INF
-    if m is not None and (isinstance(f, MaxAffine) or isinstance(neg_g, MaxAffine)):
+    if m == -INF:
+        raise BoxExhaustionError("FenchelDual")
+    if m < INF and (isinstance(f, MaxAffine) or isinstance(neg_g, MaxAffine)):
         if isinstance(neg_g, MaxAffine):
             y = -_hull_point(neg_g_star, -y)[0]
         if isinstance(f, MaxAffine):
             y = _hull_point(f_star, y)[0]
         reread = dual_neg(y)  # +inf where the domains meet only in the collar
         m = reread if reread < INF else m
-    dual = -m if m is not None else -INF
-    return primal, dual, primal - dual
+    return primal, -m, primal + m
 
 
 def fenchel_young_check(f, pairs, *, box=None):

@@ -71,10 +71,10 @@ def load_queries_csv(path, dim=None) -> np.ndarray:
             rows.append(row)
     if not rows:
         raise ValueError("no query rows found")
-    arr = np.asarray(rows, dtype=float)
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"inconsistent row widths: {sorted(widths)}")
+    arr = np.asarray(rows, dtype=float)
     if dim is not None and arr.shape[1] != dim:
         raise ValueError(f"expected {dim} columns, found {arr.shape[1]}")
     return arr
@@ -103,9 +103,12 @@ def data_from_dict(d) -> FiniteMapData:
 def graph_from_dict(d) -> OperatorGraph:
     n = int(d["n"])
     pairs = d["pairs"]
-    pts = np.asarray([p[0] for p in pairs], dtype=float).reshape(-1, n)
-    vals = np.asarray([p[1] for p in pairs], dtype=float).reshape(-1, n)
-    return OperatorGraph(pts, vals, multi_valued=bool(d.get("multi_valued", False)))
+    pts = np.asarray([p[0] for p in pairs], dtype=float)
+    vals = np.asarray([p[1] for p in pairs], dtype=float)
+    if pts.size != len(pairs) * n or vals.size != len(pairs) * n:
+        raise ValueError("pairs do not match the declared n")
+    multi = bool(d.get("multi_valued", False))
+    return OperatorGraph(pts.reshape(-1, n), vals.reshape(-1, n), multi_valued=multi)
 
 
 def body_to_dict(body) -> dict:

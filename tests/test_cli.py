@@ -368,6 +368,7 @@ INPUTS = {
     "antigraph": {"n": 1, "pairs": [[[0.0], [1.0]], [[1.0], [0.0]]]},
     "nopairs": {"n": 1},
     "halfpair": {"n": 1, "pairs": [[[0.0]]]},
+    "narrowpairs": {"n": 2, "pairs": [[[0.0], [0.0]], [[1.0], [1.0]]]},
     "emptygraph": {"n": 1, "pairs": []},
     "conflict": {"n": 1, "pairs": [[[0.0], [0.0]], [[0.0], [1.0]]]},
 }
@@ -375,6 +376,7 @@ CSVS = {
     "q": "0.0\n0.5\n",
     "q2": "0.5,0.5\n-1.0,0.25\n",
     "qbad": "0.0\nzero\n",
+    "qragged": "1.0,2.0\n3.0\n",
 }
 
 
@@ -461,6 +463,9 @@ EXIT_PATHS = [
     path_case(["extend", "--data", "{data}", "--queries", "{q2}", "--method", "mcshane",
                "--out", "{out}"], 2,
               err="lipext: parse error: {q2}: expected 1 columns, found 2\n"),
+    path_case(["extend", "--data", "{data}", "--queries", "{qragged}", "--method",
+               "mcshane", "--out", "{out}"], 2,
+              err="lipext: parse error: {qragged}: inconsistent row widths: [1, 2]\n"),
     path_case(["extend", "--data", "{steep}", "--queries", "{q}", "--method", "mcshane",
                "--out", "{out}"], 3,
               err="lipext: invalid data: data is not 1.0-Lipschitz: pair (0, 1) has "
@@ -580,6 +585,8 @@ EXIT_PATHS = [
               err="lipext: parse error: {nopairs}: 'pairs'\n"),
     path_case(["monotone", "--graph", "{halfpair}", "--check", "--out", "{out}"], 2,
               err="lipext: parse error: {halfpair}: list index out of range\n"),
+    path_case(["monotone", "--graph", "{narrowpairs}", "--check", "--out", "{out}"], 3,
+              err="lipext: invalid data: pairs do not match the declared n\n"),
     path_case(["monotone", "--graph", "{emptygraph}", "--check", "--out", "{out}"], 3,
               err="lipext: invalid data: need matching non-empty (k, n) point and value "
                   "arrays\n"),

@@ -5,7 +5,12 @@ import weakref
 import numpy as np
 import pytest
 
-from lipext.errors import BoxExhaustionError, DimensionMismatchError, SolverCapError
+from lipext.errors import (
+    BoxExhaustionError,
+    DimensionMismatchError,
+    ImproperFunctionError,
+    SolverCapError,
+)
 from lipext.geometry import Ball, Polytope
 from lipext.rng import SplitMix64
 import lipext.convex_functions as cf
@@ -473,6 +478,201 @@ class TestDuality:
         )
         assert cf.fenchel_duality_solve(f, neg_g, cf.cube(2.0, 1)) == (INF, -INF, INF)
         assert len(searches) <= 4
+
+
+class TestBoxSearchGolden:
+    """reprs of box-search outputs, recorded before the search returned one
+    extended-real minimum and polled each compass step as one array: the
+    grid + compass argmin on n = 1 to 4 (n = 4 polls axes and diagonals),
+    and Conjugate, InfConv, ProxAvg and Fenchel values, divergent and
+    improper ones included.  A change that moves any bit shows here."""
+
+    GOLDEN = [
+        "(9.923721226532268e-19, [0.5212473049759865], False)",
+        "(0.6188815905902768, [0.0021273568272590637], False)",
+        "(0.7536243501419044, [0.0021273568272590637], False)",
+        "(-1.4, [-2.0], True)",
+        "(9.923721226532268e-19, [0.5212473049759865], False)",
+        "(3.0721074650364955, [3.0], True)",
+        "0.4310543066464086",
+        "0.36902230654411483",
+        "0.020656350994793085",
+        "-0.30954982733622727",
+        "-0.30892550699112414",
+        "-0.2841881671109029",
+        "-0.13572094404342447",
+        "-0.13133073819501584",
+        "-0.12370467652681025",
+        "0.9673146467221729",
+        "0.6325356682653823",
+        "0.6963071105182959",
+        "0.8894222222799968",
+        "0.6251022355694636",
+        "0.7072215128909344",
+        "0.43441473730907343",
+        "0.4047698821738537",
+        "0.002738780287892561",
+        "9.760006081854458e-05",
+        "0.4736260370386979",
+        "0.3480723283568621",
+        "(1.4385286586172171e-18, [1.234277918934822, 0.23262565582990646], False)",
+        "(0.5339565642455562, [-0.05718240141868591, 0.6284830123186111], False)",
+        "(1.3351756947553977, [0.3422842025756836, 0.3783611059188843], False)",
+        "(-2.8, [-2.0, -2.0], True)",
+        "(0.31808672829666973, [0.4375, 0.19631583988666534], False)",
+        "(5.388067615545736, [3.0, 3.0], True)",
+        "0.36830536958257165",
+        "0.4232519069680637",
+        "0.3513406268561546",
+        "0.33519969067676225",
+        "-0.3094920065336433",
+        "-0.2089968972936631",
+        "1.0439650566869754",
+        "1.2984741459671474",
+        "0.41208913160516214",
+        "1.0587120264117593",
+        "1.0824866005605025",
+        "0.6262103536191359",
+        "0.2876953356944731",
+        "0.546398217128372",
+        "0.6560267066885654",
+        "0.6774888188700693",
+        "0.9500322156341829",
+        "0.18385428378402635",
+        "0.001792758440336165",
+        "0.5070641117422542",
+        "0.1829117603551562",
+        "(6.1544862676222575e-18, [1.2425146624445915, "
+        "-0.5097294300794601, 0.8270683959126472], False)",
+        "(0.10953924562981654, [2.0, 0.1992201879620552, -1.872425153851509], True)",
+        "(1.4682481879760125, [0.7095889151096344, -0.6271194815635681, "
+        "-0.056318581104278564], False)",
+        "(-4.199999999999999, [-2.0, -2.0, -2.0], True)",
+        "(0.8032878859733282, [0.21857227385044098, "
+        "-0.12792882323265076, 0.18492662906646729], False)",
+        "(10.064293575833615, [3.0, 3.0, 3.0], True)",
+        "0.7025739021675294",
+        "0.5863069311252775",
+        "0.21828103219914996",
+        "-0.2642728564114522",
+        "-0.0635710949008711",
+        "-0.02720889497511625",
+        "-1.1618304040235814",
+        "1.6850378813633786",
+        "-0.8130807606700836",
+        "(7.959977887292976e-18, [0.9211525395512581, "
+        "-0.21663783490657806, 0.18128691613674164, 0.6617542505264282], False)",
+        "(-0.4943710427196214, [0.32030682265758514, "
+        "-0.9871618151664734, -0.7685042768716812, -1.5014646649360657], False)",
+        "(0.5207132761745354, [0.6016308665275574, -0.5143622308969498, "
+        "-0.20747599005699158, 0.468297615647316], False)",
+        "(-5.6, [-2.0, -2.0, -2.0, -2.0], True)",
+        "(0.24605917167030966, [0.424802765250206, -0.21661581099033356, "
+        "0.1806812435388565, 0.166017547249794], False)",
+        "(14.04045119390437, [3.0, 3.0, 3.0, 3.0], True)",
+        "inf",
+        "-0.0",
+        "inf",
+        "BoxExhaustionError: infimal convolution diverges to -inf in "
+        "node InfConv(Scale,MaxAffine)",
+        "-0.5",
+        "inf",
+        "90.25",
+        "ImproperFunctionError: child is +inf on the whole box; conjugate would be -inf",
+        "BoxExhaustionError: search box exhausted in node 'FenchelPrimal'",
+        "BoxExhaustionError: search box exhausted in node 'FenchelDual'",
+        "(inf, -inf, inf)",
+        "(inf, -inf, inf)",
+        "(0.12499999627470973, 0.125, -3.7252902707063384e-09)",
+    ]
+
+    @staticmethod
+    def observed():
+        out = []
+
+        def read(thunk):
+            try:
+                out.append(repr(thunk()))
+            except (BoxExhaustionError, ImproperFunctionError) as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+
+        rng = SplitMix64(2525)
+        for n in (1, 2, 3, 4):
+            box = cf.cube(2.0, n)
+            c = np.array([rng.uniform(-1.5, 1.5) for _ in range(n)])
+            q = cf.Translate(c, np.zeros(n), 0.0, cf.Quadratic(n))
+            ma = rand_maxaffine(rng, n, n + 2, scale=1.0)
+            tilted = cf.MaxAffine(np.array([np.full(n, 0.7)]), np.array([0.0]))
+            ball = cf.Sum((cf.Indicator(Ball(-0.5 * c, 1.1)), q), (1.0, 1.0))
+            for fun in (q, ma, cf.Sum((q, ma), (1.0, 1.0)), tilted, ball):
+                v, x, b = cf._box_minimize(lambda z, fun=fun: cf._eval(fun, z), box)
+                out.append(repr((v, x.tolist(), b)))
+            # The domain lies outside the box: only the extra probe is finite.
+            outside = cf.Sum((cf.Indicator(Ball(np.full(n, 3.0), 0.3)), q), (1.0, 1.0))
+            v, x, b = cf._box_minimize(
+                lambda z: cf._eval(outside, z), box, extra_points=[np.full(n, 3.0)]
+            )
+            out.append(repr((v, x.tolist(), b)))
+            if n <= 3:
+                for child in (cf.Quadratic(n), cf.Sum((cf.Quadratic(n), ma), (1.0, 0.5)), q):
+                    node = cf.Conjugate(child, cf.cube(3.0, n))
+                    for _ in range(3):
+                        y = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
+                        read(lambda: cf.eval(node, y))
+            if n <= 2:
+                for left, right in ((cf.Quadratic(n), ma), (ma, q), (cf.Quadratic(n),) * 2):
+                    for node in (cf.inf_conv(left, right, cf.cube(3.0, n)),
+                                 cf.prox_avg(left, right, cf.cube(3.0, n))):
+                        for _ in range(2):
+                            y = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
+                            read(lambda: cf.eval(node, y))
+        # Divergent and improper searches.
+        box = cf.cube(2.0, 1)
+        line = cf.Scale(1.0, cf.MaxAffine(np.array([[1.0]]), np.array([0.0])))
+        anti = cf.MaxAffine(np.array([[-1.0]]), np.array([0.0]))
+        far = cf.Sum((cf.Indicator(Ball([10.0], 0.5)), cf.Quadratic(1)), (1.0, 1.0))
+        for t in (0.0, 1.0, 2.5):
+            read(lambda: cf.eval(cf.Conjugate(line, box), [t]))
+        read(lambda: cf.eval(cf.inf_conv(line, anti, box), [0.0]))
+        read(lambda: cf.eval(cf.prox_avg(line, cf.Scale(1.0, anti), box), [0.0]))
+        read(lambda: cf.eval(cf.inf_conv(far, cf.Indicator(Ball([-10.0], 0.5)), box), [0.0]))
+        read(lambda: cf.eval(cf.prox_avg(far, cf.Quadratic(1), box), [0.0]))
+        read(lambda: cf.eval(cf.Conjugate(far, box), [0.5]))
+        steep = cf.MaxAffine(np.array([[-2.0]]), np.array([0.0]))
+        read(lambda: cf.fenchel_duality_solve(line, steep, box))
+        apart = (cf.Indicator(Ball([0.0], 0.5)), cf.Indicator(Ball([1.5], 0.2)))
+        read(lambda: cf.fenchel_duality_solve(*apart, box))
+        read(lambda: cf.fenchel_duality_solve(cf.Quadratic(1), far, box))
+        read(lambda: cf.fenchel_duality_solve(far, cf.Quadratic(1), box))
+        read(lambda: cf.fenchel_duality_solve(cf.Indicator(Polytope([[0.5]])),
+                                              cf.Quadratic(1), box))
+        return out
+
+    def test_outputs_match_recorded_reprs(self):
+        assert self.observed() == self.GOLDEN
+
+
+class TestSearchContract:
+    """_inner_minimize returns one extended-real minimum: -inf when the
+    doubling protocol diverges, +inf when no probe is finite."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_divergent_objective_is_minus_inf(self, n):
+        assert cf._inner_minimize(lambda z: float(z.sum()), cf.cube(2.0, n)) == (-INF, None)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_infinite_objective_is_plus_inf(self, n):
+        assert cf._inner_minimize(lambda z: INF, cf.cube(2.0, n)) == (INF, None)
+
+    def test_conjugate_keeps_a_nested_exhaustion(self):
+        # A conjugate is +inf when its own search diverges; a child's
+        # exhausted search still raises through it.
+        f = cf.MaxAffine(np.array([[1.0]]), np.array([0.0]))
+        g = cf.MaxAffine(np.array([[-1.0]]), np.array([0.0]))
+        box = cf.cube(2.0, 1)
+        assert cf.eval(cf.Conjugate(cf.Scale(1.0, f), box), [0.0]) == INF
+        with pytest.raises(BoxExhaustionError):
+            cf.eval(cf.Conjugate(cf.inf_conv(f, g, box), box), [0.0])
 
 
 class TestFenchelYoung:

@@ -941,6 +941,30 @@ class TestExtensionModelSurface:
                 assert np.max(np.abs(y - data.values[i])) <= 1e-5
 
 
+class TestConstantData:
+    """One data point, or constant values (L = 0): minimax and proxavg
+    return that value, as a copy, with residual 0 at every query."""
+
+    CASES = {
+        "one-point": FiniteMapData(np.array([[0.5, -1.0]]), np.array([[2.0, 3.0, -1.0]])),
+        "one-point-L3": FiniteMapData(np.array([[0.5, -1.0]]), np.array([[2.0, 3.0]]), 3.0),
+        "constant": FiniteMapData(
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]), np.array([[2.0, -1.0]] * 3)
+        ),
+    }
+
+    @pytest.mark.parametrize("method", ["minimax", "proxavg"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_value_is_the_constant(self, case, method):
+        data = self.CASES[case]
+        model = ExtensionModel(data, method)
+        for x in (np.array([0.3, 0.4]), np.array([5.0, -2.0]), data.points[-1]):
+            y, residual = model.query(x)
+            assert np.array_equal(y, data.values[0]) and residual == 0.0, x
+            y[0] = 99.0
+            assert data.values[0, 0] == 2.0
+
+
 class TestTightDataLipschitz:
     def test_lipschitz_methods_on_tight_data(self):
         # Empirical L and query pairs 0.05 apart: data without slack, where a

@@ -490,19 +490,19 @@ def test_no_nested_box_search():
 def test_scan_flags_a_nested_box_search():
     source = (
         "def top(f, box):\n"
-        "    return _inner_minimize(f, box, 'top')\n"
+        "    return _inner_minimize(f, box)\n"
         "def outer(f, box):\n"
         "    def probe(y):\n"
-        "        return cf._inner_minimize(f, box, 'probe')\n"
+        "        return cf._inner_minimize(f, box)\n"
         "    def clean(y):\n"
         "        return f(y)\n"
-        "    g = lambda y: _inner_minimize(f, box, 'lambda')\n"
+        "    g = lambda y: _inner_minimize(f, box)\n"
         "    return probe, clean, g\n"
         "class Node:\n"
         "    def method(self, f, box):\n"
         "        def inner():\n"
-        "            return _inner_minimize(f, box, 'inner')\n"
-        "        return _inner_minimize(f, box, 'method'), inner\n"
+        "            return _inner_minimize(f, box)\n"
+        "        return _inner_minimize(f, box), inner\n"
     )
     assert nested_box_searches(source) == [
         "outer.probe", "outer.<lambda>", "Node.method.inner",
