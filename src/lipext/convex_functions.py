@@ -19,7 +19,7 @@ Values are plain floats with math.inf standing for +infinity.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _iterproduct
 
@@ -244,14 +244,13 @@ class MaxAffineConjugate:
     hull point p (_hull_point), where the Fenchel dual re-reads its final
     value.  Its conjugate is affine on each cell of a subdivision of
     conv(slopes) whose vertices are slopes, so Conjugate reads it at the
-    slopes alone.  Values, keyed by y's bytes, the QPs' constant data, and
-    the screen's and the LP's solve_qp memos of working-set factors are
-    memoised on the node and freed with it.
+    slopes alone.  The QPs' constant data and the screen's and the LP's
+    solve_qp memos of working-set factors are memoised on the node and freed
+    with it.
     """
 
     slopes: np.ndarray
     offsets: np.ndarray
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         s = np.asarray(self.slopes, dtype=float)
@@ -268,18 +267,12 @@ class MaxAffineConjugate:
     @cached_property
     def _constants(self):
         """The screen's 2SS'; the LP's zero P, A_eq, bounds -I and zero h;
-        the slopes' box widened by the collar plus a rounding allowance; the
-        screen's and the LP's solve_qp memos.  The screen's q, -2Sy, moves
-        with y, so a screen whose 2SS' is zero (every slope zero) gets
-        none."""
+        the screen's and the LP's solve_qp memos."""
         S = self.slopes
         k = S.shape[0]
-        slack = POLYHEDRAL_INFEASIBLE_TOL + 1e-12 * (1.0 + float(np.abs(S).max()))
-        SS2 = 2.0 * (S @ S.T)
         return (
-            SS2, np.zeros((k, k)), np.vstack([S.T, np.ones((1, k))]),
-            -np.eye(k), np.zeros(k), S.min(axis=0) - slack,
-            S.max(axis=0) + slack, {} if SS2.any() else None, {},
+            2.0 * (S @ S.T), np.zeros((k, k)), np.vstack([S.T, np.ones((1, k))]),
+            -np.eye(k), np.zeros(k), {}, {},
         )
 
 
@@ -419,42 +412,31 @@ def _inner_minimize(fun, box, extra_points=()):
 def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
     """min { o'l : S'l = y, l in simplex } as one exact LP.
 
-    y outside the slopes' box by more than 1e-6 plus 1e-12 (1 + max |S|)
-    for rounding is +inf at once, as the screen would find.  Otherwise a
-    screen, the exact projection of y onto conv(slopes), returns +inf when
+    A screen, the exact projection of y onto conv(slopes), returns +inf when
     y is farther than 1e-6 from the hull; otherwise its weights l1 start
     solve_qp (P = 0) on the LP with target S'l1, the nearest hull point, so
     the start is feasible, and l1's zero weights start in the working set.
     """
-    key = y.tobytes()
-    if key in node._memo:
-        return node._memo[key]
-    _, P0, A_eq, G, h, lo, hi, _, lp_memo = node._constants
-    if (y < lo).any() or (y > hi).any():
-        node._memo[key] = INF
-        return INF
     nearest, lam1 = _hull_point(node, y)
     # The distance itself, not the expanded quadratic's value, which loses
     # its last digits to cancellation near the 1e-6 threshold.
     if float(np.linalg.norm(nearest - y)) > POLYHEDRAL_INFEASIBLE_TOL:
-        value = INF
-    else:
-        lam, _ = solve_qp(
-            P0, node.offsets, A_eq, np.append(nearest, 1.0), G, h, lam1,
-            initial_active=np.flatnonzero(lam1 == 0.0), memo=lp_memo,
-            name="conjugate LP",
-        )
-        np.clip(lam, 0.0, None, out=lam)
-        value = float(node.offsets @ (lam / lam.sum()))
-    node._memo[key] = value
-    return value
+        return INF
+    _, P0, A_eq, G, h, _, lp_memo = node._constants
+    lam, _ = solve_qp(
+        P0, node.offsets, A_eq, np.append(nearest, 1.0), G, h, lam1,
+        initial_active=np.flatnonzero(lam1 == 0.0), memo=lp_memo,
+        name="conjugate LP",
+    )
+    np.clip(lam, 0.0, None, out=lam)
+    return float(node.offsets @ (lam / lam.sum()))
 
 
 def _hull_point(node, y):
     """The screen: y's exact projection S'l1 onto conv(slopes), and l1."""
     S, constants = node.slopes, node._constants
     lam1 = minimize_quadratic_over_simplex(
-        constants[0], -2.0 * (S @ y), S.shape[0], memo=constants[7]
+        constants[0], -2.0 * (S @ y), S.shape[0], memo=constants[5]
     ).argmin.weights
     return S.T @ lam1, lam1
 
@@ -602,10 +584,9 @@ def scale_ops(f, factor, mode):
 
 def biconjugate_check(f, samples, *, primal_box=None, dual_box=None):
     """max |f**(x) - f(x)| over the samples; samples must be in dom f.  A
-    polyhedral f* (f max-affine) needs no dual_box."""
+    polyhedral f* (f max-affine) needs no dual_box; any other f* raises
+    without one."""
     f_star = conjugate(f, primal_box)
-    if dual_box is None and not isinstance(f_star, MaxAffineConjugate):
-        raise ValueError("dual_box is required when f* is not polyhedral")
     f_star_star = conjugate(f_star, dual_box)
     worst = 0.0
     for s in samples:

@@ -490,9 +490,12 @@ class ExtensionModel:
             # the affine-majorant gate whatever the data's scale.
             raw = empirical_modulus(data)
             s = self.scale = max(1.0, 2.0 * float(np.max(raw.values)))
-            self.omega = concave_majorant(Modulus(raw.breakpoints, raw.values / s))
-            # _envelope and _check_modulus_for_data read only points and
-            # values; a FiniteMapData would rescan every pair for its L.
+            # Namespaces stand in for a Modulus and a FiniteMapData, whose
+            # readers use only these fields: raw / s passes every check raw
+            # did, and a FiniteMapData would rescan every pair for its L.
+            self.omega = concave_majorant(
+                SimpleNamespace(breakpoints=raw.breakpoints, values=raw.values / s)
+            )
             self.scaled = SimpleNamespace(points=data.points, values=data.values / s)
             if not self.omega.is_subadditive:
                 raise ValueError("modulus must be subadditive")

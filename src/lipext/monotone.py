@@ -163,17 +163,25 @@ def _nonexpansive_check(F: OperatorGraph):
 def resolvent_of_graph(T: OperatorGraph) -> OperatorGraph:
     """Push graph(T) through (x, x*) -> (x + x*, x), the graph of (T + id)^-1.
 
-    Monotone input makes the image single-valued; a conflict therefore
-    signals non-monotone input and is raised.
+    Monotone input gives ||dx|| <= ||dy|| for every pair, dy = d(x + x*), so
+    the image is single-valued.  A pair with ||dy|| <= 1e-10 and ||dx|| >
+    ||dy|| + 1e-12 (Euclidean norms) therefore signals non-monotone input and
+    is raised; this one scan decides the image, which is built as
+    multi_valued so that the constructor does not scan the pairs again.
     """
     ys = T.points + T.values
-    pair = _first_conflict(ys, T.points, 1e-10)
-    if pair is not None:
+
+    def kernel(dy, dx):
+        ny = np.linalg.norm(dy, axis=1)
+        return (ny <= 1e-10) & (np.linalg.norm(dx, axis=1) > ny + 1e-12)
+
+    worst, pair = pairwise(ys, T.points, kernel)
+    if worst > 0.0:
         raise ValueError(
             f"resolvent image is multi-valued on pairs {pair}; "
             "the input graph is not monotone"
         )
-    return OperatorGraph(ys, T.points.copy())
+    return OperatorGraph(ys, T.points.copy(), multi_valued=True)
 
 
 def graph_of_resolvent(F: OperatorGraph) -> OperatorGraph:
@@ -287,9 +295,7 @@ def _solve_epigraph_qp(T, qp, q, h_rows, prefix0, xt0, what):
     The memo is a ChainMap whose last map holds the working sets of the
     family's previous call, where solve_qp looks first; it writes the ones
     it meets into the first map, which then replaces the last, also when
-    solve_qp raises.  So a graph keeps one call's working sets per family.
-    (Psi's P is zero only when every atom is, and then its q is the same for
-    every query, as a P = 0 memo requires.)"""
+    solve_qp raises.  So a graph keeps one call's working sets per family."""
     P, G, A_eq, memo = qp
     _, Brows, o, BA = T._atoms
     d, k = prefix0.shape[0], BA.shape[0]

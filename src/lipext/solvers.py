@@ -45,22 +45,22 @@ Internal helper used by other modules:
 
 Memo contract.  solve_qp and minimize_quadratic_over_simplex take an
 optional memo, a mapping that the caller owns and passes to every call of
-one fixed QP family: the same P, A_eq and G and, when P = 0, the same q (a
-P = 0 memo stores q's bytes and raises ValueError on another q).  It maps
-each working set, keyed by the active mask's bytes, to its factors (and
-with P = 0 to its step plan: the direction, or the rows a drop may take in
-Dantzig's order, never the drop itself), so a working set met again in a
-later call is not refactored; the QP's bound rows sit under the key None,
-and the simplex wrapper's constants (half of Q's diagonal, the sum row, -I
-and zero h) under "simplex".  A call writes every entry it uses back into
-the memo, found or built, so a collections.ChainMap(fresh, last) gathers
+one fixed QP family: the same P, A_eq and G, and any q.  It maps each
+working set, keyed by the active mask's bytes, to its factors, so a working
+set met again in a later call is not refactored.  With P = 0 the entry also
+holds the step plan of the q that built it (the direction, or the rows a
+drop may take in Dantzig's order, never the drop itself); another q
+rebuilds and replaces it.  The QP's bound rows sit under the key None, and
+the simplex wrapper's constants (half of Q's diagonal, the sum row, -I and
+zero h) under "simplex".  A call writes every entry it uses back into the
+memo, found or built, so a collections.ChainMap(fresh, last) gathers
 exactly that call's entries in fresh while it reads last's.  Entries depend
-only on the fixed data and the working set, not on a solve's drop-rule
-state, so passing a memo never moves a bit of a result.  Owners: the polyhedral conjugate node keeps one memo for its
-screen and one for its LP; chebyshev_center shares one among its Newton
-steps' duals; each monotone.OperatorGraph carries, per QP family, the
-working sets of its last call only.  Nothing here keeps a memo between
-calls.
+only on the fixed data, the working set and a plan's q, not on a solve's
+drop-rule state, so passing a memo never moves a bit of a result.  Owners:
+the polyhedral conjugate node keeps one memo for its screen and one for its
+LP; chebyshev_center shares one among its Newton steps' duals; each
+monotone.OperatorGraph carries, per QP family, the working sets of its last
+call only.  Nothing here keeps a memo between calls.
 
 All routines are pure and deterministic: identical inputs produce
 bit-identical reports.
@@ -100,12 +100,11 @@ def minimize_quadratic_over_simplex(quad, c, k, *, constant=0.0, memo=None):
     point, that is no bound's multiplier g_i - g_j (g = Q e_j + c) is below
     -1e-11 (1 + max |g|), e_j is returned with iters = 1 and no solve_qp:
     this is the decision of solve_qp's first iteration.  quad is a dense PSD
-    matrix.  memo is passed on to solve_qp: calls that share it share quad
-    (and c when quad is zero), and it also keeps the QP's constants, built
-    once.  The returned residual is the duality gap g'l - min g at the
-    solution, a valid upper bound on the suboptimality for any PSD instance.
-    Raises SolverCapError when the QP stops at its cap or the gap exceeds
-    TOL (1 + |value|).
+    matrix.  memo is passed on to solve_qp: calls that share it share quad,
+    and it also keeps the QP's constants, built once.  The returned residual
+    is the duality gap g'l - min g at the solution, a valid upper bound on
+    the suboptimality for any PSD instance.  Raises SolverCapError when the
+    QP stops at its cap or the gap exceeds TOL (1 + |value|).
     """
     Q = np.asarray(quad, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -168,8 +167,7 @@ def chebyshev_center(centers, radii):
     Q = 2.0 * (C @ C.T)
     sq_norms = np.sum(C * C, axis=1)
     scale = 1.0 + float(np.max(radii) ** 2) + float(np.max(np.abs(sq_norms)))
-    # Every dual shares Q; with Q = 0 (one center) a memo would serve one c.
-    memo = {} if Q.any() else None
+    memo = {}  # every dual shares Q
 
     def dual_solve(t):
         infl = radii + t
@@ -256,7 +254,7 @@ class _WorkingSet:
     """One working set's factors: its pinned columns, C (A_eq over the active
     general rows), the null space Z and the rank part of the SVD of C over
     the free columns, and once needed the eigendecomposition of Z'PZ
-    (P != 0) or the step plan (P = 0)."""
+    (P != 0) or the step plan of one q, with q's bytes (P = 0)."""
 
     __slots__ = ("fixed", "C", "Z", "svd", "eig", "plan")
 
@@ -367,11 +365,11 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
     mask's bytes, under the module's memo contract: the pinned columns, C,
     Z, the rank part of the SVD and, once needed, the eigh of Z'PZ; with
     P = 0 also the step plan (the ray, or the rows a drop may take in
-    Dantzig's order, empty at convergence), which depends on q and not on z
-    or on the drop rule's state.  The
-    bound rows, the pinned column of each, whether P is zero and then q's
-    bytes sit under the key None.  Without a memo one lives for the one
-    call.
+    Dantzig's order, empty at convergence) and the bytes of the q it was
+    built for.  A plan depends on q, not on z or on the drop rule's state:
+    it is reused for that q and rebuilt and replaced for any other.  The
+    bound rows, the pinned column of each and whether P is zero sit under
+    the key None.  Without a memo one lives for the one call.
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -386,15 +384,10 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
     consts = memo.get(None)
     if consts is None:
         # A row with one nonzero (a bound) pins its column while it is active.
-        linear = not P.any()
-        consts = (
-            np.count_nonzero(G, axis=1) == 1, np.argmax(G != 0, axis=1),
-            linear, q.tobytes() if linear else None,
-        )
+        consts = np.count_nonzero(G, axis=1) == 1, np.argmax(G != 0, axis=1), not P.any()
     memo[None] = consts
-    single, pin_col, linear, q_bytes = consts
-    if linear and q.tobytes() != q_bytes:
-        raise ValueError("a memo of a QP with P = 0 serves one q only")
+    single, pin_col, linear = consts
+    q_bytes = q.tobytes()
     z = _restore_equalities(A_eq, b_eq, np.asarray(z0, dtype=float).copy())
     active = np.zeros(mi, dtype=bool)
     for i in initial_active:
@@ -413,8 +406,8 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
             if ws is None:
                 ws = _WorkingSet(A_eq, G, active, single, pin_col)
             memo[key] = ws
-        if ws.plan is not None:
-            d, ray, drops = ws.plan
+        if ws.plan is not None and ws.plan[0] == q_bytes:
+            _, d, ray, drops = ws.plan
         else:
             if not linear:
                 grad = P @ z + q
@@ -424,7 +417,7 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
             if d is None:
                 drops = _drop_row(grad, local, active, ws, G, single, pin_col, me)
             if linear:
-                ws.plan = d, ray, drops
+                ws.plan = q_bytes, d, ray, drops
         if d is None:
             rows = [i for i in drops if i not in frozen]
             if not rows:

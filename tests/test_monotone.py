@@ -99,15 +99,15 @@ class TestResolventBijection:
             resolvent_of_graph(T)
 
     def test_both_conflict_tolerances_raise(self):
-        # Neither check implies the other.  T maps 0 -> 1 and 1 -> 5e-11: the
-        # images 1 and 1 + 5e-11 lie within 1e-10 but not 1e-12, and their
-        # values 0 and 1 differ, so resolvent_of_graph's own check raises.
+        # T maps 0 -> 1 and 1 -> 5e-11: the images 1 and 1 + 5e-11 lie
+        # within 1e-10 but not 1e-12, and their values 0 and 1 differ.
         only_1e10 = graph_1d([(0.0, 1.0), (1.0, 5e-11)])
         # T maps 0 -> 1 and 5e-11 -> 1 - 5e-11: the images agree within
-        # 1e-12, and their values 0 and 5e-11 differ beyond 1e-12 only, so
-        # OperatorGraph's duplicate check raises.
+        # 1e-12, and their values 0 and 5e-11 differ beyond 1e-12 only.
         only_1e12 = graph_1d([(0.0, 1.0), (5e-11, 1.0 - 5e-11)])
-        cases = ((only_1e10, r"pairs \(0, 1\)"), (only_1e12, r"points 0 and 1"))
+        # Both are caught by resolvent_of_graph's own check: images within
+        # 1e-10 whose values differ by more than the images plus 1e-12.
+        cases = ((only_1e10, r"pairs \(0, 1\)"), (only_1e12, r"pairs \(0, 1\)"))
         for T, message in cases:
             ys = T.points + T.values
             near = abs(float(ys[0, 0] - ys[1, 0]))
@@ -117,6 +117,19 @@ class TestResolventBijection:
             assert at_1e10 != at_1e12
             with pytest.raises(ValueError, match=message):
                 resolvent_of_graph(T)
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e-12])
+    def test_monotone_pair_near_the_tolerances(self, scale):
+        # <dx, dv> > 0.  dy = dx + dv = (0.9, 0.9) scale is within scale in
+        # the max-abs norm and dx = (1.05, 0.5) scale is not, so a max-abs
+        # test at tolerance scale reads a conflict; in Euclidean norms
+        # ||dx|| <= ||dy||, as monotonicity guarantees.
+        dx, dv = np.array([1.05, 0.5]) * scale, np.array([-0.15, 0.4]) * scale
+        T = OperatorGraph(np.array([[0.0, 0.0], dx]), np.array([[0.0, 0.0], dv]))
+        assert is_monotone(T).passed and float(dx @ dv) > 0.0
+        F = resolvent_of_graph(T)
+        assert np.array_equal(F.points, T.points + T.values)
+        assert np.array_equal(F.values, T.points)
 
 
 class TestFirmlyNonexpansive:
