@@ -10,10 +10,12 @@ optimizer lands on the box boundary the box is doubled twice, and sustained
 improvement is a -inf minimum.  The search returns one extended-real minimum
 (+inf when no probe is finite); a node raises on the infinite minima that
 make it improper or exhausted, so no -inf value is returned silently.
-Every conjugate is a node, Fenchel's g* included.  The conjugate of a
-polyhedral conjugate, f** of a max-affine f, is read off its slopes and
-searches no box; the dual reads its final value at a hull point of a
-polyhedral conjugate, whose 1e-6 collar takes the nearest hull point's value.
+Every conjugate is a node, Fenchel's g* included, and conjugate() alone
+picks the exact ones: a max-affine f* is a polyhedral conjugate, an
+indicator's is a support function, and f** of a max-affine f is max-affine
+again; Conjugate is the box search of any other child.  Fenchel's dual reads
+its final value at a hull point of a polyhedral conjugate, whose 1e-6 collar
+takes the nearest hull point's value.
 
 Values are plain floats with math.inf standing for +infinity.
 """
@@ -83,8 +85,9 @@ class Quadratic:
 
 
 @dataclass(frozen=True)
-class MaxAffine:
-    """x -> max_i (<s_i, x> - o_i)."""
+class _Polyhedral:
+    """(k, n) slopes and (k,) offsets, read-only: the data of a max-affine
+    function and of its conjugate."""
 
     slopes: np.ndarray
     offsets: np.ndarray
@@ -102,6 +105,10 @@ class MaxAffine:
     @property
     def dim(self) -> int:
         return self.slopes.shape[1]
+
+
+class MaxAffine(_Polyhedral):
+    """x -> max_i (<s_i, x> - o_i)."""
 
 
 @dataclass(frozen=True)
@@ -215,19 +222,18 @@ class Translate:
 class Conjugate:
     """Numeric Fenchel conjugate: sup over the box of <x, y> - child(x).
 
-    A polyhedral child (MaxAffineConjugate) is read at its slopes, as
-    max_i (<s_i, y> - child(s_i)), so it needs no box; every other child
-    does.
+    A child with an exact conjugate (MaxAffine, Indicator,
+    MaxAffineConjugate) is evaluated through conjugate(); the box, required
+    for every child, serves the search of any other.
     """
 
     child: object
-    box: Box | None
+    box: Box
 
     def __post_init__(self):
         if self.box is None:
-            if not isinstance(self.child, MaxAffineConjugate):
-                raise ValueError("a search box is required for non-polyhedral conjugates")
-        elif self.box.dim != self.child.dim:
+            raise ValueError("a search box is required for a Conjugate node")
+        if self.box.dim != self.child.dim:
             raise DimensionMismatchError("box does not match child dimension")
 
     @property
@@ -235,34 +241,17 @@ class Conjugate:
         return self.child.dim
 
 
-@dataclass(frozen=True)
-class MaxAffineConjugate:
+class MaxAffineConjugate(_Polyhedral):
     """Exact polyhedral conjugate of a max-affine function.
 
     Value at y is min { sum_i l_i o_i : sum_i l_i s_i = y, l in simplex },
     +inf farther than 1e-6 from conv(slopes), else the value at y's nearest
     hull point p (_hull_point), where the Fenchel dual re-reads its final
-    value.  Its conjugate is affine on each cell of a subdivision of
-    conv(slopes) whose vertices are slopes, so Conjugate reads it at the
-    slopes alone.  The QPs' constant data and the screen's and the LP's
-    solve_qp memos of working-set factors are memoised on the node and freed
-    with it.
+    value.  Its own conjugate, from conjugate(), is the MaxAffine with these
+    slopes and offsets f*(s_i).  The QPs' constant data and the screen's and
+    the LP's solve_qp memos of working-set factors are memoised on the node
+    and freed with it.
     """
-
-    slopes: np.ndarray
-    offsets: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.slopes, dtype=float)
-        o = np.asarray(self.offsets, dtype=float)
-        s.setflags(write=False)
-        o.setflags(write=False)
-        object.__setattr__(self, "slopes", s)
-        object.__setattr__(self, "offsets", o)
-
-    @property
-    def dim(self) -> int:
-        return self.slopes.shape[1]
 
     @cached_property
     def _constants(self):
@@ -490,12 +479,8 @@ def _eval(expr, x) -> float:
         return float(np.max(body.vertices @ x))
     if isinstance(expr, Conjugate):
         child = expr.child
-        if isinstance(child, (MaxAffine, Indicator)):
+        if isinstance(child, (MaxAffine, Indicator, MaxAffineConjugate)):
             return _eval(conjugate(child), x)
-        if isinstance(child, MaxAffineConjugate):
-            # x.y - f*(y) is affine on each cell of f*'s subdivision of
-            # conv(slopes), and every cell vertex is a slope.
-            return max(float(s @ x) - _eval(child, s) for s in child.slopes)
 
         def neg_slope(z):
             return _eval(child, z) - float(z @ x)
@@ -555,13 +540,20 @@ def _eval(expr, x) -> float:
 
 
 def conjugate(f, box=None):
-    """Conjugate node; exact evaluators for max-affine and indicator input,
-    the slope rule for a polyhedral conjugate, box-based supremum otherwise
-    (box required)."""
+    """The conjugate of f as a node, and the one place that picks an exact
+    conjugate: MaxAffineConjugate for a max-affine f, SupportFunction for an
+    indicator, and MaxAffine for a polyhedral conjugate.  Any other f gets
+    Conjugate(f, box), the box search, which raises without a box."""
     if isinstance(f, MaxAffine):
         return MaxAffineConjugate(f.slopes, f.offsets)
     if isinstance(f, Indicator):
         return SupportFunction(f.body)
+    if isinstance(f, MaxAffineConjugate):
+        # x.y - f*(y) is affine on each cell of f*'s subdivision of
+        # conv(slopes), and every cell vertex is a slope (Rockafellar,
+        # Convex Analysis, section 19): f** = max_i (s_i.x - f*(s_i)).
+        offsets = [_polyhedral_conjugate_value(f, s) for s in f.slopes]
+        return MaxAffine(f.slopes, offsets)
     return Conjugate(f, box)
 
 
@@ -583,9 +575,10 @@ def scale_ops(f, factor, mode):
 
 
 def biconjugate_check(f, samples, *, primal_box=None, dual_box=None):
-    """max |f**(x) - f(x)| over the samples; samples must be in dom f.  A
-    polyhedral f* (f max-affine) needs no dual_box; any other f* raises
-    without one."""
+    """max |f**(x) - f(x)| over the samples; samples must be in dom f.  f**
+    of a max-affine f is the MaxAffine node conjugate() builds from k LPs,
+    once per call, and needs no box; any other f* raises without a
+    dual_box."""
     f_star = conjugate(f, primal_box)
     f_star_star = conjugate(f_star, dual_box)
     worst = 0.0

@@ -2,7 +2,8 @@
 
 data.json      {"m": int, "n": int, "L": number|null,
                 "points": [[...]], "values": [[...]]}
-graph.json     {"n": int, "pairs": [[[x...], [xstar...]], ...]}
+graph.json     {"n": int, "pairs": [[[x...], [xstar...]], ...],
+                "multi_valued": bool?}     # JSON true/false, default false
 family.json    {"n": int, "bodies": [{"kind": "ball", "center": [...],
                 "radius": r} | {"kind": "polytope", "vertices": [[...]]}]}
 function.json  expression tree of nodes tagged by "node":
@@ -107,7 +108,9 @@ def graph_from_dict(d) -> OperatorGraph:
     vals = np.asarray([p[1] for p in pairs], dtype=float)
     if pts.size != len(pairs) * n or vals.size != len(pairs) * n:
         raise ValueError("pairs do not match the declared n")
-    multi = bool(d.get("multi_valued", False))
+    multi = d.get("multi_valued", False)
+    if not isinstance(multi, bool):
+        raise TypeError(f"multi_valued must be true or false, got {multi!r}")
     return OperatorGraph(pts.reshape(-1, n), vals.reshape(-1, n), multi_valued=multi)
 
 

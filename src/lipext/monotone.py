@@ -206,12 +206,19 @@ def firm_to_nonexpansive(G: OperatorGraph) -> OperatorGraph:
     return OperatorGraph(G.points.copy(), 2.0 * G.values - G.points)
 
 
-def fitzpatrick_eval(T: OperatorGraph, x, xstar) -> float:
-    """Exact max over the graph of <x, a*> + <a, x*> - <a, a*>."""
+def _pair_point(T: OperatorGraph, x, xstar):
+    """x~ = (x, x*), each half checked against the graph's dimension."""
     x = as_vector(x)
     xstar = as_vector(xstar)
     if x.shape[0] != T.dim or xstar.shape[0] != T.dim:
         raise DimensionMismatchError("argument dimension does not match the graph")
+    return np.concatenate([x, xstar])
+
+
+def fitzpatrick_eval(T: OperatorGraph, x, xstar) -> float:
+    """Exact max over the graph of <x, a*> + <a, x*> - <a, a*>."""
+    xt = _pair_point(T, x, xstar)
+    x, xstar = xt[: T.dim], xt[T.dim :]
     best = -np.inf
     for a, astar in zip(T.points, T.values):
         term = dot(x, astar) + dot(a, xstar) - dot(a, astar)
@@ -227,11 +234,7 @@ def fitzpatrick_conj_eval(T: OperatorGraph, y, ystar) -> float:
     Phi*(y, y*) = min { sum l_i <a_i, a_i*> : sum l_i (a_i*, a_i) = (y, y*) },
     +inf when (y, y*) is outside the hull of the transposed atoms.
     """
-    y = as_vector(y)
-    ystar = as_vector(ystar)
-    return _polyhedral_conjugate_value(
-        T._fitzpatrick_node, np.concatenate([y, ystar])
-    )
+    return _polyhedral_conjugate_value(T._fitzpatrick_node, _pair_point(T, y, ystar))
 
 
 def _epigraph_rows(Brows, BA, o, xt, lam):
@@ -315,7 +318,7 @@ def _solve_epigraph_qp(T, qp, q, h_rows, prefix0, xt0, what):
 def psi_eval(T: OperatorGraph, x, xstar) -> float:
     """Proximal average of Phi and Phi*t evaluated at (x, x*): the epigraph
     form of Psi's inner problem, minimized at the point x~ = (x, x*)."""
-    xt = np.concatenate([as_vector(x), as_vector(xstar)])
+    xt = _pair_point(T, x, xstar)
     Arows, Brows, o, BA = T._atoms
     q = np.concatenate([-(Arows @ xt) + 0.5 * o, [0.5]])
     _, lam = _solve_epigraph_qp(
@@ -332,7 +335,7 @@ def psi_conj_eval(T: OperatorGraph, y, ystar) -> float:
     (the objective is jointly concave in (x~, -l)), so the whole conjugate is
     one concave-maximization QP over (x~, l, t).
     """
-    wt = np.concatenate([as_vector(y), as_vector(ystar)])
+    wt = _pair_point(T, y, ystar)
     Arows, Brows, o, BA = T._atoms
     q = np.concatenate([-wt, 0.5 * o, [0.5]])
     xt0 = np.concatenate([wt[T.dim :], wt[: T.dim]])

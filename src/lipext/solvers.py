@@ -352,14 +352,14 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
     inactive rows with (G d)_i > 0, with no tolerance: a row skipped for a
     tiny (G d)_i is crossed by alpha (G d)_i on a long ray step, and Kelley's
     cuts in convex_sets then cycle.  A ray that no row blocks and no
-    curvature bounds raises SolverCapError as unbounded.  When P is zero the
-    reduced Hessian is zero, so the step is the ray -Z Z'grad, or none when
-    that ray is below 1e-11 of the gradient scale.  A point is stationary
-    when the step or the reduced gradient Z'grad is below 1e-11 of its
-    scale.  The cap is 200 + 80 (rows of G + 1) iterations, where it raises
-    SolverCapError("<name> capped at <cap> iterations"); name only labels
-    that message.  Returns (z, info) with info carrying iters and
-    converged, always True.
+    curvature bounds raises SolverCapError("<name> is unbounded below").
+    When P is zero the reduced Hessian is zero, so the step is the ray
+    -Z Z'grad, or none when that ray is below 1e-11 of the gradient scale.
+    A point is stationary when the step or the reduced gradient Z'grad is
+    below 1e-11 of its scale.  The cap is 200 + 80 (rows of G + 1)
+    iterations, where it raises SolverCapError("<name> capped at <cap>
+    iterations"); name only labels these messages.  Returns (z, info) with
+    info carrying iters and converged, always True.
 
     Each working set's factors are memoised in memo, keyed by the active
     mask's bytes, under the module's memo contract: the pinned columns, C,
@@ -444,7 +444,7 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
             elif np.isfinite(alpha_max):
                 alpha = alpha_max
             else:
-                raise SolverCapError("QP is unbounded below")
+                raise SolverCapError(f"{name} is unbounded below")
         else:
             alpha = min(1.0, alpha_max)
         if alpha > 0.0:

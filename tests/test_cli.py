@@ -298,6 +298,23 @@ class TestMonotoneCommand:
         assert rc == 0
         assert json.loads(open(out).read())["max_gap"] <= 1e-4
 
+    @pytest.mark.parametrize("flag, rc", [
+        ({}, 3), ({"multi_valued": False}, 3), ({"multi_valued": True}, 0),
+        ({"multi_valued": "false"}, 2), ({"multi_valued": 0}, 2),
+    ])
+    def test_multi_valued_is_a_json_boolean(self, tmp_path, capsys, flag, rc):
+        # x = 0 carries x* = 0 and x* = 1: a monotone multi-valued graph.
+        pairs = [[[0.0], [0.0]], [[0.0], [1.0]]]
+        graph = write(tmp_path / "g.json", json.dumps({"n": 1, "pairs": pairs, **flag}))
+        out = str(tmp_path / "o.json")
+        got, err = _run(["monotone", "--graph", graph, "--check", "--out", out], capsys)
+        assert got == rc
+        if rc == 2:
+            assert err == (f"lipext: parse error: {graph}: multi_valued must be true "
+                           f"or false, got {flag['multi_valued']!r}\n")
+        if rc == 0:
+            assert json.loads(open(out).read())["monotone"] is True
+
     def test_empty_graph_exit_3(self, tmp_path):
         graph = write(tmp_path / "g.json", json.dumps({"n": 1, "pairs": []}))
         rc = main(["monotone", "--graph", graph, "--check",

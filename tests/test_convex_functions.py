@@ -131,6 +131,17 @@ class TestBiconjugation:
         with pytest.raises(ValueError, match="search box is required"):
             cf.Conjugate(cf.Quadratic(1), None)
 
+    def test_every_conjugate_node_needs_a_box(self):
+        # conjugate() picks the exact conjugates; a Conjugate node is the box
+        # search, whatever its child, and evaluates an exact child through
+        # conjugate().
+        node = cf.conjugate(cf.MaxAffine(np.array([[1.0], [-1.0]]), np.array([0.5, 0.0])))
+        with pytest.raises(ValueError, match="search box is required"):
+            cf.Conjugate(node, None)
+        direct = cf.Conjugate(node, cf.cube(2.0, 1))
+        for t in (-1.5, 0.0, 0.25, 2.0):
+            assert cf.eval(direct, [t]) == cf.eval(cf.conjugate(node), [t])
+
     def test_point_indicator_biconjugation(self):
         pt = np.array([0.5, -0.25])
         f = cf.Indicator(Polytope([pt]))
@@ -205,6 +216,12 @@ class TestPolyhedralConjugate:
         inside = cf.eval(node, np.array(hull_point) + 0.5e-6 * u)
         assert inside == pytest.approx(value, abs=1e-9)
         assert cf.eval(node, np.array(hull_point) + 2e-6 * u) == INF
+
+    def test_shapes_are_checked(self):
+        with pytest.raises(ValueError, match="need matching"):
+            cf.MaxAffineConjugate(np.array([[1.0], [-1.0]]), np.array([0.5]))
+        with pytest.raises(ValueError, match="need matching"):
+            cf.MaxAffineConjugate(np.array([1.0, -1.0]), np.array([0.5, 0.0]))
 
     def test_memo_is_freed_with_the_node(self):
         # f = max(x - 1/2, -x), so f*(y) = (1 + y) / 4 on [-1, 1].
@@ -864,7 +881,8 @@ def test_biconjugate_at_most_f():
 class TestSlopeRule:
     """f** of a max-affine f is max_i (x.s_i - f*(s_i)): x.y - f*(y) is
     affine on each cell of f*'s subdivision of conv(slopes), and every cell
-    vertex is a slope.  So f** is f up to rounding, one LP per slope, and no
+    vertex is a slope.  So f** is the MaxAffine node with offsets f*(s_i),
+    one LP per slope when conjugate() builds it and none per point, and no
     box is built or searched."""
 
     def test_biconjugate_is_f(self):
@@ -874,6 +892,37 @@ class TestSlopeRule:
             if abs(fss - fx) > 1e-12 * (1.0 + abs(fx)):
                 gaps.append((i, fss - fx))
         assert gaps == []
+
+    def test_biconjugate_is_f_bit_for_bit(self):
+        # At each case's point and four more, on R and R^2.
+        rng = SplitMix64(9090)
+        off = []
+        for i, (f, x) in enumerate(_biconjugate_cases()):
+            fss = _biconjugate(f)
+            more = [[rng.uniform(-0.8, 0.8) for _ in range(f.dim)] for _ in range(4)]
+            off += [(i, y) for y in [x, *map(np.array, more)] if cf.eval(fss, y) != cf.eval(f, y)]
+        assert off == []
+
+    def test_biconjugate_is_a_max_affine_node(self):
+        for f, _ in _biconjugate_cases():
+            f_star = cf.conjugate(f)
+            fss = cf.conjugate(f_star)
+            assert isinstance(fss, cf.MaxAffine)
+            assert np.array_equal(fss.slopes, f.slopes)
+            values = [cf._polyhedral_conjugate_value(f_star, s) for s in f.slopes]
+            assert list(map(repr, fss.offsets.tolist())) == list(map(repr, values))
+
+    def test_biconjugate_check_solves_k_lps_per_call(self, monkeypatch):
+        lps = []
+        real = cf.solve_qp
+        monkeypatch.setattr(cf, "solve_qp", lambda *a, **k: lps.append(1) or real(*a, **k))
+        samples = [np.array(p) for p in itertools.product((-0.5, 0.0, 0.5), repeat=2)]
+        counts = []
+        for f, _ in itertools.islice(_biconjugate_cases(), 1, 12, 2):  # n = 2
+            before = len(lps)
+            cf.biconjugate_check(f, samples)
+            counts.append((len(lps) - before, f.slopes.shape[0]))
+        assert all(solved == k for solved, k in counts), counts
 
     def test_one_lp_per_piece_at_most(self, monkeypatch):
         lps = []

@@ -225,6 +225,15 @@ class TestSeparation:
         with pytest.raises(ValueError):
             separate(Ball([0.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0))
 
+    @pytest.mark.parametrize("A, B", [
+        (Ball([0.0, 0.0], 1.0), Ball([0.0, 0.0], 2.0)),  # concentric
+        (Ball([0.0, 0.0], 1.0), Polytope([[1.0, 0.0], [2.0, 0.0], [2.0, 1.0]])),  # touching
+    ])
+    def test_zero_distance_is_not_separated(self, A, B):
+        for P, Q in ((A, B), (B, A)):
+            with pytest.raises(ValueError, match=r"not separated \(distance 0\.000e\+00\)"):
+                separate(P, Q)
+
     def test_sides_verified(self):
         rng = SplitMix64(41)
         for _ in range(20):

@@ -186,6 +186,16 @@ class TestKIntersection:
         assert 0.0 < value <= 1e-6
         assert rep.intersects and rep.residual == value
 
+    @pytest.mark.parametrize("balls", [
+        # Tangent circles cross at (1, 0) alone, and the third disc holds it.
+        [Ball([0.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0), Ball([1.0, 0.5], 0.6)],
+        # Concentric circles do not cross; the common center is the witness.
+        [Ball([0.0, 0.0], 1.0), Ball([0.0, 0.0], 0.5), Ball([0.0, 0.0], 0.25)],
+    ])
+    def test_tangent_and_concentric_discs_meet(self, balls):
+        rep = check_k_intersection(BodyFamily(balls), 3)
+        assert rep.intersects and rep.residual == 0.0
+
     def test_enumeration_guard(self):
         balls = [Ball([float(i), 0.0], 50.0) for i in range(60)]
         with pytest.raises(EnumerationGuardError):

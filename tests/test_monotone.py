@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipext import monotone
-from lipext.errors import SolverCapError
+from lipext.errors import DimensionMismatchError, SolverCapError
 from lipext.extension import ExtensionModel, FiniteMapData
 from lipext.rng import SplitMix64
 from lipext.solvers import solve_qp
@@ -305,6 +305,16 @@ class TestPsi:
             assert 0.25 * kappa == pytest.approx(
                 0.5 * float((x - z) @ (x - z)), rel=1e-12
             )
+
+
+@pytest.mark.parametrize(
+    "evaluate", [fitzpatrick_eval, fitzpatrick_conj_eval, psi_eval, psi_conj_eval]
+)
+def test_each_half_must_match_the_graph(evaluate):
+    # Halves of lengths 3 and 1 make a point of R^4 = R^(2n), n = 2.
+    T = OperatorGraph(np.array([[0.0, 0.0], [1.0, 0.5]]), np.array([[0.0, 0.0], [0.5, 1.0]]))
+    with pytest.raises(DimensionMismatchError, match="does not match the graph"):
+        evaluate(T, np.array([0.1, 0.2, 0.3]), np.array([0.4]))
 
 
 class TestAutoconjugacy:

@@ -167,6 +167,18 @@ class TestActiveSetQP:
         assert abs(float(z @ S[:, 0]) - y[0]) <= 1e-12
         assert np.min(z) >= -1e-15 and abs(z.sum() - 1.0) <= 1e-15
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({}, "QP is unbounded below"),
+        ({"name": "epigraph LP"}, "epigraph LP is unbounded below"),
+    ])
+    def test_unbounded_ray_names_the_qp(self, kwargs, message):
+        # min z subject to z <= 1: no row blocks the ray z -> -inf.
+        with pytest.raises(SolverCapError, match=f"^{message}$"):
+            solve_qp(
+                np.zeros((1, 1)), [1.0], np.zeros((0, 1)), [], np.array([[1.0]]), [1.0],
+                np.zeros(1), **kwargs,
+            )
+
     def test_no_inequalities(self):
         z, info = solve_qp(
             np.eye(2), [1.0, -1.0], np.zeros((0, 2)), [], np.zeros((0, 2)), [],
