@@ -248,9 +248,10 @@ class MaxAffineConjugate(_Polyhedral):
     +inf farther than 1e-6 from conv(slopes), else the value at y's nearest
     hull point p (_hull_point), where the Fenchel dual re-reads its final
     value.  Its own conjugate, from conjugate(), is the MaxAffine with these
-    slopes and offsets f*(s_i).  The QPs' constant data and the screen's and
-    the LP's solve_qp memos of working-set factors are memoised on the node
-    and freed with it.
+    slopes and offsets f*(s_i), each one LP started at s_i's own vertex with
+    no screen.  The QPs' constant data and the screen's and the LP's
+    solve_qp memos of working-set factors are memoised on the node and freed
+    with it.
     """
 
     @cached_property
@@ -399,22 +400,31 @@ def _inner_minimize(fun, box, extra_points=()):
 
 
 def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
-    """min { o'l : S'l = y, l in simplex } as one exact LP.
+    """f*(y) at any y: +inf farther than 1e-6 from conv(slopes), else the LP
+    at y's nearest hull point.
 
-    A screen, the exact projection of y onto conv(slopes), returns +inf when
-    y is farther than 1e-6 from the hull; otherwise its weights l1 start
-    solve_qp (P = 0) on the LP with target S'l1, the nearest hull point, so
-    the start is feasible, and l1's zero weights start in the working set.
+    A screen, the exact projection of y onto conv(slopes), gives the nearest
+    hull point S'l1 and its weights l1, which start _conjugate_lp.  conjugate()
+    reads f* at the slopes themselves, where no screen is needed.
     """
     nearest, lam1 = _hull_point(node, y)
     # The distance itself, not the expanded quadratic's value, which loses
     # its last digits to cancellation near the 1e-6 threshold.
     if float(np.linalg.norm(nearest - y)) > POLYHEDRAL_INFEASIBLE_TOL:
         return INF
+    return _conjugate_lp(node, nearest, lam1)
+
+
+def _conjugate_lp(node: MaxAffineConjugate, target, weights) -> float:
+    """min { o'l : S'l = target, l in simplex } as one exact LP.
+
+    weights are feasible (S'weights = target); they start solve_qp (P = 0),
+    with their zero weights in the working set.
+    """
     _, P0, A_eq, G, h, _, lp_memo = node._constants
     lam, _ = solve_qp(
-        P0, node.offsets, A_eq, np.append(nearest, 1.0), G, h, lam1,
-        initial_active=np.flatnonzero(lam1 == 0.0), memo=lp_memo,
+        P0, node.offsets, A_eq, np.append(target, 1.0), G, h, weights,
+        initial_active=np.flatnonzero(weights == 0.0), memo=lp_memo,
         name="conjugate LP",
     )
     np.clip(lam, 0.0, None, out=lam)
@@ -542,8 +552,10 @@ def _eval(expr, x) -> float:
 def conjugate(f, box=None):
     """The conjugate of f as a node, and the one place that picks an exact
     conjugate: MaxAffineConjugate for a max-affine f, SupportFunction for an
-    indicator, and MaxAffine for a polyhedral conjugate.  Any other f gets
-    Conjugate(f, box), the box search, which raises without a box."""
+    indicator, and MaxAffine for a polyhedral conjugate, whose offsets f*(s_i)
+    take one LP each from the unit weights e_i, with no hull screen.  Any
+    other f gets Conjugate(f, box), the box search, which raises without a
+    box."""
     if isinstance(f, MaxAffine):
         return MaxAffineConjugate(f.slopes, f.offsets)
     if isinstance(f, Indicator):
@@ -552,7 +564,9 @@ def conjugate(f, box=None):
         # x.y - f*(y) is affine on each cell of f*'s subdivision of
         # conv(slopes), and every cell vertex is a slope (Rockafellar,
         # Convex Analysis, section 19): f** = max_i (s_i.x - f*(s_i)).
-        offsets = [_polyhedral_conjugate_value(f, s) for s in f.slopes]
+        # The unit weights e_i are a feasible start at s_i: no screen.
+        unit = np.eye(f.slopes.shape[0])
+        offsets = [_conjugate_lp(f, s, e) for s, e in zip(f.slopes, unit)]
         return MaxAffine(f.slopes, offsets)
     return Conjugate(f, box)
 
@@ -577,8 +591,8 @@ def scale_ops(f, factor, mode):
 def biconjugate_check(f, samples, *, primal_box=None, dual_box=None):
     """max |f**(x) - f(x)| over the samples; samples must be in dom f.  f**
     of a max-affine f is the MaxAffine node conjugate() builds from k LPs,
-    once per call, and needs no box; any other f* raises without a
-    dual_box."""
+    one per slope from its own vertex, once per call, and needs no box or
+    screen; any other f* raises without a dual_box."""
     f_star = conjugate(f, primal_box)
     f_star_star = conjugate(f_star, dual_box)
     worst = 0.0

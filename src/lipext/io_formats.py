@@ -149,6 +149,14 @@ def box_from_dict(d) -> cf.Box:
     return cf.Box(np.asarray(d["lo"], dtype=float), np.asarray(d["hi"], dtype=float))
 
 
+def _finite(d, field, value):
+    """value, or a ValueError naming the node and field when it holds a NaN
+    or an infinity, which Python's json reads from NaN and Infinity."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{d['node']} node: {field} must be finite")
+    return value
+
+
 def function_from_dict(d, default_box=None):
     """Build an expression tree; default_box supplies missing search boxes."""
     node = d["node"]
@@ -156,7 +164,8 @@ def function_from_dict(d, default_box=None):
         return cf.Quadratic(int(d["n"]))
     if node == "max_affine":
         return cf.MaxAffine(
-            np.asarray(d["slopes"], dtype=float), np.asarray(d["offsets"], dtype=float)
+            _finite(d, "slopes", np.asarray(d["slopes"], dtype=float)),
+            _finite(d, "offsets", np.asarray(d["offsets"], dtype=float)),
         )
     if node == "indicator":
         return cf.Indicator(body_from_dict(d["body"]))
@@ -165,19 +174,19 @@ def function_from_dict(d, default_box=None):
     if node == "sum":
         return cf.Sum(
             tuple(function_from_dict(c, default_box) for c in d["children"]),
-            tuple(float(c) for c in d["coefficients"]),
+            _finite(d, "coefficients", tuple(float(c) for c in d["coefficients"])),
         )
-    if node == "scale":
-        return cf.Scale(float(d["factor"]), function_from_dict(d["child"], default_box))
-    if node == "epi_scale":
-        return cf.EpiScale(
-            float(d["factor"]), function_from_dict(d["child"], default_box)
+    if node == "scale" or node == "epi_scale":
+        build = cf.Scale if node == "scale" else cf.EpiScale
+        return build(
+            _finite(d, "factor", float(d["factor"])),
+            function_from_dict(d["child"], default_box),
         )
     if node == "translate":
         return cf.Translate(
             np.asarray(d["shift"], dtype=float),
             np.asarray(d["slope"], dtype=float),
-            float(d["offset"]),
+            _finite(d, "offset", float(d["offset"])),
             function_from_dict(d["child"], default_box),
         )
     if node == "conjugate":

@@ -250,6 +250,32 @@ class TestFunctionCommand:
         assert abs(payload["gap"]) <= 1e-5
 
 
+    AFFINE = '{"node": "max_affine", "slopes": [[1.0], [-1.0]], "offsets": [0.5, 0.0]}'
+
+    @pytest.mark.parametrize("tree, node, field", [
+        ('{"node": "max_affine", "slopes": [[NaN], [1.0]], "offsets": [0.0, 0.0]}',
+         "max_affine", "slopes"),
+        ('{"node": "max_affine", "slopes": [[-1.0], [1.0]], "offsets": [Infinity, 0.0]}',
+         "max_affine", "offsets"),
+        ('{"node": "sum", "children": [%s], "coefficients": [NaN]}' % AFFINE,
+         "sum", "coefficients"),
+        ('{"node": "scale", "factor": Infinity, "child": %s}' % AFFINE, "scale", "factor"),
+        ('{"node": "epi_scale", "factor": Infinity, "child": %s}' % AFFINE,
+         "epi_scale", "factor"),
+        ('{"node": "translate", "shift": [0.0], "slope": [0.0], "offset": -Infinity,'
+         ' "child": %s}' % AFFINE, "translate", "offset"),
+    ])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, tree, node, field):
+        # Python's json reads NaN and Infinity; the tree must not carry them.
+        fn = write(tmp_path / "f.json", tree)
+        pts = write(tmp_path / "p.csv", "0.5\n")
+        out = str(tmp_path / "vals.csv")
+        rc = main(["function", "--function", fn, "--eval", pts, "--out", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"lipext: parse error: {fn}: {node} node: {field} must be finite\n"
+        assert not os.path.exists(out)
+
     def test_duality_without_offsets_exit_2(self, tmp_path, capsys):
         f = write(tmp_path / "q.json", json.dumps({"node": "quadratic", "n": 1}))
         g = write(tmp_path / "g.json", json.dumps({"node": "max_affine", "slopes": [[1.0]]}))

@@ -904,13 +904,51 @@ class TestSlopeRule:
         assert off == []
 
     def test_biconjugate_is_a_max_affine_node(self):
-        for f, _ in _biconjugate_cases():
+        # Each offset, read by the LP from s_i's own vertex, is the screened
+        # value bit for bit: the screen projects a slope onto its vertex.
+        rng = SplitMix64(3030)
+        cases = [f for f, _ in _biconjugate_cases()]
+        cases += [rand_maxaffine(rng, 3, k) for k in range(3, 11)]
+        for f in cases:
             f_star = cf.conjugate(f)
             fss = cf.conjugate(f_star)
             assert isinstance(fss, cf.MaxAffine)
             assert np.array_equal(fss.slopes, f.slopes)
             values = [cf._polyhedral_conjugate_value(f_star, s) for s in f.slopes]
             assert list(map(repr, fss.offsets.tolist())) == list(map(repr, values))
+
+    def test_conjugate_runs_no_screen(self, monkeypatch):
+        cases = [f for f, _ in _biconjugate_cases()]
+        expected = [_biconjugate(f).offsets.tolist() for f in cases]
+
+        def no_screen(*args, **kwargs):
+            raise AssertionError("a hull screen ran")
+
+        monkeypatch.setattr(cf, "_hull_point", no_screen)
+        monkeypatch.setattr(cf, "minimize_quadratic_over_simplex", no_screen)
+        assert [_biconjugate(f).offsets.tolist() for f in cases] == expected
+
+    def test_duplicate_slopes(self):
+        # An exact copy of s_0 with its own offset.  The LP starts at each
+        # copy's own vertex, where the screen projects both onto the first
+        # copy's, so an offset may differ from the screened one by rounding,
+        # and f** from f by an ulp where a copy is the active piece.
+        rng = SplitMix64(6060)
+        for i in range(30):
+            n, k = 1 + i % 3, 3 + (i // 3) % 6
+            g = rand_maxaffine(rng, n, k)
+            f = cf.MaxAffine(
+                np.vstack([g.slopes, g.slopes[:1]]),
+                np.append(g.offsets, rng.uniform(-1.0, 1.0)),
+            )
+            f_star = cf.conjugate(f)
+            fss = cf.conjugate(f_star)
+            screened = [cf._polyhedral_conjugate_value(f_star, s) for s in f.slopes]
+            assert np.max(np.abs(fss.offsets - screened)) <= 1e-15, i
+            for _ in range(5):
+                x = np.array([rng.uniform(-0.8, 0.8) for _ in range(n)])
+                fx = cf.eval(f, x)
+                assert abs(cf.eval(fss, x) - fx) <= 1e-15 * (1.0 + abs(fx)), (i, x)
 
     def test_biconjugate_check_solves_k_lps_per_call(self, monkeypatch):
         lps = []
