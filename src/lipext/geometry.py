@@ -49,6 +49,14 @@ def norm(x) -> float:
     return float(np.sqrt(dot(x, x)))
 
 
+def pair_index(k, i, r):
+    """Rows i, ..., r - 1 of np.triu_indices(k, 1), without its k x k mask."""
+    counts = k - 1 - np.arange(i, r)
+    I = np.repeat(np.arange(i, r), counts)
+    J = I + 1 + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return I, J
+
+
 def pairwise(points, values, kernel):
     """Largest kernel score over the pairs i < j of a finite map, with witness.
 
@@ -68,9 +76,7 @@ def pairwise(points, values, kernel):
         while r < k - 1 and size + (k - 1 - r) <= _BLOCK_PAIRS:
             size += k - 1 - r
             r += 1
-        counts = k - 1 - np.arange(i, r)
-        I = np.repeat(np.arange(i, r), counts)
-        J = I + 1 + np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
+        I, J = pair_index(k, i, r)
         # take() gathers rows about ten times faster than points[I].
         dp = points.take(I, axis=0) - points.take(J, axis=0)
         scores = kernel(dp, values.take(I, axis=0) - values.take(J, axis=0))
@@ -83,7 +89,7 @@ def pairwise(points, values, kernel):
 
 @dataclass(frozen=True)
 class Ball:
-    """Closed ball with given center and radius >= 0."""
+    """Closed ball with given center and finite radius >= 0."""
 
     center: np.ndarray
     radius: float
@@ -95,6 +101,8 @@ class Ball:
         object.__setattr__(self, "radius", float(self.radius))
         if not (self.radius >= 0.0):
             raise ValueError(f"radius must be >= 0, got {self.radius}")
+        if self.radius == np.inf:
+            raise ValueError("radius must be finite, got inf")
 
     @property
     def dimension(self) -> int:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -70,6 +71,25 @@ class TestExtendCommand:
         )
         assert rc == 3
         assert "(0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("L", ["Infinity", "NaN"])
+    def test_non_finite_L_exit_3(self, tmp_path, capsys, L):
+        # Neither passes "L >= 0" by accident: inf would let every pair
+        # through and NaN would score every pair NaN.
+        data = write(
+            tmp_path / "data.json",
+            '{"m": 1, "n": 1, "L": %s, "points": [[0.0], [1.0]], "values": [[0.0], [0.5]]}'
+            % L,
+        )
+        queries = write(tmp_path / "q.csv", "0.5\n")
+        rc = main(
+            ["extend", "--data", data, "--queries", queries,
+             "--method", "proxavg", "--out", str(tmp_path / "o.csv")]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "invalid data" in err
+        assert "L must be finite" in err and "Traceback" not in err
 
     def test_all_methods_run(self, tmp_path, forced_data):
         queries = write(tmp_path / "q.csv", "0.0\n0.5\n-2.0\n")
@@ -196,6 +216,17 @@ class TestHellyCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "invalid data" in err
         assert "radius" in err and "Traceback" not in err
+
+    def test_infinite_radius_exit_3(self, tmp_path, capsys):
+        bodies = [{"kind": "ball", "center": [0.0], "radius": math.inf},
+                  {"kind": "ball", "center": [5.0], "radius": 1.0}]
+        fam = write(tmp_path / "fam.json", json.dumps({"n": 1, "bodies": bodies}))
+        rc = main(["helly", "--family", fam, "--mode", "verify",
+                   "--out", str(tmp_path / "rep.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "invalid data" in err
+        assert "radius must be finite" in err and "Traceback" not in err
 
 
 class TestFunctionCommand:

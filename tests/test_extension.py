@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from lipext.errors import (
     ModulusViolationError,
 )
 from lipext.convex_sets import project
-from lipext.geometry import Ball, pairwise
+from lipext.geometry import Ball, pair_index, pairwise, _BLOCK_PAIRS
 from lipext.rng import SplitMix64
 from lipext.gen import generate_lipschitz_data
 from lipext.extension import (
@@ -518,6 +519,37 @@ class TestModulusMachinery:
             assert hull.is_subadditive
 
 
+class TestModulusExtrapolation:
+    """Past the last breakpoint w continues with its last slope, value for
+    value v_K + s (t - t_K), s = (v_K - v_{K-1}) / (t_K - t_{K-1})."""
+
+    @staticmethod
+    def moduli():
+        rng = SplitMix64(97)
+        out = [linear_modulus(1.0), linear_modulus(441.7, 12.0), linear_modulus(0.3, 1e-3)]
+        for data in _scalar_datasets(rng, 30):
+            raw = empirical_modulus(data)
+            s = max(1.0, 2.0 * float(np.max(raw.values)))
+            out.append(concave_majorant(Modulus(raw.breakpoints, raw.values / s)))
+        return out
+
+    def test_values_past_the_last_breakpoint(self):
+        for omega in self.moduli():
+            t, v = omega.breakpoints, omega.values
+            slope = (v[-1] - v[-2]) / (t[-1] - t[-2])
+            probes = t[-1] * np.array([1.0, 1.0 + 2**-52, 1.5, 2.0, 3.0, 1e3])
+            got = omega(probes)
+            ref = np.where(probes > t[-1], v[-1] + slope * (probes - t[-1]), v[-1])
+            assert got.tobytes() == ref.tobytes()
+            for p, r in zip(probes.tolist(), ref.tolist()):
+                value = omega(p)
+                assert type(value) is float and value == r
+
+    def test_one_breakpoint_is_constant(self):
+        omega = Modulus(np.array([0.0]), np.array([0.0]))
+        assert omega(5.0) == 0.0 and omega(np.array([0.0, 2.0])).tolist() == [0.0, 0.0]
+
+
 def _grid_subadditive(omega):
     """Brute force: w(s + t) <= w(s) + w(t) over every pair of breakpoints
     and of three points past the last one, relative tolerance 1e-12."""
@@ -653,19 +685,131 @@ class TestEmpiricalModulus:
             tied += len({d for d, _ in pairs}) < len(pairs)
         assert drifted > 0 and tied > 0
 
+    @staticmethod
+    def stress_datasets():
+        """Seeded scalar data with k in {2, 3, 40, 100}: random and `gen`
+        samples, and grid data with repeated points (equal values) and many
+        tied distances.  k = 100 has 4,950 pairs, more than one pairwise
+        block."""
+        rng = SplitMix64(83)
+        out = []
+        for k in (2, 3, 40, 100):
+            for m in (1, 2, 3):
+                A = np.array([[rng.uniform(-1, 1) for _ in range(m)] for _ in range(k)])
+                out.append(FiniteMapData(A, np.array([[rng.uniform(-1, 1)] for _ in range(k)])))
+                out.append(generate_lipschitz_data(m, 1, k, rng.integer(10**6)))
+                G = np.array([[0.5 * rng.integer(4) for _ in range(m)] for _ in range(k)])
+                cells = {}
+                V = np.array([[cells.setdefault(tuple(g), 3.0 * rng.integer(5))] for g in G])
+                out.append(FiniteMapData(G, V))
+        return out
+
+    def test_uniform_model_matches_reference_pipeline(self):
+        # The model's one pair scan against empirical_modulus, then
+        # concave_majorant, then _check_modulus_for_data, and the lower
+        # envelope with np.linalg.norm distances.
+        rng = SplitMix64(89)
+        datasets = self.stress_datasets()
+        assert any(np.unique(d.points, axis=0).shape[0] < d.size for d in datasets)
+        assert max(d.size * (d.size - 1) // 2 for d in datasets) > _BLOCK_PAIRS
+        for data in datasets:
+            raw = empirical_modulus(data)
+            s = max(1.0, 2.0 * float(np.max(raw.values)))
+            omega = concave_majorant(Modulus(raw.breakpoints, raw.values / s))
+            scaled = SimpleNamespace(points=data.points, values=data.values / s)
+            _check_modulus_for_data(scaled, omega)
+            model = ExtensionModel(data, "uniform")
+            assert model.scale == s
+            assert model.omega.breakpoints.tobytes() == omega.breakpoints.tobytes()
+            assert model.omega.values.tobytes() == omega.values.tobytes()
+            queries = [data.points[0]] + [
+                np.array([rng.uniform(-2, 2) for _ in range(data.m)]) for _ in range(4)
+            ]
+            for x in queries:
+                w = omega(np.linalg.norm(data.points - x, axis=1))[:, None]
+                ref = s * np.max(scaled.values - w, axis=0)
+                assert model.query(x)[0].tobytes() == ref.tobytes()
+
+    def test_shared_check_matches_blocked_check(self):
+        # Moduli below the data's: the scan's check and the blocked one
+        # reach the same decision on the same witness with the same message.
+        raised = 0
+        for data in self.stress_datasets():
+            scan = extension._pair_scan(data.points)
+            raw = empirical_modulus(data)
+            for omega in (
+                linear_modulus(0.5 * data.L),
+                linear_modulus(data.L, 4.0),
+                Modulus(raw.breakpoints, 0.75 * raw.values),
+                Modulus(raw.breakpoints, raw.values),
+            ):
+                outcomes = []
+                for check in (
+                    lambda: _check_modulus_for_data(data, omega),
+                    lambda: extension._check_modulus_on_scan(data, omega, scan),
+                ):
+                    try:
+                        check()
+                        outcomes.append(None)
+                    except ModulusViolationError as exc:
+                        outcomes.append((str(exc), exc.witness))
+                assert outcomes[0] == outcomes[1]
+                raised += outcomes[0] is not None
+        assert raised > 0
+
+    def test_shared_check_decides_by_the_norm_distance(self):
+        # Where the vecdot and np.linalg.norm distances of a pair differ in
+        # the last bit, w jumps from 0 to 1 between them: the blocked check
+        # fails the pair exactly when its norm distance is the smaller one.
+        rng = SplitMix64(101)
+        seen = set()
+        while len(seen) < 2:
+            A = np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)])
+            d = A[:1] - A[1:]
+            dot, norm = float(np.sqrt(np.vecdot(d, d))[0]), float(np.linalg.norm(d, axis=1)[0])
+            if dot == norm:
+                continue
+            data = FiniteMapData(A, np.array([[0.0], [1.0]]))
+            omega = Modulus(np.array([0.0, min(dot, norm), max(dot, norm)]),
+                            np.array([0.0, 0.0, 1.0]))
+            scan = extension._pair_scan(data.points)
+            for check in (
+                lambda: _check_modulus_for_data(data, omega),
+                lambda: extension._check_modulus_on_scan(data, omega, scan),
+            ):
+                if norm < dot:
+                    with pytest.raises(ModulusViolationError) as exc:
+                        check()
+                    assert exc.value.witness == (0, 1)
+                else:
+                    check()
+            seen.add(norm < dot)
+
+    def test_norms_are_the_row_norms(self):
+        rng = SplitMix64(103)
+        for m in (1, 2, 3, 5, 9, 16):
+            d = np.array([[rng.normal() for _ in range(m)] for _ in range(300)])
+            assert extension._norms(d).tobytes() == np.linalg.norm(d, axis=1).tobytes()
+
     def test_uniform_model_scans_the_pairs_once(self, monkeypatch):
-        # The modulus check is the one scan; the rescaled values are held
-        # without a FiniteMapData, whose own scan would find an unread L.
+        # One pair index serves the empirical modulus and its check; the
+        # rescaled values are held without a FiniteMapData, whose own scan
+        # would find an unread L.
         data = generate_lipschitz_data(2, 1, 12, 911)
-        scans = []
+        builds, scans = [], []
+
+        def counting_pair_index(*args):
+            builds.append(args)
+            return pair_index(*args)
 
         def counting_pairwise(*args):
             scans.append(args)
             return pairwise(*args)
 
+        monkeypatch.setattr(extension, "pair_index", counting_pair_index)
         monkeypatch.setattr(extension, "pairwise", counting_pairwise)
         ExtensionModel(data, "uniform")
-        assert len(scans) == 1
+        assert builds == [(12, 0, 11)] and scans == []
 
 
 def reference_concave_majorant(omega, keep=None):
@@ -924,8 +1068,8 @@ class TestExtensionModelSurface:
         def per_data_work(*args, **kwargs):
             raise AssertionError("per-data work ran at query time")
 
-        for name in ("pairwise", "_check_modulus_for_data", "distance",
-                     "empirical_modulus", "concave_majorant"):
+        for name in ("pairwise", "pair_index", "_check_modulus_for_data", "distance",
+                     "empirical_modulus", "concave_majorant", "_tau"):
             monkeypatch.setattr(extension, name, per_data_work)
         for model in models:
             y, residual = model.query(np.array([0.3, -0.8]))

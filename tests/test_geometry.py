@@ -69,6 +69,12 @@ def test_vector_validation():
         Ball([0.0, 0.0], -0.5)
 
 
+@pytest.mark.parametrize("radius", [math.inf, -math.inf, math.nan])
+def test_ball_radius_must_be_finite(radius):
+    with pytest.raises(ValueError, match="radius must be"):
+        Ball([0.0, 0.0], radius)
+
+
 def test_convex_combination_examples():
     square = Polytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     w = SimplexWeights([0.25, 0.25, 0.25, 0.25])
