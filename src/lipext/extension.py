@@ -214,17 +214,27 @@ class Modulus:
         return (t[-1], v[-1], (v[-1] - v[-2]) / (t[-1] - t[-2])) if t.size > 1 else None
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-15):
-            raise ValueError("modulus arguments must be >= 0")
-        t = np.clip(t, 0.0, None)
-        out = np.interp(t, self.breakpoints, self.values)
-        if self._tail is not None:
-            last_t, last_v, slope = self._tail
-            beyond = t > last_t
-            if np.any(beyond):
-                out = np.where(beyond, last_v + slope * (t - last_t), out)
-        return float(out) if out.ndim == 0 else out
+        return _modulus_value(t, self.breakpoints, self.values, self._tail)
+
+
+def _modulus_value(t, breakpoints, values, tail):
+    """w(t) of the modulus on (breakpoints, values) whose tail is (last
+    breakpoint, last value, last slope), or None for one breakpoint:
+    Modulus.__call__, and the coordinatewise query's linear_modulus(L,
+    scale) without building it.  That Modulus's checks hold by
+    construction there: L is finite and >= 0 (FiniteMapData checks it), and
+    scale = 1 + max|a_i| + max|x| >= 1 is finite."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < -1e-15):
+        raise ValueError("modulus arguments must be >= 0")
+    t = np.clip(t, 0.0, None)
+    out = np.interp(t, breakpoints, values)
+    if tail is not None:
+        last_t, last_v, slope = tail
+        beyond = t > last_t
+        if np.any(beyond):
+            out = np.where(beyond, last_v + slope * (t - last_t), out)
+    return float(out) if out.ndim == 0 else out
 
 
 def linear_modulus(L: float, scale: float = 1.0) -> Modulus:
@@ -595,4 +605,10 @@ class ExtensionModel:
         if method == "uniform":
             return self.scale * _envelope(self.scaled, self.omega, x, "lower"), 0.0
         scale = self.reach + float(np.max(np.abs(x)))
-        return _envelope(data, linear_modulus(data.L, scale), x, "lower"), 0.0
+        top = data.L * scale
+        grid, vals = np.array([0.0, scale]), np.array([0.0, top])
+        tail = (scale, top, top / scale)
+        return (
+            _envelope(data, lambda t: _modulus_value(t, grid, vals, tail), x, "lower"),
+            0.0,
+        )

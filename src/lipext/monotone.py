@@ -248,21 +248,29 @@ def _psi_value_at(Arows, Brows, o, BA, xt, lam):
     return 0.5 * float(np.max(p)) + 0.5 * float(o @ lam) + 0.5 * float(r @ r)
 
 
-def _vertex_start(Brows, BA, o, xt):
-    """Start (l0, t0, working set) of an epigraph QP whose prefix sits at x~.
+def _vertex_start(P, q, G, h, u):
+    """Start (z0, working set) of an epigraph QP over z = (u, l, t) whose
+    prefix stays at u: the vertex (u, e_j, t_j) of least objective
+    1/2 z'Pz + q'z, ties to the lowest j.
 
-    j is the largest epigraph row at uniform weights; l0 = e_j and t0 is the
-    largest row at l0.  The working set is that row plus the k - 1 bounds
-    l_i >= 0 with i != j, so the start is a vertex in (l, t): optimal
-    supports hold few atoms, and the solve only has to add them.
+    t_j = max_i (G_prefix u - h_rows)_i - BA[i, j] is the least t that the
+    epigraph rows allow at l = e_j, and the scores of all k vertices come
+    from one O(k^2) pass over P, q, G and h.  The working set is the row
+    that attains t_j plus the k - 1 bounds l_i >= 0 with i != j, so the
+    start is a vertex in (l, t): optimal supports hold few atoms, and the
+    cheapest vertex often holds one of them.
     """
-    k = BA.shape[0]
-    j = int(np.argmax(_epigraph_rows(Brows, BA, o, xt, np.full(k, 1.0 / k))))
-    lam0 = np.zeros(k)
-    lam0[j] = 1.0
-    p0 = _epigraph_rows(Brows, BA, o, xt, lam0)
-    active = [int(np.argmax(p0))] + [k + i for i in range(k) if i != j]
-    return lam0, float(np.max(p0)), active
+    d, k = u.shape[0], G.shape[0] // 2
+    lam = slice(d, d + k)
+    need = (G[:k, :d] @ u - h[:k])[:, None] + G[:k, lam]
+    t = np.max(need, axis=0)
+    score = (0.5 * float(u @ P[:d, :d] @ u) + float(q[:d] @ u)) + (
+        u @ P[:d, lam] + 0.5 * np.diagonal(P)[lam] + q[lam] + q[-1] * t
+    )
+    j = int(np.argmin(score))
+    z0 = np.zeros(d + k + 1)
+    z0[:d], z0[d + j], z0[-1] = u, 1.0, t[j]
+    return z0, [int(np.argmax(need[:, j]))] + [k + i for i in range(k) if i != j]
 
 
 def _epigraph_qp(T, D, M, G_prefix):
@@ -289,22 +297,21 @@ def _epigraph_qp(T, D, M, G_prefix):
     return P, G, A_eq, ChainMap()
 
 
-def _solve_epigraph_qp(T, qp, q, h_rows, prefix0, xt0, what):
+def _solve_epigraph_qp(qp, q, h_rows, prefix0, what):
     """Solve min 1/2 z'Pz + q'z, qp = (P, G, A_eq, memo), with G z <=
-    (h_rows, 0) from the vertex start at u = prefix0, whose x~ is xt0.
-    Returns (u, l) for z = (u, l, t), l cleaned by SimplexWeights; at its
-    cap solve_qp raises SolverCapError("<what> QP capped at ...").
+    (h_rows, 0) from the least-objective vertex with u = prefix0 (see
+    _vertex_start).  Returns (u, l) for z = (u, l, t), l cleaned by
+    SimplexWeights; at its cap solve_qp raises SolverCapError("<what> QP
+    capped at ...").
 
     The memo is a ChainMap whose last map holds the working sets of the
     family's previous call, where solve_qp looks first; it writes the ones
     it meets into the first map, which then replaces the last, also when
     solve_qp raises.  So a graph keeps one call's working sets per family."""
     P, G, A_eq, memo = qp
-    _, Brows, o, BA = T._atoms
-    d, k = prefix0.shape[0], BA.shape[0]
+    d, k = prefix0.shape[0], G.shape[0] // 2
     h = np.concatenate([h_rows, np.zeros(k)])
-    lam0, t0, active = _vertex_start(Brows, BA, o, xt0)
-    z0 = np.concatenate([prefix0, lam0, [t0]])
+    z0, active = _vertex_start(P, q, G, h, prefix0)
     try:
         z, _ = solve_qp(
             P, q, A_eq, [1.0], G, h, z0, initial_active=active, memo=memo,
@@ -322,7 +329,7 @@ def psi_eval(T: OperatorGraph, x, xstar) -> float:
     Arows, Brows, o, BA = T._atoms
     q = np.concatenate([-(Arows @ xt) + 0.5 * o, [0.5]])
     _, lam = _solve_epigraph_qp(
-        T, T._psi_constants, q, o - 2.0 * (Brows @ xt), np.zeros(0), xt, "Psi"
+        T._psi_constants, q, o - 2.0 * (Brows @ xt), np.zeros(0), "Psi"
     )
     return _psi_value_at(Arows, Brows, o, BA, xt, lam)
 
@@ -339,9 +346,7 @@ def psi_conj_eval(T: OperatorGraph, y, ystar) -> float:
     Arows, Brows, o, BA = T._atoms
     q = np.concatenate([-wt, 0.5 * o, [0.5]])
     xt0 = np.concatenate([wt[T.dim :], wt[: T.dim]])
-    xt, lam = _solve_epigraph_qp(
-        T, T._psi_conj_constants, q, o, xt0, xt0, "Psi conjugate"
-    )
+    xt, lam = _solve_epigraph_qp(T._psi_conj_constants, q, o, xt0, "Psi conjugate")
     return float(wt @ xt) - _psi_value_at(Arows, Brows, o, BA, xt, lam)
 
 
@@ -367,10 +372,11 @@ def resolvent_eval(T: OperatorGraph, x):
     so the returned residual doubles as the convergence certificate
     (converged iff residual <= 1e-6; the active-set solve normally lands at
     ~1e-14).  The QP's P, G and A_eq are built once per graph and memoised
-    on T; only q, h and the vertex start are per query.  T also carries the
-    factors of the working sets that its last query met, and this query
-    looks each working set up there before it factors it (no iterate
-    carries over, so the result is the same bits as on a fresh graph).
+    on T; only q, h and the start, the least-objective vertex at y = x / 2
+    (_vertex_start), are per query.  T also carries the factors of the
+    working sets that its last query met, and this query looks each working
+    set up there before it factors it (no iterate carries over, so the
+    result is the same bits as on a fresh graph).
     Returns (y, residual); a QP stopped at its iteration cap raises
     SolverCapError.
     """
@@ -379,10 +385,8 @@ def resolvent_eval(T: OperatorGraph, x):
         raise DimensionMismatchError("query dimension does not match the graph")
     Arows, Brows, o, BA = T._atoms
     q = np.concatenate([-2.0 * x, -(T.values @ x) + 0.5 * o, [0.5]])
-    y0 = x / 2.0
     y, lam = _solve_epigraph_qp(
-        T, T._resolvent_constants, q, o - 2.0 * (T.points @ x), y0,
-        np.concatenate([y0, x - y0]), "resolvent",
+        T._resolvent_constants, q, o - 2.0 * (T.points @ x), x / 2.0, "resolvent"
     )
     xt = np.concatenate([y, x - y])
     psi_upper = _psi_value_at(Arows, Brows, o, BA, xt, lam)

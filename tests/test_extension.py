@@ -274,20 +274,22 @@ class TestProxAvgGolden:
     # repr of (y, residual) at seeded queries, recorded before the bound
     # multipliers of solve_qp were read off pinned columns: a change of the
     # active-set path that moves any bit of a proxavg output shows here.
-    # Re-recorded when solve_qp began to drop the most negative multiplier.
+    # Re-recorded when solve_qp began to drop the most negative multiplier,
+    # and when each epigraph QP began at its least-objective vertex (every
+    # moved y within 5e-16 of the old one).
     GOLDEN = {
         "gen-2-2-8": [
-            "([1.3061021933182875, 0.5511104806564819], 1.1102230246251565e-16)",
-            "([1.693309050964915, 0.7524869254114988], 4.440892098500626e-16)",
+            "([1.306102193318288, 0.5511104806564823], 2.220446049250313e-16)",
+            "([1.693309050964915, 0.7524869254114991], 0.0)",
             "([0.09957948147380691, -0.6113949386715731], 4.440892098500626e-16)",
         ],
         "gen-3-2-12": [
-            "([-0.9736860480476418, 0.7812079194233978], 1.6653345369377348e-16)",
+            "([-0.9736860480476415, 0.7812079194233978], 5.551115123125783e-17)",
             "([1.4431911462607925, 1.5514248152751344], 0.0)",
-            "([-1.0864475755721807, 1.5148609516812563], 0.0)",
+            "([-1.086447575572181, 1.5148609516812563], 2.220446049250313e-16)",
         ],
         "tight-2-2-7": [
-            "([-0.3819090508739219, -0.41195236631921855], 1.3877787807814457e-17)",
+            "([-0.3819090508739219, -0.41195236631921855], 2.7755575615628914e-17)",
             "([0.4728415384614378, 0.08205164613524822], 0.0)",
             "([-0.38653247108660005, 0.8118152592315048], 0.0)",
         ],
@@ -375,6 +377,29 @@ class TestCoordinatewise:
         assert v[0] == pytest.approx(
             extend_mcshane(data, omega, np.array([1.0]), "lower")
         )
+
+    def test_query_modulus_is_linear_modulus_bit_for_bit(self, monkeypatch):
+        # The query evaluates linear_modulus(L, scale) without building it.
+        rng = SplitMix64(905)
+        A = np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(30)])
+        B = np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(30)])
+        data = FiniteMapData(A, B)
+        model = ExtensionModel(data, "coordinatewise")
+        real = extension._envelope
+        seen = []
+        monkeypatch.setattr(
+            extension, "_envelope", lambda *args: seen.append(args[1]) or real(*args)
+        )
+        queries = [A[4], np.array([0.3, -0.6]), np.array([-40.0, 25.0])]
+        for x in queries:
+            v, _ = model.query(x)
+            scale = 1.0 + float(np.max(np.abs(A))) + float(np.max(np.abs(x)))
+            ref = linear_modulus(data.L, scale)
+            assert v.tobytes() == real(data, ref, x, "lower").tobytes()
+            ts = [0.0, scale / 3.0, scale, 2.5 * scale]
+            for t in ts:
+                assert repr(seen[-1](t)) == repr(ref(t))
+            assert seen[-1](np.array(ts)).tobytes() == ref(np.array(ts)).tobytes()
 
     def test_interpolation(self):
         data = generate_lipschitz_data(2, 2, 6, 904)

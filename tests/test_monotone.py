@@ -428,12 +428,39 @@ class TestSolverCap:
             call(T)
 
 
-def uniform_start(Brows, BA, o, xt):
-    """The start the vertex start replaced: uniform weights, one active row."""
-    k = BA.shape[0]
-    lam0 = np.full(k, 1.0 / k)
-    p0 = monotone._epigraph_rows(Brows, BA, o, xt, lam0)
-    return lam0, float(np.max(p0)), [int(np.argmax(p0))]
+def uniform_start(P, q, G, h, u):
+    """The start the vertex start replaced: u, uniform weights, the least t
+    the epigraph rows allow there, and the row that attains it."""
+    k = G.shape[0] // 2
+    z0 = np.concatenate([u, np.full(k, 1.0 / k), [0.0]])
+    need = G[:k] @ z0 - h[:k]
+    z0[-1] = np.max(need)
+    return z0, [int(np.argmax(need))]
+
+
+def largest_row_start(P, q, G, h, u):
+    """The first vertex start: j is the largest epigraph row at uniform
+    weights, then the vertex (u, e_j, t_j) with the row that attains t_j and
+    the k - 1 other bounds."""
+    d, k = u.shape[0], G.shape[0] // 2
+    base = G[:k, :d] @ u - h[:k]
+    j = int(np.argmax(base + G[:k, d : d + k] @ np.full(k, 1.0 / k)))
+    need = base + G[:k, d + j]
+    z0 = np.zeros(d + k + 1)
+    z0[:d], z0[d + j], z0[-1] = u, 1.0, np.max(need)
+    return z0, [int(np.argmax(need))] + [k + i for i in range(k) if i != j]
+
+
+def vertex_objectives(P, q, G, h, u):
+    """1/2 z'Pz + q'z at each vertex (u, e_j, t_j), one vertex at a time."""
+    d, k = u.shape[0], G.shape[0] // 2
+    out = []
+    for j in range(k):
+        z = np.zeros(d + k + 1)
+        z[:d], z[d + j] = u, 1.0
+        z[-1] = max(float(G[i] @ z - h[i]) for i in range(k))
+        out.append(0.5 * float(z @ P @ z) + float(q @ z))
+    return np.array(out)
 
 
 def random_map_data(rng, k):
@@ -442,15 +469,92 @@ def random_map_data(rng, k):
     return FiniteMapData(A, B)
 
 
+def proxavg_kinds(k, seed):
+    """Data of size k in m = n = 2 of the three kinds the proxavg bench
+    runs: gen (L = 1 with slack), gen_tight (the same samples with the
+    empirical L, every pair tight) and uniform random values."""
+    gen = generate_lipschitz_data(2, 2, k, seed)
+    return {
+        "gen": gen,
+        "gen_tight": FiniteMapData(gen.points, gen.values),
+        "random": random_map_data(SplitMix64(seed), k),
+    }
+
+
+def recorded_qps(monkeypatch, run):
+    """(P, q, A_eq, G, h, z0, working set) of every solve_qp that run()
+    makes through monotone."""
+    seen = []
+
+    def recording(P, q, A_eq, b_eq, G, h, z0, initial_active=(), **kwargs):
+        seen.append((P, q, A_eq, G, h, z0, list(initial_active)))
+        return solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(monotone, "solve_qp", recording)
+        run()
+    return seen
+
+
 class TestVertexStart:
+    def check_least_objective_start(self, qp):
+        """z0 is a feasible vertex (u, e_j, t_j) with a tight working set,
+        and j is the lowest index of least objective."""
+        P, q, A_eq, G, h, z0, active = qp
+        k = G.shape[0] // 2
+        d = z0.shape[0] - k - 1
+        assert (A_eq @ z0).tolist() == [1.0]
+        slack = h - G @ z0
+        tol = 1e-12 * (1.0 + np.max(np.abs(G)) * np.max(np.abs(z0)) + np.max(np.abs(h)))
+        assert np.all(slack >= -tol)
+        assert np.all(np.abs(slack[active]) <= tol)
+        j = int(np.argmax(z0[d : d + k]))
+        assert sorted(active[1:]) == [k + i for i in range(k) if i != j]
+        objs = vertex_objectives(P, q, G, h, z0[:d])
+        least = float(np.min(objs))
+        obj_tol = 1e-12 * (1.0 + abs(least))
+        assert 0.5 * float(z0 @ P @ z0) + float(q @ z0) == pytest.approx(least, abs=obj_tol)
+        assert j == int(np.flatnonzero(objs <= least + obj_tol)[0])
+
+    @pytest.mark.parametrize("k", [2, 3, 12, 48])
+    def test_start_is_least_objective_vertex(self, monkeypatch, k):
+        for kind, data in proxavg_kinds(k, 7000 + k).items():
+            T = ExtensionModel(data, "proxavg").graph
+            rng = SplitMix64(7100 + k)
+            x, xs = ([rng.uniform(-2.5, 2.5) for _ in range(2)] for _ in range(2))
+            qps = recorded_qps(
+                monkeypatch,
+                lambda: (resolvent_eval(T, x), psi_eval(T, x, xs), psi_conj_eval(T, x, xs)),
+            )
+            assert len(qps) == 3, kind
+            for qp in qps:
+                self.check_least_objective_start(qp)
+
+    @pytest.mark.parametrize("q_l, j", [([0, 0, 0], 0), ([1, 0, 0], 1), ([1, 1, 0], 2)])
+    def test_ties_go_to_the_lowest_atom(self, q_l, j):
+        # Integer data, so every score is exact: all three vertices need
+        # t = 1 from row 1, and q_l lifts the ones before j.
+        k = 3
+        P = np.zeros((k + 1, k + 1))
+        P[:k, :k] = np.eye(k)
+        q = np.array(q_l + [1.0], dtype=float)
+        G = np.zeros((2 * k, k + 1))
+        G[:k, k] = -1.0
+        G[k:, :k] = -np.eye(k)
+        h = np.array([0.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+        z0, active = monotone._vertex_start(P, q, G, h, np.zeros(0))
+        assert z0.tolist() == [float(i == j) for i in range(k)] + [1.0]
+        assert active == [1] + [k + i for i in range(k) if i != j]
+
     def compare_starts(self, T, queries, monkeypatch):
         vertex = [resolvent_eval(T, x) for x in queries]
-        with monkeypatch.context() as mp:
-            mp.setattr(monotone, "_vertex_start", uniform_start)
-            uniform = [resolvent_eval(T, x) for x in queries]
-        for (y1, r1), (y2, r2) in zip(vertex, uniform):
-            assert r1 <= 1e-12 and r2 <= 1e-12
-            assert np.max(np.abs(y1 - y2)) <= 1e-12 * (1.0 + np.max(np.abs(y2)))
+        for start in (uniform_start, largest_row_start):
+            with monkeypatch.context() as mp:
+                mp.setattr(monotone, "_vertex_start", start)
+                other = [resolvent_eval(T, x) for x in queries]
+            for (y1, r1), (y2, r2) in zip(vertex, other):
+                assert r1 <= 1e-12 and r2 <= 1e-12
+                assert np.max(np.abs(y1 - y2)) <= 1e-12 * (1.0 + np.max(np.abs(y2)))
 
     def test_same_resolvent_as_uniform_start_on_tight_data(self, monkeypatch):
         rng = SplitMix64(11)
@@ -476,11 +580,12 @@ class TestVertexStart:
         rng = SplitMix64(9)
         queries = [np.array([rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)]) for _ in range(4)]
         self.compare_starts(T, queries, monkeypatch)
-        assert tight.count(48) >= 2  # on both starts
+        assert tight.count(48) >= 3  # on all three starts
 
     def test_proxavg_iterations_per_query(self, monkeypatch):
         # Counts iterations, not seconds.  On this data the uniform start took
-        # about 71 iterations per query and the vertex start about 21.
+        # about 71 iterations per query, the largest-row vertex about 21
+        # (15.2 since the drop rule), and the least-objective vertex 7.2.
         iters = []
 
         def counting_qp(*args, **kwargs):
@@ -499,6 +604,6 @@ class TestVertexStart:
             ]
 
         first = run()
-        assert len(iters) == 40 and np.mean(iters) <= 35
+        assert len(iters) == 40 and np.mean(iters) <= 9
         second = run()
         assert all(np.array_equal(a, b) for a, b in zip(first, second))

@@ -474,6 +474,9 @@ class TestSolveQPDigest:
     from 133 to 144 solves when the polyhedral conjugate dropped its value
     memo: 11 repeated probes solve again, and with the repeats dropped its
     (b_eq, z, iters) records equal the 133 before, in order.
+    resolvent-8, resolvent-48 and psi were re-recorded when each epigraph
+    QP began at its least-objective vertex: their 12 solves went from 55,
+    187 and 91 to 51, 115 and 84 iterations.
 
     The simplex wrapper returns a start vertex that is already optimal
     without calling solve_qp, so the simplex shape hashes the wrapper's
@@ -500,13 +503,13 @@ class TestSolveQPDigest:
             42, "5dbd818837c3b9e7eb8403141bb907a5cf69c16761405a8694b9902fc52fba75"
         ),
         "psi": (
-            12, "74a117949d45266ee82b66020877fb48198ed984a02a81b82c9e6894f2d3ad2a"
+            12, "e4c2c275f230ebf6dc078b51ce9541a374aa2eb4d34c04c66afdf16707608161"
         ),
         "resolvent-48": (
-            12, "45692893b51ceca096a75cf6c5910f70ed195b376008bd2dae22ed6ffc94cdf5"
+            12, "649f3b857608cb92f51f7afca7570e9c37ac008f783745893d2785e7d8cb7f9d"
         ),
         "resolvent-8": (
-            12, "db1fb66a9f9296cb03f0985420da3a476fae42fd048f82238d0d64b805560162"
+            12, "757ff240e9a250bff9bf0c486a71018ced882d075c8200d0cedd34a5cd1dc496"
         ),
         "simplex": (
             54, "f6bbce60c0b6a20bb075d7dd443ac30b342a910a1168feba20189df18b5aa1b7"
