@@ -248,10 +248,10 @@ class MaxAffineConjugate(_Polyhedral):
     +inf farther than 1e-6 from conv(slopes), else the value at y's nearest
     hull point p (_hull_point), where the Fenchel dual re-reads its final
     value.  Its own conjugate, from conjugate(), is the MaxAffine with these
-    slopes and offsets f*(s_i), each one LP started at s_i's own vertex with
-    no screen.  The QPs' constant data and the screen's and the LP's
-    solve_qp memos of working-set factors are memoised on the node and freed
-    with it.
+    slopes and offsets f*(s_i), read off k LPs over f's epigraph with no
+    screen.  The screen's and the LP's constant data and solve_qp memos of
+    working-set factors are memoised on the node and freed with it; the
+    epigraph LPs' memo lives for one conjugate() call.
     """
 
     @cached_property
@@ -401,30 +401,22 @@ def _inner_minimize(fun, box, extra_points=()):
 
 def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
     """f*(y) at any y: +inf farther than 1e-6 from conv(slopes), else the LP
-    at y's nearest hull point.
+    min { o'l : S'l = p, l in simplex } at y's nearest hull point p.
 
-    A screen, the exact projection of y onto conv(slopes), gives the nearest
-    hull point S'l1 and its weights l1, which start _conjugate_lp.  conjugate()
-    reads f* at the slopes themselves, where no screen is needed.
+    A screen, the exact projection of y onto conv(slopes), gives p = S'l1 and
+    its weights l1, which start the LP (solve_qp, P = 0) with their zero
+    weights in the working set.  conjugate() reads f* at the slopes
+    themselves by another LP, over f's epigraph, with no screen.
     """
     nearest, lam1 = _hull_point(node, y)
     # The distance itself, not the expanded quadratic's value, which loses
     # its last digits to cancellation near the 1e-6 threshold.
     if float(np.linalg.norm(nearest - y)) > POLYHEDRAL_INFEASIBLE_TOL:
         return INF
-    return _conjugate_lp(node, nearest, lam1)
-
-
-def _conjugate_lp(node: MaxAffineConjugate, target, weights) -> float:
-    """min { o'l : S'l = target, l in simplex } as one exact LP.
-
-    weights are feasible (S'weights = target); they start solve_qp (P = 0),
-    with their zero weights in the working set.
-    """
     _, P0, A_eq, G, h, _, lp_memo = node._constants
     lam, _ = solve_qp(
-        P0, node.offsets, A_eq, np.append(target, 1.0), G, h, weights,
-        initial_active=np.flatnonzero(weights == 0.0), memo=lp_memo,
+        P0, node.offsets, A_eq, np.append(nearest, 1.0), G, h, lam1,
+        initial_active=np.flatnonzero(lam1 == 0.0), memo=lp_memo,
         name="conjugate LP",
     )
     np.clip(lam, 0.0, None, out=lam)
@@ -553,9 +545,9 @@ def conjugate(f, box=None):
     """The conjugate of f as a node, and the one place that picks an exact
     conjugate: MaxAffineConjugate for a max-affine f, SupportFunction for an
     indicator, and MaxAffine for a polyhedral conjugate, whose offsets f*(s_i)
-    take one LP each from the unit weights e_i, with no hull screen.  Any
-    other f gets Conjugate(f, box), the box search, which raises without a
-    box."""
+    are k LPs over f's epigraph, each started where the last one stopped,
+    with no hull screen.  Any other f gets Conjugate(f, box), the box search,
+    which raises without a box."""
     if isinstance(f, MaxAffine):
         return MaxAffineConjugate(f.slopes, f.offsets)
     if isinstance(f, Indicator):
@@ -564,11 +556,40 @@ def conjugate(f, box=None):
         # x.y - f*(y) is affine on each cell of f*'s subdivision of
         # conv(slopes), and every cell vertex is a slope (Rockafellar,
         # Convex Analysis, section 19): f** = max_i (s_i.x - f*(s_i)).
-        # The unit weights e_i are a feasible start at s_i: no screen.
-        unit = np.eye(f.slopes.shape[0])
-        offsets = [_conjugate_lp(f, s, e) for s, e in zip(f.slopes, unit)]
-        return MaxAffine(f.slopes, offsets)
+        # f*(s_i) = max {s_i.x - t : S x - t <= o} over f's epigraph, the
+        # same feasible set for every slope: each LP starts where the last
+        # stopped, the first at (0, f(0)), and all share one memo.
+        S, o = f.slopes, f.offsets
+        k, n = S.shape
+        G, P, memo = np.hstack([S, -np.ones((k, 1))]), np.zeros((n + 1, n + 1)), {}
+        z, active, offsets = np.append(np.zeros(n), -o.min()), [int(np.argmin(o))], []
+        for s in S:
+            z, info = solve_qp(
+                P, np.append(-s, 1.0), (), (), G, o, z, initial_active=active,
+                memo=memo, name="epigraph LP",
+            )
+            active = info["active"]
+            offsets.append(_epigraph_offset(S, o, s, active))
+        return MaxAffine(S, offsets)
     return Conjugate(f, box)
+
+
+def _epigraph_offset(S, o, s, rows):
+    """f*(s) read off the exit rows A of its epigraph LP: o_j itself when a
+    row j with s_j == s is in A (tight, and e_j is feasible with that value),
+    else o_A.mu for the multipliers (S_A'; 1') mu = (s; 1), refined once."""
+    same = rows[(S[rows] == s).all(axis=1)]
+    if same.size:
+        return float(o[same].min())
+    M = np.vstack([S[rows].T, np.ones(rows.size)])
+    rhs, mu = np.append(s, 1.0), np.zeros(rows.size)
+    for _ in range(2):  # a solve, then one step of iterative refinement
+        r = rhs - M @ mu
+        try:
+            mu = mu + np.linalg.solve(M, r)
+        except np.linalg.LinAlgError:  # singular, or not square
+            mu = mu + np.linalg.lstsq(M, r, rcond=None)[0]
+    return float(o[rows] @ mu)
 
 
 def inf_conv(f, g, box):
@@ -590,8 +611,8 @@ def scale_ops(f, factor, mode):
 
 def biconjugate_check(f, samples, *, primal_box=None, dual_box=None):
     """max |f**(x) - f(x)| over the samples; samples must be in dom f.  f**
-    of a max-affine f is the MaxAffine node conjugate() builds from k LPs,
-    one per slope from its own vertex, once per call, and needs no box or
+    of a max-affine f is the MaxAffine node conjugate() builds from k
+    warm-started LPs over f's epigraph, once per call, and needs no box or
     screen; any other f* raises without a dual_box."""
     f_star = conjugate(f, primal_box)
     f_star_star = conjugate(f_star, dual_box)

@@ -18,7 +18,8 @@ function.json  expression tree of nodes tagged by "node":
                  {"node": "conjugate", "child": ..., "box": <box>?}
                  {"node": "inf_conv" | "prox_avg", "left": ..., "right": ...,
                   "box": <box>}
-               with <box> = {"lo": [...], "hi": [...]}.
+               with <box> = {"lo": [...], "hi": [...]}; every int is a JSON
+               integer of at least 1.
 Queries/samples are headerless CSV, one point per row, comma-separated.
 
 JSON output is canonical (sorted keys, 2-space indent, trailing newline) and
@@ -91,18 +92,28 @@ def data_to_dict(data: FiniteMapData) -> dict:
     }
 
 
+def _count(d, field, where=""):
+    """d[field] when it is a JSON integer of at least 1, else a TypeError
+    naming the field: int() would read 2.9 as 2 and true as 1."""
+    value = d[field]
+    if type(value) is not int or value < 1:
+        raise TypeError(f"{where}{field} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def data_from_dict(d) -> FiniteMapData:
+    m, n = _count(d, "m"), _count(d, "n")
     points = np.asarray(d["points"], dtype=float)
     values = np.asarray(d["values"], dtype=float)
-    if points.ndim != 2 or points.shape[1] != int(d["m"]):
+    if points.ndim != 2 or points.shape[1] != m:
         raise ValueError("points do not match the declared m")
-    if values.ndim != 2 or values.shape[1] != int(d["n"]):
+    if values.ndim != 2 or values.shape[1] != n:
         raise ValueError("values do not match the declared n")
     return FiniteMapData(points, values, d.get("L"))
 
 
 def graph_from_dict(d) -> OperatorGraph:
-    n = int(d["n"])
+    n = _count(d, "n")
     pairs = d["pairs"]
     pts = np.asarray([p[0] for p in pairs], dtype=float)
     vals = np.asarray([p[1] for p in pairs], dtype=float)
@@ -161,7 +172,7 @@ def function_from_dict(d, default_box=None):
     """Build an expression tree; default_box supplies missing search boxes."""
     node = d["node"]
     if node == "quadratic":
-        return cf.Quadratic(int(d["n"]))
+        return cf.Quadratic(_count(d, "n", "quadratic node: "))
     if node == "max_affine":
         return cf.MaxAffine(
             _finite(d, "slopes", np.asarray(d["slopes"], dtype=float)),
@@ -170,7 +181,7 @@ def function_from_dict(d, default_box=None):
     if node == "indicator":
         return cf.Indicator(body_from_dict(d["body"]))
     if node == "kappa":
-        return cf.Kappa(int(d["n"]))
+        return cf.Kappa(_count(d, "n", "kappa node: "))
     if node == "sum":
         return cf.Sum(
             tuple(function_from_dict(c, default_box) for c in d["children"]),

@@ -18,30 +18,15 @@ Internal helper used by other modules:
 
 * solve_qp -- dense primal active-set solver for small convex QPs with
   equality constraints and linear inequalities (the simplex QPs above, the
-  monotone QPs, the polyhedral-conjugate LP, and the least-squares points
-  of a family of bodies, which decide the Helly families that hold a
-  polytope and give the closest pair of two polytopes).  It terminates on
-  an exact KKT point, which is what lets epigraph reformulations of
-  max-affine objectives reach 1e-12 accuracy.
-  Its ratio test lets every inactive row with (G d)_i > 0 block a step, so
-  a step crosses no row by more than rounding, however long the ray.  At a
-  stationary point it drops the row with the most negative multiplier
-  (Dantzig's rule), and after the solve's first step with alpha = 0 the
-  lowest-index one (Bland's rule, which cannot cycle).  A dropped row that
-  blocks the very step its drop opened, at alpha = 0, had a multiplier
-  whose sign is rounding: it goes back in and is not dropped again until
-  the point moves, so drop/add 2-cycles at degenerate points end.
-  Its iteration cap follows from the number of inequalities, and it
-  raises SolverCapError there, named after the caller's QP, as it does on
-  an unbounded QP: a result it returns is a KKT point.  An active
-  bound (a row of G with one nonzero) pins its coordinate, so the SVD
-  covers only the equalities and the active general rows over the free
-  coordinates.  It is done once per working set: its null space gives the
-  steps, and its range factors give the multipliers of the equalities and
-  general rows at a stationary point, while each bound's multiplier is read
-  off its column.
-  With P = 0 it solves the conjugate LP with no eigendecomposition: every
-  step is a ray.
+  monotone QPs, the polyhedral conjugate's LP, f**'s epigraph LPs, and the
+  least-squares points of a family of bodies, which decide the Helly
+  families that hold a polytope and give the closest pair of two
+  polytopes).  It terminates on an exact KKT point, which is what lets
+  epigraph reformulations of max-affine objectives reach 1e-12 accuracy,
+  and it returns the working set it stopped on, where the next QP over the
+  same rows can start.  It raises SolverCapError, named after the caller's
+  QP, at its iteration cap and on an unbounded QP, so a result it returns
+  is a KKT point.  Its pivoting rules are in its docstring.
 
 Memo contract.  solve_qp and minimize_quadratic_over_simplex take an
 optional memo, a mapping that the caller owns and passes to every call of
@@ -58,7 +43,8 @@ exactly that call's entries in fresh while it reads last's.  Entries depend
 only on the fixed data, the working set and a plan's q, not on a solve's
 drop-rule state, so passing a memo never moves a bit of a result.  Owners:
 the polyhedral conjugate node keeps one memo for its screen and one for its
-LP; chebyshev_center shares one among its Newton steps' duals; each
+LP; conjugate() shares one among the k epigraph LPs of one f**, for that
+call only; chebyshev_center shares one among its Newton steps' duals; each
 monotone.OperatorGraph carries, per QP family, the working sets of its last
 call only.  Nothing here keeps a memo between calls.
 
@@ -358,8 +344,10 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
     A point is stationary when the step or the reduced gradient Z'grad is
     below 1e-11 of its scale.  The cap is 200 + 80 (rows of G + 1)
     iterations, where it raises SolverCapError("<name> capped at <cap>
-    iterations"); name only labels these messages.  Returns (z, info) with
-    info carrying iters and converged, always True.
+    iterations"); name only labels these messages.  Returns (z, info): info
+    carries iters, converged (always True) and active, the indices of the
+    rows in the working set it stopped on, each tight at z.  Another q over
+    the same rows may start from z with those rows as initial_active.
 
     Each working set's factors are memoised in memo, keyed by the active
     mask's bytes, under the module's memo contract: the pinned columns, C,
@@ -466,5 +454,5 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
     else:
         raise SolverCapError(f"{name} capped at {iters} iterations")
     # "converged" is always True; bench/tracing.py reads it.
-    info = {"converged": True, "iters": iters}
+    info = {"converged": True, "iters": iters, "active": active.nonzero()[0]}
     return _restore_equalities(A_eq, b_eq, z), info

@@ -379,6 +379,41 @@ class TestMonotoneCommand:
         assert rc == 3
 
 
+class TestIntegerFields:
+    """m and n of data.json, n of graph.json and n of the quadratic and kappa
+    nodes are JSON integers of at least 1.  int() would read each file below
+    as if its field were one: 2.9 as 2, and true, 1.5 and 1.0 as 1."""
+
+    CASES = [
+        ("data", {"m": 2.9, "n": 1, "L": 1.0, "points": [[0.0, 0.0], [1.0, 0.0]],
+                  "values": [[0.0], [0.5]]}, "0.5,0.5", "", "m", 2.9),
+        ("data", {"m": 1, "n": True, "L": 1.0, "points": [[0.0], [1.0]],
+                  "values": [[0.0], [0.5]]}, "0.5", "", "n", True),
+        ("graph", {"n": 1.5, "pairs": [[[0.0], [0.0]], [[1.0], [1.0]]]}, "", "", "n", 1.5),
+        ("function", {"node": "quadratic", "n": 1.5}, "0.5", "quadratic node: ", "n", 1.5),
+        ("function", {"node": "kappa", "n": 1.0}, "0.5,0.5", "kappa node: ", "n", 1.0),
+    ]
+
+    @pytest.mark.parametrize("kind, doc, query, where, field, value", CASES,
+                             ids=["data-m", "data-n", "graph-n", "quadratic-n", "kappa-n"])
+    def test_non_integer_exit_2(self, tmp_path, capsys, kind, doc, query, where, field,
+                                value):
+        path = write(tmp_path / f"{kind}.json", json.dumps(doc))
+        points = write(tmp_path / "p.csv", query + "\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "data": ["extend", "--data", path, "--queries", points,
+                     "--method", "mcshane", "--out", out],
+            "graph": ["monotone", "--graph", path, "--check", "--out", out],
+            "function": ["function", "--function", path, "--eval", points, "--out", out],
+        }[kind]
+        rc, err = _run(argv, capsys)
+        assert rc == 2
+        assert err == (f"lipext: parse error: {path}: {where}{field} must be an "
+                       f"integer >= 1, got {value!r}\n")
+        assert not os.path.exists(out)
+
+
 class TestGenCommand:
     def test_seed_determinism(self, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

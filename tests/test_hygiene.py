@@ -507,3 +507,41 @@ def test_scan_flags_a_nested_box_search():
     assert nested_box_searches(source) == [
         "outer.probe", "outer.<lambda>", "Node.method.inner",
     ]
+
+
+def unnamed_qp_calls(source):
+    """Line numbers of the solve_qp calls in source that pass no name=."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "solve_qp"
+        and not any(kw.arg == "name" for kw in node.keywords)
+    ]
+
+
+def test_every_solve_qp_call_names_its_qp():
+    # The cap and unbounded messages name the QP that raised, so every call
+    # in the library passes name=.
+    unnamed = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := unnamed_qp_calls(path.read_text()))
+    }
+    assert unnamed == {}
+
+
+def test_scan_flags_an_unnamed_qp_call():
+    source = (
+        "def named(P, q):\n"
+        "    return solve_qp(P, q, name='simplex QP')\n"
+        "def bare(P, q):\n"
+        "    return solve_qp(P, q)\n"
+        "def attribute(P, q):\n"
+        "    return solvers.solve_qp(P, q, memo={})\n"
+        "def spread(P, q, **kwargs):\n"
+        "    return solve_qp(P, q, **kwargs)\n"
+        "def solve_qp(P, q, name='QP'):\n"
+        "    return solve_qp_other(P, q)\n"
+    )
+    assert unnamed_qp_calls(source) == [4, 6, 8]

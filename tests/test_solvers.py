@@ -206,6 +206,9 @@ CAPPED_CALLS = [
     pytest.param("conjugate LP", lambda: cf.eval(cf.conjugate(cf.MaxAffine(
         np.array([[1.0], [-1.0]]), np.array([0.5, 0.0]),
     )), [1.0]), id="conjugate"),
+    pytest.param("epigraph LP", lambda: cf.conjugate(cf.conjugate(cf.MaxAffine(
+        np.array([[1.0], [-1.0]]), np.array([0.5, 0.0]),
+    ))), id="epigraph"),
     pytest.param("resolvent QP", lambda: monotone.resolvent_eval(_graph(), [0.5]),
                  id="resolvent"),
     pytest.param("Psi QP", lambda: monotone.psi_eval(_graph(), [0.5], [0.25]), id="Psi"),
@@ -365,6 +368,64 @@ def _least_squares_instances():
             ]
             bodies[0] = Polytope(_points(rng, 2, n))
             least_squares_points(bodies)
+
+
+def _epigraph_lp_instances():
+    # f** of max-affine f on R, R^2 and R^3: k epigraph LPs each.
+    rng = SplitMix64(5162)
+    for n in (1, 2, 3):
+        for k in range(2, 10):
+            f = cf.MaxAffine(_points(rng, k, n), _points(rng, 1, k)[0])
+            cf.conjugate(cf.conjugate(f))
+
+
+@pytest.mark.parametrize("module, run", [
+    (cf, _conjugate_lp_instances), (cf, _epigraph_lp_instances),
+    (monotone, _resolvent_instances(8)), (monotone, _psi_instances),
+    (convex_sets, _least_squares_instances), (solvers, _simplex_instances),
+], ids=["conjugate-lp", "epigraph-lp", "resolvent-8", "psi", "least-squares", "simplex"])
+def test_exit_rows_are_tight(monkeypatch, module, run):
+    # info["active"] is the working set solve_qp stopped on: each of its rows
+    # holds with equality at z, to rounding, so a caller may start another
+    # QP over the same rows there.
+    worst = []
+
+    def recording(P, q, A_eq, b_eq, G, h, z0, **kwargs):
+        z, info = solve_qp(P, q, A_eq, b_eq, G, h, z0, **kwargs)
+        G, h = np.asarray(G, dtype=float).reshape(-1, z.size), np.asarray(h)
+        rows = info["active"]
+        scale = 1.0 + np.abs(h).max() + np.abs(G).max() * np.abs(z).max()
+        worst.append(float(np.abs(G[rows] @ z - h[rows]).max(initial=0.0)) / scale)
+        return z, info
+
+    monkeypatch.setattr(module, "solve_qp", recording)
+    run()
+    assert worst and max(worst) <= 1e-13
+
+
+def test_each_epigraph_lp_starts_where_the_last_stopped(monkeypatch):
+    # The first of f**'s k LPs starts at (0, f(0)) with f's least offset's
+    # row active; each later one at the exit point and working set of the
+    # one before it.
+    starts, exits = [], []
+
+    def recording(P, q, A_eq, b_eq, G, h, z0, initial_active=(), **kwargs):
+        starts.append((np.array(z0).tobytes(), list(initial_active)))
+        z, info = solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active, **kwargs)
+        exits.append((z.tobytes(), info["active"].tolist()))
+        return z, info
+
+    monkeypatch.setattr(cf, "solve_qp", recording)
+    rng = SplitMix64(5163)
+    for n in (1, 2, 3):
+        for k in range(2, 10):
+            starts.clear()
+            exits.clear()
+            f = cf.MaxAffine(_points(rng, k, n), _points(rng, 1, k)[0])
+            cf.conjugate(cf.conjugate(f))
+            first = np.append(np.zeros(n), -f.offsets.min()).tobytes()
+            assert starts[0] == (first, [int(np.argmin(f.offsets))])
+            assert len(starts) == k and starts[1:] == exits[:-1]
 
 
 class TestRatioTest:
