@@ -248,7 +248,7 @@ class MaxAffineConjugate(_Polyhedral):
     +inf farther than 1e-6 from conv(slopes), else the value at y's nearest
     hull point p (_hull_point), where the Fenchel dual re-reads its final
     value.  Its own conjugate, from conjugate(), is the MaxAffine with these
-    slopes and offsets f*(s_i), read off k LPs over f's epigraph with no
+    slopes and offsets f*(s_i), read off LPs over f's epigraph with no
     screen.  The screen's and the LP's constant data and solve_qp memos of
     working-set factors are memoised on the node and freed with it; the
     epigraph LPs' memo lives for one conjugate() call.
@@ -545,9 +545,10 @@ def conjugate(f, box=None):
     """The conjugate of f as a node, and the one place that picks an exact
     conjugate: MaxAffineConjugate for a max-affine f, SupportFunction for an
     indicator, and MaxAffine for a polyhedral conjugate, whose offsets f*(s_i)
-    are k LPs over f's epigraph, each started where the last one stopped,
-    with no hull screen.  Any other f gets Conjugate(f, box), the box search,
-    which raises without a box."""
+    are read off LPs over f's epigraph with no hull screen: each exit vertex
+    prices every slope it settles, and only the others get an LP, started
+    where the last one stopped.  Any other f gets Conjugate(f, box), the box
+    search, which raises without a box."""
     if isinstance(f, MaxAffine):
         return MaxAffineConjugate(f.slopes, f.offsets)
     if isinstance(f, Indicator):
@@ -558,18 +559,31 @@ def conjugate(f, box=None):
         # Convex Analysis, section 19): f** = max_i (s_i.x - f*(s_i)).
         # f*(s_i) = max {s_i.x - t : S x - t <= o} over f's epigraph, the
         # same feasible set for every slope: each LP starts where the last
-        # stopped, the first at (0, f(0)), and all share one memo.
+        # stopped, the first at (0, f(0)), and all share one memo.  Each exit
+        # vertex, on rows A, prices every unread slope s_j: when G_A is square
+        # and nonsingular and G_A' mu = G_j', i.e. (S_A'; 1') mu = (s_j; 1),
+        # has mu >= 0, mu certifies the vertex, and s_j's LP started there
+        # would stop at once on the same rows.  Only the rest get an LP.
         S, o = f.slopes, f.offsets
         k, n = S.shape
         G, P, memo = np.hstack([S, -np.ones((k, 1))]), np.zeros((n + 1, n + 1)), {}
-        z, active, offsets = np.append(np.zeros(n), -o.min()), [int(np.argmin(o))], []
-        for s in S:
+        z, active = np.append(np.zeros(n), -o.min()), [int(np.argmin(o))]
+        offsets = np.full(k, np.nan)  # nan until read
+        for i in range(k):
+            if not np.isnan(offsets[i]):
+                continue
             z, info = solve_qp(
-                P, np.append(-s, 1.0), (), (), G, o, z, initial_active=active,
-                memo=memo, name="epigraph LP",
+                P, -G[i], (), (), G, o, z, initial_active=active, memo=memo,
+                name="epigraph LP",
             )
-            active = info["active"]
-            offsets.append(_epigraph_offset(S, o, s, active))
+            active, unread = info["active"], np.isnan(offsets).nonzero()[0]
+            try:
+                mu = np.linalg.solve(G[active].T, G[unread].T)
+                unread = unread[(mu >= 0.0).all(axis=0)]
+            except np.linalg.LinAlgError:  # singular, or not square
+                unread = unread[:0]
+            for j in {i, *unread}:  # i even where rounding puts its own mu below 0
+                offsets[j] = _epigraph_offset(S, o, S[j], active)
         return MaxAffine(S, offsets)
     return Conjugate(f, box)
 
@@ -611,7 +625,7 @@ def scale_ops(f, factor, mode):
 
 def biconjugate_check(f, samples, *, primal_box=None, dual_box=None):
     """max |f**(x) - f(x)| over the samples; samples must be in dom f.  f**
-    of a max-affine f is the MaxAffine node conjugate() builds from k
+    of a max-affine f is the MaxAffine node conjugate() prices off
     warm-started LPs over f's epigraph, once per call, and needs no box or
     screen; any other f* raises without a dual_box."""
     f_star = conjugate(f, primal_box)

@@ -144,7 +144,10 @@ def family_to_dict(family: BodyFamily) -> dict:
 
 
 def family_from_dict(d) -> BodyFamily:
-    return BodyFamily([body_from_dict(b) for b in d["bodies"]])
+    n, family = _count(d, "n"), BodyFamily([body_from_dict(b) for b in d["bodies"]])
+    if family.dimension != n:
+        raise ValueError("bodies do not match the declared n")
+    return family
 
 
 def report_to_dict(rep: IntersectionReport) -> dict:

@@ -43,7 +43,7 @@ exactly that call's entries in fresh while it reads last's.  Entries depend
 only on the fixed data, the working set and a plan's q, not on a solve's
 drop-rule state, so passing a memo never moves a bit of a result.  Owners:
 the polyhedral conjugate node keeps one memo for its screen and one for its
-LP; conjugate() shares one among the k epigraph LPs of one f**, for that
+LP; conjugate() shares one among the epigraph LPs of one f**, for that
 call only; chebyshev_center shares one among its Newton steps' duals; each
 monotone.OperatorGraph carries, per QP family, the working sets of its last
 call only.  Nothing here keeps a memo between calls.
@@ -228,7 +228,7 @@ def _nullspace(C, K, fixed):
 
 def _restore_equalities(A_eq, b_eq, z):
     """z moved by the least-squares correction onto A_eq z = b_eq; z itself
-    when the residual is exactly zero (or there are no equalities)."""
+    when the residual is exactly zero.  solve_qp skips it without rows."""
     resid = b_eq - A_eq @ z
     if resid.any():
         corr, *_ = np.linalg.lstsq(A_eq, resid, rcond=None)
@@ -376,7 +376,8 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
     memo[None] = consts
     single, pin_col, linear = consts
     q_bytes = q.tobytes()
-    z = _restore_equalities(A_eq, b_eq, np.asarray(z0, dtype=float).copy())
+    z = np.asarray(z0, dtype=float).copy()
+    z = _restore_equalities(A_eq, b_eq, z) if me else z
     active = np.zeros(mi, dtype=bool)
     for i in initial_active:
         active[i] = True
@@ -449,10 +450,10 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
         if block_idx >= 0 and alpha_max <= alpha + 1e-15:
             active[block_idx] = True
             ws = None
-        if iters % 16 == 0:
+        if me and iters % 16 == 0:
             z = _restore_equalities(A_eq, b_eq, z)
     else:
         raise SolverCapError(f"{name} capped at {iters} iterations")
     # "converged" is always True; bench/tracing.py reads it.
     info = {"converged": True, "iters": iters, "active": active.nonzero()[0]}
-    return _restore_equalities(A_eq, b_eq, z), info
+    return (_restore_equalities(A_eq, b_eq, z) if me else z), info

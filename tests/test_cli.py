@@ -380,9 +380,10 @@ class TestMonotoneCommand:
 
 
 class TestIntegerFields:
-    """m and n of data.json, n of graph.json and n of the quadratic and kappa
-    nodes are JSON integers of at least 1.  int() would read each file below
-    as if its field were one: 2.9 as 2, and true, 1.5 and 1.0 as 1."""
+    """m and n of data.json, n of graph.json and family.json, and n of the
+    quadratic and kappa nodes are JSON integers of at least 1.  int() would
+    read each file below as if its field were one: 2.9 as 2, true, 1.5 and
+    1.0 as 1, and 2.5 as 2."""
 
     CASES = [
         ("data", {"m": 2.9, "n": 1, "L": 1.0, "points": [[0.0, 0.0], [1.0, 0.0]],
@@ -392,10 +393,13 @@ class TestIntegerFields:
         ("graph", {"n": 1.5, "pairs": [[[0.0], [0.0]], [[1.0], [1.0]]]}, "", "", "n", 1.5),
         ("function", {"node": "quadratic", "n": 1.5}, "0.5", "quadratic node: ", "n", 1.5),
         ("function", {"node": "kappa", "n": 1.0}, "0.5,0.5", "kappa node: ", "n", 1.0),
+        ("family", {"n": 2.5, "bodies": [{"kind": "ball", "center": [0.0, 0.0],
+                                          "radius": 1.0}]}, "", "", "n", 2.5),
     ]
 
     @pytest.mark.parametrize("kind, doc, query, where, field, value", CASES,
-                             ids=["data-m", "data-n", "graph-n", "quadratic-n", "kappa-n"])
+                             ids=["data-m", "data-n", "graph-n", "quadratic-n", "kappa-n",
+                                  "family-n"])
     def test_non_integer_exit_2(self, tmp_path, capsys, kind, doc, query, where, field,
                                 value):
         path = write(tmp_path / f"{kind}.json", json.dumps(doc))
@@ -406,6 +410,7 @@ class TestIntegerFields:
                      "--method", "mcshane", "--out", out],
             "graph": ["monotone", "--graph", path, "--check", "--out", out],
             "function": ["function", "--function", path, "--eval", points, "--out", out],
+            "family": ["helly", "--family", path, "--out", out],
         }[kind]
         rc, err = _run(argv, capsys)
         assert rc == 2
@@ -466,6 +471,8 @@ INPUTS = {
     "nocenter": {"n": 2, "bodies": [{"kind": "ball", "radius": 1.0}]},
     "negative": {"n": 2, "bodies": [
         {"kind": "ball", "center": [0.0, 0.0], "radius": -1.0}]},
+    "wrongn": {"n": 3, "bodies": [
+        {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}]},
     "quad": {"node": "quadratic", "n": 1},
     "linear": {"node": "max_affine", "slopes": [[1.0]], "offsets": [0.0]},
     "zero": {"node": "max_affine", "slopes": [[0.0]], "offsets": [0.0]},
@@ -605,6 +612,8 @@ EXIT_PATHS = [
               err="lipext: parse error: {nocenter}: 'center'\n"),
     path_case(["helly", "--family", "{negative}", "--out", "{out}"], 3,
               err="lipext: invalid data: radius must be >= 0, got -1.0\n"),
+    path_case(["helly", "--family", "{wrongn}", "--out", "{out}"], 3,
+              err="lipext: invalid data: bodies do not match the declared n\n"),
     path_case(["helly", "--family", "{crowd}", "--mode", "k-check", "--k", "20",
                "--out", "{out}"], 5,
               err="lipext: C(45, 20) = 3169870830126 exceeds the 10^6 subset budget\n"),

@@ -868,6 +868,79 @@ def _biconjugate(f):
     return cf.conjugate(cf.conjugate(f))
 
 
+def _per_slope_offsets(f):
+    """f**'s offsets by one epigraph LP per slope, each started where the
+    last one stopped, with no slope priced at another's exit vertex: the
+    reference for conjugate()'s pricing."""
+    S, o = f.slopes, f.offsets
+    k, n = S.shape
+    G, P, memo = np.hstack([S, -np.ones((k, 1))]), np.zeros((n + 1, n + 1)), {}
+    z, active, offsets = np.append(np.zeros(n), -o.min()), [int(np.argmin(o))], []
+    for s in S:
+        z, info = solvers.solve_qp(
+            P, np.append(-s, 1.0), (), (), G, o, z, initial_active=active,
+            memo=memo, name="epigraph LP",
+        )
+        active = info["active"]
+        offsets.append(cf._epigraph_offset(S, o, s, active))
+    return offsets
+
+
+def _seeded_cases():
+    """_biconjugate_cases' functions, and eight on R^3 with 3 to 10 pieces."""
+    rng = SplitMix64(3030)
+    cases = [f for f, _ in _biconjugate_cases()]
+    return cases + [rand_maxaffine(rng, 3, k) for k in range(3, 11)]
+
+
+def _duplicate_slope_cases():
+    """30 f on R to R^3 with an exact copy of s_0 under its own offset, each
+    with five points in [-0.8, 0.8]^n."""
+    rng = SplitMix64(6060)
+    for i in range(30):
+        n, k = 1 + i % 3, 3 + (i // 3) % 6
+        g = rand_maxaffine(rng, n, k)
+        f = cf.MaxAffine(
+            np.vstack([g.slopes, g.slopes[:1]]),
+            np.append(g.offsets, rng.uniform(-1.0, 1.0)),
+        )
+        yield f, [np.array([rng.uniform(-0.8, 0.8) for _ in range(n)]) for _ in range(5)]
+
+
+def _near_duplicate_cases():
+    """60 f on R to R^3 with a copy of s_0 moved by under 1e-9 per
+    coordinate, under its own offset: a slope a hair outside the slopes of
+    a vertex's rows has a multiplier a hair below 0 there."""
+    rng = SplitMix64(6161)
+    for i in range(60):
+        n, k = 1 + i % 3, 3 + (i // 3) % 6
+        g = rand_maxaffine(rng, n, k)
+        nudge = np.array([rng.uniform(-1e-9, 1e-9) for _ in range(n)])
+        yield cf.MaxAffine(
+            np.vstack([g.slopes, g.slopes[:1] + nudge]),
+            np.append(g.offsets, rng.uniform(-1.0, 1.0)),
+        )
+
+
+def _collinear_cases():
+    """60 f on R^2 and R^3 whose slopes lie exactly on a line through 0 (the
+    direction's coordinates are powers of two)."""
+    rng = SplitMix64(4040)
+    for i in range(60):
+        n, k = 2 + i % 2, 3 + (i // 2) % 8
+        g = rand_maxaffine(rng, 1, k, scale=1.0)
+        yield cf.MaxAffine(g.slopes * [1.0, -0.5, 0.25][:n], g.offsets)
+
+
+def _bench_shaped_cases():
+    """96 f on R, as the conjugate benchmark draws them: 3 to 10 pieces, 12
+    of each, slopes in [-1, 1) and offsets in [0, 1)."""
+    rng = SplitMix64(5050)
+    for pieces in [p for _ in range(12) for p in range(3, 11)]:
+        s = np.array([[rng.uniform(-1.0, 1.0)] for _ in range(pieces)])
+        yield cf.MaxAffine(s, np.array([rng.uniform(0.0, 1.0) for _ in range(pieces)]))
+
+
 def _exact_offsets(f):
     """f*(s_i) = min {o.l : S'l = s_i, 1'l = 1, l >= 0} for each slope of a
     max-affine f, in exact rational arithmetic: the least o.l over the
@@ -945,8 +1018,8 @@ class TestSlopeRule:
     """f** of a max-affine f is max_i (x.s_i - f*(s_i)): x.y - f*(y) is
     affine on each cell of f*'s subdivision of conv(slopes), and every cell
     vertex is a slope.  So f** is the MaxAffine node with offsets f*(s_i),
-    one LP per slope when conjugate() builds it and none per point, and no
-    box is built or searched."""
+    read off at most one LP per slope when conjugate() builds it and none
+    per point, and no box is built or searched."""
 
     def test_biconjugate_is_f(self):
         gaps = []
@@ -969,10 +1042,7 @@ class TestSlopeRule:
     def test_biconjugate_is_a_max_affine_node(self):
         # Each offset is f*(s_i) to OFFSET_BOUND, and o_j itself on a piece
         # that is active somewhere, against the exact oracle.
-        rng = SplitMix64(3030)
-        cases = [f for f, _ in _biconjugate_cases()]
-        cases += [rand_maxaffine(rng, 3, k) for k in range(3, 11)]
-        for i, f in enumerate(cases):
+        for i, f in enumerate(_seeded_cases()):
             fss = _biconjugate(f)
             assert isinstance(fss, cf.MaxAffine)
             assert np.array_equal(fss.slopes, f.slopes)
@@ -995,47 +1065,89 @@ class TestSlopeRule:
         # An exact copy of s_0 with its own offset.  Where the copies' piece
         # is active, an LP that stops with either copy's row in its working
         # set reads that row's offset exactly, and f** is f bit for bit.
-        rng = SplitMix64(6060)
-        for i in range(30):
-            n, k = 1 + i % 3, 3 + (i // 3) % 6
-            g = rand_maxaffine(rng, n, k)
-            f = cf.MaxAffine(
-                np.vstack([g.slopes, g.slopes[:1]]),
-                np.append(g.offsets, rng.uniform(-1.0, 1.0)),
-            )
+        for i, (f, points) in enumerate(_duplicate_slope_cases()):
             fss = _biconjugate(f)
             errors, active = _offset_errors(f, fss.offsets)
             assert max(errors) <= OFFSET_BOUND, (i, errors)
             assert fss.offsets[active].tolist() == f.offsets[active].tolist(), i
-            for _ in range(5):
-                x = np.array([rng.uniform(-0.8, 0.8) for _ in range(n)])
+            for x in points:
                 assert cf.eval(fss, x) == cf.eval(f, x), (i, x)
 
     def test_collinear_slopes(self):
         # Slopes exactly on a line through 0 (the direction's coordinates are
         # powers of two), so the columns (s_j, 1) have rank 2 and an offset's
         # multipliers come from least squares on a rank-deficient system.
-        rng = SplitMix64(4040)
-        for i in range(60):
-            n, k = 2 + i % 2, 3 + (i // 2) % 8
-            g = rand_maxaffine(rng, 1, k, scale=1.0)
-            f = cf.MaxAffine(g.slopes * [1.0, -0.5, 0.25][:n], g.offsets)
+        for i, f in enumerate(_collinear_cases()):
             fss = _biconjugate(f)
             errors, active = _offset_errors(f, fss.offsets)
             assert max(errors) <= OFFSET_BOUND, (i, errors)
             assert fss.offsets[active].tolist() == f.offsets[active].tolist(), i
 
-    def test_biconjugate_check_solves_k_lps_per_call(self, monkeypatch):
-        lps = []
-        real = cf.solve_qp
-        monkeypatch.setattr(cf, "solve_qp", lambda *a, **k: lps.append(1) or real(*a, **k))
+    def test_pricing_matches_the_per_slope_walk(self):
+        # A slope priced at an exit vertex is read on the rows where its own
+        # LP, started there, would stop: its offset has the bits of the walk
+        # that runs one LP per slope.  Near-duplicate slopes catch a sign
+        # test on mu with any tolerance.
+        cases = [
+            *_seeded_cases(), *(f for f, _ in _duplicate_slope_cases()),
+            *_near_duplicate_cases(), *_collinear_cases(), *_bench_shaped_cases(),
+        ]
+        moved = []
+        for i, f in enumerate(cases):
+            priced, walked = _biconjugate(f).offsets.tolist(), _per_slope_offsets(f)
+            if priced != walked:
+                moved.append((i, priced, walked))
+        assert moved == []
+
+    def test_half_grid_slopes(self):
+        # Slopes rounded to halves repeat, and more than n + 1 rows meet at a
+        # vertex: there a priced offset may leave the walk's bits, but not
+        # f*(s_i).
+        rng = SplitMix64(7070)
+        for i in range(40):
+            n, k = 1 + i % 3, 3 + (i // 3) % 8
+            g = rand_maxaffine(rng, n, k)
+            f = cf.MaxAffine(np.round(2.0 * g.slopes) / 2.0, g.offsets)
+            errors, _ = _offset_errors(f, _biconjugate(f).offsets)
+            assert max(errors) <= OFFSET_BOUND, (i, errors)
+
+    def test_biconjugate_check_solves_an_lp_per_unpriced_slope(self, monkeypatch):
+        # Each slope's offset is read once per call, however many samples
+        # the check reads: at its own LP's exit, or priced at an earlier
+        # LP's exit rows A, which certify it, (S_A'; 1') mu = (s; 1) with
+        # mu >= 0.  So the LPs are the slopes left unpriced, fewer than k.
+        lps, reads = [], []
+        real_qp, real_read = cf.solve_qp, cf._epigraph_offset
+
+        def lp(P, q, *args, **kwargs):
+            z, info = real_qp(P, q, *args, **kwargs)
+            lps.append((-q[:-1], info["active"]))
+            return z, info
+
+        def read(S, o, s, rows):
+            reads.append((s, lps[-1]))
+            return real_read(S, o, s, rows)
+
+        def mu(S, rows, s):
+            return np.linalg.lstsq(np.vstack([S[rows].T, np.ones(rows.size)]),
+                                   np.append(s, 1.0), rcond=None)[0]
+
+        monkeypatch.setattr(cf, "solve_qp", lp)
+        monkeypatch.setattr(cf, "_epigraph_offset", read)
         samples = [np.array(p) for p in itertools.product((-0.5, 0.0, 0.5), repeat=2)]
-        counts = []
+        solved = pieces = 0
         for f, _ in itertools.islice(_biconjugate_cases(), 1, 12, 2):  # n = 2
-            before = len(lps)
+            lps.clear()
+            reads.clear()
             cf.biconjugate_check(f, samples)
-            counts.append((len(lps) - before, f.slopes.shape[0]))
-        assert all(solved == k for solved, k in counts), counts
+            S, k = f.slopes, f.slopes.shape[0]
+            assert sorted(s.tolist() for s, _ in reads) == sorted(S.tolist())
+            priced = [(s, rows) for s, (lp_slope, rows) in reads if (s != lp_slope).any()]
+            assert len(lps) == k - len(priced)
+            for s, rows in priced:
+                assert rows.size == 3 and mu(S, rows, s).min() >= -1e-12, (s, rows)
+            solved, pieces = solved + len(lps), pieces + k
+        assert solved < pieces
 
     def test_one_lp_per_piece_at_most(self, monkeypatch):
         lps = []
