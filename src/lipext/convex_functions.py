@@ -13,9 +13,9 @@ make it improper or exhausted, so no -inf value is returned silently.
 Every conjugate is a node, Fenchel's g* included, and conjugate() alone
 picks the exact ones: a max-affine f* is a polyhedral conjugate, an
 indicator's is a support function, and f** of a max-affine f is max-affine
-again; Conjugate is the box search of any other child.  Fenchel's dual reads
-its final value at a hull point of a polyhedral conjugate, whose 1e-6 collar
-takes the nearest hull point's value.
+again, its offsets read off the one epigraph LP that gives f*'s values.
+Conjugate is the box search of any other child.  A polyhedral conjugate's
+1e-6 collar takes the nearest hull point's value, where Fenchel's dual ends.
 
 Values are plain floats with math.inf standing for +infinity.
 """
@@ -242,28 +242,29 @@ class Conjugate:
 
 
 class MaxAffineConjugate(_Polyhedral):
-    """Exact polyhedral conjugate of a max-affine function.
+    """Exact polyhedral conjugate of a max-affine function f.
 
-    Value at y is min { sum_i l_i o_i : sum_i l_i s_i = y, l in simplex },
-    +inf farther than 1e-6 from conv(slopes), else the value at y's nearest
-    hull point p (_hull_point), where the Fenchel dual re-reads its final
-    value.  Its own conjugate, from conjugate(), is the MaxAffine with these
-    slopes and offsets f*(s_i), read off LPs over f's epigraph with no
-    screen.  The screen's and the LP's constant data and solve_qp memos of
-    working-set factors are memoised on the node and freed with it; the
-    epigraph LPs' memo lives for one conjugate() call.
+    f*(y) is +inf farther than 1e-6 from conv(slopes), else f*(p) =
+    max { <p, x> - t : <s_i, x> - t <= o_i } at y's nearest hull point p
+    (_hull_point): one LP over f's epigraph, read exactly where it stops.
+    The Fenchel dual re-reads its final value at p, and conjugate() reads
+    f**'s offsets f*(s_i) off the same LP with no screen.  The screen's and
+    the LP's data and solve_qp memos live on the node and die with it.
     """
 
     @cached_property
-    def _constants(self):
-        """The screen's 2SS'; the LP's zero P, A_eq, bounds -I and zero h;
-        the screen's and the LP's solve_qp memos."""
-        S = self.slopes
-        k = S.shape[0]
-        return (
-            2.0 * (S @ S.T), np.zeros((k, k)), np.vstack([S.T, np.ones((1, k))]),
-            -np.eye(k), np.zeros(k), {}, {},
-        )
+    def _screen(self):
+        """The screen's 2SS' and its solve_qp memo."""
+        return 2.0 * (self.slopes @ self.slopes.T), {}
+
+    @cached_property
+    def _epigraph(self):
+        """The epigraph LP over z = (x, t), rows G = (S, -1) against h = o:
+        its zero P, G, its start (0, f(0)) with the least offset's row
+        active, and its solve_qp memo."""
+        (k, n), o = self.slopes.shape, self.offsets
+        P, G = np.zeros((n + 1, n + 1)), np.hstack([self.slopes, -np.ones((k, 1))])
+        return P, G, np.append(np.zeros(n), -o.min()), (int(np.argmin(o)),), {}
 
 
 @dataclass(frozen=True)
@@ -400,36 +401,31 @@ def _inner_minimize(fun, box, extra_points=()):
 
 
 def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
-    """f*(y) at any y: +inf farther than 1e-6 from conv(slopes), else the LP
-    min { o'l : S'l = p, l in simplex } at y's nearest hull point p.
-
-    A screen, the exact projection of y onto conv(slopes), gives p = S'l1 and
-    its weights l1, which start the LP (solve_qp, P = 0) with their zero
-    weights in the working set.  conjugate() reads f* at the slopes
-    themselves by another LP, over f's epigraph, with no screen.
-    """
-    nearest, lam1 = _hull_point(node, y)
+    """f*(y) at any y: +inf farther than 1e-6 from conv(slopes), else f*(p)
+    at y's nearest hull point p: one epigraph LP from the node's start, where
+    conjugate() starts f**'s first LP, read by _epigraph_offset on the rows
+    it stops on."""
+    nearest = _hull_point(node, y)
     # The distance itself, not the expanded quadratic's value, which loses
     # its last digits to cancellation near the 1e-6 threshold.
     if float(np.linalg.norm(nearest - y)) > POLYHEDRAL_INFEASIBLE_TOL:
         return INF
-    _, P0, A_eq, G, h, _, lp_memo = node._constants
-    lam, _ = solve_qp(
-        P0, node.offsets, A_eq, np.append(nearest, 1.0), G, h, lam1,
-        initial_active=np.flatnonzero(lam1 == 0.0), memo=lp_memo,
-        name="conjugate LP",
+    P, G, z0, start, memo = node._epigraph
+    _, info = solve_qp(
+        P, np.append(-nearest, 1.0), (), (), G, node.offsets, z0,
+        initial_active=start, memo=memo, name="epigraph LP",
     )
-    np.clip(lam, 0.0, None, out=lam)
-    return float(node.offsets @ (lam / lam.sum()))
+    return _epigraph_offset(node.slopes, node.offsets, nearest, info["active"])
 
 
 def _hull_point(node, y):
-    """The screen: y's exact projection S'l1 onto conv(slopes), and l1."""
-    S, constants = node.slopes, node._constants
-    lam1 = minimize_quadratic_over_simplex(
-        constants[0], -2.0 * (S @ y), S.shape[0], memo=constants[5]
-    ).argmin.weights
-    return S.T @ lam1, lam1
+    """The screen: y's exact projection onto conv(slopes); y itself at a
+    slope, where the screen's QP may stop at another slope a hair away."""
+    S, (Q, memo) = node.slopes, node._screen
+    if (S == y).all(axis=1).any():
+        return y
+    report = minimize_quadratic_over_simplex(Q, -2.0 * (S @ y), S.shape[0], memo=memo)
+    return S.T @ report.argmin.weights
 
 
 def eval(expr, x) -> float:  # noqa: A001 - module-level eval is the API
@@ -545,7 +541,7 @@ def conjugate(f, box=None):
     """The conjugate of f as a node, and the one place that picks an exact
     conjugate: MaxAffineConjugate for a max-affine f, SupportFunction for an
     indicator, and MaxAffine for a polyhedral conjugate, whose offsets f*(s_i)
-    are read off LPs over f's epigraph with no hull screen: each exit vertex
+    are read off f*'s own epigraph LP with no hull screen: each exit vertex
     prices every slope it settles, and only the others get an LP, started
     where the last one stopped.  Any other f gets Conjugate(f, box), the box
     search, which raises without a box."""
@@ -557,19 +553,17 @@ def conjugate(f, box=None):
         # x.y - f*(y) is affine on each cell of f*'s subdivision of
         # conv(slopes), and every cell vertex is a slope (Rockafellar,
         # Convex Analysis, section 19): f** = max_i (s_i.x - f*(s_i)).
-        # f*(s_i) = max {s_i.x - t : S x - t <= o} over f's epigraph, the
-        # same feasible set for every slope: each LP starts where the last
-        # stopped, the first at (0, f(0)), and all share one memo.  Each exit
-        # vertex, on rows A, prices every unread slope s_j: when G_A is square
-        # and nonsingular and G_A' mu = G_j', i.e. (S_A'; 1') mu = (s_j; 1),
-        # has mu >= 0, mu certifies the vertex, and s_j's LP started there
-        # would stop at once on the same rows.  Only the rest get an LP.
+        # f*(s_i) is f*'s epigraph LP at s_i, the same feasible set for every
+        # slope: each LP starts where the last stopped, the first at the
+        # node's start, and all share its memo.  Each exit vertex, on rows
+        # A, prices every unread slope s_j: when G_A is square and
+        # nonsingular and G_A' mu = G_j', i.e. (S_A'; 1') mu = (s_j; 1), has
+        # mu >= 0, mu certifies the vertex, and s_j's LP started there would
+        # stop at once on the same rows.  Only the rest get an LP.
         S, o = f.slopes, f.offsets
-        k, n = S.shape
-        G, P, memo = np.hstack([S, -np.ones((k, 1))]), np.zeros((n + 1, n + 1)), {}
-        z, active = np.append(np.zeros(n), -o.min()), [int(np.argmin(o))]
-        offsets = np.full(k, np.nan)  # nan until read
-        for i in range(k):
+        P, G, z, active, memo = f._epigraph
+        offsets = np.full(o.shape, np.nan)  # nan until read
+        for i in range(o.size):
             if not np.isnan(offsets[i]):
                 continue
             z, info = solve_qp(
@@ -715,9 +709,9 @@ def fenchel_duality_solve(f, neg_g, box):
         raise BoxExhaustionError("FenchelDual")
     if m < INF and (isinstance(f, MaxAffine) or isinstance(neg_g, MaxAffine)):
         if isinstance(neg_g, MaxAffine):
-            y = -_hull_point(neg_g_star, -y)[0]
+            y = -_hull_point(neg_g_star, -y)
         if isinstance(f, MaxAffine):
-            y = _hull_point(f_star, y)[0]
+            y = _hull_point(f_star, y)
         reread = dual_neg(y)  # +inf where the domains meet only in the collar
         m = reread if reread < INF else m
     return primal, -m, primal + m

@@ -18,8 +18,8 @@ function.json  expression tree of nodes tagged by "node":
                  {"node": "conjugate", "child": ..., "box": <box>?}
                  {"node": "inf_conv" | "prox_avg", "left": ..., "right": ...,
                   "box": <box>}
-               with <box> = {"lo": [...], "hi": [...]}; every int is a JSON
-               integer of at least 1.
+               with <box> = {"lo": [...], "hi": [...]}; each int is a JSON
+               integer >= 1, each other number a JSON int or float, no bool.
 Queries/samples are headerless CSV, one point per row, comma-separated.
 
 JSON output is canonical (sorted keys, 2-space indent, trailing newline) and
@@ -101,20 +101,39 @@ def _count(d, field, where=""):
     return value
 
 
+def _numbers(d, field, where=""):
+    """d[field] as a float array when it is a JSON number or nested lists of
+    them, else a TypeError naming the field: np.asarray would read "1" and
+    true as 1.0.  A bool is no number here, though Python's bool is an int."""
+    items = [d[field]]
+    for item in items:  # each list met appends its entries
+        if isinstance(item, list):
+            items.extend(item)
+        elif type(item) not in (int, float):
+            raise TypeError(f"{where}{field} holds {item!r}, not a JSON number")
+    return np.asarray(d[field], dtype=float)
+
+
+def _number(d, field, where=""):
+    """d[field] as a float when it is one JSON number, else a TypeError."""
+    if isinstance(d[field], list):
+        raise TypeError(f"{where}{field} holds {d[field]!r}, not a JSON number")
+    return float(_numbers(d, field, where))
+
+
 def data_from_dict(d) -> FiniteMapData:
     m, n = _count(d, "m"), _count(d, "n")
-    points = np.asarray(d["points"], dtype=float)
-    values = np.asarray(d["values"], dtype=float)
+    points, values = _numbers(d, "points"), _numbers(d, "values")
     if points.ndim != 2 or points.shape[1] != m:
         raise ValueError("points do not match the declared m")
     if values.ndim != 2 or values.shape[1] != n:
         raise ValueError("values do not match the declared n")
-    return FiniteMapData(points, values, d.get("L"))
+    return FiniteMapData(points, values, None if d.get("L") is None else _number(d, "L"))
 
 
 def graph_from_dict(d) -> OperatorGraph:
-    n = _count(d, "n")
-    pairs = d["pairs"]
+    n, pairs = _count(d, "n"), d["pairs"]
+    _numbers(d, "pairs")
     pts = np.asarray([p[0] for p in pairs], dtype=float)
     vals = np.asarray([p[1] for p in pairs], dtype=float)
     if pts.size != len(pairs) * n or vals.size != len(pairs) * n:
@@ -133,9 +152,9 @@ def body_to_dict(body) -> dict:
 
 def body_from_dict(d):
     if d["kind"] == "ball":
-        return Ball(np.asarray(d["center"], dtype=float), float(d["radius"]))
+        return Ball(_numbers(d, "center", "ball: "), _number(d, "radius", "ball: "))
     if d["kind"] == "polytope":
-        return Polytope(np.asarray(d["vertices"], dtype=float))
+        return Polytope(_numbers(d, "vertices", "polytope: "))
     raise FormatError(f"unknown body kind {d['kind']!r}")
 
 
@@ -160,7 +179,7 @@ def report_to_dict(rep: IntersectionReport) -> dict:
 
 
 def box_from_dict(d) -> cf.Box:
-    return cf.Box(np.asarray(d["lo"], dtype=float), np.asarray(d["hi"], dtype=float))
+    return cf.Box(_numbers(d, "lo", "box: "), _numbers(d, "hi", "box: "))
 
 
 def _finite(d, field, value):
@@ -174,33 +193,34 @@ def _finite(d, field, value):
 def function_from_dict(d, default_box=None):
     """Build an expression tree; default_box supplies missing search boxes."""
     node = d["node"]
+    where = f"{node} node: "
     if node == "quadratic":
-        return cf.Quadratic(_count(d, "n", "quadratic node: "))
+        return cf.Quadratic(_count(d, "n", where))
     if node == "max_affine":
         return cf.MaxAffine(
-            _finite(d, "slopes", np.asarray(d["slopes"], dtype=float)),
-            _finite(d, "offsets", np.asarray(d["offsets"], dtype=float)),
+            _finite(d, "slopes", _numbers(d, "slopes", where)),
+            _finite(d, "offsets", _numbers(d, "offsets", where)),
         )
     if node == "indicator":
         return cf.Indicator(body_from_dict(d["body"]))
     if node == "kappa":
-        return cf.Kappa(_count(d, "n", "kappa node: "))
+        return cf.Kappa(_count(d, "n", where))
     if node == "sum":
         return cf.Sum(
             tuple(function_from_dict(c, default_box) for c in d["children"]),
-            _finite(d, "coefficients", tuple(float(c) for c in d["coefficients"])),
+            _finite(d, "coefficients", tuple(_numbers(d, "coefficients", where).tolist())),
         )
     if node == "scale" or node == "epi_scale":
         build = cf.Scale if node == "scale" else cf.EpiScale
         return build(
-            _finite(d, "factor", float(d["factor"])),
+            _finite(d, "factor", _number(d, "factor", where)),
             function_from_dict(d["child"], default_box),
         )
     if node == "translate":
         return cf.Translate(
-            np.asarray(d["shift"], dtype=float),
-            np.asarray(d["slope"], dtype=float),
-            _finite(d, "offset", float(d["offset"])),
+            _numbers(d, "shift", where),
+            _numbers(d, "slope", where),
+            _finite(d, "offset", _number(d, "offset", where)),
             function_from_dict(d["child"], default_box),
         )
     if node == "conjugate":

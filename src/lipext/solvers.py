@@ -18,8 +18,8 @@ Internal helper used by other modules:
 
 * solve_qp -- dense primal active-set solver for small convex QPs with
   equality constraints and linear inequalities (the simplex QPs above, the
-  monotone QPs, the polyhedral conjugate's LP, f**'s epigraph LPs, and the
-  least-squares points of a family of bodies, which decide the Helly
+  monotone QPs, the epigraph LPs of a polyhedral conjugate and of f**, and
+  the least-squares points of a family of bodies, which decide the Helly
   families that hold a polytope and give the closest pair of two
   polytopes).  It terminates on an exact KKT point, which is what lets
   epigraph reformulations of max-affine objectives reach 1e-12 accuracy,
@@ -32,21 +32,19 @@ Memo contract.  solve_qp and minimize_quadratic_over_simplex take an
 optional memo, a mapping that the caller owns and passes to every call of
 one fixed QP family: the same P, A_eq and G, and any q.  It maps each
 working set, keyed by the active mask's bytes, to its factors, so a working
-set met again in a later call is not refactored.  With P = 0 the entry also
-holds the step plan of the q that built it (the direction, or the rows a
-drop may take in Dantzig's order, never the drop itself); another q
-rebuilds and replaces it.  The QP's bound rows sit under the key None, and
-the simplex wrapper's constants (half of Q's diagonal, the sum row, -I and
-zero h) under "simplex".  A call writes every entry it uses back into the
-memo, found or built, so a collections.ChainMap(fresh, last) gathers
-exactly that call's entries in fresh while it reads last's.  Entries depend
-only on the fixed data, the working set and a plan's q, not on a solve's
-drop-rule state, so passing a memo never moves a bit of a result.  Owners:
-the polyhedral conjugate node keeps one memo for its screen and one for its
-LP; conjugate() shares one among the epigraph LPs of one f**, for that
-call only; chebyshev_center shares one among its Newton steps' duals; each
-monotone.OperatorGraph carries, per QP family, the working sets of its last
-call only.  Nothing here keeps a memo between calls.
+set met again in a later call is not refactored.  The QP's bound rows sit
+under the key None, and the simplex wrapper's constants (half of Q's
+diagonal, the sum row, -I and zero h) under "simplex".  A call writes every
+entry it uses back into the memo, found or built, so a
+collections.ChainMap(fresh, last) gathers exactly that call's entries in
+fresh while it reads last's.  Entries depend only on the fixed data and the
+working set, not on q or on a solve's drop-rule state, so passing a memo
+never moves a bit of a result.  Owners: the polyhedral conjugate node keeps
+one memo for its screen and one for its epigraph LP, which f*(y) and
+conjugate()'s f** share; chebyshev_center shares one among its Newton
+steps' duals; each monotone.OperatorGraph carries, per QP family, the
+working sets of its last call only.  Nothing here keeps a memo between
+calls.
 
 All routines are pure and deterministic: identical inputs produce
 bit-identical reports.
@@ -239,10 +237,9 @@ def _restore_equalities(A_eq, b_eq, z):
 class _WorkingSet:
     """One working set's factors: its pinned columns, C (A_eq over the active
     general rows), the null space Z and the rank part of the SVD of C over
-    the free columns, and once needed the eigendecomposition of Z'PZ
-    (P != 0) or the step plan of one q, with q's bytes (P = 0)."""
+    the free columns, and once needed the eigendecomposition of Z'PZ."""
 
-    __slots__ = ("fixed", "C", "Z", "svd", "eig", "plan")
+    __slots__ = ("fixed", "C", "Z", "svd", "eig")
 
     def __init__(self, A_eq, G, active, single, pin_col):
         K = A_eq.shape[1]
@@ -251,7 +248,7 @@ class _WorkingSet:
         rows = active & ~single
         self.C = np.concatenate((A_eq, G[rows])) if rows.any() else A_eq
         self.Z, self.svd = _nullspace(self.C, K, self.fixed)
-        self.eig = self.plan = None
+        self.eig = None
 
 
 def _drop_row(grad, local, active, ws, G, single, pin_col, me):
@@ -351,11 +348,7 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
 
     Each working set's factors are memoised in memo, keyed by the active
     mask's bytes, under the module's memo contract: the pinned columns, C,
-    Z, the rank part of the SVD and, once needed, the eigh of Z'PZ; with
-    P = 0 also the step plan (the ray, or the rows a drop may take in
-    Dantzig's order, empty at convergence) and the bytes of the q it was
-    built for.  A plan depends on q, not on z or on the drop rule's state:
-    it is reused for that q and rebuilt and replaced for any other.  The
+    Z, the rank part of the SVD and, once needed, the eigh of Z'PZ.  The
     bound rows, the pinned column of each and whether P is zero sit under
     the key None.  Without a memo one lives for the one call.
     """
@@ -375,7 +368,6 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
         consts = np.count_nonzero(G, axis=1) == 1, np.argmax(G != 0, axis=1), not P.any()
     memo[None] = consts
     single, pin_col, linear = consts
-    q_bytes = q.tobytes()
     z = np.asarray(z0, dtype=float).copy()
     z = _restore_equalities(A_eq, b_eq, z) if me else z
     active = np.zeros(mi, dtype=bool)
@@ -395,19 +387,12 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
             if ws is None:
                 ws = _WorkingSet(A_eq, G, active, single, pin_col)
             memo[key] = ws
-        if ws.plan is not None and ws.plan[0] == q_bytes:
-            _, d, ray, drops = ws.plan
-        else:
-            if not linear:
-                grad = P @ z + q
-                local = 1.0 + float(np.abs(grad).max(initial=0.0))
-            d, ray = _direction(P, linear, grad, local, z, ws)
-            drops = None
-            if d is None:
-                drops = _drop_row(grad, local, active, ws, G, single, pin_col, me)
-            if linear:
-                ws.plan = q_bytes, d, ray, drops
+        if not linear:
+            grad = P @ z + q
+            local = 1.0 + float(np.abs(grad).max(initial=0.0))
+        d, ray = _direction(P, linear, grad, local, z, ws)
         if d is None:
+            drops = _drop_row(grad, local, active, ws, G, single, pin_col, me)
             rows = [i for i in drops if i not in frozen]
             if not rows:
                 break

@@ -419,6 +419,51 @@ class TestIntegerFields:
         assert not os.path.exists(out)
 
 
+class TestNumberFields:
+    """Every other numeric field of a data, graph, family or function file,
+    box lo and hi included, holds JSON numbers only: np.asarray and float()
+    would read each file below as if its strings were numbers and its true
+    were 1."""
+
+    DATA = {"m": 1, "n": 1, "L": 1.0, "points": [[0.0], [1.0]], "values": [[0.0], [0.5]]}
+    BALL = {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
+    AFFINE = {"node": "max_affine", "slopes": [[1.0], [-1.0]], "offsets": [0.0, 0.0]}
+    CASES = [
+        ("data", {**DATA, "L": "2"}, "", "L", "2"),
+        ("data", {**DATA, "points": [["0"], [1]]}, "", "points", "0"),
+        ("data", {**DATA, "values": [[0], [True]]}, "", "values", True),
+        ("graph", {"n": 1, "pairs": [[[0.0], [0.0]], [[1.0], ["1"]]]}, "", "pairs", "1"),
+        ("family", {"n": 2, "bodies": [{**BALL, "radius": "1"}]}, "ball: ", "radius", "1"),
+        ("family", {"n": 2, "bodies": [{**BALL, "radius": True}]}, "ball: ", "radius", True),
+        ("family", {"n": 2, "bodies": [{**BALL, "center": ["1", 0]}]}, "ball: ", "center",
+         "1"),
+        ("function", {**AFFINE, "offsets": [0.0, "0"]}, "max_affine node: ", "offsets", "0"),
+        ("function", {"node": "conjugate", "child": AFFINE, "box": {"lo": [-1], "hi": ["1"]}},
+         "box: ", "hi", "1"),
+    ]
+
+    @pytest.mark.parametrize("kind, doc, where, field, bad", CASES, ids=[
+        "data-L", "data-points", "data-values", "graph-pairs", "family-radius",
+        "family-radius-bool", "family-center", "function-offsets", "function-box",
+    ])
+    def test_non_number_exit_2(self, tmp_path, capsys, kind, doc, where, field, bad):
+        path = write(tmp_path / f"{kind}.json", json.dumps(doc))
+        points = write(tmp_path / "p.csv", "0.5\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "data": ["extend", "--data", path, "--queries", points,
+                     "--method", "mcshane", "--out", out],
+            "graph": ["monotone", "--graph", path, "--check", "--out", out],
+            "function": ["function", "--function", path, "--eval", points, "--out", out],
+            "family": ["helly", "--family", path, "--out", out],
+        }[kind]
+        rc, err = _run(argv, capsys)
+        assert rc == 2
+        assert err == (f"lipext: parse error: {path}: {where}{field} holds {bad!r}, "
+                       "not a JSON number\n")
+        assert not os.path.exists(out)
+
+
 class TestGenCommand:
     def test_seed_determinism(self, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -163,9 +163,55 @@ def brute_polyhedral_conjugate(S, o, y):
             if np.linalg.svd(M, compute_uv=False)[-1] <= 1e-10:
                 continue  # affinely dependent
             lam, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-            if np.max(np.abs(M @ lam - rhs)) <= 1e-9 and lam.min() >= -1e-9:
+            # Tight: a collar probe's hull point can sit 1e-8 from a slope,
+            # where a 1e-9 test takes a support that extrapolates.
+            if np.max(np.abs(M @ lam - rhs)) <= 1e-12 and lam.min() >= -1e-12:
                 best = min(best, float(o[list(T)] @ lam))
     return best
+
+
+def brute_hull_point(S, y):
+    """y's nearest point of conv(slopes): the nearest of y's projections onto
+    the affine hulls of affinely independent slope sets of size <= n+1 that
+    land in that set's simplex (the nearest point lies in one)."""
+    k, n = S.shape
+    best, point = INF, None
+    for m in range(1, min(k, n + 1) + 1):
+        for T in itertools.combinations(range(k), m):
+            M = np.vstack([S[list(T)].T, np.ones((1, m))])
+            if np.linalg.svd(M, compute_uv=False)[-1] <= 1e-10:
+                continue  # affinely dependent
+            base, D = S[T[0]], S[list(T[1:])] - S[T[0]]
+            c = np.linalg.lstsq(D.T, y - base, rcond=None)[0] if m > 1 else np.zeros(0)
+            if c.min(initial=0.0) >= -1e-12 and c.sum() <= 1.0 + 1e-12:
+                p = base + D.T @ c
+                if np.linalg.norm(p - y) < best:
+                    best, point = np.linalg.norm(p - y), p
+    return point
+
+
+def brute_collar_conjugate(S, o, y):
+    """f*(y) by brute force, with the node's 1e-6 collar: the value at y's
+    nearest hull point within 1e-6 of the hull, +inf farther out."""
+    ref = brute_polyhedral_conjugate(S, o, y)
+    if ref == INF:
+        p = brute_hull_point(S, y)
+        if np.linalg.norm(p - y) <= cf.POLYHEDRAL_INFEASIBLE_TOL:
+            ref = brute_polyhedral_conjugate(S, o, p)
+    return ref
+
+
+def _degenerate(kind, g, rng):
+    """g's slopes with a copy of s_0 under its own offset, all zero, on a
+    line through 0 (power-of-two direction), or rounded to halves."""
+    S, o = g.slopes, g.offsets
+    if kind == "duplicate":
+        return cf.MaxAffine(np.vstack([S, S[:1]]), np.append(o, rng.uniform(-1.0, 1.0)))
+    if kind == "zero":
+        return cf.MaxAffine(np.zeros_like(S), o)
+    if kind == "collinear":
+        return cf.MaxAffine(S[:, :1] * [1.0, -0.5, 0.25][: g.dim], o)
+    return cf.MaxAffine(np.round(2.0 * S) / 2.0, o)  # half-grid
 
 
 def _unconverged_qp(P, q, A_eq, b_eq, G, h, z0, *, name, **kwargs):
@@ -174,27 +220,37 @@ def _unconverged_qp(P, q, A_eq, b_eq, G, h, z0, *, name, **kwargs):
 
 class TestPolyhedralConjugate:
     def test_matches_brute_force_reference(self):
+        # Seeded slopes, and duplicate, zero, collinear and half-grid ones,
+        # probed at slopes, interior and far points, and at slopes moved
+        # 0.5e-6, 0.999e-6, 1.001e-6 and 1e-3 along seeded unit directions:
+        # in, on and past the collar.
         rng = SplitMix64(44)
-        infeasible = 0
-        for n in (1, 2, 3):
-            for k in range(2, 11):
-                f = rand_maxaffine(rng, n, k)
-                S, o = f.slopes, f.offsets
-                node = cf.conjugate(f)
-                points = []
-                for _ in range(4):
-                    points.append(S[rng.integer(k)])
-                    w = np.array([rng.uniform(0.01, 1.0) for _ in range(k)])
-                    points.append((w / w.sum()) @ S)
-                    points.append(np.array([rng.uniform(-2.5, 2.5) for _ in range(n)]))
-                for y in points:
-                    v = cf.eval(node, y)
-                    ref = brute_polyhedral_conjugate(S, o, y)
-                    assert (v == INF) == (ref == INF), (S, o, y, v, ref)
-                    if ref != INF:
-                        assert abs(v - ref) <= 1e-10 * (1.0 + abs(ref)), (S, o, y)
-                    infeasible += ref == INF
-        assert 0 < infeasible < 324  # both kinds of point occur
+        infeasible = probed = 0
+        for kind in ("seeded", "duplicate", "zero", "collinear", "half-grid"):
+            for n in (1, 2, 3):
+                for k in range(2, 11) if kind == "seeded" else (3, 6, 9):
+                    f = rand_maxaffine(rng, n, k)
+                    f = f if kind == "seeded" else _degenerate(kind, f, rng)
+                    S, o = f.slopes, f.offsets
+                    node = cf.conjugate(f)
+                    points = []
+                    for _ in range(4 if kind == "seeded" else 2):
+                        points.append(S[rng.integer(len(S))])
+                        w = np.array([rng.uniform(0.01, 1.0) for _ in range(len(S))])
+                        points.append((w / w.sum()) @ S)
+                        points.append(np.array([rng.uniform(-2.5, 2.5) for _ in range(n)]))
+                    for r in (0.5e-6, 0.999e-6, 1.001e-6, 1e-3):
+                        u = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
+                        points.append(S[rng.integer(len(S))] + r * u / np.linalg.norm(u))
+                    for y in points:
+                        v = cf.eval(node, y)
+                        ref = brute_collar_conjugate(S, o, y)
+                        assert (v == INF) == (ref == INF), (kind, S, o, y, v, ref)
+                        if ref != INF:
+                            assert abs(v - ref) <= 1e-10 * (1.0 + abs(ref)), (kind, S, o, y)
+                        infeasible += ref == INF
+                        probed += 1
+        assert 0 < infeasible < probed  # both kinds of point occur
 
     def test_lp_at_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(cf, "solve_qp", _unconverged_qp)
@@ -293,8 +349,7 @@ class TestWorkingSetMemo:
             y = np.array(y)
             value = cf._polyhedral_conjugate_value(shared, y)
             assert repr(value) == repr(cf._polyhedral_conjugate_value(cf.conjugate(f), y))
-        assert isinstance(shared._constants[-2], dict)
-        assert shared._constants[-1]
+        assert shared._screen[1] and shared._epigraph[-1]
 
 
 class TestDeltaIdentity:
@@ -809,19 +864,23 @@ class TestConjugateGolden:
     re-recorded when f** began to read its final value at a hull point, and
     n = 2's fifth (3.229980727326165e-10) again when f** was read off the
     slopes.  Three conjugate values moved in their last bit when solve_qp
-    began to drop the most negative multiplier."""
+    began to drop the most negative multiplier, and six when f*(y) moved
+    from a simplex LP over the weights to the epigraph LP that f** reads:
+    against the exact value, five of those six got closer and
+    0.23904126715416205 (8.1e-19 off) went to 0.2390412671541621 (5.6e-17
+    off)."""
 
     GOLDEN = {
         1: [
-            "0.0", "-0.6224194491161299", "-0.4290098157008096",
-            "-0.29775606521782916", "0.0", "-0.9183113677814703",
-            "-0.9043065344336474", "-0.2609862354385936", "0.0",
-            "-0.7087234231659849", "-0.7518602549737294", "inf",
+            "0.0", "-0.6224194491161299", "-0.4290098157008098",
+            "-0.2977560652178292", "0.0", "-0.9183113677814703",
+            "-0.9043065344336474", "-0.2609862354385935", "0.0",
+            "-0.708723423165985", "-0.7518602549737294", "inf",
         ],
         2: [
-            "0.0", "0.3163979475970651", "-0.2138492709739953",
+            "0.0", "0.3163979475970651", "-0.2138492709739954",
             "inf", "0.0", "0.43693845860683034",
-            "0.23904126715416205", "inf",
+            "0.2390412671541621", "inf",
         ],
     }
 
@@ -1059,7 +1118,9 @@ class TestSlopeRule:
 
         monkeypatch.setattr(cf, "_hull_point", no_screen)
         monkeypatch.setattr(cf, "minimize_quadratic_over_simplex", no_screen)
-        assert [_biconjugate(f).offsets.tolist() for f in cases] == expected
+        stars = [cf.conjugate(f) for f in cases]
+        assert [cf.conjugate(s).offsets.tolist() for s in stars] == expected
+        assert not any("_screen" in vars(s) for s in stars)  # no 2SS' is built
 
     def test_duplicate_slopes(self):
         # An exact copy of s_0 with its own offset.  Where the copies' piece
@@ -1097,6 +1158,22 @@ class TestSlopeRule:
             priced, walked = _biconjugate(f).offsets.tolist(), _per_slope_offsets(f)
             if priced != walked:
                 moved.append((i, priced, walked))
+        assert moved == []
+
+    def test_one_route_to_each_offset(self):
+        # f*(s_i) read by eval is the epigraph LP that f** reads its offsets
+        # off, started at (0, f(0)): each value has its offset's bits.
+        cases = [
+            *_seeded_cases(), *(f for f, _ in _duplicate_slope_cases()),
+            *_near_duplicate_cases(), *_collinear_cases(), *_bench_shaped_cases(),
+        ]
+        moved = []
+        for i, f in enumerate(cases):
+            f_star = cf.conjugate(f)
+            read = [cf.eval(f_star, s) for s in f.slopes]
+            offsets = cf.conjugate(f_star).offsets.tolist()
+            if read != offsets:
+                moved.append((i, read, offsets))
         assert moved == []
 
     def test_half_grid_slopes(self):

@@ -193,8 +193,8 @@ def _graph():
 
 
 # solve_qp itself and each caller that names its QP.  Every call reaches
-# solve_qp: the simplex instance's start vertex e_0 is not optimal, and the
-# conjugate's screen at the slope y = 1 is.
+# solve_qp: the simplex instance's start vertex e_0 is not optimal, and f*
+# at the slope y = 1 runs no screen, so its one solve_qp is its LP.
 CAPPED_CALLS = [
     pytest.param("QP", lambda: solve_qp(
         np.eye(2), [1.0, -1.0], np.ones((1, 2)), [1.0], -np.eye(2), np.zeros(2),
@@ -203,7 +203,7 @@ CAPPED_CALLS = [
     pytest.param("simplex QP", lambda: minimize_quadratic_over_simplex(
         np.eye(2), np.zeros(2), 2,
     ), id="simplex"),
-    pytest.param("conjugate LP", lambda: cf.eval(cf.conjugate(cf.MaxAffine(
+    pytest.param("epigraph LP", lambda: cf.eval(cf.conjugate(cf.MaxAffine(
         np.array([[1.0], [-1.0]]), np.array([0.5, 0.0]),
     )), [1.0]), id="conjugate"),
     pytest.param("epigraph LP", lambda: cf.conjugate(cf.conjugate(cf.MaxAffine(
@@ -538,7 +538,10 @@ class TestSolveQPDigest:
     (b_eq, z, iters) records equal the 133 before, in order.
     resolvent-8, resolvent-48 and psi were re-recorded when each epigraph
     QP began at its least-objective vertex: their 12 solves went from 55,
-    187 and 91 to 51, 115 and 84 iterations.
+    187 and 91 to 51, 115 and 84 iterations.  conjugate-lp and
+    fitzpatrick-conj were re-recorded when f*(y) moved from a simplex LP
+    over the weights to f's epigraph LP, at the same 144 and 8 solves:
+    their iterations went from 491 and 36 to 374 and 44.
 
     The simplex wrapper returns a start vertex that is already optimal
     without calling solve_qp, so the simplex shape hashes the wrapper's
@@ -556,10 +559,10 @@ class TestSolveQPDigest:
     }
     GOLDEN = {
         "conjugate-lp": (
-            144, "d91050c286dbeb1c9c51e559a29e04550d092f244de568aa7c4f180fcf4d1912"
+            144, "aa5fabaf6fa422b9ea8bec5caa44cbc3059b047d63262e14389025f381b10d0a"
         ),
         "fitzpatrick-conj": (
-            8, "459b6285f8d0a02716138fcd3f6b2079a2cf6fa04ea72f6685fa3d893039fec8"
+            8, "fc2dbe919c7a94129e704dc671d4080ea73847d6fe97634aec211b9df744b0dd"
         ),
         "least-squares": (
             42, "5dbd818837c3b9e7eb8403141bb907a5cf69c16761405a8694b9902fc52fba75"
@@ -690,8 +693,8 @@ class TestWorkingSetReuse:
         assert info["iters"] > 1
 
     def test_linear_memo_serves_any_q(self):
-        # With P = 0 the memo holds step plans that depend on q: each is
-        # reused for the q that built it and rebuilt for another.
+        # With P = 0 the memo holds only working-set factors, which do not
+        # depend on q: one memo serves q1, q2 and q1 again bit for bit.
         K = 3
         rest = (np.ones((1, K)), [1.0], -np.eye(K), np.zeros(K), np.full(K, 1.0 / K))
         P = np.zeros((K, K))
@@ -775,7 +778,7 @@ class TestSVDMultipliers:
         monkeypatch.setattr(solvers, "_drop_row", drop_row)
         for y in probes + probes:
             cf._polyhedral_conjugate_value(node, y)
-        memos = node._constants[-2:]
+        memos = node._screen[1], node._epigraph[-1]
         entries = sum(isinstance(key, bytes) for memo in memos for key in memo)
         assert len(svds) == entries > 8
         assert lstsqs.count(True) == 0
