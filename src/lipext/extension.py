@@ -23,7 +23,6 @@ output coordinate, giving the classical sqrt(n) L baseline.
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -170,11 +169,11 @@ class Modulus:
         v = as_vector(self.values)
         if t.shape != v.shape:
             raise ValueError("breakpoints and values must match")
-        if t[0] != 0.0 or (t.size > 1 and np.any(np.diff(t) <= 0)):
+        if t[0] != 0.0 or (t[1:] <= t[:-1]).any():
             raise ValueError("breakpoints must start at 0 and strictly increase")
         if v[0] != 0.0:
             raise ValueError("a modulus must satisfy w(0) = 0")
-        if np.any(v < 0) or (v.size > 1 and np.any(np.diff(v) < -1e-12)):
+        if (v < 0).any() or (v[1:] - v[:-1] < -1e-12).any():
             raise ValueError("modulus values must be non-negative and non-decreasing")
         t.setflags(write=False)
         v.setflags(write=False)
@@ -248,56 +247,58 @@ def _norms(d):
     return np.sqrt(np.add.reduce(d * d, axis=1))
 
 
-def _raise_on_modulus_failure(data, omega: Modulus, worst: float, pair):
+def _raise_on_modulus_failure(points, values, omega: Modulus, worst: float, pair):
     """Both modulus checks' one message: raise on the witness pair when its
     score worst = |db| - (w(||da||) + 1e-9) is positive."""
     if worst > 0.0:
         i, j = pair
-        pts, vals = data.points, data.values
         raise ModulusViolationError(
             f"modulus fails on pair ({i}, {j}): |db| = "
-            f"{float(np.abs(vals[i, 0] - vals[j, 0])):.6g} > "
-            f"w(||da||) = {float(omega(np.linalg.norm(pts[i] - pts[j]))):.6g}",
+            f"{float(np.abs(values[i, 0] - values[j, 0])):.6g} > "
+            f"w(||da||) = {float(omega(np.linalg.norm(points[i] - points[j]))):.6g}",
             witness=pair,
         )
 
 
-def _check_modulus_for_data(data: FiniteMapData, omega: Modulus):
+def _check_modulus_for_data(points, values, omega: Modulus):
     """Raise on the first pair, in row-major order, whose |db| exceeds
     w(||da||) + 1e-9 by the most.  ||da|| is np.linalg.norm(axis=1), the
     distance every check decides by, taken block by block in O(block) memory."""
     worst, pair = pairwise(
-        data.points,
-        data.values,
+        points,
+        values,
         lambda dp, dv: np.abs(dv[:, 0]) - (omega(np.linalg.norm(dp, axis=1)) + 1e-9),
     )
-    _raise_on_modulus_failure(data, omega, worst, pair)
+    _raise_on_modulus_failure(points, values, omega, worst, pair)
 
 
-def _check_modulus_on_scan(data, omega: Modulus, scan):
-    """_check_modulus_for_data over a _pair_scan of data.points, with its
-    scores, decision, witness and message: ||da|| is _norms(D), and w is
-    evaluated in the scan's sorted order, where np.interp runs about four
-    times faster, then scattered back to row-major order."""
+def _check_modulus_on_scan(points, values, omega: Modulus, scan):
+    """_check_modulus_for_data(points, values, omega), values (k, 1), over
+    scan = _pair_scan(points), with its scores, decision, witness and
+    message: ||da|| is _norms(D), and w is evaluated in the scan's sorted
+    order, where np.interp runs about four times faster, then scattered
+    back to row-major order."""
     I, J, D, _, order = scan
     if I.size == 0:
         return
     da = _norms(D)
     w = np.empty_like(da)
     w[order] = omega(da[order])
-    vals = data.values[:, 0]
+    vals = values[:, 0]
     scores = np.abs(vals.take(I) - vals.take(J)) - (w + 1e-9)
     b = int(np.argmax(scores))
-    _raise_on_modulus_failure(data, omega, float(scores[b]), (int(I[b]), int(J[b])))
+    _raise_on_modulus_failure(
+        points, values, omega, float(scores[b]), (int(I[b]), int(J[b]))
+    )
 
 
-def _envelope(data: FiniteMapData, omega: Modulus, x, side: str) -> np.ndarray:
+def _envelope(points, values, omega: Modulus, x, side: str) -> np.ndarray:
     """Envelope of every value coordinate at x: max_i (b_i - w(||x - a_i||))
     for side 'lower', min_i (b_i + w(||x - a_i||)) otherwise."""
-    w = omega(_norms(data.points - x))[:, None]
+    w = omega(_norms(points - x))[:, None]
     if side == "lower":
-        return np.max(data.values - w, axis=0)
-    return np.min(data.values + w, axis=0)
+        return np.max(values - w, axis=0)
+    return np.min(values + w, axis=0)
 
 
 def extend_mcshane(data: FiniteMapData, omega: Modulus, x, side: str) -> float:
@@ -313,13 +314,13 @@ def extend_mcshane(data: FiniteMapData, omega: Modulus, x, side: str) -> float:
         raise ValueError("McShane-Whitney extension needs scalar values (n = 1)")
     if not omega.is_subadditive:
         raise ValueError("modulus must be subadditive")
-    _check_modulus_for_data(data, omega)
+    _check_modulus_for_data(data.points, data.values, omega)
     x = as_vector(x)
     if x.shape[0] != data.m:
         raise DimensionMismatchError("query dimension does not match the data")
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    return float(_envelope(data, omega, x, side)[0])
+    return float(_envelope(data.points, data.values, omega, x, side)[0])
 
 
 def extend_coordinatewise(data: FiniteMapData, x) -> np.ndarray:
@@ -452,18 +453,19 @@ def empirical_modulus(data: FiniteMapData) -> Modulus:
     """
     if data.n != 1:
         raise ValueError("empirical modulus needs scalar values (n = 1)")
-    return _modulus_of_scan(data.values[:, 0], _pair_scan(data.points))
+    return Modulus(*_modulus_of_scan(data.values[:, 0], _pair_scan(data.points)))
 
 
-def _modulus_of_scan(vals, scan) -> Modulus:
-    """empirical_modulus of scalar values over a _pair_scan of their points."""
+def _modulus_of_scan(vals, scan):
+    """empirical_modulus of scalar values over a _pair_scan of their points,
+    as its (breakpoints, values) arrays."""
     I, J, _, dist, order = scan
     running = np.maximum.accumulate(np.abs(vals.take(I) - vals.take(J))[order])
     t = dist[order]
     keep = t > 1e-15
     t, running = t[keep], running[keep]
     if t.size == 0:  # one point, or no distance above 1e-15
-        return Modulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+        return np.array([0.0, 1.0]), np.array([0.0, 0.0])
     step = np.diff(t, prepend=0.0)
     start = step > 1e-15
     head = np.maximum.accumulate(np.where(start, np.arange(t.size), 0))
@@ -475,9 +477,7 @@ def _modulus_of_scan(vals, scan) -> Modulus:
             last = i
     starts = np.flatnonzero(start)
     ends = np.append(starts[1:] - 1, t.size - 1)
-    return Modulus(
-        np.concatenate(([0.0], t[starts])), np.concatenate(([0.0], running[ends]))
-    )
+    return np.concatenate(([0.0], t[starts])), np.concatenate(([0.0], running[ends]))
 
 
 def uniform_extend(data: FiniteMapData, x) -> float:
@@ -498,14 +498,15 @@ class ExtensionModel:
     graph, the mcshane modulus w(t) = L t (FiniteMapData's pair check
     ||db|| <= L ||da|| + 1e-9 already shows that it dominates the data),
     tietze's tau(b_i), coordinatewise's 1 + max|a_i|, uniform's rescaled
-    data, concave majorant and their checks, and project_domain's check
-    that the domain holds every data point.  uniform scans its pairs once:
-    the modulus reads the scan's vecdot distances (per-pair norms) and its
-    check np.linalg.norm(D, axis=1), as _check_modulus_for_data does.  A
-    query validates x once and evaluates every method itself; extend_minimax,
-    extend_proxavg, extend_coordinatewise, extend_project_domain,
-    tietze_extend and uniform_extend are each one query of a fresh model.
-    mcshane, tietze and uniform require scalar values.
+    values b_i / s (the array scaled_values), concave majorant and their
+    checks, and project_domain's check that the domain holds every data
+    point.  uniform scans its pairs once: the modulus reads the scan's vecdot
+    distances (per-pair norms) and its check np.linalg.norm(D, axis=1), as
+    _check_modulus_for_data does.  A query validates x once and evaluates
+    every method itself; extend_minimax, extend_proxavg,
+    extend_coordinatewise, extend_project_domain, tietze_extend and
+    uniform_extend are each one query of a fresh model.  mcshane, tietze and
+    uniform require scalar values.
     """
 
     METHODS = (
@@ -552,18 +553,13 @@ class ExtensionModel:
             # Values are divided by s so that the empirical modulus passes
             # the affine-majorant gate whatever the data's scale.
             scan = _pair_scan(data.points)
-            raw = _modulus_of_scan(data.values[:, 0], scan)
-            s = self.scale = max(1.0, 2.0 * float(np.max(raw.values)))
-            # Namespaces stand in for a Modulus and a FiniteMapData, whose
-            # readers use only these fields: raw / s passes every check raw
-            # did, and a FiniteMapData would rescan every pair for its L.
-            self.omega = concave_majorant(
-                SimpleNamespace(breakpoints=raw.breakpoints, values=raw.values / s)
-            )
-            self.scaled = SimpleNamespace(points=data.points, values=data.values / s)
+            t, v = _modulus_of_scan(data.values[:, 0], scan)
+            s = self.scale = max(1.0, 2.0 * float(np.max(v)))
+            self.omega = concave_majorant(Modulus(t, v / s))
+            self.scaled_values = data.values / s
             if not self.omega.is_subadditive:
                 raise ValueError("modulus must be subadditive")
-            _check_modulus_on_scan(self.scaled, self.omega, scan)
+            _check_modulus_on_scan(data.points, self.scaled_values, self.omega, scan)
         if method == "project_domain":
             for i, a in enumerate(data.points):
                 d = distance(a, domain)
@@ -595,7 +591,7 @@ class ExtensionModel:
             g, residual = resolvent_eval(self.graph, xhat)
             return data.L * (2.0 * g - xhat)[: data.n], residual
         if method == "mcshane":
-            return _envelope(data, self.omega, x, "lower"), 0.0
+            return _envelope(data.points, data.values, self.omega, x, "lower"), 0.0
         if method == "tietze":
             d = _norms(data.points - x)
             dmin = float(np.min(d))
@@ -603,12 +599,14 @@ class ExtensionModel:
                 return data.values[int(np.argmin(d))].copy(), 0.0
             return np.array([_tau_inv(np.min(self.tau * d / dmin))]), 0.0
         if method == "uniform":
-            return self.scale * _envelope(self.scaled, self.omega, x, "lower"), 0.0
+            y = _envelope(data.points, self.scaled_values, self.omega, x, "lower")
+            return self.scale * y, 0.0
         scale = self.reach + float(np.max(np.abs(x)))
         top = data.L * scale
         grid, vals = np.array([0.0, scale]), np.array([0.0, top])
         tail = (scale, top, top / scale)
-        return (
-            _envelope(data, lambda t: _modulus_value(t, grid, vals, tail), x, "lower"),
-            0.0,
-        )
+
+        def omega(t):
+            return _modulus_value(t, grid, vals, tail)
+
+        return _envelope(data.points, data.values, omega, x, "lower"), 0.0

@@ -545,3 +545,38 @@ def test_scan_flags_an_unnamed_qp_call():
         "    return solve_qp_other(P, q)\n"
     )
     assert unnamed_qp_calls(source) == [4, 6, 8]
+
+
+def namespace_stand_ins(source):
+    """Lines of source that import or use SimpleNamespace."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.ImportFrom)
+            and any(alias.name == "SimpleNamespace" for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == "SimpleNamespace")
+        or (isinstance(node, ast.Name) and node.id == "SimpleNamespace")
+    })
+
+
+def test_no_stand_in_namespace():
+    # A namespace standing in for a Modulus or FiniteMapData skips the
+    # checks its constructor runs; the library passes the real object or
+    # plain arrays.
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := namespace_stand_ins(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_scan_flags_a_stand_in_namespace():
+    source = (
+        "from types import SimpleNamespace\n"
+        "import types\n"
+        "a = types.SimpleNamespace(points=1)\n"
+        "b = dict(points=1)\n"
+        "c = SimpleNamespace(values=2)\n"
+    )
+    assert namespace_stand_ins(source) == [1, 3, 5]
