@@ -14,7 +14,7 @@ from itertools import product as _iterproduct
 
 import numpy as np
 
-from .geometry import Ball, Polytope, SimplexWeights, as_vector
+from .geometry import Ball, Polytope, SimplexWeights, as_vector, row_dots
 from .errors import DimensionMismatchError, InfeasiblePointError, SolverCapError
 from .solvers import minimize_quadratic_over_simplex, solve_qp
 
@@ -262,7 +262,7 @@ def least_squares_points(bodies):
         if isinstance(body, Polytope):
             V = body.vertices - origin
             lift[:, cols] = V.T
-            z[cols.start + int(np.argmin(np.sum(V * V, axis=1)))] = 1.0
+            z[cols.start + int(np.argmin(row_dots(V, V)))] = 1.0
             row = np.zeros(K)
             row[cols] = 1.0
             A_eq.append(row)

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import as_vector, pair_index, pairwise
+from .geometry import as_vector, pair_index, pairwise, row_norms
 from .errors import (
     DataConsistencyError,
     DimensionMismatchError,
@@ -47,8 +47,8 @@ def _scan_data(points, values, L):
     different values."""
 
     def kernel(dp, dv):
-        da = np.linalg.norm(dp, axis=1)
-        db = np.linalg.norm(dv, axis=1)
+        da = row_norms(dp)
+        db = row_norms(dv)
         dup = da <= 1e-12
         if L is None:
             score = db / np.where(dup, np.inf, da)
@@ -241,12 +241,6 @@ def linear_modulus(L: float, scale: float = 1.0) -> Modulus:
     return Modulus(np.array([0.0, scale]), np.array([0.0, L * scale]))
 
 
-def _norms(d):
-    """np.linalg.norm(d, axis=1) of a real array, bit for bit, without the
-    wrapper's overhead."""
-    return np.sqrt(np.add.reduce(d * d, axis=1))
-
-
 def _raise_on_modulus_failure(points, values, omega: Modulus, worst: float, pair):
     """Both modulus checks' one message: raise on the witness pair when its
     score worst = |db| - (w(||da||) + 1e-9) is positive."""
@@ -262,12 +256,12 @@ def _raise_on_modulus_failure(points, values, omega: Modulus, worst: float, pair
 
 def _check_modulus_for_data(points, values, omega: Modulus):
     """Raise on the first pair, in row-major order, whose |db| exceeds
-    w(||da||) + 1e-9 by the most.  ||da|| is np.linalg.norm(axis=1), the
-    distance every check decides by, taken block by block in O(block) memory."""
+    w(||da||) + 1e-9 by the most.  ||da|| is row_norms(dp), the distance
+    every check decides by, taken block by block in O(block) memory."""
     worst, pair = pairwise(
         points,
         values,
-        lambda dp, dv: np.abs(dv[:, 0]) - (omega(np.linalg.norm(dp, axis=1)) + 1e-9),
+        lambda dp, dv: np.abs(dv[:, 0]) - (omega(row_norms(dp)) + 1e-9),
     )
     _raise_on_modulus_failure(points, values, omega, worst, pair)
 
@@ -275,13 +269,13 @@ def _check_modulus_for_data(points, values, omega: Modulus):
 def _check_modulus_on_scan(points, values, omega: Modulus, scan):
     """_check_modulus_for_data(points, values, omega), values (k, 1), over
     scan = _pair_scan(points), with its scores, decision, witness and
-    message: ||da|| is _norms(D), and w is evaluated in the scan's sorted
+    message: ||da|| is row_norms(D), and w is evaluated in the scan's sorted
     order, where np.interp runs about four times faster, then scattered
     back to row-major order."""
     I, J, D, _, order = scan
     if I.size == 0:
         return
-    da = _norms(D)
+    da = row_norms(D)
     w = np.empty_like(da)
     w[order] = omega(da[order])
     vals = values[:, 0]
@@ -295,7 +289,7 @@ def _check_modulus_on_scan(points, values, omega: Modulus, scan):
 def _envelope(points, values, omega: Modulus, x, side: str) -> np.ndarray:
     """Envelope of every value coordinate at x: max_i (b_i - w(||x - a_i||))
     for side 'lower', min_i (b_i + w(||x - a_i||)) otherwise."""
-    w = omega(_norms(points - x))[:, None]
+    w = omega(row_norms(points - x))[:, None]
     if side == "lower":
         return np.max(values - w, axis=0)
     return np.min(values + w, axis=0)
@@ -434,7 +428,7 @@ def _pair_scan(points):
     I, J = pair_index(k, 0, k - 1)
     D = points.take(I, axis=0) - points.take(J, axis=0)
     # vecdot (NumPy >= 2.0) matches the per-pair np.linalg.norm bit for bit;
-    # norm(axis=1) and einsum change the last bit of some distances.
+    # row_norms (norm(axis=1)) and einsum move the last bit of some distances.
     dist = np.sqrt(np.vecdot(D, D))
     return I, J, D, dist, np.argsort(dist, kind="stable")
 
@@ -501,12 +495,12 @@ class ExtensionModel:
     values b_i / s (the array scaled_values), concave majorant and their
     checks, and project_domain's check that the domain holds every data
     point.  uniform scans its pairs once: the modulus reads the scan's vecdot
-    distances (per-pair norms) and its check np.linalg.norm(D, axis=1), as
-    _check_modulus_for_data does.  A query validates x once and evaluates
-    every method itself; extend_minimax, extend_proxavg,
-    extend_coordinatewise, extend_project_domain, tietze_extend and
-    uniform_extend are each one query of a fresh model.  mcshane, tietze and
-    uniform require scalar values.
+    distances (per-pair norms) and its check row_norms(D), the
+    np.linalg.norm(D, axis=1) bits, as _check_modulus_for_data does.  A
+    query validates x once and evaluates every method itself; extend_minimax,
+    extend_proxavg, extend_coordinatewise, extend_project_domain,
+    tietze_extend and uniform_extend are each one query of a fresh model.
+    mcshane, tietze and uniform require scalar values.
     """
 
     METHODS = (
@@ -576,7 +570,7 @@ class ExtensionModel:
         if method == "project_domain":
             x, method = project(x, self.domain), "minimax"
         if method == "minimax":
-            dist = np.linalg.norm(data.points - x, axis=1)
+            dist = row_norms(data.points - x)
             exact = np.flatnonzero(dist == 0.0)
             if exact.size:
                 return data.values[exact[0]].copy(), 0.0
@@ -593,7 +587,7 @@ class ExtensionModel:
         if method == "mcshane":
             return _envelope(data.points, data.values, self.omega, x, "lower"), 0.0
         if method == "tietze":
-            d = _norms(data.points - x)
+            d = row_norms(data.points - x)
             dmin = float(np.min(d))
             if dmin <= 1e-12:
                 return data.values[int(np.argmin(d))].copy(), 0.0

@@ -2,8 +2,10 @@
 
 Vectors are plain 1-D float64 numpy arrays validated by as_vector(). The
 public dot() fixes the summation order left-to-right so results are
-reproducible across platforms; internal batched code elsewhere in the package
-uses numpy reductions, which are deterministic per platform.
+reproducible across platforms.  row_dots() and row_norms() keep numpy's own
+order for the rows of an (N, m) array, from +0.0 and left to right below 8
+columns (pairwise from 8), but add whole columns: bit for bit, and several
+times faster than numpy's axis=1 reduce, which walks one short row at a time.
 """
 
 from dataclasses import dataclass
@@ -47,6 +49,21 @@ def dot(x, y) -> float:
 def norm(x) -> float:
     """Euclidean norm sqrt(<x, x>)."""
     return float(np.sqrt(dot(x, x)))
+
+
+def row_dots(a, b):
+    """Row sums of a * b, np.add.reduce(a * b, axis=1) bit for bit."""
+    if a.shape[1] >= 8:
+        return np.add.reduce(a * b, axis=1)
+    s = np.zeros(a.shape[0])
+    for j in range(a.shape[1]):
+        s += a[:, j] * b[:, j]
+    return s
+
+
+def row_norms(d):
+    """np.linalg.norm(d, axis=1) of a real (N, m) array, bit for bit."""
+    return np.sqrt(row_dots(d, d))
 
 
 def pair_index(k, i, r):

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import Ball, Polytope, pairwise
+from .geometry import Ball, Polytope, pairwise, row_dots, row_norms
 from .errors import EnumerationGuardError
 from .solvers import chebyshev_center, minimize_quadratic_over_simplex
 from .convex_sets import (
@@ -95,15 +95,15 @@ def _decide(family):
         x, t = chebyshev_center(centers, radii)
         residual = max(t, 0.0)
         diff = x - centers
-        away = np.linalg.norm(diff, axis=1) - radii >= t - 1e-9 * (1.0 + t)
+        away = row_norms(diff) - radii >= t - 1e-9 * (1.0 + t)
     else:
         points, centered = least_squares_points(bodies)
         x = points.mean(axis=0)
-        residual = float(np.max(np.linalg.norm(x - points, axis=1)))
+        residual = float(np.max(row_norms(x - points)))
         diff = centered.mean(axis=0) - centered
         radii = [b.radius for b in bodies if isinstance(b, Ball)]
         scale = 1.0 + max([np.max(np.abs(centered))] + radii)
-        away = np.linalg.norm(diff, axis=1) > 1e-11 * scale
+        away = row_norms(diff) > 1e-11 * scale
     report = IntersectionReport(residual <= INTERSECT_TOL, x, residual)
     return report, diff, np.flatnonzero(away)
 
@@ -215,7 +215,7 @@ def helly_verify(family: BodyFamily) -> IntersectionReport:
     report, diff, away = _decide(family)
     if report.intersects:
         return report
-    dist = np.linalg.norm(diff[away], axis=1)
+    dist = row_norms(diff[away])
     normals = diff[away] / dist[:, None]
     if _all_balls(family):
         cert = caratheodory(np.zeros(family.dimension), Polytope(normals))
@@ -243,10 +243,10 @@ def jung_ball(points) -> Ball:
     origin = P[0]
     P = P - origin
     report = minimize_quadratic_over_simplex(
-        2.0 * (P @ P.T), -np.sum(P * P, axis=1), P.shape[0]
+        2.0 * (P @ P.T), -row_dots(P, P), P.shape[0]
     )
     center = report.argmin.weights @ P
-    radius = float(np.max(np.linalg.norm(P - center, axis=1)))
+    radius = float(np.max(row_norms(P - center)))
     return Ball(center + origin, radius)
 
 
@@ -257,7 +257,7 @@ def jung_bound_check(points):
     if pts.shape[0] < 2:
         raise ValueError("need at least two points")
     n = pts.shape[1]
-    diameter = math.sqrt(pairwise(pts, pts, lambda dp, _: np.sum(dp * dp, axis=1))[0])
+    diameter = math.sqrt(pairwise(pts, pts, lambda dp, _: row_dots(dp, dp))[0])
     radius = jung_ball(pts).radius
     bound = diameter * math.sqrt(n / (2.0 * (n + 1)))
     return diameter, radius, bound, radius <= bound + 1e-9

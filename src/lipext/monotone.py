@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import SimplexWeights, as_vector, dot, pairwise
+from .geometry import SimplexWeights, as_vector, dot, pairwise, row_dots, row_norms
 from .errors import DimensionMismatchError
 from .solvers import solve_qp
 from .convex_functions import MaxAffineConjugate, _polyhedral_conjugate_value
@@ -82,7 +82,7 @@ class OperatorGraph:
         <a_i, a_i*>, and BA = Brows Arows'."""
         Arows = np.hstack([self.points, self.values])
         Brows = np.hstack([self.values, self.points])
-        o = np.sum(self.points * self.values, axis=1)
+        o = row_dots(self.points, self.values)
         return Arows, Brows, o, Brows @ Arows.T
 
     @cached_property
@@ -112,11 +112,12 @@ class OperatorGraph:
 
 def _first_conflict(points, values, tol):
     """First pair of points within tol whose values differ beyond tol (both
-    in the max-abs norm), or None."""
+    in the max-abs norm), or None.  Each row's max is taken across the
+    columns, not by numpy's row-at-a-time axis=1 reduce; max is exact."""
 
     def kernel(dp, dv):
-        same = np.max(np.abs(dp), axis=1) <= tol
-        return same & (np.max(np.abs(dv), axis=1) > tol)
+        same = np.maximum.reduce(list(np.abs(dp.T))) <= tol
+        return same & (np.maximum.reduce(list(np.abs(dv.T))) > tol)
 
     worst, pair = pairwise(points, values, kernel)
     return pair if worst > 0.0 else None
@@ -137,23 +138,19 @@ def _min_check(G: OperatorGraph, neg_kernel) -> PairwiseCheck:
 
 def is_monotone(T: OperatorGraph) -> PairwiseCheck:
     """Exhaustive pair check of <x_i - x_j, x_i* - x_j*> >= -1e-10."""
-    return _min_check(T, lambda dx, dv: -np.sum(dx * dv, axis=1))
+    return _min_check(T, lambda dx, dv: -row_dots(dx, dv))
 
 
 def firmly_nonexpansive_check(F: OperatorGraph) -> PairwiseCheck:
     """Min over pairs of <df, dx> - ||df||^2; passes when >= -1e-10."""
-    return _min_check(
-        F, lambda dx, df: -(np.sum(df * dx, axis=1) - np.sum(df * df, axis=1))
-    )
+    return _min_check(F, lambda dx, df: -(row_dots(df, dx) - row_dots(df, df)))
 
 
 def _nonexpansive_check(F: OperatorGraph):
     """Raise on the pair where ||df|| exceeds ||dx|| (1 + 1e-10) + 1e-10 most."""
 
     def kernel(dx, df):
-        return np.linalg.norm(df, axis=1) - (
-            np.linalg.norm(dx, axis=1) * (1.0 + 1e-10) + 1e-10
-        )
+        return row_norms(df) - (row_norms(dx) * (1.0 + 1e-10) + 1e-10)
 
     worst, pair = pairwise(F.points, F.values, kernel)
     if worst > 0.0:
@@ -172,8 +169,8 @@ def resolvent_of_graph(T: OperatorGraph) -> OperatorGraph:
     ys = T.points + T.values
 
     def kernel(dy, dx):
-        ny = np.linalg.norm(dy, axis=1)
-        return (ny <= 1e-10) & (np.linalg.norm(dx, axis=1) > ny + 1e-12)
+        ny = row_norms(dy)
+        return (ny <= 1e-10) & (row_norms(dx) > ny + 1e-12)
 
     worst, pair = pairwise(ys, T.points, kernel)
     if worst > 0.0:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SimplexWeights
+from .geometry import SimplexWeights, row_dots, row_norms
 from .errors import SolverCapError
 
 TOL = 1e-9
@@ -149,7 +149,7 @@ def chebyshev_center(centers, radii):
     C = C - origin
     radii = np.asarray(radii, dtype=float)
     Q = 2.0 * (C @ C.T)
-    sq_norms = np.sum(C * C, axis=1)
+    sq_norms = row_dots(C, C)
     scale = 1.0 + float(np.max(radii) ** 2) + float(np.max(np.abs(sq_norms)))
     memo = {}  # every dual shares Q
 
@@ -163,7 +163,7 @@ def chebyshev_center(centers, radii):
         return phi, slope, lam
 
     t_lo = -float(np.min(radii))
-    t_hi = max(0.0, float(np.max(np.linalg.norm(C, axis=1) - radii)))
+    t_hi = max(0.0, float(np.max(row_norms(C) - radii)))
     t = 0.0
     for _ in range(80):
         phi, slope, lam = dual_solve(t)
@@ -183,7 +183,7 @@ def chebyshev_center(centers, radii):
     else:
         raise SolverCapError("Chebyshev-center Newton loop capped at 80 steps")
     y = lam @ C
-    dist = np.linalg.norm(y - C, axis=1)
+    dist = row_norms(y - C)
     gaps = dist - radii
     residual = float(np.max(gaps))
     # On a degenerate dual (every ball through one point, as on tight data)
@@ -194,7 +194,7 @@ def chebyshev_center(centers, radii):
     rows = np.hstack([(y - C[tight]) / dist[tight, None], -np.ones((tight.sum(), 1))])
     step, *_ = np.linalg.lstsq(rows, -gaps[tight], rcond=None)
     y_step = y + step[:-1]
-    residual_step = float(np.max(np.linalg.norm(y_step - C, axis=1) - radii))
+    residual_step = float(np.max(row_norms(y_step - C) - radii))
     if residual_step < residual:
         return y_step + origin, residual_step
     return y + origin, residual

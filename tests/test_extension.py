@@ -846,12 +846,6 @@ class TestEmpiricalModulus:
                     check()
             seen.add(norm < dot)
 
-    def test_norms_are_the_row_norms(self):
-        rng = SplitMix64(103)
-        for m in (1, 2, 3, 5, 9, 16):
-            d = np.array([[rng.normal() for _ in range(m)] for _ in range(300)])
-            assert extension._norms(d).tobytes() == np.linalg.norm(d, axis=1).tobytes()
-
     def test_uniform_model_scans_the_pairs_once(self, monkeypatch):
         # One pair index serves the empirical modulus and its check; the
         # rescaled values are held without a FiniteMapData, whose own scan

@@ -14,6 +14,8 @@ from lipext.geometry import (
     dot,
     norm,
     pairwise,
+    row_dots,
+    row_norms,
     _BLOCK_PAIRS,
 )
 from lipext.rng import SplitMix64
@@ -115,6 +117,51 @@ def test_weight_length_mismatch():
     tri = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         convex_combination(tri, SimplexWeights([0.5, 0.5]))
+
+
+# Entries that stress the order of a row sum: signed zeros, subnormals,
+# squares that underflow or overflow, inf and nan.
+ROW_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e200, -1e200, 1e-200, -1e-200,
+                np.inf, -np.inf, np.nan]
+
+
+def row_blocks(finite):
+    """(N, m) blocks, N in {0, 1, 400, 4096} and m = 1, ..., 16, so that the
+    widths straddle numpy's switch from left-to-right to pairwise row sums
+    at 8: normal draws with about one entry in eight replaced by a special
+    (finite ones only if finite), and rows 0-3 all -0.0, subnormal, 1e200
+    and mixed.  Each block comes as a strided view and as a C copy."""
+    rng = SplitMix64(103)
+    specials = [v for v in ROW_SPECIALS if np.isfinite(v) or not finite]
+    pool = np.array([rng.normal() for _ in range(4096 * 16)]).reshape(4096, 16)
+    for _ in range(8192):
+        pool[rng.integer(4096), rng.integer(16)] = specials[rng.integer(len(specials))]
+    pool[0], pool[1], pool[2] = -0.0, 5e-324, 1e200
+    pool[3] = [specials[i % len(specials)] for i in range(16)]
+    for m in range(1, 17):
+        for n in (0, 1, 400, 4096):
+            yield pool[:n, :m]
+            yield np.ascontiguousarray(pool[:n, :m])
+
+
+def test_row_norms_are_numpys_row_norms():
+    # numpy 2.0 meets the width-8 switch only in the CI job on the oldest
+    # numpy that pyproject.toml admits.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in row_blocks(finite=False):
+            assert row_norms(d).tobytes() == np.linalg.norm(d, axis=1).tobytes(), d.shape
+
+
+def test_row_dots_are_numpys_row_sums():
+    # Finite entries, as every caller's are.  A row of -0.0 products sums to
+    # +0.0, as numpy's reduce, which starts from +0.0, gives: a 1-row
+    # block's row 0 is all -0.0, and b's is all +0.0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in row_blocks(finite=True):
+            b = -a[::-1]
+            got, expected = row_dots(a, b), np.add.reduce(a * b, axis=1)
+            assert got.tobytes() == expected.tobytes(), a.shape
+            assert got.tobytes() == np.sum(a * b, axis=1).tobytes(), a.shape
 
 
 def brute_force_pairwise(points, values, kernel):

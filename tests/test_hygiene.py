@@ -580,3 +580,72 @@ def test_scan_flags_a_stand_in_namespace():
         "c = SimpleNamespace(values=2)\n"
     )
     assert namespace_stand_ins(source) == [1, 3, 5]
+
+
+ROW_HELPERS = ("row_dots", "row_norms")
+
+
+def _is_axis_one(node):
+    """True for an axis argument written as 1 or -1."""
+    try:
+        return ast.literal_eval(node) in (1, -1)
+    except ValueError:
+        return False
+
+
+def row_reductions(source):
+    """Lines of source that reduce the rows of an array outside geometry's
+    row helpers: a norm(..., axis=1) call, or an add.reduce(..., axis=1) or
+    sum(..., axis=1) call, the axis passed by keyword or, for add.reduce,
+    by position."""
+    out = []
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, inside or child.name in ROW_HELPERS)
+                continue
+            if isinstance(child, ast.Call) and not inside:
+                func = child.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                add_reduce = name == "reduce" and getattr(func.value, "attr", None) == "add"
+                axis = [k.value for k in child.keywords if k.arg == "axis"]
+                if add_reduce and len(child.args) > 1:
+                    axis.append(child.args[1])
+                if (name in ("norm", "sum") or add_reduce) and any(map(_is_axis_one, axis)):
+                    out.append(child.lineno)
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return sorted(out)
+
+
+def test_rows_are_reduced_by_the_row_helpers():
+    # Row norms and row sums of thin arrays go through geometry.row_norms
+    # and row_dots, which add whole columns instead of numpy's axis=1
+    # reduce, one short row at a time, with the same bits.
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := row_reductions(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_scan_flags_a_row_reduction():
+    source = (
+        "import numpy as np\n"
+        "a = np.linalg.norm(d, axis=1)\n"
+        "b = np.add.reduce(d * d, axis=1)\n"
+        "c = np.sum(d * e, axis=-1)\n"
+        "e = np.add.reduce(d, 1)\n"
+        "f = np.linalg.norm(d)\n"
+        "g = np.max(np.abs(d), axis=1)\n"
+        "h = np.sum(d, axis=0)\n"
+        "def row_dots(a, b):\n"
+        "    return np.add.reduce(a * b, axis=1)\n"
+        "def other(d):\n"
+        "    k = lambda x: norm(x, axis=1)\n"
+        "    return d.sum(axis=1)\n"
+    )
+    assert row_reductions(source) == [2, 3, 4, 5, 12, 13]
