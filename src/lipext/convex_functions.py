@@ -49,7 +49,7 @@ class Box:
     def __post_init__(self):
         lo = as_vector(self.lo)
         hi = as_vector(self.hi)
-        if lo.shape != hi.shape or np.any(lo >= hi):
+        if lo.shape != hi.shape or (lo >= hi).any():
             raise ValueError("box must satisfy lo < hi componentwise")
         lo.setflags(write=False)
         hi.setflags(write=False)
@@ -264,7 +264,7 @@ class MaxAffineConjugate(_Polyhedral):
         active, and its solve_qp memo."""
         (k, n), o = self.slopes.shape, self.offsets
         P, G = np.zeros((n + 1, n + 1)), np.hstack([self.slopes, -np.ones((k, 1))])
-        return P, G, np.append(np.zeros(n), -o.min()), (int(np.argmin(o)),), {}
+        return P, G, np.concatenate((np.zeros(n), [-o.min()])), (int(o.argmin()),), {}
 
 
 @dataclass(frozen=True)
@@ -331,7 +331,7 @@ def _compass(fun, x0, f0, box):
     s = 0.125
     while s > 1e-9:
         for _ in range(200):
-            cands = np.clip(x + (s * span) * dirs, box.lo, box.hi)
+            cands = (x + (s * span) * dirs).clip(box.lo, box.hi)
             for cand in cands[(cands != x).any(axis=1)]:
                 fc = fun(cand)
                 if fc < fx:
@@ -360,12 +360,12 @@ def _box_minimize(fun, box, extra_points=()):
         grid = np.vstack([grid, np.asarray(extra_points, dtype=float)])
     vals = np.array([fun(p) for p in grid])
     finite = np.isfinite(vals)
-    if not np.any(finite):
+    if not finite.any():
         return INF, None, False
-    order = np.argsort(vals, kind="stable")
+    order = vals.argsort(kind="stable")
     best_x, best_v = None, INF
     for idx in [i for i in order[:2] if finite[i]]:
-        x0 = np.clip(grid[idx], box.lo, box.hi)
+        x0 = grid[idx].clip(box.lo, box.hi)
         f0 = float(vals[idx]) if np.array_equal(x0, grid[idx]) else fun(x0)
         if not np.isfinite(f0):
             x, v = grid[idx], float(vals[idx])  # probe outside the box
@@ -375,7 +375,7 @@ def _box_minimize(fun, box, extra_points=()):
             best_x, best_v = x, v
     margin = 1e-9 * (box.hi - box.lo)
     on_boundary = bool(
-        np.any(best_x - box.lo <= margin) or np.any(box.hi - best_x <= margin)
+        (best_x - box.lo <= margin).any() or (box.hi - best_x <= margin).any()
     )
     return best_v, best_x, on_boundary
 
@@ -412,7 +412,7 @@ def _polyhedral_conjugate_value(node: MaxAffineConjugate, y) -> float:
         return INF
     P, G, z0, start, memo = node._epigraph
     _, info = solve_qp(
-        P, np.append(-nearest, 1.0), (), (), G, node.offsets, z0,
+        P, np.concatenate((-nearest, [1.0])), (), (), G, node.offsets, z0,
         initial_active=start, memo=memo, name="epigraph LP",
     )
     return _epigraph_offset(node.slopes, node.offsets, nearest, info["active"])
@@ -442,7 +442,7 @@ def _eval(expr, x) -> float:
     if isinstance(expr, Quadratic):
         return 0.5 * float(x @ x)
     if isinstance(expr, MaxAffine):
-        return float(np.max(expr.slopes @ x - expr.offsets))
+        return float((expr.slopes @ x - expr.offsets).max())
     if isinstance(expr, Indicator):
         return 0.0 if distance(x, expr.body) <= MEMBERSHIP_TOL else INF
     if isinstance(expr, Kappa):
@@ -474,7 +474,7 @@ def _eval(expr, x) -> float:
         body = expr.body
         if hasattr(body, "radius"):  # Ball
             return float(body.center @ x) + body.radius * float(np.linalg.norm(x))
-        return float(np.max(body.vertices @ x))
+        return float((body.vertices @ x).max())
     if isinstance(expr, Conjugate):
         child = expr.child
         if isinstance(child, (MaxAffine, Indicator, MaxAffineConjugate)):
@@ -590,7 +590,7 @@ def _epigraph_offset(S, o, s, rows):
     if same.size:
         return float(o[same].min())
     M = np.vstack([S[rows].T, np.ones(rows.size)])
-    rhs, mu = np.append(s, 1.0), np.zeros(rows.size)
+    rhs, mu = np.concatenate((s, [1.0])), np.zeros(rows.size)
     for _ in range(2):  # a solve, then one step of iterative refinement
         r = rhs - M @ mu
         try:
@@ -655,7 +655,7 @@ def delta_conjugate_identity_check(a, b, samples):
     samples = [as_vector(s) for s in samples]
     # delta is quadratic, so the conjugate's argmax is s + (a+b, a+b) up to
     # coordinate pairing; the search box covers those points with slack.
-    reach = sum(float(np.max(np.abs(v))) for v in (np.array(samples), a, b))
+    reach = sum(float(np.abs(v).max()) for v in (np.array(samples), a, b))
     d = delta_expr(a, b)
     d_star = Conjugate(d, cube(reach + 3.0, 2 * n))
     worst = 0.0

@@ -115,7 +115,7 @@ def _affine_dependence(points):
         if float(s[-1]) > rank_tol:
             return None
     mu = vt[-1]
-    nz = np.flatnonzero(np.abs(mu) > 1e-12)
+    nz = (np.abs(mu) > 1e-12).nonzero()[0]
     if nz.size == 0:
         return None
     if mu[nz[0]] < 0:
@@ -146,20 +146,20 @@ def caratheodory_reduce(vertices, weights) -> CaratheodoryCertificate:
     affinely independent vertices: repeatedly shifts the weights along an
     affine dependence of their support to zero out one coefficient."""
     lam = np.array(weights, dtype=float)
-    support = np.flatnonzero(lam > 1e-14)
+    support = (lam > 1e-14).nonzero()[0]
     while support.size > 1:
         mu_s = _affine_dependence(vertices[support])
         if mu_s is None:
             break
         # The dependence's first nonzero entry is positive.
-        pos = np.flatnonzero(mu_s > 1e-14)
+        pos = (mu_s > 1e-14).nonzero()[0]
         ratios = lam[support[pos]] / mu_s[pos]
-        jloc = int(np.argmin(ratios))
+        jloc = int(ratios.argmin())
         theta = float(ratios[jloc])
         lam[support] = lam[support] - theta * mu_s
         lam[support[pos[jloc]]] = 0.0
-        np.clip(lam, 0.0, None, out=lam)
-        support = np.flatnonzero(lam > 1e-14)
+        lam.clip(0.0, None, out=lam)
+        support = (lam > 1e-14).nonzero()[0]
     weights = lam[support]
     weights = weights / weights.sum()
     return CaratheodoryCertificate(
@@ -189,8 +189,8 @@ def radon_partition(points, dim=None):
     neg = mu < -1e-12
     pos_sum = float(mu[pos].sum())
     witness = (mu[pos] / pos_sum) @ pts[pos]
-    side_a = tuple(int(i) for i in np.flatnonzero(~neg))
-    side_b = tuple(int(i) for i in np.flatnonzero(neg))
+    side_a = tuple(int(i) for i in (~neg).nonzero()[0])
+    side_b = tuple(int(i) for i in neg.nonzero()[0])
     return side_a, side_b, witness
 
 
@@ -244,13 +244,12 @@ def least_squares_points(bodies):
     SolverCapError when a QP stops at its cap or CUT_ROUNDS rounds leave a
     ball point outside.
     """
-    origin = np.mean(
-        [b.center if isinstance(b, Ball) else b.vertices.mean(axis=0) for b in bodies],
-        axis=0,
-    )
+    origin = np.array(
+        [b.center if isinstance(b, Ball) else b.vertices.mean(axis=0) for b in bodies]
+    ).mean(axis=0)
     m, n = len(bodies), origin.shape[0]
     sizes = [b.vertices.shape[0] if isinstance(b, Polytope) else n for b in bodies]
-    starts = np.cumsum([0] + sizes)
+    starts = np.array([0] + sizes).cumsum()
     blocks = [slice(starts[i], starts[i + 1]) for i in range(m)]
     K = int(starts[-1])
     # Body i's point, less x0, is maps[i] @ z + shifts[i].
@@ -262,7 +261,7 @@ def least_squares_points(bodies):
         if isinstance(body, Polytope):
             V = body.vertices - origin
             lift[:, cols] = V.T
-            z[cols.start + int(np.argmin(row_dots(V, V)))] = 1.0
+            z[cols.start + int(row_dots(V, V).argmin())] = 1.0
             row = np.zeros(K)
             row[cols] = 1.0
             A_eq.append(row)
@@ -294,7 +293,7 @@ def least_squares_points(bodies):
                 cut = np.zeros(K)
                 cut[cols] = u / norm_u
                 cuts.append(cut)
-                h = np.append(h, radius)
+                h = np.concatenate((h, [radius]))
             if norm_u > radius:
                 z[cols] = (radius / norm_u) * u
         if not cuts:

@@ -84,7 +84,9 @@ class FiniteMapData:
             raise ValueError("points and values must be matching (k, dim) arrays")
         if pts.shape[0] < 1:
             raise ValueError("need at least one data point")
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
+        if 0 in (pts.shape[1], vals.shape[1]):
+            raise ValueError("points and values need at least one coordinate")
+        if not (np.isfinite(pts).all() and np.isfinite(vals).all()):
             raise ValueError("data has non-finite entries")
         pts.setflags(write=False)
         vals.setflags(write=False)
@@ -187,10 +189,11 @@ class Modulus:
         t, v = self.breakpoints, self.values
         if t.size < 3:
             return True
-        h = np.diff(t)
-        rise = np.diff(np.diff(v) / h)
+        h = t[1:] - t[:-1]
+        dv = (v[1:] - v[:-1]) / h
+        rise = dv[1:] - dv[:-1]
         ulps = 8.0 * np.finfo(float).eps * v[2:] * (1.0 / h[:-1] + 1.0 / h[1:])
-        return bool(np.all(rise <= 1e-12 + ulps))
+        return bool((rise <= 1e-12 + ulps).all())
 
     @cached_property
     def is_subadditive(self) -> bool:
@@ -204,7 +207,7 @@ class Modulus:
         rhs = self(probes)[:, None] + self(probes)[None, :]
         # Relative tolerance: values scale with the modulus (L * t for a
         # Lipschitz one), so an absolute 1e-12 rejects valid moduli at large L.
-        return bool(np.all(lhs <= rhs + 1e-12 * (1.0 + np.abs(rhs))))
+        return bool((lhs <= rhs + 1e-12 * (1.0 + np.abs(rhs))).all())
 
     @cached_property
     def _tail(self):
@@ -224,14 +227,14 @@ def _modulus_value(t, breakpoints, values, tail):
     construction there: L is finite and >= 0 (FiniteMapData checks it), and
     scale = 1 + max|a_i| + max|x| >= 1 is finite."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < -1e-15):
+    if (t < -1e-15).any():
         raise ValueError("modulus arguments must be >= 0")
-    t = np.clip(t, 0.0, None)
+    t = t.clip(0.0, None)
     out = np.interp(t, breakpoints, values)
     if tail is not None:
         last_t, last_v, slope = tail
         beyond = t > last_t
-        if np.any(beyond):
+        if beyond.any():
             out = np.where(beyond, last_v + slope * (t - last_t), out)
     return float(out) if out.ndim == 0 else out
 
@@ -280,7 +283,7 @@ def _check_modulus_on_scan(points, values, omega: Modulus, scan):
     w[order] = omega(da[order])
     vals = values[:, 0]
     scores = np.abs(vals.take(I) - vals.take(J)) - (w + 1e-9)
-    b = int(np.argmax(scores))
+    b = int(scores.argmax())
     _raise_on_modulus_failure(
         points, values, omega, float(scores[b]), (int(I[b]), int(J[b]))
     )
@@ -291,8 +294,8 @@ def _envelope(points, values, omega: Modulus, x, side: str) -> np.ndarray:
     for side 'lower', min_i (b_i + w(||x - a_i||)) otherwise."""
     w = omega(row_norms(points - x))[:, None]
     if side == "lower":
-        return np.max(values - w, axis=0)
-    return np.min(values + w, axis=0)
+        return (values - w).max(axis=0)
+    return (values + w).min(axis=0)
 
 
 def extend_mcshane(data: FiniteMapData, omega: Modulus, x, side: str) -> float:
@@ -367,13 +370,13 @@ def affine_majorant(omega: Modulus):
     was not subadditive).
     """
     t, v = omega.breakpoints, omega.values
-    above = np.flatnonzero(v[1:] >= 1.0)
+    above = (v[1:] >= 1.0).nonzero()[0]
     prefix_end = int(above[0]) if above.size else t.size - 1
     if prefix_end == 0:
         raise ValueError("no admissible delta: modulus does not drop below 1 at 0+")
     delta = float(t[prefix_end])
     slope, intercept = 1.0 / delta, 2.0
-    if np.any(v > intercept + slope * t + 1e-12):
+    if (v > intercept + slope * t + 1e-12).any():
         raise ValueError("affine majorant fails on the grid; modulus not subadditive")
     return slope, intercept
 
@@ -397,7 +400,7 @@ def concave_majorant(omega: Modulus) -> Modulus:
     affine_majorant(omega)  # gate: extendability requires an affine majorant
     t, v = omega.breakpoints, omega.values
     keep = np.ones(t.size, dtype=bool)
-    if np.all(np.diff(v) >= 0.0):
+    if (v[1:] - v[:-1] >= 0.0).all():
         first = np.concatenate(([True], v[1:] != v[:-1]))
         guard = np.ones(t.size, dtype=bool)
         guard[1:-1] = (v[1:-1] - v[:-2]) * (
@@ -430,7 +433,7 @@ def _pair_scan(points):
     # vecdot (NumPy >= 2.0) matches the per-pair np.linalg.norm bit for bit;
     # row_norms (norm(axis=1)) and einsum move the last bit of some distances.
     dist = np.sqrt(np.vecdot(D, D))
-    return I, J, D, dist, np.argsort(dist, kind="stable")
+    return I, J, D, dist, dist.argsort(kind="stable")
 
 
 def empirical_modulus(data: FiniteMapData) -> Modulus:
@@ -460,17 +463,17 @@ def _modulus_of_scan(vals, scan):
     t, running = t[keep], running[keep]
     if t.size == 0:  # one point, or no distance above 1e-15
         return np.array([0.0, 1.0]), np.array([0.0, 0.0])
-    step = np.diff(t, prepend=0.0)
+    step = t - np.concatenate(([0.0], t[:-1]))
     start = step > 1e-15
     head = np.maximum.accumulate(np.where(start, np.arange(t.size), 0))
     last = 0
-    for i in np.flatnonzero((step > 0.0) & ~start).tolist():
+    for i in ((step > 0.0) & ~start).nonzero()[0].tolist():
         last = max(last, int(head[i]))
         if t[i] - t[last] > 1e-15:
             start[i] = True
             last = i
-    starts = np.flatnonzero(start)
-    ends = np.append(starts[1:] - 1, t.size - 1)
+    starts = start.nonzero()[0]
+    ends = np.concatenate((starts[1:] - 1, [t.size - 1]))
     return np.concatenate(([0.0], t[starts])), np.concatenate(([0.0], running[ends]))
 
 
@@ -535,20 +538,19 @@ class ExtensionModel:
                 g = OperatorGraph(pads, (pads + vals) / 2.0, multi_valued=True)
                 self.graph = graph_of_resolvent(g)
         if method == "mcshane":
-            scale = 1.0 + float(np.max(np.abs(data.points))) + float(
-                np.max(np.abs(data.values))
-            )
+            amax, bmax = np.abs(data.points).max(), np.abs(data.values).max()
+            scale = 1.0 + float(amax) + float(bmax)
             self.omega = linear_modulus(data.L, 4.0 * scale)
         if method == "tietze":
             self.tau = _tau(data.values[:, 0])
         if method == "coordinatewise":
-            self.reach = 1.0 + float(np.max(np.abs(data.points)))
+            self.reach = 1.0 + float(np.abs(data.points).max())
         if method == "uniform":
             # Values are divided by s so that the empirical modulus passes
             # the affine-majorant gate whatever the data's scale.
             scan = _pair_scan(data.points)
             t, v = _modulus_of_scan(data.values[:, 0], scan)
-            s = self.scale = max(1.0, 2.0 * float(np.max(v)))
+            s = self.scale = max(1.0, 2.0 * float(v.max()))
             self.omega = concave_majorant(Modulus(t, v / s))
             self.scaled_values = data.values / s
             if not self.omega.is_subadditive:
@@ -571,7 +573,7 @@ class ExtensionModel:
             x, method = project(x, self.domain), "minimax"
         if method == "minimax":
             dist = row_norms(data.points - x)
-            exact = np.flatnonzero(dist == 0.0)
+            exact = (dist == 0.0).nonzero()[0]
             if exact.size:
                 return data.values[exact[0]].copy(), 0.0
             if data.size == 1:
@@ -588,14 +590,14 @@ class ExtensionModel:
             return _envelope(data.points, data.values, self.omega, x, "lower"), 0.0
         if method == "tietze":
             d = row_norms(data.points - x)
-            dmin = float(np.min(d))
+            dmin = float(d.min())
             if dmin <= 1e-12:
-                return data.values[int(np.argmin(d))].copy(), 0.0
-            return np.array([_tau_inv(np.min(self.tau * d / dmin))]), 0.0
+                return data.values[int(d.argmin())].copy(), 0.0
+            return np.array([_tau_inv((self.tau * d / dmin).min())]), 0.0
         if method == "uniform":
             y = _envelope(data.points, self.scaled_values, self.omega, x, "lower")
             return self.scale * y, 0.0
-        scale = self.reach + float(np.max(np.abs(x)))
+        scale = self.reach + float(np.abs(x).max())
         top = data.L * scale
         grid, vals = np.array([0.0, scale]), np.array([0.0, top])
         tail = (scale, top, top / scale)

@@ -23,7 +23,7 @@ def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite coordinates")
     return v
 
@@ -69,8 +69,8 @@ def row_norms(d):
 def pair_index(k, i, r):
     """Rows i, ..., r - 1 of np.triu_indices(k, 1), without its k x k mask."""
     counts = k - 1 - np.arange(i, r)
-    I = np.repeat(np.arange(i, r), counts)
-    J = I + 1 + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    I = np.arange(i, r).repeat(counts)
+    J = I + 1 + np.arange(counts.sum()) - (counts.cumsum() - counts).repeat(counts)
     return I, J
 
 
@@ -97,7 +97,7 @@ def pairwise(points, values, kernel):
         # take() gathers rows about ten times faster than points[I].
         dp = points.take(I, axis=0) - points.take(J, axis=0)
         scores = kernel(dp, values.take(I, axis=0) - values.take(J, axis=0))
-        b = int(np.argmax(scores))
+        b = int(scores.argmax())
         if pair is None or scores[b] > best:
             best, pair = float(scores[b]), (int(I[b]), int(J[b]))
         i = r
@@ -136,7 +136,7 @@ class Polytope:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError(f"expected a (k, n) vertex array, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("vertices have non-finite coordinates")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
@@ -163,13 +163,13 @@ class SimplexWeights:
 
     def __post_init__(self):
         w = as_vector(self.weights).copy()
-        if np.min(w) < -SIMPLEX_REJECT:
-            raise ValueError(f"negative weight beyond tolerance: {np.min(w)}")
-        total = float(np.sum(w))
+        if w.min() < -SIMPLEX_REJECT:
+            raise ValueError(f"negative weight beyond tolerance: {w.min()}")
+        total = float(w.sum())
         if abs(total - 1.0) > SIMPLEX_REJECT:
             raise ValueError(f"weights sum to {total}, expected 1")
         w[w < 0.0] = 0.0
-        w /= np.sum(w)
+        w /= w.sum()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

@@ -99,13 +99,13 @@ def _decide(family):
     else:
         points, centered = least_squares_points(bodies)
         x = points.mean(axis=0)
-        residual = float(np.max(row_norms(x - points)))
+        residual = float(row_norms(x - points).max())
         diff = centered.mean(axis=0) - centered
         radii = [b.radius for b in bodies if isinstance(b, Ball)]
-        scale = 1.0 + max([np.max(np.abs(centered))] + radii)
+        scale = 1.0 + max([np.abs(centered).max()] + radii)
         away = row_norms(diff) > 1e-11 * scale
     report = IntersectionReport(residual <= INTERSECT_TOL, x, residual)
-    return report, diff, np.flatnonzero(away)
+    return report, diff, away.nonzero()[0]
 
 
 def _circle_pair_points(c1, r1, c2, r2):
@@ -148,9 +148,7 @@ class _BallCandidates:
         P = np.array(pts)
         # depth[c, b] = clamped distance of candidate c to ball b
         diff = P[:, None, :] - centers[None, :, :]
-        self.depth = np.clip(
-            np.sqrt(np.sum(diff * diff, axis=2)) - radii[None, :], 0.0, None
-        )
+        self.depth = (np.sqrt((diff * diff).sum(axis=2)) - radii[None, :]).clip(0.0, None)
 
     def subset_value(self, subset):
         """The best candidate's largest clamped depth over the subset."""
@@ -246,7 +244,7 @@ def jung_ball(points) -> Ball:
         2.0 * (P @ P.T), -row_dots(P, P), P.shape[0]
     )
     center = report.argmin.weights @ P
-    radius = float(np.max(row_norms(P - center)))
+    radius = float(row_norms(P - center).max())
     return Ball(center + origin, radius)
 
 

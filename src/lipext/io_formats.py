@@ -185,7 +185,7 @@ def box_from_dict(d) -> cf.Box:
 def _finite(d, field, value):
     """value, or a ValueError naming the node and field when it holds a NaN
     or an infinity, which Python's json reads from NaN and Infinity."""
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise ValueError(f"{d['node']} node: {field} must be finite")
     return value
 

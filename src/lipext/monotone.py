@@ -48,9 +48,9 @@ class OperatorGraph:
     def __post_init__(self):
         xs = np.asarray(self.points, dtype=float)
         vs = np.asarray(self.values, dtype=float)
-        if xs.ndim != 2 or vs.ndim != 2 or xs.shape != vs.shape or xs.shape[0] < 1:
+        if xs.ndim != 2 or vs.ndim != 2 or xs.shape != vs.shape or 0 in xs.shape:
             raise ValueError("need matching non-empty (k, n) point and value arrays")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+        if not (np.isfinite(xs).all() and np.isfinite(vs).all()):
             raise ValueError("graph has non-finite entries")
         xs.setflags(write=False)
         vs.setflags(write=False)
@@ -242,7 +242,7 @@ def _epigraph_rows(Brows, BA, o, xt, lam):
 def _psi_value_at(Arows, Brows, o, BA, xt, lam):
     p = _epigraph_rows(Brows, BA, o, xt, lam)
     r = xt - Arows.T @ lam
-    return 0.5 * float(np.max(p)) + 0.5 * float(o @ lam) + 0.5 * float(r @ r)
+    return 0.5 * float(p.max()) + 0.5 * float(o @ lam) + 0.5 * float(r @ r)
 
 
 def _vertex_start(P, q, G, h, u):
@@ -260,14 +260,14 @@ def _vertex_start(P, q, G, h, u):
     d, k = u.shape[0], G.shape[0] // 2
     lam = slice(d, d + k)
     need = (G[:k, :d] @ u - h[:k])[:, None] + G[:k, lam]
-    t = np.max(need, axis=0)
+    t = need.max(axis=0)
     score = (0.5 * float(u @ P[:d, :d] @ u) + float(q[:d] @ u)) + (
         u @ P[:d, lam] + 0.5 * np.diagonal(P)[lam] + q[lam] + q[-1] * t
     )
-    j = int(np.argmin(score))
+    j = int(score.argmin())
     z0 = np.zeros(d + k + 1)
     z0[:d], z0[d + j], z0[-1] = u, 1.0, t[j]
-    return z0, [int(np.argmax(need[:, j]))] + [k + i for i in range(k) if i != j]
+    return z0, [int(need[:, j].argmax())] + [k + i for i in range(k) if i != j]
 
 
 def _epigraph_qp(T, D, M, G_prefix):

@@ -102,7 +102,7 @@ def minimize_quadratic_over_simplex(quad, c, k, *, constant=0.0, memo=None):
         consts = 0.5 * np.diag(Q), np.ones((1, K)), -np.eye(K), np.zeros(K)
     memo["simplex"] = consts
     half_diag, ones, bounds, zeros = consts
-    j = int(np.argmin(half_diag + c))
+    j = int((half_diag + c).argmin())
     z = zeros.copy()
     z[j] = 1.0
     # solve_qp's first iteration from e_j, decided here: the bound on l_i
@@ -120,7 +120,7 @@ def minimize_quadratic_over_simplex(quad, c, k, *, constant=0.0, memo=None):
     z = weights.weights
     Qz = Q @ z
     g = Qz + c
-    gap = float(g @ z - np.min(g))
+    gap = float(g @ z - g.min())
     value = 0.5 * float(z @ Qz) + float(c @ z) + constant
     if gap > TOL * (1.0 + abs(value)):
         raise SolverCapError(f"simplex QP stopped with duality gap {gap:.3e}")
@@ -150,7 +150,7 @@ def chebyshev_center(centers, radii):
     radii = np.asarray(radii, dtype=float)
     Q = 2.0 * (C @ C.T)
     sq_norms = row_dots(C, C)
-    scale = 1.0 + float(np.max(radii) ** 2) + float(np.max(np.abs(sq_norms)))
+    scale = 1.0 + float(radii.max() ** 2) + float(np.abs(sq_norms).max())
     memo = {}  # every dual shares Q
 
     def dual_solve(t):
@@ -162,8 +162,8 @@ def chebyshev_center(centers, radii):
         slope = -2.0 * float(lam @ infl)
         return phi, slope, lam
 
-    t_lo = -float(np.min(radii))
-    t_hi = max(0.0, float(np.max(row_norms(C) - radii)))
+    t_lo = -float(radii.min())
+    t_hi = max(0.0, float((row_norms(C) - radii).max()))
     t = 0.0
     for _ in range(80):
         phi, slope, lam = dual_solve(t)
@@ -185,16 +185,16 @@ def chebyshev_center(centers, radii):
     y = lam @ C
     dist = row_norms(y - C)
     gaps = dist - radii
-    residual = float(np.max(gaps))
+    residual = float(gaps.max())
     # On a degenerate dual (every ball through one point, as on tight data)
     # the QP's support can be a thin simplex that magnifies rounding in y.
     # One Gauss-Newton step on the linearised ||y - c_i|| - r_i = tau over
     # every ball tight at y pins y by all of them; keep it if it helps.
-    tight = (gaps >= residual - 1e-12 * (1.0 + np.max(radii))) & (dist > 0.0)
+    tight = (gaps >= residual - 1e-12 * (1.0 + radii.max())) & (dist > 0.0)
     rows = np.hstack([(y - C[tight]) / dist[tight, None], -np.ones((tight.sum(), 1))])
     step, *_ = np.linalg.lstsq(rows, -gaps[tight], rcond=None)
     y_step = y + step[:-1]
-    residual_step = float(np.max(row_norms(y_step - C) - radii))
+    residual_step = float((row_norms(y_step - C) - radii).max())
     if residual_step < residual:
         return y_step + origin, residual_step
     return y + origin, residual
@@ -276,7 +276,7 @@ def _drop_row(grad, local, active, ws, G, single, pin_col, me):
     cols = pin_col[bounds]
     mult[is_bound] = -resid[cols] / G[bounds, cols]
     neg = (mult < -1e-11 * local).nonzero()[0]
-    return act_idx[neg[np.argsort(mult[neg], kind="stable")]].tolist()
+    return act_idx[neg[mult[neg].argsort(kind="stable")]].tolist()
 
 
 def _direction(P, linear, grad, local, z, ws):
@@ -365,7 +365,7 @@ def solve_qp(P, q, A_eq, b_eq, G, h, z0, initial_active=(), memo=None, name="QP"
     consts = memo.get(None)
     if consts is None:
         # A row with one nonzero (a bound) pins its column while it is active.
-        consts = np.count_nonzero(G, axis=1) == 1, np.argmax(G != 0, axis=1), not P.any()
+        consts = np.count_nonzero(G, axis=1) == 1, (G != 0).argmax(axis=1), not P.any()
     memo[None] = consts
     single, pin_col, linear = consts
     z = np.asarray(z0, dtype=float).copy()

@@ -76,6 +76,11 @@ class TestData:
             FiniteMapData(LINE, STEP, 1.0)
         assert exc.value.witness == (2, 3)
 
+    def test_zero_dimensional_points_or_values_rejected(self):
+        for m, n in ((0, 1), (1, 0), (0, 0)):
+            with pytest.raises(ValueError, match="at least one coordinate"):
+                FiniteMapData(np.zeros((2, m)), np.zeros((2, n)))
+
     def test_duplicate_witness_is_first_pair(self):
         pts = np.array([[0.0], [0.0], [1.0], [1.0]])
         vals = np.array([[0.0], [0.5], [2.0], [9.0]])
@@ -117,6 +122,41 @@ def permuted_datasets():
         for data in (g, FiniteMapData(g.points, g.values), FiniteMapData(rand[:k], rand[k:])):
             moved = FiniteMapData(data.points[order], data.values[order], data.L)
             yield data, moved, queries
+
+
+def _rotation(rng):
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+def isometric_datasets(reflect):
+    """(data, Q, c, R, e, 10 queries) for generated (L = 1), tight (empirical
+    L) and random m = n = 2 data with k = 30, four of each, where Q is a
+    rotation and R is Q or, with reflect, an independent reflection."""
+    for seed in range(4):
+        g = generate_lipschitz_data(2, 2, 30, 500 + seed)
+        rng = SplitMix64(600 + seed)
+        rand = np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(60)])
+        for data in (g, FiniteMapData(g.points, g.values), FiniteMapData(rand[:30], rand[30:])):
+            Q = _rotation(rng)
+            R = _rotation(rng) * np.array([1.0, -1.0]) if reflect else Q
+            c, e = (np.array([rng.uniform(-3, 3) for _ in range(2)]) for _ in range(2))
+            queries = [np.array([rng.uniform(-2.5, 2.5) for _ in range(2)]) for _ in range(10)]
+            yield data, Q, c, R, e, queries
+
+
+@pytest.mark.parametrize("method", ["proxavg", "minimax"])
+@pytest.mark.parametrize("reflect, bound", [(False, 1e-11), (True, 1e-10)])
+def test_isometries_of_the_data_move_values_by_rounding(method, reflect, bound):
+    # Data (Q a_i + c, R b_i + e) gives R y + e at Q x + c, up to rounding
+    # relative to the value's size: the extension sees only distances.
+    for data, Q, c, R, e, queries in isometric_datasets(reflect):
+        moved = FiniteMapData(data.points @ Q.T + c, data.values @ R.T + e, data.L)
+        model, moved_model = ExtensionModel(data, method), ExtensionModel(moved, method)
+        for x in queries:
+            want = R @ model.query(x)[0] + e
+            y, _ = moved_model.query(Q @ x + c)
+            assert np.max(np.abs(y - want)) <= bound * (1.0 + np.max(np.abs(want)))
 
 
 class TestMinimax:
@@ -476,6 +516,15 @@ class TestTietze:
         data = generate_lipschitz_data(2, 1, 5, 909)
         with pytest.raises(DimensionMismatchError):
             tietze_extend(data, np.array([0.3]))
+
+    @pytest.mark.xfail(strict=True, raises=RuntimeWarning)
+    def test_finite_beyond_a_large_value(self):
+        # tau(1e8) rounds to 2.0, so past the point a = 1 the Riesz quotient
+        # is 2.0 and _tau_inv divides by zero (inf); normalising the values
+        # by their scale before tau would mend it.
+        data = FiniteMapData(np.array([[0.0], [1.0]]), np.array([[0.0], [1e8]]))
+        for x in (1.5, 2.0, 3.0):
+            assert np.isfinite(tietze_extend(data, np.array([x])))
 
     def test_tau_inverse_identity(self):
         rng = SplitMix64(23)

@@ -649,3 +649,49 @@ def test_scan_flags_a_row_reduction():
         "    return d.sum(axis=1)\n"
     )
     assert row_reductions(source) == [2, 3, 4, 5, 12, 13]
+
+
+NUMPY_WRAPPERS = {
+    "all", "any", "max", "min", "sum", "mean", "argmax", "argmin", "argsort", "clip",
+    "cumsum", "diff", "append", "flatnonzero", "repeat",
+}
+
+
+def numpy_wrapper_calls(source):
+    """Lines of source that call np.<name>(...) for one of numpy's
+    Python-level wrappers, each of which dispatches to an ndarray method or
+    a slice difference that the call site can make itself."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in NUMPY_WRAPPERS
+        and getattr(node.func.value, "id", None) in ("np", "numpy")
+    )
+
+
+def test_hot_paths_call_numpys_compiled_entry_points():
+    # On the library's arrays of 2-800 entries, np.max(x) costs about twice
+    # x.max(), which runs the same reduce; the bits are the same.
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := numpy_wrapper_calls(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_scan_flags_a_numpy_wrapper_call():
+    source = (
+        "import numpy as np\n"
+        "import numpy\n"
+        "a = np.max(x, axis=0)\n"
+        "b = numpy.all(np.isfinite(x))\n"
+        "c = x.max(axis=0) + np.maximum(x, 0.0).sum()\n"
+        "d = np.flatnonzero(x > 0)\n"
+        "e = np.diff(t, prepend=0.0) + np.maximum.reduce([x, y])\n"
+        "f = max(1.0, float(x.max()))\n"
+        "g = np.append(h, np.clip(r, 0.0, None))\n"
+    )
+    assert numpy_wrapper_calls(source) == [3, 4, 6, 7, 9, 9]

@@ -54,6 +54,10 @@ class TestMonotonicity:
         T = graph_1d([(0.0, 1.0), (0.0, 2.0)], multi_valued=True)
         assert T.size == 2
 
+    def test_zero_dimensional_points_rejected(self):
+        with pytest.raises(ValueError, match=r"non-empty \(k, n\)"):
+            OperatorGraph(np.zeros((2, 0)), np.zeros((2, 0)))
+
     def test_duplicate_witness_is_first_pair(self):
         with pytest.raises(ValueError, match=r"points 0 and 1 coincide"):
             graph_1d([(0.0, 1.0), (0.0, 2.0), (1.0, 0.0), (1.0, 9.0)])
