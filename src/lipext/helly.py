@@ -10,8 +10,9 @@ p_i the point of C_i nearest x, 0 lies in the hull of the unit normals
 u_i = (x - p_i) / ||x - p_i|| (the KKT conditions of either problem), and
 Caratheodory keeps at most n + 1 of them, J, with weights mu_j.  As each C_j
 lies in {z : <u_j, z - p_j> <= 0}, every z is at least sum_J mu_j ||x - p_j|| > 0
-from some C_j in J.  Disc k-subset checks test candidate points (discs that
-meet share a center or a crossing of two circles), intervals their formula.
+from some C_j in J.  By Helly's theorem the same decision answers a ball
+family's k-check at k >= n + 1; below that, and for other bodies, the
+k-subsets are enumerated.
 """
 
 import math
@@ -108,92 +109,51 @@ def _decide(family):
     return report, diff, away.nonzero()[0]
 
 
-def _circle_pair_points(c1, r1, c2, r2):
-    """Intersection points of two boundary circles in the plane (0, 1, or 2)."""
-    delta = c2 - c1
-    d = float(np.linalg.norm(delta))
-    if d < 1e-15:
-        return []
-    a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-    h2 = r1 * r1 - a * a
-    if h2 < -1e-12:
-        return []
-    h = math.sqrt(max(h2, 0.0))
-    base = c1 + (a / d) * delta
-    perp = np.array([-delta[1], delta[0]]) / d
-    if h == 0.0:
-        return [base]
-    return [base + h * perp, base - h * perp]
-
-
-class _BallCandidates:
-    """Exact k-subset intersection tests for discs in the plane.
-
-    Candidates are all centers and all pairwise boundary intersection points;
-    a subset of discs intersects iff some candidate drawn from the subset's
-    own centers and pairs lies in every disc of the subset.
-    """
-
-    def __init__(self, balls):
-        k = len(balls)
-        centers, radii = _ball_arrays(balls)
-        pts = list(centers)
-        self.pair_cand = {}
-        for i, j in combinations(range(k), 2):
-            idxs = []
-            for p in _circle_pair_points(centers[i], radii[i], centers[j], radii[j]):
-                idxs.append(len(pts))
-                pts.append(p)
-            self.pair_cand[(i, j)] = idxs
-        P = np.array(pts)
-        # depth[c, b] = clamped distance of candidate c to ball b
-        diff = P[:, None, :] - centers[None, :, :]
-        self.depth = (np.sqrt((diff * diff).sum(axis=2)) - radii[None, :]).clip(0.0, None)
-
-    def subset_value(self, subset):
-        """The best candidate's largest clamped depth over the subset."""
-        rows = list(subset)
-        for i, j in combinations(sorted(subset), 2):
-            rows.extend(self.pair_cand[(i, j)])
-        sub = self.depth[np.asarray(rows)][:, np.asarray(subset)]
-        return float(sub.max(axis=1).min())
-
-
-def _interval_value(balls):
-    """Half the gap between the intervals, or 0 when they meet."""
-    lo = max(b.center[0] - b.radius for b in balls)
-    hi = min(b.center[0] + b.radius for b in balls)
-    return max((lo - hi) / 2.0, 0.0)
+def _pair_value(balls):
+    """The Chebyshev value of one or two balls, clamped at 0: half the gap
+    between two balls, or 0 when they meet."""
+    if len(balls) == 1:
+        return 0.0
+    a, b = balls
+    return max((math.dist(a.center, b.center) - a.radius - b.radius) / 2.0, 0.0)
 
 
 def check_k_intersection(family: BodyFamily, k: int) -> IntersectionReport:
-    """Check every k-subset (lexicographic order), stopping at the first violation.
+    """Does every k-subset of the family meet?  A pass reports
+    intersects=True, no witness and the worst subset's residual; a failure a
+    violating k-subset and its residual.
 
-    On success the report carries intersects=True, no witness (a passing
-    k-check does not exhibit a global common point), and the worst subset
-    residual.  Rejects instances with more than 10^6 subsets.
+    Balls at k >= n + 1 take one helly_verify (Helly's theorem: inflating
+    every radius by t leaves a ball family, so the worst k-subset's Chebyshev
+    value is the family's); a violation reports J padded with the lowest
+    indices not in J, sorted, whose value is J's.  Otherwise the k-subsets
+    are checked in lexicographic order up to the first violation, one or two
+    balls by their closed form and any other subset by common_point, and
+    more than 10^6 subsets are rejected.  A non-ball family's least-squares
+    residual is not a min-max value, so the theorem does not carry the 1e-6
+    tolerance to it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     m = len(family)
     k = min(k, m)
+    all_balls = _all_balls(family)
+    if all_balls and k >= family.dimension + 1:
+        report = helly_verify(family)
+        if report.intersects:
+            return IntersectionReport(True, None, report.residual)
+        held = report.violating_subset
+        rest = [i for i in range(m) if i not in held][: k - len(held)]
+        return IntersectionReport(False, None, report.residual, sorted(held + rest))
     if math.comb(m, k) > ENUMERATION_CAP:
         raise EnumerationGuardError(
             f"C({m}, {k}) = {math.comb(m, k)} exceeds the 10^6 subset budget"
         )
-    all_balls = _all_balls(family)
-    n = family.dimension
-    cand = _BallCandidates(family.bodies) if all_balls and n == 2 else None
     worst = 0.0
     for subset in combinations(range(m), k):
         bodies = [family.bodies[i] for i in subset]
-        if cand is not None:
-            value = cand.subset_value(subset)
-            if value > INTERSECT_TOL:
-                # The Chebyshev value decides; the best candidate overstates it.
-                value = max(chebyshev_center(*_ball_arrays(bodies))[1], 0.0)
-        elif all_balls and n == 1:
-            value = _interval_value(bodies)
+        if all_balls and k <= 2:
+            value = _pair_value(bodies)
         else:
             value = common_point(BodyFamily(bodies)).residual
         if value > INTERSECT_TOL:

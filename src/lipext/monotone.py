@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import SimplexWeights, as_vector, dot, pairwise, row_dots, row_norms
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, SolverCapError
 from .solvers import solve_qp
 from .convex_functions import MaxAffineConjugate, _polyhedral_conjugate_value
 
@@ -299,7 +299,9 @@ def _solve_epigraph_qp(qp, q, h_rows, prefix0, what):
     (h_rows, 0) from the least-objective vertex with u = prefix0 (see
     _vertex_start).  Returns (u, l) for z = (u, l, t), l cleaned by
     SimplexWeights; at its cap solve_qp raises SolverCapError("<what> QP
-    capped at ...").
+    capped at ..."), and an l that SimplexWeights rejects (a weight below
+    -1e-9, or a sum off 1 by more) raises SolverCapError("<what> QP stopped
+    off the simplex: ..."), since the data were valid and the QP is at fault.
 
     The memo is a ChainMap whose last map holds the working sets of the
     family's previous call, where solve_qp looks first; it writes the ones
@@ -316,7 +318,10 @@ def _solve_epigraph_qp(qp, q, h_rows, prefix0, what):
         )
     finally:
         memo.maps = [{}, memo.maps[0]]
-    return z[:d], SimplexWeights(z[d : d + k]).weights
+    try:
+        return z[:d], SimplexWeights(z[d : d + k]).weights
+    except ValueError as exc:
+        raise SolverCapError(f"{what} QP stopped off the simplex: {exc}") from None
 
 
 def psi_eval(T: OperatorGraph, x, xstar) -> float:
@@ -374,8 +379,8 @@ def resolvent_eval(T: OperatorGraph, x):
     working sets that its last query met, and this query looks each working
     set up there before it factors it (no iterate carries over, so the
     result is the same bits as on a fresh graph).
-    Returns (y, residual); a QP stopped at its iteration cap raises
-    SolverCapError.
+    Returns (y, residual); a QP stopped at its iteration cap or off the
+    simplex raises SolverCapError.
     """
     x = as_vector(x)
     if x.shape[0] != T.dim:

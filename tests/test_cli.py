@@ -182,9 +182,9 @@ class TestHellyCommand:
         assert payload["intersects"] is True and payload["residual"] <= 1e-10
 
     def test_enumeration_guard_exit_5(self, tmp_path):
-        balls = [{"kind": "ball", "center": [float(i), 0.0], "radius": 50.0}
-                 for i in range(45)]
-        fam = write(tmp_path / "fam.json", json.dumps({"n": 2, "bodies": balls}))
+        # Polytopes are enumerated at every k; balls at k >= n + 1 are not.
+        points = [{"kind": "polytope", "vertices": [[float(i), 0.0]]} for i in range(45)]
+        fam = write(tmp_path / "fam.json", json.dumps({"n": 2, "bodies": points}))
         rc = main(["helly", "--family", fam, "--mode", "k-check", "--k", "20",
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 5
@@ -510,8 +510,7 @@ INPUTS = {
         {"kind": "ball", "center": [0.0], "radius": 1.0},
         {"kind": "ball", "center": [3.0], "radius": 1.0}]},
     "crowd": {"n": 2, "bodies": [
-        {"kind": "ball", "center": [float(i), 0.0], "radius": 50.0}
-        for i in range(45)]},
+        {"kind": "polytope", "vertices": [[float(i), 0.0]]} for i in range(45)]},
     "blob": {"n": 2, "bodies": [{"kind": "blob", "radius": 1.0}]},
     "nocenter": {"n": 2, "bodies": [{"kind": "ball", "radius": 1.0}]},
     "negative": {"n": 2, "bodies": [
@@ -578,6 +577,14 @@ def _unconverged_qp(P, q, A_eq, b_eq, G, h, z0, *, name, **kwargs):
     raise SolverCapError(f"{name} capped at 321 iterations")
 
 
+def _off_simplex_qp(P, q, A_eq, b_eq, G, h, z0, *, name, **kwargs):
+    # z = (u, l, t): weights l that sum to 1 with one of them at -0.25.
+    k = G.shape[0] // 2
+    z = np.zeros(len(q))
+    z[len(q) - k - 1 : len(q) - 1] = [1.25, -0.25] + [0.0] * (k - 2)
+    return z, {}
+
+
 def path_case(argv, rc, report=None, err="", inputs=None, patch=None, tag=None):
     """One exit path; inputs=None means no manifest may be written.  tag
     tells apart paths whose subcommand, exit code and files coincide."""
@@ -607,6 +614,11 @@ EXIT_PATHS = [
                "--out", "{out}"], 4,
               err="lipext: solver non-convergence: resolvent QP capped at 321 iterations\n",
               patch=("lipext.monotone.solve_qp", _unconverged_qp)),
+    path_case(["extend", "--data", "{data}", "--queries", "{q}", "--method", "proxavg",
+               "--out", "{out}"], 4,
+              err="lipext: solver non-convergence: resolvent QP stopped off the simplex: "
+                  "negative weight beyond tolerance: -0.25\n",
+              patch=("lipext.monotone.solve_qp", _off_simplex_qp), tag="simplex"),
     path_case(["extend", "--data", "{notjson}", "--queries", "{q}", "--method", "mcshane",
                "--out", "{out}"], 2,
               err="lipext: parse error: {notjson}: line 1 column 3: "

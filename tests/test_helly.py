@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,33 @@ def ball_arrays(family):
         np.array([b.center for b in family.bodies]),
         np.array([b.radius for b in family.bodies]),
     )
+
+
+def reference_k_value(family, k):
+    """The largest Chebyshev value over the family's k-subsets of balls,
+    one chebyshev_center per subset: the enumeration that Helly's theorem
+    lets check_k_intersection skip at k >= n + 1."""
+    C, R = ball_arrays(family)
+    return max(
+        chebyshev_center(C[list(S)], R[list(S)])[1]
+        for S in itertools.combinations(range(len(R)), k)
+    )
+
+
+def stress_ball_families(count=150):
+    """Seeded ball families: n = 1, 2, 3 in turn, 3 to 9 balls, centers
+    uniform in [-1, 1]^n and radii in [0.5, 1.5], from SplitMix64(37).
+    About half of them meet."""
+    rng = SplitMix64(37)
+    out = []
+    for trial in range(count):
+        n = 1 + trial % 3
+        m = 3 + rng.integer(7)
+        out.append(BodyFamily([
+            Ball([rng.uniform(-1, 1) for _ in range(n)], rng.uniform(0.5, 1.5))
+            for _ in range(m)
+        ]))
+    return out
 
 
 def grid_min_max_distance(bodies, steps=200):
@@ -137,7 +165,8 @@ class TestKIntersection:
         ]
         rep = check_k_intersection(BodyFamily(balls), 2)
         assert not rep.intersects
-        assert rep.violating_subset == [0, 1]
+        # Half the gap between the two balls.
+        assert rep.violating_subset == [0, 1] and rep.residual == 1.0
 
     def test_pairwise_but_no_triple(self):
         # classic: three long thin rectangles-as-segments pattern with balls:
@@ -157,7 +186,7 @@ class TestKIntersection:
     def test_k1_on_nonempty_bodies(self):
         fam = BodyFamily([Ball([0.0, 0.0], 0.1), Ball([9.0, 9.0], 0.1)])
         rep = check_k_intersection(fam, 1)
-        assert rep.intersects
+        assert rep.intersects and rep.residual == 0.0
 
     def test_triple_with_common_point(self):
         balls = [Ball([0.3, 0.0], 1.0), Ball([-0.3, 0.2], 1.0), Ball([0.0, -0.4], 1.0)]
@@ -165,19 +194,22 @@ class TestKIntersection:
         assert rep.intersects
 
     def test_disc_violation_reports_the_chebyshev_value(self):
-        # The violating triple's best candidate point is 0.827 from a disc,
-        # but the triple's Chebyshev value, the reported residual, is 0.408.
+        # At k = n + 1 the violating triple is helly_verify's, and the
+        # residual is the family's Chebyshev value, which is the triple's
+        # and the largest over all 84 triples.
         family = generate_ball_family(2, 9, 3, "disjoint-pair")
         rep = check_k_intersection(family, 3)
-        assert not rep.intersects and rep.violating_subset == [0, 1, 2]
+        assert not rep.intersects and rep.violating_subset == [1, 4, 7]
         triple = BodyFamily([family.bodies[i] for i in rep.violating_subset])
-        assert rep.residual == chebyshev_center(*ball_arrays(triple))[1]
-        assert rep.residual == pytest.approx(0.408, abs=1e-3)
+        assert rep.residual == chebyshev_center(*ball_arrays(family))[1]
+        assert chebyshev_center(*ball_arrays(triple))[1] == pytest.approx(
+            rep.residual, abs=1e-9)
+        assert reference_k_value(family, 3) == pytest.approx(rep.residual, abs=1e-9)
+        assert rep.residual == pytest.approx(1.19647, abs=1e-5)
 
     def test_disc_triple_within_tolerance_meets(self):
         # Discs of radius R - t on an equilateral triangle with circumradius
-        # R: the Chebyshev value is t, within 1e-6, while the best candidate,
-        # a crossing of two circles, lies about 3t from the third disc.
+        # R: the Chebyshev value is t, within 1e-6.
         R, t = 1.0, 5e-7
         angles = [0.5 + 2.0 * math.pi * k / 3.0 for k in range(3)]
         family = BodyFamily([Ball([R * math.cos(a), R * math.sin(a)], R - t) for a in angles])
@@ -197,9 +229,70 @@ class TestKIntersection:
         assert rep.intersects and rep.residual == 0.0
 
     def test_enumeration_guard(self):
-        balls = [Ball([float(i), 0.0], 50.0) for i in range(60)]
+        # Polytopes are enumerated at every k, balls only below n + 1:
+        # C(60, 30) subsets of points and C(183, 3) = 1,004,731 triples of
+        # balls in R^3.
+        points = [Polytope([[float(i), 0.0]]) for i in range(60)]
         with pytest.raises(EnumerationGuardError):
-            check_k_intersection(BodyFamily(balls), 30)
+            check_k_intersection(BodyFamily(points), 30)
+        balls = [Ball([0.01 * i, 0.0, 0.0], 50.0) for i in range(183)]
+        with pytest.raises(EnumerationGuardError, match="C\\(183, 3\\) = 1004731"):
+            check_k_intersection(BodyFamily(balls), 3)
+
+    def test_ball_k_check_matches_the_subset_enumeration(self):
+        # Helly's theorem carries the 1e-6 tolerance for balls: the family's
+        # Chebyshev value is its worst (n + 1)-subset's, so one helly_verify
+        # decides what the reference enumerates subset by subset.
+        meet = 0
+        for family in stress_ball_families():
+            n, m = family.dimension, len(family)
+            k = min(n + 1, m)
+            value = reference_k_value(family, k)
+            rep = check_k_intersection(family, n + 1)
+            assert rep.intersects == (value <= 1e-6)
+            if rep.intersects:
+                meet += 1
+                assert rep.residual == pytest.approx(max(value, 0.0), abs=1e-12)
+                continue
+            subset = rep.violating_subset
+            assert len(subset) == k and subset == sorted(set(subset))
+            assert set(helly_verify(family).violating_subset) <= set(subset)
+            C, R = ball_arrays(family)
+            assert chebyshev_center(C[subset], R[subset])[1] == pytest.approx(
+                rep.residual, abs=1e-9)
+        assert 40 <= meet <= 110
+
+    def test_default_k_check_is_one_chebyshev_center(self, monkeypatch):
+        # 27,405 subsets of four balls in R^3, decided by one center.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return chebyshev_center(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a ball k-check at n + 1 must not enumerate")
+
+        monkeypatch.setattr(helly, "chebyshev_center", counted)
+        monkeypatch.setattr(helly, "common_point", forbidden)
+        family = generate_ball_family(3, 30, 1)
+        rep = check_k_intersection(family, family.dimension + 1)
+        assert rep.intersects and len(calls) == 1
+
+    def test_disc_pairs_scan_in_constant_memory(self):
+        # All C(200, 2) = 19,900 pairs of discs that meet; a table of points
+        # against discs would take hundreds of MB.
+        rng = SplitMix64(17)
+        family = BodyFamily([Ball([rng.uniform(-1, 1), rng.uniform(-1, 1)], 1.5)
+                             for _ in range(200)])
+        tracemalloc.start()
+        try:
+            rep = check_k_intersection(family, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.intersects and rep.residual == 0.0
+        assert peak < 5 * 2 ** 20
 
 
 class TestHellyVerify:
@@ -236,8 +329,10 @@ class TestHellyVerify:
                 ) * (radius - 0.2) / math.sqrt(n)
                 balls.append(Ball(center, radius))
             fam = BodyFamily(balls)
-            sub = check_k_intersection(fam, n + 1)
-            if sub.intersects:
+            # Helly's theorem against the enumeration of the (n + 1)-subsets.
+            every_subset_meets = reference_k_value(fam, n + 1) <= 1e-6
+            assert check_k_intersection(fam, n + 1).intersects == every_subset_meets
+            if every_subset_meets:
                 rep = common_point(fam)
                 assert rep.residual <= 1e-6
 
@@ -369,6 +464,9 @@ def test_touching_families_intersect(n):
             assert all(rep.intersects for rep in reports)
             worst = max([worst] + [rep.residual for rep in reports])
         assert worst <= bound
+    # Each (n + 1)-subset of the balls meets in its own right.
+    for family in kinds[0][0]:
+        assert reference_k_value(family, n + 1) <= kinds[0][1]
 
 
 @pytest.mark.parametrize("shift", [1e5, 1e6])
@@ -556,12 +654,16 @@ def test_violating_subset_is_a_certificate(family):
         value, cell = grid_min_max_distance(sub.bodies)
         assert value > cell
     if all(isinstance(b, Ball) for b in family.bodies):
-        # Every k-check path, the disc candidates included, reports the
-        # subset's Chebyshev value, which is the family's.
-        check = check_k_intersection(sub, n + 1)
+        # The k-check at n + 1 reports a subset holding J and the family's
+        # Chebyshev value, which is J's and, by the enumeration where it
+        # fits a test, the worst (n + 1)-subset's.
+        check = check_k_intersection(family, n + 1)
         _, t = chebyshev_center(*ball_arrays(sub))
-        assert not check.intersects and check.residual == pytest.approx(t, abs=1e-12)
+        assert not check.intersects and set(subset) <= set(check.violating_subset)
+        assert check.residual == rep.residual
         assert t == pytest.approx(rep.residual, abs=1e-9)
+        if math.comb(len(family), n + 1) <= 1000:
+            assert reference_k_value(family, n + 1) == pytest.approx(t, abs=1e-9)
 
 
 def test_subset_within_tolerance_is_not_reported():

@@ -278,16 +278,16 @@ def _expands_axis(node):
     return any(isinstance(i, ast.Constant) and i.value is None for i in index)
 
 
-def self_pair_differences(source):
-    """Dense pair-difference arrays of one array against itself, such as
-    X[:, None, :] - X[None, :, :], written as in source."""
+def dense_pair_differences(source):
+    """Dense pair-difference arrays of an array against itself or another,
+    such as X[:, None, :] - X[None, :, :] or P[:, None, :] - C[None, :, :],
+    written as in source."""
     return [
         ast.unparse(node)
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.BinOp)
         and isinstance(node.op, ast.Sub)
         and all(isinstance(side, ast.Subscript) for side in (node.left, node.right))
-        and ast.unparse(node.left.value) == ast.unparse(node.right.value)
         and ast.unparse(node.left.slice) != ast.unparse(node.right.slice)
         and _expands_axis(node.left)
         and _expands_axis(node.right)
@@ -299,7 +299,7 @@ def test_no_dense_self_pair_difference():
     dense = {
         path.name: found
         for path in sorted(SRC.glob("*.py"))
-        if (found := self_pair_differences(path.read_text()))
+        if (found := dense_pair_differences(path.read_text()))
     }
     assert dense == {}
 
@@ -313,8 +313,9 @@ def test_scan_flags_a_dense_self_pair_difference():
         "h = X[:, None] - X[:, None]\n"
         "k = X[1:] - X[0]\n"
     )
-    assert self_pair_differences(source) == [
+    assert dense_pair_differences(source) == [
         "pts[:, None, :] - pts[None, :, :]", "x[None] - x[:, None]",
+        "P[:, None, :] - centers[None, :, :]",
     ]
 
 
